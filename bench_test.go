@@ -793,10 +793,13 @@ const (
 // loop. Warmup (untimed) fills the in-flight window and runs past the
 // retention plateau; each timed iteration then retires the oldest
 // in-flight task and places one arrival, keeping every buffer at its
-// steady occupancy.
-func runSteady(b *testing.B, specs []*casched.Spec,
+// steady occupancy. gap gives the time between arrival id-1 and arrival
+// id and so sets the pool's utilisation (mean service is about 112 s, so
+// at a constant gap occupancy settles near 112/gap jobs); warm is called
+// once the warm-up is over, before the timed loop.
+func runSteady(b *testing.B, specs []*casched.Spec, gap func(id int) float64, steadyWindow, steadyWarmup int,
 	submit func(casched.AgentRequest) (casched.AgentDecision, error),
-	complete func(jobID int, server string, at float64)) {
+	complete func(jobID int, server string, at float64), warm func()) {
 	b.Helper()
 	type placedTask struct {
 		job    int
@@ -806,7 +809,7 @@ func runSteady(b *testing.B, specs []*casched.Spec,
 	now := 0.0
 	var req casched.AgentRequest
 	place := func(id int) {
-		now += steadyDT
+		now += gap(id)
 		req.JobID, req.TaskID, req.Spec, req.Arrival = id, id, specs[id%len(specs)], now
 		dec, err := submit(req)
 		if err != nil {
@@ -827,6 +830,7 @@ func runSteady(b *testing.B, specs []*casched.Spec,
 		complete(old.job, old.server, now)
 		place(id)
 	}
+	warm()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -845,8 +849,18 @@ func runSteady(b *testing.B, specs []*casched.Spec,
 // reusable evaluation scratch the hot path never touches the heap —
 // the alloc gate pins allocs/op at 0.
 func BenchmarkAgentSubmitSteady(b *testing.B) {
-	names, specs := largeTestbed(128)
-	s, err := casched.NewScheduler("HMCT")
+	benchSteadyCore(b, "HMCT", 128, constGap(steadyDT), steadyWindow, steadyWarmup)
+}
+
+// constGap paces every arrival dt after the previous one.
+func constGap(dt float64) func(int) float64 { return func(int) float64 { return dt } }
+
+// benchSteadyCore runs the steady decision loop on one core and reports
+// how many candidates the HTM projected per decision, the number
+// pruning moves.
+func benchSteadyCore(b *testing.B, heuristic string, servers int, gap func(id int) float64, window, warmup int) {
+	names, specs := largeTestbed(servers)
+	s, err := casched.NewScheduler(heuristic)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -859,9 +873,39 @@ func BenchmarkAgentSubmitSteady(b *testing.B) {
 	for _, name := range names {
 		core.AddServer(name)
 	}
-	runSteady(b, specs, core.Submit, func(jobID int, server string, at float64) {
+	var before casched.HTMEvalStats
+	runSteady(b, specs, gap, window, warmup, core.Submit, func(jobID int, server string, at float64) {
 		core.Complete(jobID, server, at)
-	})
+	}, func() { before = core.EvalStats() })
+	b.ReportMetric(float64(core.EvalStats().Projections-before.Projections)/float64(b.N), "projections/decision")
+}
+
+// BenchmarkAgentSubmitSteadyLight1024 is the regime candidate pruning
+// targets: HMCT over 1024 servers at about 0.2 utilisation, where four
+// traces in five are idle and cannot beat the incumbent. A decision
+// projects a handful of candidates; what remains is the per-candidate
+// bound pass and the trace clock. Also 0 allocs/op.
+func BenchmarkAgentSubmitSteadyLight1024(b *testing.B) {
+	benchSteadyCore(b, "HMCT", 1024, constGap(0.55), 1024, 4096)
+}
+
+// BenchmarkAgentSubmitSteadySaturatedMSF128 is the regime where
+// pruning cannot help: MSF over 128 servers holding a backlog, every
+// trace several jobs deep, nearly every bound below the incumbent. The
+// first 1536 arrivals come faster than the pool serves (gap 0.5 s
+// against 128 servers of about 112 s service) and build the backlog;
+// from then on arrivals match the rate the pool serves at (0.862 s,
+// found by bisection: MSF favours the faster servers, so that is a
+// little under 112/128), and the timed loop sees the same depth
+// whatever b.N is. The row prices the bound pass against
+// the exhaustive evaluation it degrades to (the gate: within 5% of it).
+func BenchmarkAgentSubmitSteadySaturatedMSF128(b *testing.B) {
+	benchSteadyCore(b, "MSF", 128, func(id int) float64 {
+		if id < 1536 {
+			return 0.5
+		}
+		return 0.862
+	}, 256, 2048)
 }
 
 // BenchmarkClusterSubmitSteady is the same contract through the
@@ -888,9 +932,9 @@ func BenchmarkClusterSubmitSteady(b *testing.B) {
 			for _, name := range names {
 				cl.AddServer(name)
 			}
-			runSteady(b, specs, cl.Submit, func(jobID int, server string, at float64) {
+			runSteady(b, specs, constGap(steadyDT), steadyWindow, steadyWarmup, cl.Submit, func(jobID int, server string, at float64) {
 				cl.Complete(jobID, server, at)
-			})
+			}, func() {})
 		})
 	}
 }

@@ -87,6 +87,9 @@ type (
 	HTM = htm.Manager
 	// Prediction is the HTM's answer for one candidate placement.
 	Prediction = htm.Prediction
+	// HTMEvalStats are the HTM's evaluation counters (candidates offered
+	// and projected; AgentCore.EvalStats, Cluster.EvalStats).
+	HTMEvalStats = htm.EvalStats
 	// MemoryAware wraps a scheduler with the memory-admission
 	// extension (paper §7 future work).
 	MemoryAware = sched.MemoryAware

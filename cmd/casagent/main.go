@@ -87,7 +87,7 @@ func main() {
 	if *metrics != "" {
 		sc := casched.NewStatsCollector()
 		agent.Engine().Subscribe(sc.Collect)
-		cfg := casched.MetricsConfig{Stats: sc.Snapshot, Pprof: *pprofAddr == *metrics}
+		cfg := casched.MetricsConfig{Stats: sc.Snapshot, Eval: agent.Engine().EvalStats, Pprof: *pprofAddr == *metrics}
 		msrv, err := casched.StartMetricsServer(*metrics, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "casagent:", err)

@@ -275,6 +275,12 @@ type Core struct {
 	jobs        map[int]jobMeta // jobID -> task/attempt; evicted on completion
 	subs        map[int]func(Event)
 	nextSub     int
+	// eval is the HTM surface single decisions hand the heuristic: the
+	// manager's pruning view for the objective the heuristic declares
+	// (sched.EvaluatorFor); nil without an HTM. SubmitBatch keeps the
+	// exhaustive manager behind its batchCache, which reuses every
+	// prediction.
+	eval sched.Evaluator
 	// ledger arbitrates multi-tenant batches (nil = fairness off);
 	// bucket gates raw intake (nil = unlimited); tenantLoad counts
 	// in-flight jobs per tenant for fairness-aware dispatch.
@@ -348,6 +354,7 @@ func New(cfg Config) (*Core, error) {
 			opts = append(opts, htm.WithRetention(cfg.HTMRetention))
 		}
 		c.htmMgr = htm.New(nil, opts...)
+		c.eval = sched.EvaluatorFor(cfg.Scheduler, c.htmMgr)
 	}
 	return c, nil
 }
@@ -359,6 +366,16 @@ func (c *Core) UsesHTM() bool { return c.useHTM }
 // heuristics). Intended for end-of-run inspection — Gantt extraction,
 // accuracy studies — not for concurrent mutation.
 func (c *Core) HTM() *htm.Manager { return c.htmMgr }
+
+// EvalStats returns the HTM's evaluation counters: solvable candidates
+// offered and candidates projected, whose difference is what pruning
+// skipped. Zero for monitor-based heuristics.
+func (c *Core) EvalStats() htm.EvalStats {
+	if c.htmMgr == nil {
+		return htm.EvalStats{}
+	}
+	return c.htmMgr.EvalStats()
+}
 
 // Subscribe registers an observer for core events and returns its
 // cancel function. Callbacks run synchronously on the mutating
@@ -462,11 +479,7 @@ func (c *Core) Submit(req Request) (Decision, error) {
 		c.shedLocked(req, ShedThrottled)
 		return Decision{}, fmt.Errorf("agent: job %d: %w", req.JobID, ErrThrottled)
 	}
-	var ev sched.Evaluator
-	if c.htmMgr != nil {
-		ev = c.htmMgr
-	}
-	d, err := c.submitLocked(req, ev)
+	d, err := c.submitLocked(req, c.eval)
 	if errors.Is(err, ErrDeadlineUnmet) {
 		c.shedLocked(req, ShedDeadline)
 	}

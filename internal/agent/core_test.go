@@ -307,3 +307,46 @@ func TestResubmissionBookkeeping(t *testing.T) {
 		t.Errorf("unknown completion = %+v", unknown)
 	}
 }
+
+// TestSubmitPrunesBatchDoesNot: single decisions of a heuristic with a
+// declared objective go through the HTM's pruning view; SubmitBatch
+// keeps the exhaustive pass behind its prediction cache.
+func TestSubmitPrunesBatchDoesNot(t *testing.T) {
+	servers := []string{"s1", "s2", "s3", "s4", "s5", "s6"}
+	costs := make(map[string]task.Cost, len(servers))
+	for i, s := range servers {
+		costs[s] = task.Cost{Input: 1, Compute: 50 + float64(i), Output: 1}
+	}
+	spec := &task.Spec{Problem: "p", CostOn: costs}
+	c := newCore(t, sched.NewHMCT(), servers...)
+	for i := 0; i < 5; i++ {
+		if _, err := c.Submit(Request{JobID: i, TaskID: i, Spec: spec, Arrival: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Five servers are busy for ~50 s; the sixth decision only needs the
+	// idle one and whatever its bound cannot rule out.
+	before := c.EvalStats()
+	d, err := c.Submit(Request{JobID: 5, TaskID: 5, Spec: spec, Arrival: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := c.EvalStats()
+	if d.Server != "s6" {
+		t.Errorf("placed on %s, want the idle s6", d.Server)
+	}
+	if got := after.Candidates - before.Candidates; got != 6 {
+		t.Errorf("%d candidates counted, want 6", got)
+	}
+	if got := after.Projections - before.Projections; got != 1 {
+		t.Errorf("%d projections, want 1 (the idle server)", got)
+	}
+	before = after
+	if _, err := c.SubmitBatch([]Request{{JobID: 6, TaskID: 6, Spec: spec, Arrival: 6}}); err != nil {
+		t.Fatal(err)
+	}
+	after = c.EvalStats()
+	if got := after.Projections - before.Projections; got != 6 {
+		t.Errorf("SubmitBatch projected %d candidates, want all 6", got)
+	}
+}

@@ -40,11 +40,7 @@ type Candidate struct {
 func (c *Core) Evaluate(req Request) (Candidate, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var ev sched.Evaluator
-	if c.htmMgr != nil {
-		ev = c.htmMgr
-	}
-	return c.evaluateLocked(req, ev)
+	return c.evaluateLocked(req, c.eval)
 }
 
 // Commit commits a previously evaluated placement on this core:

@@ -62,6 +62,7 @@ import (
 
 	"casched/internal/agent"
 	"casched/internal/fair"
+	"casched/internal/htm"
 	"casched/internal/sched"
 	"casched/internal/stats"
 )
@@ -388,6 +389,18 @@ func (cl *Cluster) NumShards() int { return len(cl.shards) }
 // Shard exposes one shard's core for inspection (Gantt extraction,
 // accuracy studies) — not for driving; use the Cluster surface.
 func (cl *Cluster) Shard(i int) *agent.Core { return cl.shards[i] }
+
+// EvalStats sums the shards' HTM evaluation counters
+// (agent.Core.EvalStats).
+func (cl *Cluster) EvalStats() htm.EvalStats {
+	var total htm.EvalStats
+	for _, sh := range cl.shards {
+		st := sh.EvalStats()
+		total.Candidates += st.Candidates
+		total.Projections += st.Projections
+	}
+	return total
+}
 
 // UsesHTM reports whether the configured heuristic consumes the HTM.
 func (cl *Cluster) UsesHTM() bool { return cl.shards[0].UsesHTM() }

@@ -422,6 +422,14 @@ func (s *Sim) advance(t float64, collect bool) []Event {
 	if t < s.now-timeEps {
 		panic(fmt.Sprintf("fluid: server %s: AdvanceTo(%.6f) precedes now %.6f", s.cfg.Name, t, s.now))
 	}
+	if len(s.live) == 0 {
+		// Nothing resident: only the clock moves. Most traces of a large
+		// lightly loaded pool take this path on every arrival.
+		if t > s.now {
+			s.now = t
+		}
+		return nil
+	}
 	var events []Event
 	for !s.collapsed {
 		next, ok := s.NextEventTime()

@@ -31,6 +31,90 @@
 // algorithm as a reference: predictions from the two paths agree within
 // floating-point accumulation error (see the equivalence test).
 //
+// # Pruning
+//
+// A heuristic that takes the argmin of one objective over the
+// predictions reads only the candidates within its tie tolerance of the
+// minimum. Manager.Minimizing(objective, tie) returns the evaluation
+// surface for such a heuristic (Minimizer): under one lock acquisition
+// it computes for every solvable candidate a lower bound of the
+// objective from the live jobs, read in place; projects the candidate
+// of least bound to obtain an incumbent; then scans the others and
+// projects one only if its bound does not strictly
+// exceed incumbent + tie, the incumbent tightening as projections come
+// in. Only projected candidates are snapshotted. The contract is that
+// the result holds, in server-name order and bit-identical to the
+// exhaustive predictions, every candidate whose objective is within tie
+// of the minimum: the true minimiser is never pruned (its bound is at
+// most its objective, which is at most any incumbent), so the minimum
+// over the result is the true minimum, and a candidate within tie of it
+// has a bound within tie of every incumbent. Heuristic code, scores,
+// tie-breaks, random draws and placements are therefore unchanged. On a
+// lightly loaded pool a decision projects a handful of candidates
+// whatever the pool size; as load rises the bounds separate less and
+// the pass degrades toward the exhaustive one (EvalStats counts both).
+//
+// The bound. Let the new job cost (I, w, O) on the server and arrive at
+// a, let r_i be the remaining compute of each job computing at a, and
+//
+//	F = max(I + w + O, w + O + Σ_i min(r_i, w)).
+//
+// The new job's flow is at least F. Each phase takes at least its
+// nominal time, which is the first term. For the second: a job
+// computing at a stays on the CPU until it has received r_i; whenever
+// it shares the CPU with the new job both progress at the same rate,
+// so by the instant T the new job's compute ends it has received at
+// least min(r_i, w); the CPU delivers at most one second of work per
+// second (thrashing only lowers that), so T - a ≥ w + Σ_i min(r_i, w),
+// and the output phase follows. A projected collapse yields +Inf,
+// above any bound.
+//
+//   - MinCompletion (HMCT): completion ≥ a + F, always.
+//   - MinSumFlow (MSF): the objective is flow + Σ_j π_j, and π_j can be
+//     negative: the model is three processor-sharing stations in
+//     series, and a job the newcomer delays at one station reaches the
+//     next one later, to the benefit of whoever it would have shared
+//     that station with (TestPruneBoundOutputLink: flow 10, Σπ = -5,
+//     F = 10). The bound is F - (k-1)·Σ_j o_j, with o_j the remaining
+//     output work of the k live jobs that still have some, and it is
+//     claimed only when (1) the newcomer delays nobody on the input
+//     link (I = 0, or no live job has input left), so every placed job
+//     reaches the CPU when it would have, and (2) the server's RAM
+//     holds every live footprint plus the newcomer's, so the thrash
+//     factor stays 1. Under (1) the CPU is one processor-sharing
+//     station with unchanged arrivals plus one more job, which delays
+//     every departure or leaves it (induction over events: no job's
+//     attained service can overtake its baseline value while the set
+//     present contains the baseline's). On the output link a job
+//     finishes no sooner than its arrival plus o_j, and in the baseline
+//     no later than its arrival plus o_j + Σ_{l≠j} min(o_l, o_j), since
+//     while two jobs share the link they are served at the same rate;
+//     its arrival is not earlier, so π_j ≥ -Σ_{l≠j} min(o_l, o_j) and
+//     Σ_j π_j ≥ -(k-1)·Σ_j o_j. Where (1) or (2) fails nothing is
+//     claimed and the candidate is always projected; with output costs
+//     small beside compute costs, the usual case, the correction is
+//     small.
+//
+// A slack of (n+2)²·(8e-9 + 4e-15·(a+F)), n the live jobs, is taken off
+// every bound: fluid ends a phase once under 1e-9 s of work remains,
+// which moves later events by as much, event dates carry rounding, and
+// a sum of n perturbations accumulates O(n²) of either.
+// TestPruneBoundProperty and FuzzPruneBound check bound ≤ objective and
+// the contract on generated traces (all job states, both memory modes,
+// re-anchors, drops).
+//
+// Not pruned, and why: MP and MNI (an idle server has objective 0, so
+// no positive bound separates candidates; their tie-break needs the
+// completion of every zero-perturbation server), the baselines (they
+// read ready times or a subset), Evaluate/EvaluateFull (one candidate),
+// and SubmitBatch's cache (it reuses every prediction across the batch).
+// The pruned pass is sequential, since each projection decides whether
+// the next is needed; WithWorkers applies to the exhaustive pass. A
+// stale baseline is refreshed for every solvable candidate, projected or
+// not, exactly when the exhaustive pass would refresh it, so cached
+// projections and ready times stay bit-identical too. An evaluation
+// error on a candidate that was pruned is never observed.
+//
 // The Manager is safe for concurrent use.
 package htm
 
@@ -138,6 +222,10 @@ type serverTrace struct {
 	// family reads O(1) instead of rescanning the map — that scan is
 	// the routing hot path of a sharded dispatch layer.
 	drain float64
+	// ramMB is the modelled main memory (0 when memory is not modelled
+	// for this server); the pruning bound reads it to tell whether a
+	// placement can put the server under memory pressure.
+	ramMB float64
 }
 
 // baselineSet is a refcounted, pooled baseline projection. The trace
@@ -202,9 +290,13 @@ func (tr *serverTrace) invalidate() { tr.gen++ }
 // use: candidate evaluations may race placements and completion
 // notifications, each decision observing a consistent trace snapshot.
 type Manager struct {
-	mu         sync.RWMutex
-	traces     map[string]*serverTrace
+	mu     sync.RWMutex
+	traces map[string]*serverTrace
+	// order holds the tracked server names sorted; ordered holds their
+	// traces at the same indices, so whole-pool walks (the trace clock,
+	// pruning, the ready aggregates) cost no map lookup per server.
 	order      []string
+	ordered    []*serverTrace
 	placements map[int]placement
 	now        float64
 
@@ -218,6 +310,12 @@ type Manager struct {
 	retention    float64
 	lastPrune    float64
 	pruneScratch []int
+
+	// considered and projected count, over every EvaluateAll-family
+	// call, the solvable candidates offered and the candidates actually
+	// projected; their ratio is the share pruning skipped (EvalStats).
+	considered atomic.Uint64
+	projected  atomic.Uint64
 }
 
 // New constructs a Manager tracking the given servers. Unknown server
@@ -263,10 +361,12 @@ func (m *Manager) addServerLocked(name string) {
 			cfg.Thrash = true
 		}
 	}
-	tr := &serverTrace{sim: fluid.New(cfg)}
+	tr := &serverTrace{sim: fluid.New(cfg), ramMB: cfg.RAMMB}
 	tr.sim.AdvanceTo(m.now)
 	m.traces[name] = tr
-	m.order = slices.Insert(m.order, sort.SearchStrings(m.order, name), name)
+	i := sort.SearchStrings(m.order, name)
+	m.order = slices.Insert(m.order, i, name)
+	m.ordered = slices.Insert(m.ordered, i, tr)
 }
 
 // Placements returns the ids of every job ever placed, in ascending
@@ -297,6 +397,19 @@ func (m *Manager) Now() float64 {
 	return m.now
 }
 
+// EvalStats are the Manager's monotone evaluation counters.
+type EvalStats struct {
+	// Candidates counts the solvable candidates offered to the
+	// EvaluateAll family; Projections those that were projected. The
+	// difference is what pruning skipped.
+	Candidates, Projections uint64
+}
+
+// EvalStats returns the evaluation counters.
+func (m *Manager) EvalStats() EvalStats {
+	return EvalStats{Candidates: m.considered.Load(), Projections: m.projected.Load()}
+}
+
 // AdvanceTo moves every server trace forward to time t.
 func (m *Manager) AdvanceTo(t float64) {
 	m.mu.Lock()
@@ -306,14 +419,18 @@ func (m *Manager) AdvanceTo(t float64) {
 
 // advanceLocked advances all traces and returns the effective time:
 // the trace never moves backwards, so a stale t (behind a concurrent
-// caller's advance) is clamped to the current trace time. The baseline
-// caches stay valid (see the package comment).
+// caller's advance) is clamped to the current trace time. A t equal to
+// the trace time is not an advance either: every trace already stands
+// there (a job placed at this instant stays waiting and is activated,
+// at the same date, by the next real advance or inside any projection),
+// so the commit that follows an evaluation does not walk the pool
+// again. The baseline caches stay valid (see the package comment).
 func (m *Manager) advanceLocked(t float64) float64 {
-	if t < m.now {
+	if t <= m.now {
 		return m.now
 	}
-	for _, name := range m.order {
-		m.traces[name].sim.AdvanceToQuiet(t)
+	for _, tr := range m.ordered {
+		tr.sim.AdvanceToQuiet(t)
 	}
 	m.now = t
 	m.pruneLocked()
@@ -331,8 +448,8 @@ func (m *Manager) pruneLocked() {
 	}
 	m.lastPrune = m.now
 	cutoff := m.now - m.retention
-	for _, name := range m.order {
-		m.pruneScratch = m.traces[name].sim.PruneCompletedBefore(cutoff, m.pruneScratch[:0])
+	for _, tr := range m.ordered {
+		m.pruneScratch = tr.sim.PruneCompletedBefore(cutoff, m.pruneScratch[:0])
 		for _, id := range m.pruneScratch {
 			delete(m.placements, id)
 		}
@@ -402,6 +519,13 @@ func (m *Manager) projectCandidate(j candidateJob, id int, spec *task.Spec, arri
 		m.mu.Unlock()
 		j.baseline = b
 	}
+	return project(j, id, spec, arrival, withPerTask)
+}
+
+// project is the lock-free core of projectCandidate for a snapshot
+// whose baseline is resolved: it touches nothing but the snapshot, so
+// the pruned pass can call it with the Manager lock held.
+func project(j candidateJob, id int, spec *task.Spec, arrival float64, withPerTask bool) (Prediction, error) {
 	defer j.baseline.release()
 	defer putSim(j.clone)
 	if err := j.clone.Add(id, arrival, j.cost, spec.MemoryMB); err != nil {
@@ -535,7 +659,9 @@ func (m *Manager) EvaluateFull(id int, spec *task.Spec, arrival float64, server 
 // remaining candidates are still returned, so callers can distinguish
 // "no server solves this task" (empty, nil error) from "every
 // evaluation failed" (empty, non-nil error) and proceed on partial
-// results.
+// results. Through a Minimizer the contract covers the candidates it
+// projects: a candidate pruned by its bound is never evaluated, so an
+// error it would have raised is not observed.
 func (m *Manager) EvaluateAll(id int, spec *task.Spec, arrival float64, candidates []string) ([]Prediction, error) {
 	return m.EvaluateAllInto(id, spec, arrival, candidates, nil)
 }
@@ -544,9 +670,10 @@ func (m *Manager) EvaluateAll(id int, spec *task.Spec, arrival float64, candidat
 // a steady stream of decisions reuses the same snapshot and result
 // buffers instead of allocating them per call.
 type evalScratch struct {
-	jobs  []candidateJob
-	preds []Prediction
-	perr  []error
+	jobs   []candidateJob
+	preds  []Prediction
+	perr   []error
+	bounds []candBound // the pruned pass's working set (prune.go)
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
@@ -574,6 +701,8 @@ func (m *Manager) EvaluateAllInto(id int, spec *task.Spec, arrival float64, cand
 	}
 	workers := m.workers
 	m.mu.Unlock()
+	m.considered.Add(uint64(len(jobs)))
+	m.projected.Add(uint64(len(jobs)))
 
 	out = out[:0]
 	if len(jobs) == 0 {
@@ -610,15 +739,7 @@ func (m *Manager) EvaluateAllInto(id int, spec *task.Spec, arrival float64, cand
 		}
 		out = append(out, preds[i])
 	}
-	// Insertion sort by server name in place of sort.Slice: the
-	// candidate list arrives near-sorted (it is built from the sorted
-	// server order), the comparison closure would allocate, and with
-	// unique server names the sorted result is identical.
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && out[k].Server < out[k-1].Server; k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
-	}
+	sortByServer(out)
 	// Drop the snapshot references before pooling the scratch so pooled
 	// clones and baselines are not pinned by the next caller.
 	for i := range jobs {
@@ -627,6 +748,19 @@ func (m *Manager) EvaluateAllInto(id int, spec *task.Spec, arrival float64, cand
 	sc.jobs = jobs
 	scratchPool.Put(sc)
 	return out, errors.Join(errs...)
+}
+
+// sortByServer orders predictions by server name. Insertion sort in
+// place of sort.Slice: the candidate list arrives near-sorted (it is
+// built from the sorted server order), the comparison closure would
+// allocate, and with unique server names the sorted result is
+// identical.
+func sortByServer(out []Prediction) {
+	for i := 1; i < len(out); i++ {
+		for k := i; k > 0 && out[k].Server < out[k-1].Server; k-- {
+			out[k], out[k-1] = out[k-1], out[k]
+		}
+	}
 }
 
 // projectParallel fans the candidate projections out over a bounded
@@ -754,11 +888,9 @@ func (m *Manager) DropServer(name string) {
 		tr.baseline = nil
 	}
 	delete(m.traces, name)
-	for i, n := range m.order {
-		if n == name {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
+	if i, ok := slices.BinarySearch(m.order, name); ok {
+		m.order = slices.Delete(m.order, i, i+1)
+		m.ordered = slices.Delete(m.ordered, i, i+1)
 	}
 }
 
@@ -802,8 +934,8 @@ func (m *Manager) MinProjectedReady() (float64, bool) {
 		return 0, false
 	}
 	best := math.Inf(1)
-	for _, name := range m.order {
-		if ready := m.readyLocked(m.traces[name]); ready < best {
+	for _, tr := range m.ordered {
+		if ready := m.readyLocked(tr); ready < best {
 			best = ready
 		}
 	}
@@ -822,8 +954,8 @@ func (m *Manager) ProjectedReadyAll() map[string]float64 {
 		return nil
 	}
 	ready := make(map[string]float64, len(m.order))
-	for _, name := range m.order {
-		ready[name] = m.readyLocked(m.traces[name])
+	for i, name := range m.order {
+		ready[name] = m.readyLocked(m.ordered[i])
 	}
 	return ready
 }

@@ -1,0 +1,205 @@
+package htm
+
+import (
+	"errors"
+	"fmt"
+	"math"
+
+	"casched/internal/fluid"
+	"casched/internal/task"
+)
+
+// Objective names the single quantity a heuristic minimises over the
+// predictions of one decision. A heuristic that declares one lets the
+// Manager skip every candidate whose proven lower bound of that
+// quantity already exceeds the best projected value (see "Pruning" in
+// the package comment).
+type Objective int
+
+const (
+	// NoObjective declares nothing: every solvable candidate is
+	// projected (MP, MNI and the baselines, whose objectives have no
+	// proven bound).
+	NoObjective Objective = iota
+	// MinCompletion is HMCT's objective: Prediction.Completion.
+	MinCompletion
+	// MinSumFlow is MSF's objective: Prediction.SumFlowObjective.
+	MinSumFlow
+)
+
+// value returns the objective of one projected candidate.
+func (o Objective) value(p *Prediction) float64 {
+	if o == MinSumFlow {
+		return p.SumFlowObjective()
+	}
+	return p.Completion
+}
+
+// Minimizer is the Manager's evaluation surface for a heuristic that
+// minimises Objective and breaks ties within Tie of the minimum: its
+// EvaluateAll family returns, in server-name order, a subset of the
+// exhaustive predictions that holds every candidate whose objective is
+// within Tie of the minimum — all such a heuristic reads — and skips
+// the projection of candidates proven unable to be among them. With
+// NoObjective it is the exhaustive evaluation. Everything else is the
+// embedded Manager's.
+type Minimizer struct {
+	*Manager
+	Objective Objective
+	Tie       float64
+}
+
+// Minimizing returns the evaluation surface for a heuristic minimising
+// obj with tie tolerance tie.
+func (m *Manager) Minimizing(obj Objective, tie float64) *Minimizer {
+	return &Minimizer{Manager: m, Objective: obj, Tie: tie}
+}
+
+// EvaluateAll is EvaluateAllInto with a fresh result slice.
+func (z *Minimizer) EvaluateAll(id int, spec *task.Spec, arrival float64, candidates []string) ([]Prediction, error) {
+	return z.EvaluateAllInto(id, spec, arrival, candidates, nil)
+}
+
+// EvaluateAllInto is Manager.EvaluateAllInto restricted to the
+// candidates that can still win. The error contract is the Manager's,
+// except that a candidate pruned before it was projected is never
+// evaluated, so its evaluation error, if it had one, is not reported.
+func (z *Minimizer) EvaluateAllInto(id int, spec *task.Spec, arrival float64, candidates []string, out []Prediction) ([]Prediction, error) {
+	if z.Objective == NoObjective {
+		return z.Manager.EvaluateAllInto(id, spec, arrival, candidates, out)
+	}
+	return z.Manager.evaluateMinimizing(z.Objective, z.Tie, id, spec, arrival, candidates, out)
+}
+
+// candBound is one solvable candidate of a pruned pass with the lower
+// bound of its objective.
+type candBound struct {
+	tr    *serverTrace
+	cost  task.Cost
+	bound float64
+}
+
+// lowerBound returns a value the objective of placing a job of the
+// given cost and footprint on the trace at the trace's current instant
+// (arrival) cannot fall below; the package comment has the proof. It
+// reads the live jobs in place and returns -Inf where nothing is
+// proven, which the caller always projects.
+func lowerBound(obj Objective, tr *serverTrace, cost task.Cost, memoryMB, arrival float64) float64 {
+	live := tr.sim.Live()
+	w := cost.Compute
+	// shared is the CPU work the jobs computing now must receive before
+	// the new job's own w seconds of CPU are through.
+	shared := 0.0
+	// For MinSumFlow: jobs still to use the input link, jobs still to
+	// use the output link with their total output work, and the memory
+	// the server would hold.
+	inputs, outputs := 0, 0
+	outWork, memory := 0.0, memoryMB
+	for _, j := range live {
+		if j.State == fluid.StateCompute {
+			shared += math.Min(j.Remaining[task.PhaseCompute], w)
+		}
+		if obj == MinSumFlow {
+			if j.Remaining[task.PhaseInput] > 0 {
+				inputs++
+			}
+			if o := j.Remaining[task.PhaseOutput]; o > 0 {
+				outputs++
+				outWork += o
+			}
+			memory += j.MemoryMB
+		}
+	}
+	flow := math.Max(cost.Input+w+cost.Output, w+cost.Output+shared)
+	bound := arrival + flow
+	if obj == MinSumFlow {
+		// Σπ ≥ -(outputs-1)·outWork holds only when the new job delays
+		// no placed job on the input link and memory pressure cannot
+		// change the CPU rate.
+		if (cost.Input > 0 && inputs > 0) || (tr.ramMB > 0 && memory > tr.ramMB) {
+			return math.Inf(-1)
+		}
+		bound = flow
+		if outputs > 1 {
+			bound -= float64(outputs-1) * outWork
+		}
+	}
+	// Rounding slack: a phase ends once less than fluid's 1e-9 s of work
+	// remains, which moves each later event of the projection by at most
+	// that much, and every event date carries a few ulps; a completion
+	// date sees O(n) events, a sum of n perturbations O(n²).
+	n := float64(len(live) + 2)
+	return bound - n*n*(8e-9+4e-15*(arrival+flow))
+}
+
+// evaluateMinimizing is the pruned evaluation pass. Under one lock
+// acquisition it bounds every solvable candidate, projects the
+// candidate of least bound to obtain an incumbent, then scans the rest
+// and projects only those whose bound does not strictly exceed the
+// incumbent plus tie; the incumbent is +Inf until a projection succeeds
+// and tightens as projections come in. Projections run under the lock
+// and one after the other — WithWorkers applies to the exhaustive pass
+// only — since each decides whether the next is needed.
+func (m *Manager) evaluateMinimizing(obj Objective, tie float64, id int, spec *task.Spec, arrival float64, candidates []string, out []Prediction) ([]Prediction, error) {
+	var errs []error
+	sc := scratchPool.Get().(*evalScratch)
+	m.mu.Lock()
+	arrival = m.advanceLocked(arrival)
+	bounds := sc.bounds[:0]
+	first := 0
+	for _, s := range candidates {
+		tr, found := m.traces[s]
+		if !found {
+			errs = append(errs, fmt.Errorf("htm: unknown server %q", s))
+			continue
+		}
+		cost, solvable := spec.Cost(s)
+		if !solvable {
+			continue
+		}
+		// The exhaustive pass refreshes a stale baseline at the first
+		// evaluation after the trace changed; refreshing here at the
+		// same instant, projected or not, keeps the cached projections
+		// (and the drain memo ProjectedReady serves) bit-identical.
+		m.baselineLocked(tr)
+		b := candBound{tr: tr, cost: cost, bound: lowerBound(obj, tr, cost, spec.MemoryMB, arrival)}
+		if len(bounds) == 0 || b.bound < bounds[first].bound {
+			first = len(bounds)
+		}
+		bounds = append(bounds, b)
+	}
+	if len(bounds) > 0 {
+		// The candidate of least bound is projected first; its place in
+		// the scan order does not matter, the result is sorted below.
+		bounds[0], bounds[first] = bounds[first], bounds[0]
+	}
+	out = out[:0]
+	incumbent, projected := math.Inf(1), 0
+	for i := range bounds {
+		b := &bounds[i]
+		if b.bound > incumbent+tie {
+			continue
+		}
+		projected++
+		p, err := project(candidateJob{server: b.tr.sim.Name(), cost: b.cost,
+			clone: b.tr.sim.CloneLiveInto(getSim()), baseline: b.tr.baseline.acquire()},
+			id, spec, arrival, false)
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		// Only a successful projection makes an incumbent.
+		if v := obj.value(&p); v < incumbent {
+			incumbent = v
+		}
+		out = append(out, p)
+	}
+	m.mu.Unlock()
+	m.considered.Add(uint64(len(bounds)))
+	m.projected.Add(uint64(projected))
+	sortByServer(out)
+	clear(bounds)
+	sc.bounds = bounds
+	scratchPool.Put(sc)
+	return out, errors.Join(errs...)
+}

@@ -10,6 +10,7 @@ import (
 
 	"casched/internal/agent"
 	"casched/internal/cluster"
+	"casched/internal/htm"
 	"casched/internal/sched"
 	"casched/internal/task"
 	"casched/internal/trace"
@@ -82,6 +83,7 @@ type Engine interface {
 	Subscribe(fn func(agent.Event)) (cancel func())
 	Prediction(jobID int) (float64, bool)
 	FinalPredictions() map[int]float64
+	EvalStats() htm.EvalStats
 }
 
 // Agent is the central scheduler of the live deployment: a TCP

@@ -69,6 +69,11 @@ func (*HMCT) Name() string { return "HMCT" }
 
 func (*HMCT) usesHTM() bool { return true }
 
+// objective declares what ChooseScored minimises, which lets the HTM
+// prune (EvaluatorFor): argminScan reads only the predictions within
+// tieEps of the least completion date.
+func (*HMCT) objective() htm.Objective { return htm.MinCompletion }
+
 // Choose implements Scheduler.
 func (h *HMCT) Choose(ctx *Context) (string, error) { return chooseVia(h, ctx) }
 
@@ -169,6 +174,10 @@ func NewMSF() *MSF { return &MSF{} }
 func (*MSF) Name() string { return "MSF" }
 
 func (*MSF) usesHTM() bool { return true }
+
+// objective: argminTieBreak reads only the predictions within tieEps of
+// the least sum-flow increase (see HMCT.objective).
+func (*MSF) objective() htm.Objective { return htm.MinSumFlow }
 
 // Choose implements Scheduler.
 func (m *MSF) Choose(ctx *Context) (string, error) { return chooseVia(m, ctx) }
@@ -288,6 +297,10 @@ type MemoryAware struct {
 func (m *MemoryAware) Name() string { return m.Inner.Name() + "+mem" }
 
 func (m *MemoryAware) usesHTM() bool { return UsesHTM(m.Inner) }
+
+// objective forwards the inner heuristic's: filtering the candidate
+// list first does not change what the inner argmin reads.
+func (m *MemoryAware) objective() htm.Objective { return objectiveOf(m.Inner) }
 
 // Choose implements Scheduler.
 func (m *MemoryAware) Choose(ctx *Context) (string, error) {

@@ -146,6 +146,24 @@ func UsesHTM(s Scheduler) bool {
 	return false
 }
 
+// EvaluatorFor returns the HTM evaluation surface the agent hands to
+// the scheduler on single decisions: the Manager's pruning view for the
+// objective the scheduler declares it minimises (htm.NoObjective, and
+// with it exhaustive evaluation, for one that declares none), with the
+// heuristics' tie tolerance. A heuristic declares its objective the way
+// it declares usesHTM, so wrappers that embed it inherit both.
+func EvaluatorFor(s Scheduler, m *htm.Manager) BufferedEvaluator {
+	return m.Minimizing(objectiveOf(s), tieEps)
+}
+
+// objectiveOf returns the objective the scheduler declares.
+func objectiveOf(s Scheduler) htm.Objective {
+	if o, ok := s.(interface{ objective() htm.Objective }); ok {
+		return o.objective()
+	}
+	return htm.NoObjective
+}
+
 // registry is the single source of truth for the heuristic family, in
 // presentation order: the paper's four, the related-work comparators,
 // then the reference policies. ByName, Names and All all derive from

@@ -120,3 +120,30 @@ func TestChooseScoredPartitionInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestEvaluatorForDeclaredObjective: only the heuristics whose argmin
+// reads a single bounded objective declare one, wrappers forward or
+// inherit it, and everything else gets the exhaustive evaluator.
+func TestEvaluatorForDeclaredObjective(t *testing.T) {
+	type embedded struct{ *MSF }
+	cases := []struct {
+		s    Scheduler
+		want htm.Objective
+	}{
+		{NewHMCT(), htm.MinCompletion},
+		{NewMSF(), htm.MinSumFlow},
+		{&MemoryAware{Inner: NewHMCT()}, htm.MinCompletion},
+		{embedded{NewMSF()}, htm.MinSumFlow},
+		{NewMP(), htm.NoObjective},
+		{NewMNI(), htm.NoObjective},
+		{NewKPB(), htm.NoObjective},
+		{NewRandom(), htm.NoObjective},
+	}
+	m := htm.New([]string{"s1"})
+	for _, c := range cases {
+		z, ok := EvaluatorFor(c.s, m).(*htm.Minimizer)
+		if !ok || z.Manager != m || z.Objective != c.want || z.Tie != tieEps {
+			t.Errorf("%s: evaluator %+v, want objective %d over the manager with tie %g", c.s.Name(), z, c.want, tieEps)
+		}
+	}
+}

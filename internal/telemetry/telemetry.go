@@ -25,6 +25,7 @@ import (
 	"casched/internal/agent"
 	"casched/internal/fed"
 	"casched/internal/ha"
+	"casched/internal/htm"
 )
 
 // Config names the metric sources. Nil fields are skipped, so an agent
@@ -34,6 +35,9 @@ type Config struct {
 	// Stats returns the scheduling stats snapshot (typically
 	// StatsCollector.Snapshot of a collector subscribed to the engine).
 	Stats func() agent.Stats
+	// Eval returns the HTM evaluation counters of the engine making the
+	// decisions (agent.Core.EvalStats, cluster.Cluster.EvalStats).
+	Eval func() htm.EvalStats
 	// Members returns the federation member diagnostics
 	// (Dispatcher.Members).
 	Members func() []fed.MemberInfo
@@ -57,6 +61,9 @@ func Handler(cfg Config) http.Handler {
 		var b strings.Builder
 		if cfg.Stats != nil {
 			WriteStats(&b, cfg.Stats())
+		}
+		if cfg.Eval != nil {
+			WriteEval(&b, cfg.Eval())
 		}
 		if cfg.Members != nil {
 			WriteMembers(&b, cfg.Members())
@@ -218,6 +225,16 @@ func WriteStats(w io.Writer, s agent.Stats) {
 		p.sample("casched_tenant_deadline_misses_total", "counter", "Completions past their deadline for the tenant.", l, float64(ts.DeadlineMisses))
 		p.sample("casched_tenant_sum_flow_seconds", "counter", "Accumulated flow time (completion minus submission) for the tenant.", l, ts.SumFlow)
 	}
+}
+
+// WriteEval renders the HTM evaluation counters. Their difference is
+// the number of candidate projections pruning skipped; the ratio
+// projections/candidates falls toward a few per pool on a lightly
+// loaded deployment and rises to 1 as it saturates.
+func WriteEval(w io.Writer, st htm.EvalStats) {
+	p := &page{w: w}
+	p.sample("casched_htm_candidates_total", "counter", "Solvable candidate servers offered to HTM evaluation passes.", nil, float64(st.Candidates))
+	p.sample("casched_htm_projections_total", "counter", "Candidate servers the HTM projected (the rest were pruned by their bound).", nil, float64(st.Projections))
 }
 
 // relayNever is the MemberInfo sentinel for "no successful relay pull

@@ -12,6 +12,7 @@ import (
 	"casched/internal/agent"
 	"casched/internal/fed"
 	"casched/internal/ha"
+	"casched/internal/htm"
 )
 
 func sampleStats() agent.Stats {
@@ -127,6 +128,21 @@ func TestWriteHAGauges(t *testing.T) {
 	WriteHA(&b, ha.Status{Term: 1})
 	if !strings.Contains(b.String(), "casched_ha_is_leader 0") {
 		t.Errorf("standby posture not rendered:\n%s", b.String())
+	}
+}
+
+func TestWriteEvalCounters(t *testing.T) {
+	var b strings.Builder
+	WriteEval(&b, htm.EvalStats{Candidates: 2048, Projections: 23})
+	out := b.String()
+	for _, want := range []string{
+		"# TYPE casched_htm_candidates_total counter",
+		"casched_htm_candidates_total 2048",
+		"casched_htm_projections_total 23",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in:\n%s", want, out)
+		}
 	}
 }
 
