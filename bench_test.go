@@ -883,10 +883,20 @@ func benchSteadyCore(b *testing.B, heuristic string, servers int, gap func(id in
 // BenchmarkAgentSubmitSteadyLight1024 is the regime candidate pruning
 // targets: HMCT over 1024 servers at about 0.2 utilisation, where four
 // traces in five are idle and cannot beat the incumbent. A decision
-// projects a handful of candidates; what remains is the per-candidate
-// bound pass and the trace clock. Also 0 allocs/op.
+// projects a handful of candidates and looks no server name up; what
+// remains is the per-candidate bound check and the clock of the busy
+// traces. Also 0 allocs/op.
 func BenchmarkAgentSubmitSteadyLight1024(b *testing.B) {
 	benchSteadyCore(b, "HMCT", 1024, constGap(0.55), 1024, 4096)
+}
+
+// BenchmarkAgentSubmitSteadyLight4096 is the 1024 row at four times the
+// pool and the same load per server (a quarter of the gap): with the
+// 1024 row it gives the slope of a light decision in pool size, which
+// the candidate index and the busy-only clock walk leave to the
+// per-candidate bound check and the busy fifth of the traces.
+func BenchmarkAgentSubmitSteadyLight4096(b *testing.B) {
+	benchSteadyCore(b, "HMCT", 4096, constGap(0.55/4), 4096, 16384)
 }
 
 // BenchmarkAgentSubmitSteadySaturatedMSF128 is the regime where

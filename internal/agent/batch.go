@@ -63,10 +63,16 @@ func (bc *batchCache) EvaluateAll(id int, spec *task.Spec, arrival float64, cand
 		cached = make(map[string]*htm.Prediction, len(candidates))
 		bc.entries[spec] = cached
 	}
-	missing := candidates[:0:0]
-	for _, s := range candidates {
-		if _, seen := cached[s]; !seen {
-			missing = append(missing, s)
+	// With nothing cached (a spec's first batch member) the list goes
+	// through as it came: the manager recognises its own candidate index
+	// and then resolves no name.
+	missing := candidates
+	if len(cached) > 0 {
+		missing = candidates[:0:0]
+		for _, s := range candidates {
+			if _, seen := cached[s]; !seen {
+				missing = append(missing, s)
+			}
 		}
 	}
 	var err error

@@ -292,15 +292,23 @@ type Core struct {
 	// c.mu so ledger sequence order matches commit order.
 	relayLog *relay.Ledger
 
+	// candCache is, for a core without an HTM, what the HTM's candidate
+	// index is for one with: each spec's solvable servers in name order,
+	// keyed by spec pointer, at most maxCachedSpecs of them, dropped
+	// wholesale when full and on every membership change.
+	candCache map[*task.Spec][]string
+
 	// Decision-path scratch, reused across submits under c.mu: the
-	// candidate filter buffer, the heuristic context (whose PredBuf the
-	// prediction path grows in place) and the task header handed to the
-	// heuristic. Single-submit decisions allocate nothing from these
-	// once they have grown to the working-set size.
-	candScratch []string
-	evalCtx     sched.Context
-	evalTask    task.Task
+	// heuristic context (whose PredBuf the prediction path grows in
+	// place) and the task header handed to the heuristic. Single-submit
+	// decisions allocate nothing from these once they have grown to the
+	// working-set size.
+	evalCtx  sched.Context
+	evalTask task.Task
 }
+
+// maxCachedSpecs bounds candCache, as htm's cap bounds its index.
+const maxCachedSpecs = 32
 
 // New constructs a Core with no servers; drivers add membership with
 // AddServer as servers register (NetSolve's deployment order: agent
@@ -355,6 +363,8 @@ func New(cfg Config) (*Core, error) {
 		}
 		c.htmMgr = htm.New(nil, opts...)
 		c.eval = sched.EvaluatorFor(cfg.Scheduler, c.htmMgr)
+	} else {
+		c.candCache = make(map[*task.Spec][]string)
 	}
 	return c, nil
 }
@@ -412,6 +422,7 @@ func (c *Core) AddServer(name string) {
 	}
 	c.beliefs[name] = &belief{}
 	c.order = slices.Insert(c.order, sort.SearchStrings(c.order, name), name)
+	clear(c.candCache)
 	if c.htmMgr != nil {
 		c.htmMgr.AddServer(name)
 	}
@@ -428,12 +439,10 @@ func (c *Core) RemoveServer(name string) {
 		return
 	}
 	delete(c.beliefs, name)
-	for i, n := range c.order {
-		if n == name {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
+	if i, ok := slices.BinarySearch(c.order, name); ok {
+		c.order = slices.Delete(c.order, i, i+1)
 	}
+	clear(c.candCache)
 	if c.htmMgr != nil {
 		c.htmMgr.DropServer(name)
 	}
@@ -586,12 +595,12 @@ func (c *Core) submitBatchMatchedLocked(reqs []Request, ev sched.Evaluator, cach
 	items := make([]sched.BatchItem, len(reqs))
 	pending := make([]int, 0, len(reqs))
 	for i, req := range reqs {
-		candidates, submitted, err := c.filterRequestLocked(req, nil)
+		candidates, submitted, err := c.filterRequestLocked(req)
 		if err != nil {
 			fail(i, err)
 			continue
 		}
-		if err := c.admitDeadlineLocked(req, candidates, ev); err != nil {
+		if err := c.admitDeadlineLocked(req, candidates); err != nil {
 			c.shedLocked(req, ShedDeadline)
 			fail(i, err)
 			continue
@@ -687,27 +696,41 @@ func (c *Core) submitLocked(req Request, ev sched.Evaluator) (Decision, error) {
 	return c.commitLocked(req, cand.Server)
 }
 
+// candidatesLocked returns the registered servers that solve spec, in
+// name order: the HTM's candidate index when the core has one (its pool
+// is the core's), the core's own cache otherwise. The list is shared
+// and read-only, and resolved once per spec and membership, not per
+// decision. Caller holds c.mu.
+func (c *Core) candidatesLocked(spec *task.Spec) []string {
+	if c.htmMgr != nil {
+		return c.htmMgr.Candidates(spec)
+	}
+	if cands, ok := c.candCache[spec]; ok {
+		return cands
+	}
+	if len(c.candCache) >= maxCachedSpecs {
+		clear(c.candCache)
+	}
+	var cands []string
+	for _, name := range c.order {
+		if _, ok := spec.Cost(name); ok {
+			cands = append(cands, name)
+		}
+	}
+	c.candCache[spec] = cands
+	return cands
+}
+
 // filterRequestLocked is the per-request preamble shared by the
-// greedy and matched decision paths: spec validation, candidate
-// filtering over the registered servers, and the submitted-date
-// default. Both paths must agree on it, or matched batches and single
-// Submits would see different candidate sets. The candidate list is
-// appended into buf (truncated first); callers whose list must survive
-// the decision pass nil, callers on the single-submit hot path thread
-// the core's reusable scratch through. Caller holds c.mu.
-func (c *Core) filterRequestLocked(req Request, buf []string) (candidates []string, submitted float64, err error) {
+// greedy and matched decision paths: spec validation, the candidate
+// list and the submitted-date default. Both paths must agree on it, or
+// matched batches and single Submits would see different candidate
+// sets. Caller holds c.mu.
+func (c *Core) filterRequestLocked(req Request) (candidates []string, submitted float64, err error) {
 	if req.Spec == nil {
 		return nil, 0, fmt.Errorf("agent: job %d has no spec", req.JobID)
 	}
-	if buf == nil {
-		buf = make([]string, 0, len(c.order))
-	}
-	candidates = buf[:0]
-	for _, name := range c.order {
-		if _, ok := req.Spec.Cost(name); ok {
-			candidates = append(candidates, name)
-		}
-	}
+	candidates = c.candidatesLocked(req.Spec)
 	if len(candidates) == 0 {
 		return nil, 0, ErrUnschedulable
 	}
@@ -722,15 +745,14 @@ func (c *Core) filterRequestLocked(req Request, buf []string) (candidates []stri
 // committing anything: no HTM placement, no belief correction, no
 // event. Caller holds c.mu.
 func (c *Core) evaluateLocked(req Request, ev sched.Evaluator) (Candidate, error) {
-	candidates, submitted, err := c.filterRequestLocked(req, c.candScratch)
+	candidates, submitted, err := c.filterRequestLocked(req)
 	if err != nil {
 		return Candidate{}, err
 	}
-	c.candScratch = candidates
 	// Admission runs before the heuristic, so shedding never consumes
 	// decision randomness: with admission off (or no deadline) the
 	// heuristic sees exactly the historical call sequence.
-	if err := c.admitDeadlineLocked(req, candidates, ev); err != nil {
+	if err := c.admitDeadlineLocked(req, candidates); err != nil {
 		return Candidate{}, err
 	}
 	c.evalTask = task.Task{ID: req.TaskID, Spec: req.Spec, Arrival: submitted,
@@ -761,14 +783,9 @@ func (c *Core) evaluateLocked(req Request, ev sched.Evaluator) (Candidate, error
 		}
 		out = Candidate{Server: server}
 	}
-	found := false
-	for _, cand := range candidates {
-		if cand == out.Server {
-			found = true
-			break
-		}
-	}
-	if !found {
+	// A candidate is a registered server the spec prices.
+	_, registered := c.beliefs[out.Server]
+	if _, priced := req.Spec.Cost(out.Server); !registered || !priced {
 		return Candidate{}, fmt.Errorf("agent: scheduler %s chose non-candidate %q for task %d",
 			c.cfg.Scheduler.Name(), out.Server, req.TaskID)
 	}

@@ -82,31 +82,24 @@ func (c *Core) intakeGateLocked(reqs []Request) (live []Request, keep []int, err
 // admission and placement agree about the state of the pool. Requests
 // without a deadline, or with admission off, always pass. Caller holds
 // c.mu.
-func (c *Core) admitDeadlineLocked(req Request, candidates []string, ev sched.Evaluator) error {
+func (c *Core) admitDeadlineLocked(req Request, candidates []string) error {
 	if !c.cfg.Admission || req.Deadline <= 0 {
 		return nil
 	}
-	info := coreLoadInfo{c}
-	for _, server := range candidates {
-		cost, ok := req.Spec.Cost(server)
-		if !ok {
-			continue
+	if c.htmMgr != nil {
+		if c.htmMgr.MeetsDeadline(req.Spec, req.Arrival, req.Deadline, candidates) {
+			return nil
 		}
-		var finish float64
-		if ev != nil {
-			ready, ok := ev.ProjectedReady(server)
-			if !ok || ready < req.Arrival {
-				ready = req.Arrival
-			}
-			finish = ready + cost.Total()
-		} else {
+	} else {
+		info := coreLoadInfo{c}
+		for _, server := range candidates {
 			// Monitor heuristics: the belief load is the number of
 			// tasks ahead; first-order completion estimate as in the
 			// paper's MCT-over-monitor model.
-			finish = req.Arrival + (info.LoadEstimate(server)+1)*cost.Total()
-		}
-		if finish <= req.Deadline {
-			return nil
+			if cost, ok := req.Spec.Cost(server); ok &&
+				req.Arrival+(info.LoadEstimate(server)+1)*cost.Total() <= req.Deadline {
+				return nil
+			}
 		}
 	}
 	return fmt.Errorf("agent: job %d (deadline %.3f): %w", req.JobID, req.Deadline, ErrDeadlineUnmet)

@@ -66,20 +66,16 @@ func (c *Core) Commit(req Request, server string) (Decision, error) {
 }
 
 // CanSolve reports whether at least one registered server solves the
-// task — the dispatcher's shard-eligibility check. It costs at most
-// one cost-table probe per registered server and takes no projections.
+// task — the dispatcher's shard-eligibility check. It reads the spec's
+// candidate list, resolved once per spec and membership, and takes no
+// projections.
 func (c *Core) CanSolve(spec *task.Spec) bool {
 	if spec == nil {
 		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, name := range c.order {
-		if _, ok := spec.Cost(name); ok {
-			return true
-		}
-	}
-	return false
+	return len(c.candidatesLocked(spec)) > 0
 }
 
 // InFlight returns the number of jobs placed but not yet completed —

@@ -398,6 +398,8 @@ func (cl *Cluster) EvalStats() htm.EvalStats {
 		st := sh.EvalStats()
 		total.Candidates += st.Candidates
 		total.Projections += st.Projections
+		total.NameLookups += st.NameLookups
+		total.IndexBuilds += st.IndexBuilds
 	}
 	return total
 }

@@ -115,6 +115,51 @@
 // projections and ready times stay bit-identical too. An evaluation
 // error on a candidate that was pruned is never observed.
 //
+// # Candidate index
+//
+// Which servers solve a task type, at what cost, on which trace, changes
+// only when a server joins or leaves, so the Manager resolves each
+// *task.Spec against its sorted pool once per membership instead of
+// hashing every server name into the spec's cost table and the trace
+// map on every decision. The result (specIndex) is the solvable server
+// names in name order with, at the same positions, their traces and
+// costs. Candidates hands out the names; when the EvaluateAll family or
+// MeetsDeadline gets that very slice back (same backing array and
+// length, index still cached) the pass reads the entries and looks no
+// name up. Any other list (a subset, a shuffle, a copy, names the pool
+// does not track) is resolved name by name into scratch entries of the
+// same shape and goes through the same pass, with the errors the names
+// call for; EvalStats.NameLookups counts those. agent.Core takes its
+// candidate lists from Candidates, so a deployment's decisions resolve
+// names only for the heuristics that hand the HTM a subset (KPB,
+// MemoryAware).
+//
+// The cache is keyed by spec pointer, which the registry, the workload
+// generators and the wire decoding share per task type, and is bounded
+// by construction: at most maxIndexedSpecs indexes, all dropped when a
+// further spec arrives and whenever AddServer or DropServer changes the
+// pool. It is state per task type, never per task; a client that mints
+// a spec per task only pays a rebuild per decision (about what the
+// per-decision filtering used to cost; EvalStats.IndexBuilds shows it).
+// An index copies the costs, hence the contract stated on task.Spec: a
+// spec handed to a scheduler is not modified afterwards.
+//
+// # Trace clock
+//
+// Advancing the trace time walks only the traces that may hold a live
+// job (Manager.busy): a trace joins the walk when a job is placed on it
+// and leaves it at the first advance that finds it drained. An idle
+// trace's fluid clock is left behind, which is exact because advancing
+// a fluid.Sim without live jobs moves nothing but its clock; syncLocked
+// brings it to the trace time wherever the sim is about to be read or
+// changed (cloning for a projection or a baseline, Place, Sim), and
+// ForceComplete advances to the re-anchor instant itself. Retention
+// pruning reads no clock. So an arrival on a large, mostly idle pool
+// pays for the busy traces and the candidates it projects, not for a
+// tick per server, and every prediction, cached baseline, ready time and
+// Sim().Now() is what the whole-pool walk produced
+// (TestLazyClockMatchesWalk).
+//
 // The Manager is safe for concurrent use.
 package htm
 
@@ -226,6 +271,8 @@ type serverTrace struct {
 	// for this server); the pruning bound reads it to tell whether a
 	// placement can put the server under memory pressure.
 	ramMB float64
+	// busy marks membership of Manager.busy, the traces the clock walks.
+	busy bool
 }
 
 // baselineSet is a refcounted, pooled baseline projection. The trace
@@ -299,6 +346,14 @@ type Manager struct {
 	ordered    []*serverTrace
 	placements map[int]placement
 	now        float64
+	// busy holds the traces that may have a live job, the only ones the
+	// trace clock walks; every other trace is idle and its fluid clock
+	// trails m.now until syncLocked brings it up (see "Trace clock").
+	busy []*serverTrace
+	// index caches each spec resolved against the current pool (see
+	// "Candidate index"): at most maxIndexedSpecs entries, dropped
+	// wholesale when full and whenever a server joins or leaves.
+	index map[*task.Spec]*specIndex
 
 	memoryModel bool
 	sync        bool
@@ -316,6 +371,11 @@ type Manager struct {
 	// projected; their ratio is the share pruning skipped (EvalStats).
 	considered atomic.Uint64
 	projected  atomic.Uint64
+	// nameLookups counts the candidates of those calls that were resolved
+	// by server name instead of through the index; indexBuilds the index
+	// builds.
+	nameLookups atomic.Uint64
+	indexBuilds atomic.Uint64
 }
 
 // New constructs a Manager tracking the given servers. Unknown server
@@ -327,6 +387,7 @@ func New(servers []string, opts ...Option) *Manager {
 	m := &Manager{
 		traces:     make(map[string]*serverTrace, len(servers)),
 		placements: make(map[int]placement),
+		index:      make(map[*task.Spec]*specIndex),
 	}
 	for _, o := range opts {
 		o(m)
@@ -367,6 +428,7 @@ func (m *Manager) addServerLocked(name string) {
 	i := sort.SearchStrings(m.order, name)
 	m.order = slices.Insert(m.order, i, name)
 	m.ordered = slices.Insert(m.ordered, i, tr)
+	clear(m.index)
 }
 
 // Placements returns the ids of every job ever placed, in ascending
@@ -403,38 +465,182 @@ type EvalStats struct {
 	// EvaluateAll family; Projections those that were projected. The
 	// difference is what pruning skipped.
 	Candidates, Projections uint64
+	// NameLookups counts the candidates those passes (and the admission
+	// test) had to resolve by server name: lists other than the one
+	// Manager.Candidates hands out. A deployment whose decisions go
+	// through agent.Core adds none outside KPB and MemoryAware subsets.
+	NameLookups uint64
+	// IndexBuilds counts candidate-index builds: one per spec and pool
+	// membership, more only when more specs are in use at once than the
+	// index caches (32) or clients mint a spec per task.
+	IndexBuilds uint64
 }
 
 // EvalStats returns the evaluation counters.
 func (m *Manager) EvalStats() EvalStats {
-	return EvalStats{Candidates: m.considered.Load(), Projections: m.projected.Load()}
+	return EvalStats{
+		Candidates:  m.considered.Load(),
+		Projections: m.projected.Load(),
+		NameLookups: m.nameLookups.Load(),
+		IndexBuilds: m.indexBuilds.Load(),
+	}
 }
 
-// AdvanceTo moves every server trace forward to time t.
+// maxIndexedSpecs bounds the candidate-index cache. Workloads share a
+// handful of spec pointers; a stream of distinct specs just rebuilds.
+const maxIndexedSpecs = 32
+
+// indexEntry is one candidate resolved: the server's trace and the
+// spec's nominal cost on it.
+type indexEntry struct {
+	tr   *serverTrace
+	cost task.Cost
+}
+
+// specIndex is one spec resolved against the pool: the tracked servers
+// that solve it, in name order, as the names callers see and as the
+// entries the evaluation passes read. Immutable once built.
+type specIndex struct {
+	names   []string
+	entries []indexEntry
+}
+
+// owns reports whether candidates is the names slice itself, handed
+// back unmodified.
+func (ix *specIndex) owns(candidates []string) bool {
+	return len(candidates) == len(ix.names) && len(candidates) > 0 && &candidates[0] == &ix.names[0]
+}
+
+// indexLocked returns the spec's candidate index, building it on first
+// use since the pool last changed. Caller holds m.mu.
+func (m *Manager) indexLocked(spec *task.Spec) *specIndex {
+	if ix, ok := m.index[spec]; ok {
+		return ix
+	}
+	if len(m.index) >= maxIndexedSpecs {
+		clear(m.index)
+	}
+	n := min(len(m.order), len(spec.CostOn))
+	ix := &specIndex{names: make([]string, 0, n), entries: make([]indexEntry, 0, n)}
+	for i, name := range m.order {
+		if cost, ok := spec.Cost(name); ok {
+			ix.names = append(ix.names, name)
+			ix.entries = append(ix.entries, indexEntry{tr: m.ordered[i], cost: cost})
+		}
+	}
+	m.index[spec] = ix
+	m.indexBuilds.Add(1)
+	return ix
+}
+
+// Candidates returns the tracked servers that solve spec, in name
+// order. The slice is the spec's candidate index, shared and read-only:
+// passed unmodified to the EvaluateAll family or MeetsDeadline it
+// selects the indexed entry, which looks no name up. It stays valid
+// (as a list of names) after the pool changes; it just stops being
+// recognised.
+func (m *Manager) Candidates(spec *task.Spec) []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.indexLocked(spec).names
+}
+
+// lookupLocked resolves one candidate by name. An untracked server is
+// an error; one that cannot solve the task is solvable=false.
+func (m *Manager) lookupLocked(spec *task.Spec, server string) (e indexEntry, solvable bool, err error) {
+	tr, found := m.traces[server]
+	if !found {
+		return indexEntry{}, false, fmt.Errorf("htm: unknown server %q", server)
+	}
+	cost, solvable := spec.Cost(server)
+	return indexEntry{tr: tr, cost: cost}, solvable, nil
+}
+
+// solverLocked is lookupLocked for callers that need the server to
+// solve the task.
+func (m *Manager) solverLocked(spec *task.Spec, server string) (indexEntry, error) {
+	e, solvable, err := m.lookupLocked(spec, server)
+	if err == nil && !solvable {
+		err = fmt.Errorf("htm: server %q cannot solve %s", server, spec.Name())
+	}
+	return e, err
+}
+
+// resolveLocked returns the solvable candidates as entries, in
+// candidate order: the index's own when candidates is the slice
+// Candidates handed out, otherwise each name looked up into sc.entries,
+// with one error per unknown server. Either way the caller runs the
+// same pass over the result, which it must not modify.
+func (m *Manager) resolveLocked(spec *task.Spec, candidates []string, sc *evalScratch) (entries []indexEntry, errs []error) {
+	if ix := m.index[spec]; ix != nil && ix.owns(candidates) {
+		return ix.entries, nil
+	}
+	entries = sc.entries[:0]
+	for _, s := range candidates {
+		e, solvable, err := m.lookupLocked(spec, s)
+		if err != nil {
+			errs = append(errs, err)
+		} else if solvable {
+			entries = append(entries, e)
+		}
+	}
+	m.nameLookups.Add(uint64(len(candidates)))
+	sc.entries = entries
+	return entries, errs
+}
+
+// AdvanceTo moves the trace time forward to t.
 func (m *Manager) AdvanceTo(t float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.advanceLocked(t)
 }
 
-// advanceLocked advances all traces and returns the effective time:
-// the trace never moves backwards, so a stale t (behind a concurrent
-// caller's advance) is clamped to the current trace time. A t equal to
-// the trace time is not an advance either: every trace already stands
-// there (a job placed at this instant stays waiting and is activated,
-// at the same date, by the next real advance or inside any projection),
-// so the commit that follows an evaluation does not walk the pool
-// again. The baseline caches stay valid (see the package comment).
+// advanceLocked advances the busy traces and returns the effective
+// time: the trace never moves backwards, so a stale t (behind a
+// concurrent caller's advance) is clamped to the current trace time. A
+// t equal to the trace time is not an advance either: every busy trace
+// already stands there (a job placed at this instant stays waiting and
+// is activated, at the same date, by the next real advance or inside
+// any projection), so the commit that follows an evaluation does not
+// walk them again. A trace whose last job ended leaves the walk. The
+// baseline caches stay valid (see the package comment).
 func (m *Manager) advanceLocked(t float64) float64 {
 	if t <= m.now {
 		return m.now
 	}
-	for _, tr := range m.ordered {
-		tr.sim.AdvanceToQuiet(t)
-	}
 	m.now = t
+	busy := m.busy[:0]
+	for _, tr := range m.busy {
+		tr.sim.AdvanceToQuiet(t)
+		if len(tr.sim.Live()) > 0 {
+			busy = append(busy, tr)
+		} else {
+			tr.busy = false
+		}
+	}
+	clear(m.busy[len(busy):])
+	m.busy = busy
 	m.pruneLocked()
 	return t
+}
+
+// syncLocked brings an idle trace's fluid clock up to the trace time.
+// Only a trace outside the walk can trail it, and with no live job
+// advancing moves nothing but the clock, so every reader and mutator of
+// a trace's sim calls this first and sees the state the whole-pool walk
+// would have left.
+func (m *Manager) syncLocked(tr *serverTrace) {
+	if tr.sim.Now() < m.now {
+		tr.sim.AdvanceToQuiet(m.now)
+	}
+}
+
+// liveCloneLocked returns a pooled live-only clone of the trace as it
+// stands at the trace time.
+func (m *Manager) liveCloneLocked(tr *serverTrace) *fluid.Sim {
+	m.syncLocked(tr)
+	return tr.sim.CloneLiveInto(getSim())
 }
 
 // pruneLocked drops completed-job records older than the retention
@@ -462,7 +668,7 @@ func (m *Manager) baselineLocked(tr *serverTrace) map[int]float64 {
 	if tr.baseline != nil && tr.baselineGen == tr.gen {
 		return tr.baseline.m
 	}
-	clone := tr.sim.CloneLiveInto(getSim())
+	clone := m.liveCloneLocked(tr)
 	b := newBaselineSet()
 	projectCloneInto(clone, b.m)
 	putSim(clone)
@@ -486,11 +692,11 @@ func projectCloneInto(clone *fluid.Sim, out map[int]float64) {
 	}
 }
 
-// candidateJob is one projection EvaluateAll hands to a worker.
+// candidateJob is one projection EvaluateAll hands to a worker; the
+// clone carries the server's name.
 type candidateJob struct {
-	server string
-	cost   task.Cost
-	clone  *fluid.Sim
+	cost  task.Cost
+	clone *fluid.Sim
 	// baseline is an acquired reference to the server's cached
 	// projection; nil when the cache was stale, in which case the
 	// worker computes it from baseClone and offers it back to the
@@ -529,11 +735,11 @@ func project(j candidateJob, id int, spec *task.Spec, arrival float64, withPerTa
 	defer j.baseline.release()
 	defer putSim(j.clone)
 	if err := j.clone.Add(id, arrival, j.cost, spec.MemoryMB); err != nil {
-		return Prediction{}, fmt.Errorf("htm: evaluate on %q: %w", j.server, err)
+		return Prediction{}, fmt.Errorf("htm: evaluate on %q: %w", j.clone.Name(), err)
 	}
 	j.clone.RunToIdleQuiet(math.Inf(1))
 
-	p := Prediction{Server: j.server, Completion: math.Inf(1)}
+	p := Prediction{Server: j.clone.Name(), Completion: math.Inf(1)}
 	if withPerTask {
 		p.PerTask = make(map[int]float64, len(j.baseline.m))
 	}
@@ -579,20 +785,12 @@ func project(j candidateJob, id int, spec *task.Spec, arrival float64, withPerTa
 	return p, nil
 }
 
-// snapshot prepares one candidate projection under the lock: it
-// resolves the cost, takes a copy-on-write clone of the live trace and
-// the (cached) baseline. ok=false means the server cannot solve the
-// task — a normal condition, not an error.
-func (m *Manager) snapshotLocked(server string, spec *task.Spec) (candidateJob, bool, error) {
-	tr, found := m.traces[server]
-	if !found {
-		return candidateJob{}, false, fmt.Errorf("htm: unknown server %q", server)
-	}
-	cost, solvable := spec.Cost(server)
-	if !solvable {
-		return candidateJob{}, false, nil
-	}
-	j := candidateJob{server: server, cost: cost, clone: tr.sim.CloneLiveInto(getSim())}
+// snapshotLocked prepares one resolved candidate's projection under the
+// lock: a copy-on-write clone of the live trace and the (cached)
+// baseline.
+func (m *Manager) snapshotLocked(e indexEntry) candidateJob {
+	tr := e.tr
+	j := candidateJob{cost: e.cost, clone: m.liveCloneLocked(tr)}
 	if tr.baseline != nil && tr.baselineGen == tr.gen {
 		j.baseline = tr.baseline.acquire()
 	} else {
@@ -602,7 +800,7 @@ func (m *Manager) snapshotLocked(server string, spec *task.Spec) (candidateJob, 
 		j.tr = tr
 		j.gen = tr.gen
 	}
-	return j, true, nil
+	return j
 }
 
 // Evaluate simulates placing job id (a new task with the given spec and
@@ -614,14 +812,13 @@ func (m *Manager) snapshotLocked(server string, spec *task.Spec) (candidateJob, 
 func (m *Manager) Evaluate(id int, spec *task.Spec, arrival float64, server string) (Prediction, error) {
 	m.mu.Lock()
 	arrival = m.advanceLocked(arrival)
-	j, solvable, err := m.snapshotLocked(server, spec)
-	m.mu.Unlock()
+	e, err := m.solverLocked(spec, server)
 	if err != nil {
+		m.mu.Unlock()
 		return Prediction{}, err
 	}
-	if !solvable {
-		return Prediction{}, fmt.Errorf("htm: server %q cannot solve %s", server, spec.Name())
-	}
+	j := m.snapshotLocked(e)
+	m.mu.Unlock()
 	return m.projectCandidate(j, id, spec, arrival, true)
 }
 
@@ -632,18 +829,14 @@ func (m *Manager) Evaluate(id int, spec *task.Spec, arrival float64, server stri
 func (m *Manager) EvaluateFull(id int, spec *task.Spec, arrival float64, server string) (Prediction, error) {
 	m.mu.Lock()
 	arrival = m.advanceLocked(arrival)
-	tr, found := m.traces[server]
-	if !found {
+	e, err := m.solverLocked(spec, server)
+	if err != nil {
 		m.mu.Unlock()
-		return Prediction{}, fmt.Errorf("htm: unknown server %q", server)
+		return Prediction{}, err
 	}
-	cost, solvable := spec.Cost(server)
-	if !solvable {
-		m.mu.Unlock()
-		return Prediction{}, fmt.Errorf("htm: server %q cannot solve %s", server, spec.Name())
-	}
-	baseClone := tr.sim.CloneLive()
-	j := candidateJob{server: server, cost: cost, clone: tr.sim.Clone()}
+	m.syncLocked(e.tr)
+	baseClone := e.tr.sim.CloneLive()
+	j := candidateJob{cost: e.cost, clone: e.tr.sim.Clone()}
 	m.mu.Unlock()
 
 	j.baseline = newBaselineSet()
@@ -670,10 +863,18 @@ func (m *Manager) EvaluateAll(id int, spec *task.Spec, arrival float64, candidat
 // a steady stream of decisions reuses the same snapshot and result
 // buffers instead of allocating them per call.
 type evalScratch struct {
-	jobs   []candidateJob
-	preds  []Prediction
-	perr   []error
-	bounds []candBound // the pruned pass's working set (prune.go)
+	entries []indexEntry // candidates resolved by name (resolveLocked)
+	jobs    []candidateJob
+	preds   []Prediction
+	perr    []error
+	bounds  []float64 // the pruned pass's bound per entry (prune.go)
+}
+
+// put returns the scratch to the pool, dropping the trace pointers a
+// name-resolved pass left in it.
+func (sc *evalScratch) put() {
+	clear(sc.entries)
+	scratchPool.Put(sc)
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
@@ -684,20 +885,13 @@ var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 // to zero steady-state allocations. Passing nil behaves like
 // EvaluateAll.
 func (m *Manager) EvaluateAllInto(id int, spec *task.Spec, arrival float64, candidates []string, out []Prediction) ([]Prediction, error) {
-	var errs []error
 	sc := scratchPool.Get().(*evalScratch)
 	m.mu.Lock()
 	arrival = m.advanceLocked(arrival)
+	entries, errs := m.resolveLocked(spec, candidates, sc)
 	jobs := sc.jobs[:0]
-	for _, s := range candidates {
-		j, solvable, err := m.snapshotLocked(s, spec)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		if solvable {
-			jobs = append(jobs, j)
-		}
+	for _, e := range entries {
+		jobs = append(jobs, m.snapshotLocked(e))
 	}
 	workers := m.workers
 	m.mu.Unlock()
@@ -707,7 +901,7 @@ func (m *Manager) EvaluateAllInto(id int, spec *task.Spec, arrival float64, cand
 	out = out[:0]
 	if len(jobs) == 0 {
 		sc.jobs = jobs
-		scratchPool.Put(sc)
+		sc.put()
 		return out, errors.Join(errs...)
 	}
 	if workers <= 0 {
@@ -746,7 +940,7 @@ func (m *Manager) EvaluateAllInto(id int, spec *task.Spec, arrival float64, cand
 		jobs[i] = candidateJob{}
 	}
 	sc.jobs = jobs
-	scratchPool.Put(sc)
+	sc.put()
 	return out, errors.Join(errs...)
 }
 
@@ -792,20 +986,22 @@ func (m *Manager) projectParallel(jobs []candidateJob, id int, spec *task.Spec, 
 func (m *Manager) Place(id int, spec *task.Spec, arrival float64, server string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	tr, ok := m.traces[server]
-	if !ok {
-		return fmt.Errorf("htm: unknown server %q", server)
+	e, err := m.solverLocked(spec, server)
+	if err != nil {
+		return err
 	}
-	cost, ok := spec.Cost(server)
-	if !ok {
-		return fmt.Errorf("htm: server %q cannot solve %s", server, spec.Name())
-	}
+	tr := e.tr
 	if prev, dup := m.placements[id]; dup {
 		return fmt.Errorf("htm: job %d already placed on %q", id, prev.server)
 	}
 	arrival = m.advanceLocked(arrival)
-	if err := tr.sim.Add(id, arrival, cost, spec.MemoryMB); err != nil {
+	m.syncLocked(tr)
+	if err := tr.sim.Add(id, arrival, e.cost, spec.MemoryMB); err != nil {
 		return fmt.Errorf("htm: place on %q: %w", server, err)
+	}
+	if !tr.busy {
+		tr.busy = true
+		m.busy = append(m.busy, tr)
 	}
 	tr.invalidate()
 	m.placements[id] = placement{server: server, arrival: arrival}
@@ -892,6 +1088,10 @@ func (m *Manager) DropServer(name string) {
 		m.order = slices.Delete(m.order, i, i+1)
 		m.ordered = slices.Delete(m.ordered, i, i+1)
 	}
+	if i := slices.Index(m.busy, tr); i >= 0 {
+		m.busy = slices.Delete(m.busy, i, i+1)
+	}
+	clear(m.index)
 }
 
 // ProjectedReady returns the projected instant at which the server
@@ -918,6 +1118,26 @@ func (m *Manager) readyLocked(tr *serverTrace) float64 {
 		return tr.drain
 	}
 	return m.now
+}
+
+// MeetsDeadline is the deadline admission test over the traces: it
+// reports whether some candidate, by its projected drain instant (or
+// arrival, if later) plus the task's nominal cost on it, would finish
+// by the deadline. Candidates are read in order and the scan stops at
+// the first that would, as a loop over ProjectedReady does, so stale
+// baselines are refreshed no further than that.
+func (m *Manager) MeetsDeadline(spec *task.Spec, arrival, deadline float64, candidates []string) bool {
+	sc := scratchPool.Get().(*evalScratch)
+	defer sc.put()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	entries, _ := m.resolveLocked(spec, candidates, sc)
+	for _, e := range entries {
+		if max(m.readyLocked(e.tr), arrival)+e.cost.Total() <= deadline {
+			return true
+		}
+	}
+	return false
 }
 
 // MinProjectedReady returns the shard-level aggregate of
@@ -966,11 +1186,12 @@ func (m *Manager) ProjectedReadyAll() map[string]float64 {
 // (end-of-run rendering, single-threaded drivers). Concurrent readers
 // should go through Evaluate/ProjectedReady/PredictedCompletion.
 func (m *Manager) Sim(server string) (*fluid.Sim, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	tr, ok := m.traces[server]
 	if !ok {
 		return nil, false
 	}
+	m.syncLocked(tr)
 	return tr.sim, true
 }

@@ -2,7 +2,6 @@ package htm
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"casched/internal/fluid"
@@ -71,14 +70,6 @@ func (z *Minimizer) EvaluateAllInto(id int, spec *task.Spec, arrival float64, ca
 	return z.Manager.evaluateMinimizing(z.Objective, z.Tie, id, spec, arrival, candidates, out)
 }
 
-// candBound is one solvable candidate of a pruned pass with the lower
-// bound of its objective.
-type candBound struct {
-	tr    *serverTrace
-	cost  task.Cost
-	bound float64
-}
-
 // lowerBound returns a value the objective of placing a job of the
 // given cost and footprint on the trace at the trace's current instant
 // (arrival) cannot fall below; the package comment has the proof. It
@@ -97,7 +88,7 @@ func lowerBound(obj Objective, tr *serverTrace, cost task.Cost, memoryMB, arriva
 	outWork, memory := 0.0, memoryMB
 	for _, j := range live {
 		if j.State == fluid.StateCompute {
-			shared += math.Min(j.Remaining[task.PhaseCompute], w)
+			shared += min(j.Remaining[task.PhaseCompute], w)
 		}
 		if obj == MinSumFlow {
 			if j.Remaining[task.PhaseInput] > 0 {
@@ -110,7 +101,7 @@ func lowerBound(obj Objective, tr *serverTrace, cost task.Cost, memoryMB, arriva
 			memory += j.MemoryMB
 		}
 	}
-	flow := math.Max(cost.Input+w+cost.Output, w+cost.Output+shared)
+	flow := max(cost.Input+w+cost.Output, w+cost.Output+shared)
 	bound := arrival + flow
 	if obj == MinSumFlow {
 		// Σπ ≥ -(outputs-1)·outWork holds only when the new job delays
@@ -141,48 +132,45 @@ func lowerBound(obj Objective, tr *serverTrace, cost task.Cost, memoryMB, arriva
 // and one after the other — WithWorkers applies to the exhaustive pass
 // only — since each decides whether the next is needed.
 func (m *Manager) evaluateMinimizing(obj Objective, tie float64, id int, spec *task.Spec, arrival float64, candidates []string, out []Prediction) ([]Prediction, error) {
-	var errs []error
 	sc := scratchPool.Get().(*evalScratch)
 	m.mu.Lock()
 	arrival = m.advanceLocked(arrival)
-	bounds := sc.bounds[:0]
+	entries, errs := m.resolveLocked(spec, candidates, sc)
+	if cap(sc.bounds) < len(entries) {
+		sc.bounds = make([]float64, len(entries))
+	}
+	bounds := sc.bounds[:len(entries)]
 	first := 0
-	for _, s := range candidates {
-		tr, found := m.traces[s]
-		if !found {
-			errs = append(errs, fmt.Errorf("htm: unknown server %q", s))
-			continue
-		}
-		cost, solvable := spec.Cost(s)
-		if !solvable {
-			continue
-		}
+	for i := range entries {
+		e := &entries[i]
 		// The exhaustive pass refreshes a stale baseline at the first
 		// evaluation after the trace changed; refreshing here at the
 		// same instant, projected or not, keeps the cached projections
 		// (and the drain memo ProjectedReady serves) bit-identical.
-		m.baselineLocked(tr)
-		b := candBound{tr: tr, cost: cost, bound: lowerBound(obj, tr, cost, spec.MemoryMB, arrival)}
-		if len(bounds) == 0 || b.bound < bounds[first].bound {
-			first = len(bounds)
+		m.baselineLocked(e.tr)
+		bounds[i] = lowerBound(obj, e.tr, e.cost, spec.MemoryMB, arrival)
+		if bounds[i] < bounds[first] {
+			first = i
 		}
-		bounds = append(bounds, b)
-	}
-	if len(bounds) > 0 {
-		// The candidate of least bound is projected first; its place in
-		// the scan order does not matter, the result is sorted below.
-		bounds[0], bounds[first] = bounds[first], bounds[0]
 	}
 	out = out[:0]
 	incumbent, projected := math.Inf(1), 0
-	for i := range bounds {
-		b := &bounds[i]
-		if b.bound > incumbent+tie {
+	for k := range entries {
+		// The candidate of least bound is projected first, the one it
+		// displaces in its place; the result is sorted below.
+		i := k
+		switch k {
+		case 0:
+			i = first
+		case first:
+			i = 0
+		}
+		if bounds[i] > incumbent+tie {
 			continue
 		}
 		projected++
-		p, err := project(candidateJob{server: b.tr.sim.Name(), cost: b.cost,
-			clone: b.tr.sim.CloneLiveInto(getSim()), baseline: b.tr.baseline.acquire()},
+		e := &entries[i]
+		p, err := project(candidateJob{cost: e.cost, clone: m.liveCloneLocked(e.tr), baseline: e.tr.baseline.acquire()},
 			id, spec, arrival, false)
 		if err != nil {
 			errs = append(errs, err)
@@ -195,11 +183,9 @@ func (m *Manager) evaluateMinimizing(obj Objective, tie float64, id int, spec *t
 		out = append(out, p)
 	}
 	m.mu.Unlock()
-	m.considered.Add(uint64(len(bounds)))
+	m.considered.Add(uint64(len(entries)))
 	m.projected.Add(uint64(projected))
 	sortByServer(out)
-	clear(bounds)
-	sc.bounds = bounds
-	scratchPool.Put(sc)
+	sc.put()
 	return out, errors.Join(errs...)
 }

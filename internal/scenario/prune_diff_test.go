@@ -3,6 +3,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -187,6 +188,8 @@ type diffDeployment struct {
 	eng      engine
 	cores    []*agent.Core
 	complete func(jobID int, server string, at float64)
+	// before, when set, runs ahead of decision i (membership churn).
+	before func(i int)
 }
 
 func newDiffDeployment(shape Shape, h diffHeuristic, mk func() sched.Scheduler, sync bool, servers []string) (*diffDeployment, error) {
@@ -259,6 +262,9 @@ func diffRun(d *diffDeployment, reqs []agent.Request) []string {
 	servers := make([]string, len(reqs))
 	lines := make([]string, 0, len(reqs))
 	for i, req := range reqs {
+		if d.before != nil {
+			d.before(i)
+		}
 		var b strings.Builder
 		for _, core := range d.cores {
 			cand, err := core.Evaluate(req)
@@ -366,5 +372,89 @@ func diffCase(t *testing.T, shape Shape, h diffHeuristic, sync bool, servers []s
 	if pruned := dep.Projections < dep.Candidates; pruned != h.prunes {
 		t.Errorf("deployed run projected %d of %d candidates, pruning expected: %v",
 			dep.Projections, dep.Candidates, h.prunes)
+	}
+}
+
+// namedExhaustiveHMCT is the reference for the candidate index: it
+// evaluates exhaustively and hands the Manager a copy of the candidate
+// list, which the Manager does not recognise and resolves name by name.
+type namedExhaustiveHMCT struct{ *sched.HMCT }
+
+func (e namedExhaustiveHMCT) named(ctx *sched.Context) *sched.Context {
+	c := unpruned(ctx)
+	c.Candidates = slices.Clone(c.Candidates)
+	return c
+}
+func (e namedExhaustiveHMCT) Choose(ctx *sched.Context) (string, error) {
+	return e.HMCT.Choose(e.named(ctx))
+}
+func (e namedExhaustiveHMCT) ChooseScored(ctx *sched.Context) (sched.Choice, error) {
+	return e.HMCT.ChooseScored(e.named(ctx))
+}
+
+// TestIndexedMatchesNamedUnderChurn is the membership-churn case of the
+// differential: the trace family's stream, its three task types priced
+// on different two thirds of the pool, is decided by a core whose
+// servers leave (Core.RemoveServer) and rejoin between decisions. The
+// deployed core reads the HTM through its candidate index and pruning
+// view; the reference resolves every candidate by name and projects them
+// all. Every decision, shed, score and prediction must agree, and the
+// deployed run must not have looked a single name up.
+func TestIndexedMatchesNamedUnderChurn(t *testing.T) {
+	servers, workloads := diffWorkloads(t)
+	mt := workloads["trace"]
+	partial := make(map[*task.Spec]*task.Spec)
+	for _, tk := range mt.Tasks {
+		if partial[tk.Spec] == nil {
+			cp := *tk.Spec
+			cp.CostOn = make(map[string]task.Cost)
+			for i, name := range servers {
+				if cost, ok := tk.Spec.Cost(name); ok && i%3 != len(partial)%3 {
+					cp.CostOn[name] = cost
+				}
+			}
+			partial[tk.Spec] = &cp
+		}
+		tk.Spec = partial[tk.Spec]
+	}
+	if len(partial) < 3 {
+		t.Fatalf("%d task types, want at least 3 partial cost tables", len(partial))
+	}
+	h := diffHeuristic{name: "HMCT", base: "HMCT", prunes: true}
+	run := func(mk func() sched.Scheduler) ([]string, htm.EvalStats) {
+		d, err := newDiffDeployment(ShapeCore, h, mk, true, servers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		core := d.cores[0]
+		d.before = func(i int) {
+			// One server away at any time from decision 10 on, a
+			// different one every 20 decisions.
+			if i%20 == 10 {
+				if i >= 20 {
+					core.AddServer(servers[(7*(i/20-1))%len(servers)])
+				}
+				core.RemoveServer(servers[(7*(i/20))%len(servers)])
+			}
+		}
+		return diffRun(d, requests(mt)), core.EvalStats()
+	}
+	got, dep := run(func() sched.Scheduler { return sched.NewHMCT() })
+	want, ref := run(func() sched.Scheduler { return namedExhaustiveHMCT{sched.NewHMCT()} })
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("decision %d differs\n  indexed %s\n  named   %s", i, got[i], want[i])
+		}
+	}
+	if dep.NameLookups != 0 || ref.NameLookups == 0 {
+		t.Errorf("name lookups: deployed %d (want 0), reference %d (want some)", dep.NameLookups, ref.NameLookups)
+	}
+	if dep.Projections >= dep.Candidates || ref.Projections != ref.Candidates {
+		t.Errorf("projections/candidates: deployed %d/%d (want pruning), reference %d/%d (want none)",
+			dep.Projections, dep.Candidates, ref.Projections, ref.Candidates)
+	}
+	changes := uint64(2*(len(mt.Tasks)/20) + len(servers))
+	if dep.IndexBuilds == 0 || dep.IndexBuilds > uint64(len(partial))*changes {
+		t.Errorf("%d index builds for %d task types and at most %d membership changes", dep.IndexBuilds, len(partial), changes)
 	}
 }

@@ -76,35 +76,43 @@ var wasteCPUCosts = map[int]map[string]Cost{
 	},
 }
 
+// tableSpecs builds the one shared Spec per variant of a paper problem.
+// The schedulers index a spec by pointer, so every task of a type must
+// carry the same one, including tasks decoded off the wire (Resolve).
+func tableSpecs(problem string, costs map[int]map[string]Cost, memory map[int]float64) map[int]*Spec {
+	specs := make(map[int]*Spec, len(costs))
+	for variant, on := range costs {
+		specs[variant] = &Spec{Problem: problem, Variant: variant, CostOn: on, MemoryMB: memory[variant]}
+	}
+	return specs
+}
+
+var (
+	matmulSpecs   = tableSpecs("matmul", matmulCosts, matmulMemory)
+	wasteCPUSpecs = tableSpecs("wastecpu", wasteCPUCosts, nil)
+)
+
 // Matmul returns the Spec for a square matrix multiplication of the
-// given size (one of MatmulSizes). It panics on an unknown size, which
-// indicates a programming error in experiment setup.
+// given size (one of MatmulSizes), the same pointer on every call. It
+// panics on an unknown size, which indicates a programming error in
+// experiment setup.
 func Matmul(size int) *Spec {
-	costs, ok := matmulCosts[size]
+	spec, ok := matmulSpecs[size]
 	if !ok {
 		panic("task: unknown matmul size")
 	}
-	return &Spec{
-		Problem:  "matmul",
-		Variant:  size,
-		CostOn:   costs,
-		MemoryMB: matmulMemory[size],
-	}
+	return spec
 }
 
 // WasteCPU returns the Spec for a waste-cpu task with the given
-// parameter (one of WasteCPUParams). It panics on an unknown parameter.
+// parameter (one of WasteCPUParams), the same pointer on every call. It
+// panics on an unknown parameter.
 func WasteCPU(param int) *Spec {
-	costs, ok := wasteCPUCosts[param]
+	spec, ok := wasteCPUSpecs[param]
 	if !ok {
 		panic("task: unknown waste-cpu parameter")
 	}
-	return &Spec{
-		Problem:  "wastecpu",
-		Variant:  param,
-		CostOn:   costs,
-		MemoryMB: 0,
-	}
+	return spec
 }
 
 // MatmulSpecs returns the three matmul specs in Table 3 order.

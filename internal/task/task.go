@@ -68,6 +68,12 @@ func (c Cost) Of(p Phase) float64 {
 // Spec describes a task type: the problem name, a variant parameter
 // (matrix size or waste-cpu parameter), the per-server costs, and the
 // memory footprint held while the task is resident on a server.
+//
+// A Spec is immutable once it has been handed to a scheduler (an agent
+// core, an HTM, a dispatcher): they index CostOn per spec pointer and
+// do not look at the map again until pool membership changes. Share one
+// pointer per task type, as Resolve, Synthetic and the workload
+// generators do; to change a cost, build a new Spec.
 type Spec struct {
 	// Problem is the problem name the client requests from the agent,
 	// e.g. "matmul" or "wastecpu". Servers register the problems they

@@ -162,3 +162,29 @@ func TestTaskString(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
+
+// TestResolveSharesOneSpecPerType: the schedulers index a spec by
+// pointer, so every way of naming a task type must yield the same one.
+func TestResolveSharesOneSpecPerType(t *testing.T) {
+	for _, c := range []struct {
+		problem string
+		variant int
+		direct  *Spec
+	}{
+		{"matmul", 1500, Matmul(1500)},
+		{"wastecpu", 400, WasteCPU(400)},
+		{"synthetic", syntheticPoolStride + 64, Synthetic(1, 64)},
+	} {
+		a, err := Resolve(c.problem, c.variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := Resolve(c.problem, c.variant)
+		if a != b || a != c.direct {
+			t.Errorf("%s-%d: Resolve gave %p then %p, the constructor %p", c.problem, c.variant, a, b, c.direct)
+		}
+	}
+	if MatmulSpecs()[0] != Matmul(MatmulSizes[0]) || WasteCPUSpecs()[2] != WasteCPU(WasteCPUParams[2]) {
+		t.Error("the spec lists do not hold the shared specs")
+	}
+}
