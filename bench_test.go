@@ -9,6 +9,7 @@
 package casched_test
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -1232,56 +1233,98 @@ func newWireFederation(b *testing.B, names []string, forceGob bool) *casched.Fed
 // 192-task stream at fresh job IDs and a fresh time offset; the
 // completions retiring the round run untimed so the member traces stay
 // bounded.
+//
+// Those rows drive one caller, which a dispatch lock never makes wait.
+// The callers=2 row plays the same stream from two goroutines (each
+// takes every second task): what it gains over the one-caller row is
+// what the dispatcher lets two decisions overlap — with the lock held
+// across all five round trips, nothing.
 func BenchmarkFedSubmitWire(b *testing.B) {
-	for _, nServers := range []int{128, 512, 1024} {
-		for _, wire := range []string{"gob", "framed"} {
-			nServers, wire := nServers, wire
-			b.Run(fmt.Sprintf("wire=%s/servers=%d", wire, nServers), func(b *testing.B) {
-				names, batches := benchBatches(b, nServers, agentBenchTasks, 16)
-				d := newWireFederation(b, names, wire == "gob")
-				horizon := batches[len(batches)-1][0].Arrival + 10
-				type placedJob struct {
-					job    int
-					server string
-					at     float64
-				}
-				placed := make([]placedJob, 0, agentBenchTasks)
-				round := func(idOff int, tOff float64) {
-					placed = placed[:0]
-					for _, batch := range batches {
-						for _, req := range batch {
-							req.JobID += idOff
-							req.TaskID += idOff
-							req.Arrival += tOff
-							dec, err := d.Submit(req)
-							if err != nil {
-								b.Fatal(err)
-							}
-							placed = append(placed, placedJob{req.JobID, dec.Server, req.Arrival + 1})
-						}
-					}
-				}
-				retire := func() {
-					for _, p := range placed {
-						if err := d.Complete(p.job, p.server, p.at); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				// One untimed round warms wire negotiation, summaries
-				// and every pooled buffer on both sides.
-				round(0, 0)
-				retire()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					round((i+1)*agentBenchTasks, float64(i+1)*horizon)
-					b.StopTimer()
-					retire()
-					b.StartTimer()
-				}
-				b.ReportMetric(float64(agentBenchTasks)*float64(b.N)/b.Elapsed().Seconds(), "decisions/s")
-			})
+	for _, c := range []struct {
+		nServers int
+		wire     string
+		callers  int
+	}{
+		{128, "gob", 1}, {128, "framed", 1}, {128, "framed", 2},
+		{512, "gob", 1}, {512, "framed", 1},
+		{1024, "gob", 1}, {1024, "framed", 1},
+	} {
+		c := c
+		name := fmt.Sprintf("wire=%s/servers=%d", c.wire, c.nServers)
+		if c.callers > 1 {
+			name += fmt.Sprintf("/callers=%d", c.callers)
 		}
+		b.Run(name, func(b *testing.B) {
+			names, batches := benchBatches(b, c.nServers, agentBenchTasks, 16)
+			d := newWireFederation(b, names, c.wire == "gob")
+			horizon := batches[len(batches)-1][0].Arrival + 10
+			var stream []casched.AgentRequest
+			for _, batch := range batches {
+				stream = append(stream, batch...)
+			}
+			type placedJob struct {
+				job    int
+				server string
+				at     float64
+			}
+			placed := make([]placedJob, len(stream))
+			// play submits the caller's share of the stream: positions
+			// first, first+callers, …
+			play := func(first, idOff int, tOff float64) error {
+				for i := first; i < len(stream); i += c.callers {
+					req := stream[i]
+					req.JobID += idOff
+					req.TaskID += idOff
+					req.Arrival += tOff
+					dec, err := d.Submit(req)
+					if err != nil {
+						return err
+					}
+					placed[i] = placedJob{req.JobID, dec.Server, req.Arrival + 1}
+				}
+				return nil
+			}
+			round := func(idOff int, tOff float64) {
+				if c.callers == 1 {
+					if err := play(0, idOff, tOff); err != nil {
+						b.Fatal(err)
+					}
+					return
+				}
+				errs := make([]error, c.callers)
+				var wg sync.WaitGroup
+				for k := range errs {
+					wg.Add(1)
+					go func(k int) {
+						defer wg.Done()
+						errs[k] = play(k, idOff, tOff)
+					}(k)
+				}
+				wg.Wait()
+				if err := errors.Join(errs...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			retire := func() {
+				for _, p := range placed {
+					if err := d.Complete(p.job, p.server, p.at); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			// One untimed round warms wire negotiation, summaries
+			// and every pooled buffer on both sides.
+			round(0, 0)
+			retire()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round((i+1)*agentBenchTasks, float64(i+1)*horizon)
+				b.StopTimer()
+				retire()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(agentBenchTasks)*float64(b.N)/b.Elapsed().Seconds(), "decisions/s")
+		})
 	}
 }
 

@@ -47,8 +47,8 @@ type Injector interface {
 }
 
 // Chaos wraps a member with an injector consulted before every
-// operation. The wrapper forwards all optional capabilities
-// (event/relay/partition/fence/prediction surfaces) so a wrapped
+// operation. The wrapper forwards all optional capabilities (event/
+// relay/partition/fence/prediction/commit-start surfaces) so a wrapped
 // in-process member is indistinguishable from a bare one while the
 // injector stays quiet: production code paths are untouched, the
 // chaos dimension lives entirely in this decorator.
@@ -96,6 +96,18 @@ func (c *chaosMember) Commit(req agent.Request, server string) (agent.Decision, 
 		return agent.Decision{}, err
 	}
 	return c.m.Commit(req, server)
+}
+
+// StartCommit forwards the commitStarter capability, consulting the
+// injector at the start step — where a dial would be refused — so an
+// injected OpCommit fault fails the commit before anything is issued.
+// Over a member without the capability it commits synchronously, as
+// the dispatcher itself would.
+func (c *chaosMember) StartCommit(req agent.Request, server string) (wait func() (agent.Decision, error)) {
+	if err := c.inj.Intercept(c.m.Name(), OpCommit); err != nil {
+		return func() (agent.Decision, error) { return agent.Decision{}, err }
+	}
+	return startCommit(c.m, req, server)
 }
 
 func (c *chaosMember) Submit(req agent.Request) (agent.Decision, error) {

@@ -30,7 +30,7 @@ func newChaosMember(t *testing.T, name string) (*InProcess, Member, *ScriptInjec
 }
 
 func TestChaosForwardsCapabilities(t *testing.T) {
-	_, m, _ := newChaosMember(t, "m0")
+	inner, m, inj := newChaosMember(t, "m0")
 	if err := m.AddServer("sv00"); err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +67,24 @@ func TestChaosForwardsCapabilities(t *testing.T) {
 	}
 	if dec.Server != "sv00" {
 		t.Fatalf("Submit placed on %q, want sv00", dec.Server)
+	}
+
+	// The commit-start capability is forwarded (over an in-process member
+	// the commit simply runs at the start step), and an OpCommit fault is
+	// injected there: nothing is committed, wait reports the refusal.
+	cs, ok := m.(commitStarter)
+	if !ok {
+		t.Fatal("chaos wrapper lost the commitStarter capability")
+	}
+	if dec, err := cs.StartCommit(req(2, spec, 1), "sv00")(); err != nil || dec.Server != "sv00" {
+		t.Fatalf("StartCommit through quiet chaos = %+v, %v", dec, err)
+	}
+	inj.Sever("m0", OpCommit)
+	if _, err := cs.StartCommit(req(3, spec, 2), "sv00")(); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("severed StartCommit: %v, want ErrUnreachable", err)
+	}
+	if got := inner.Core().InFlight(); got != 2 {
+		t.Fatalf("in flight = %d, want 2 (the severed commit must not land)", got)
 	}
 }
 

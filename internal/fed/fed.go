@@ -38,14 +38,47 @@
 // member stay accounted to it until their completion message arrives
 // or the completion routing gives up.
 //
-// The Dispatcher is safe for concurrent use; submissions serialize on
-// the dispatch lock, mirroring the cluster.
+// # Ordering
+//
+// The Dispatcher is safe for concurrent use. The dispatch lock (d.mu)
+// covers membership, routing state, summaries and the deciding part of
+// every submission: intake, mode selection, the Evaluate fan-out, the
+// choice of the winner and the start of its commit. It does not cover
+// the wait for the commit's answer. A fresh-mode decision's ordering
+// point is the moment its Commit is issued (startCommit), not the
+// moment it is answered: the framed member connection is FIFO and the
+// member serves it sequentially (live.Agent.serveFramed), so once
+// decision A's Commit frame is written to member m, every call issued
+// to m afterwards — decision B's Evaluate included — is served after
+// A's commit. B's evaluations at the other members never depended on
+// A. B therefore evaluates against exactly the state it would have
+// seen had A been answered first, and the lock can be released while
+// A's answer travels: B's fan-out overlaps A's commit round trip, reply
+// bookkeeping and client reply. Concurrent submissions decide exactly
+// like the same requests one at a time in ordering-point order
+// (TestFanoutLinearizable); a single caller issues the same calls in
+// the same order as when the lock was held throughout.
+//
+// The early release is a capability of the member transport, found by
+// type assertion like the event and relay surfaces (commitStarter in
+// member.go). A member without it has its whole Commit run at the
+// start step, under the lock: InProcess, wrappers that embed Member,
+// and a Remote negotiated down to gob, where net/rpc serves requests
+// concurrently and gives no order. The paths that delegate a whole
+// decision keep the lock across their member RPCs as before — degraded
+// routing, unscored rotation, SubmitBatch — and Complete, Report,
+// summary and relay fetches have always run outside it. After the
+// lock has been away, bookkeeping is applied to a member slot only
+// while it still holds the handle that was called (a rejoin may swap
+// it), and a fan-out whose commit was refused re-evaluates if another
+// submission ran meanwhile (submitFanoutLocked).
 package fed
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -359,7 +392,8 @@ type Dispatcher struct {
 	scored bool
 
 	// mu is the dispatch lock: membership, routing state, summaries
-	// and submissions.
+	// and submissions up to their ordering point (package doc,
+	// "Ordering").
 	mu      sync.Mutex
 	members []*memberState
 	home    map[string]int    // server name -> member index
@@ -367,6 +401,12 @@ type Dispatcher struct {
 	placed  map[int]placedRec // jobID -> placement record, evicted on completion
 	rr      int               // rotation cursor for unscored heuristics
 	rng     *stats.RNG        // power-of-two-choices sampling
+	// epoch counts the submissions that took the dispatch lock. A
+	// fan-out that released the lock to await its commit reads it on both
+	// sides: unchanged means no other submission ran in between, so the
+	// candidates it still holds were evaluated against the current
+	// placements (submitFanoutLocked).
+	epoch uint64
 	// bucket is the dispatch-level intake limiter (nil = unlimited);
 	// placedWindow/placedSwept bound the placed map (see
 	// Config.PlacedWindow).
@@ -1016,6 +1056,7 @@ func (d *Dispatcher) Submit(req agent.Request) (agent.Decision, error) {
 	d.relayDue()
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.epoch++
 	// Replay dedup, checked before the intake gate: on a dispatcher
 	// promoted from standby state, a request whose job already carries
 	// a replicated placement record is a client retry of a decision the
@@ -1082,86 +1123,97 @@ func (d *Dispatcher) submitRotateLocked(req agent.Request, live []int) (agent.De
 }
 
 // submitFanoutLocked is the fresh-mode exact path: parallel Evaluate
-// on every live member, commit on the best-scored candidate; a commit
-// that fails (the member died between Evaluate and Commit) marks the
-// failure, drops that candidate and retries on the next-best — the
-// decision never half-commits and the dispatcher's in-flight
-// accounting records only real commits. Caller holds d.mu.
+// on every live member, commit on the best-scored candidate. Caller
+// holds d.mu, and holds it again on return; in between the lock is
+// released exactly while the winner's commit is awaited. The commit is
+// started under the lock (startCommit: the member will serve it before
+// anything issued to it later), so the next submission's fan-out may
+// overlap this one's commit round trip and still evaluate against the
+// committed state — the package doc's "Ordering" section has the
+// argument.
+//
+// A commit that fails (the member died between Evaluate and Commit)
+// marks the failure and drops that candidate; the decision never
+// half-commits and the dispatcher's in-flight accounting records only
+// real commits. An uncertain failure is surfaced. After a rejection or
+// a failed dial nothing committed, and the decision goes to the
+// next-best candidate of the same fan-out — unless another submission
+// took the dispatch lock while it was released (d.epoch moved): that
+// one may have placed a job the remaining candidates were not
+// evaluated against, so the fan-out is run again over the members that
+// have not refused this request (at most once per member). The member
+// handle is read before the lock is released and compared after, as
+// Report does: a rejoin may have swapped it, and the new process must
+// not inherit the old one's success or failure.
 //
 // The error contract mirrors the cluster: as long as one member
 // produces a winner the decision commits; member errors surface only
 // when every member fails.
 func (d *Dispatcher) submitFanoutLocked(req agent.Request, live []int) (agent.Decision, error) {
-	type result struct {
-		cand agent.Candidate
-		err  error
-	}
-	results := make([]result, len(live))
-	var wg sync.WaitGroup
-	for k, i := range live {
-		wg.Add(1)
-		go func(k, i int) {
-			defer wg.Done()
-			c, err := d.members[i].m.Evaluate(req)
-			results[k] = result{c, err}
-		}(k, i)
-	}
-	wg.Wait()
-
 	var errs []error
 	deadlineBlocked := false
-	remaining := make([]int, 0, len(live)) // positions into results/live
-	for k, r := range results {
-		if r.err != nil {
-			switch {
-			case errors.Is(r.err, agent.ErrDeadlineUnmet):
-				// A per-member exclusion, like ErrUnschedulable: another
-				// member's partition may still meet the deadline. Members
-				// do not emit on Evaluate, so if every member is blocked
-				// the dispatcher synthesizes the shed below.
-				deadlineBlocked = true
-			case !errors.Is(r.err, agent.ErrUnschedulable):
-				errs = append(errs, fmt.Errorf("fed: member %s: %w", d.members[live[k]].m.Name(), r.err))
-				d.markTransportLocked(live[k], r.err)
+	var refused []int // members whose commit of this request failed
+	for len(live) > 0 {
+		results, remaining, blocked, evalErrs := d.evaluateAllLocked(req, live)
+		errs = append(errs, evalErrs...)
+		deadlineBlocked = deadlineBlocked || blocked
+		exact := true
+		for exact && len(remaining) > 0 {
+			// Winner among the remaining candidates: primary objective,
+			// then tie objective; remaining ties keep the earlier member
+			// (stable), exactly the cluster's cross-shard comparison.
+			best := 0
+			for p := 1; p < len(remaining); p++ {
+				if cluster.BetterCandidate(results[remaining[p]].cand, results[remaining[best]].cand) {
+					best = p
+				}
 			}
-			continue
+			k := remaining[best]
+			i := live[k]
+			m := d.members[i].m
+			wait := startCommit(m, req, results[k].cand.Server)
+			epoch := d.epoch
+			d.mu.Unlock()
+			dec, err := wait()
+			d.mu.Lock()
+			current := d.members[i].m == m
+			if err == nil {
+				if current {
+					d.markSuccessLocked(i)
+				}
+				d.notePlacedLocked(req.JobID, i, dec.Server, req.Arrival)
+				return dec, nil
+			}
+			errs = append(errs, fmt.Errorf("fed: commit on member %s: %w", m.Name(), err))
+			if current {
+				d.markTransportLocked(i, err)
+			}
+			if errors.Is(err, ErrUncertain) {
+				// The member may have committed before the transport gave
+				// up. Committing the job elsewhere could place it twice,
+				// so surface the error instead — if the commit did land,
+				// the completion still reaches the member through the
+				// server-home fallback in Complete, keeping its core
+				// consistent.
+				return agent.Decision{}, errors.Join(errs...)
+			}
+			// Either the member answered with a rejection (membership
+			// changed between Evaluate and Commit) or the dial itself
+			// failed — in both cases nothing committed, so falling back to
+			// the next-best candidate is safe.
+			remaining = append(remaining[:best], remaining[best+1:]...)
+			refused = append(refused, i)
+			exact = d.epoch == epoch
 		}
-		remaining = append(remaining, k)
-	}
-	for len(remaining) > 0 {
-		// Winner among the remaining candidates: primary objective,
-		// then tie objective; remaining ties keep the earlier member
-		// (stable), exactly the cluster's cross-shard comparison.
-		best := 0
-		for p := 1; p < len(remaining); p++ {
-			if cluster.BetterCandidate(results[remaining[p]].cand, results[remaining[best]].cand) {
-				best = p
+		if exact {
+			break
+		}
+		live = live[:0]
+		for _, i := range d.liveLocked() {
+			if !slices.Contains(refused, i) {
+				live = append(live, i)
 			}
 		}
-		k := remaining[best]
-		i := live[k]
-		dec, err := d.members[i].m.Commit(req, results[k].cand.Server)
-		if err == nil {
-			d.markSuccessLocked(i)
-			d.notePlacedLocked(req.JobID, i, dec.Server, req.Arrival)
-			return dec, nil
-		}
-		errs = append(errs, fmt.Errorf("fed: commit on member %s: %w", d.members[i].m.Name(), err))
-		d.markTransportLocked(i, err)
-		if errors.Is(err, ErrUncertain) {
-			// The member may have committed before the transport gave
-			// up. Committing the job elsewhere could place it twice,
-			// so surface the error instead — if the commit did land,
-			// the completion still reaches the member through the
-			// server-home fallback in Complete, keeping its core
-			// consistent.
-			return agent.Decision{}, errors.Join(errs...)
-		}
-		// Either the member answered with a rejection (membership
-		// changed between Evaluate and Commit) or the dial itself
-		// failed — in both cases nothing committed, so falling back to
-		// the next-best candidate is safe.
-		remaining = append(remaining[:best], remaining[best+1:]...)
 	}
 	if len(errs) > 0 {
 		return agent.Decision{}, errors.Join(errs...)
@@ -1171,6 +1223,49 @@ func (d *Dispatcher) submitFanoutLocked(req agent.Request, live []int) (agent.De
 		return agent.Decision{}, fmt.Errorf("fed: job %d: %w", req.JobID, agent.ErrDeadlineUnmet)
 	}
 	return agent.Decision{}, agent.ErrUnschedulable
+}
+
+// evaluated is one member's answer to a fan-out Evaluate.
+type evaluated struct {
+	cand agent.Candidate
+	err  error
+}
+
+// evaluateAllLocked is the fan-out half of submitFanoutLocked: Evaluate
+// on every listed member in parallel. results is indexed like live;
+// remaining lists the positions that produced a candidate. A member
+// that cannot solve the task or cannot meet its deadline is simply left
+// out (deadlineBlocked reports the latter: members do not emit on
+// Evaluate, so if every member is blocked the dispatcher synthesizes
+// the shed); any other failure is returned in errs and counted toward
+// the member's eviction. Caller holds d.mu.
+func (d *Dispatcher) evaluateAllLocked(req agent.Request, live []int) (results []evaluated, remaining []int, deadlineBlocked bool, errs []error) {
+	res := make([]evaluated, len(live)) // never reassigned: the goroutines capture it by value
+	var wg sync.WaitGroup
+	for k, i := range live {
+		wg.Add(1)
+		go func(k, i int) {
+			defer wg.Done()
+			c, err := d.members[i].m.Evaluate(req)
+			res[k] = evaluated{c, err}
+		}(k, i)
+	}
+	wg.Wait()
+	remaining = make([]int, 0, len(live))
+	for k, r := range res {
+		switch {
+		case r.err == nil:
+			remaining = append(remaining, k)
+		case errors.Is(r.err, agent.ErrDeadlineUnmet):
+			// A per-member exclusion, like ErrUnschedulable: another
+			// member's partition may still meet the deadline.
+			deadlineBlocked = true
+		case !errors.Is(r.err, agent.ErrUnschedulable):
+			errs = append(errs, fmt.Errorf("fed: member %s: %w", d.members[live[k]].m.Name(), r.err))
+			d.markTransportLocked(live[k], r.err)
+		}
+	}
+	return res, remaining, deadlineBlocked, errs
 }
 
 // submitDegradedLocked is the stale-mode path: members ordered by
@@ -1257,6 +1352,7 @@ func (d *Dispatcher) SubmitBatch(reqs []agent.Request) ([]agent.Decision, error)
 	d.relayDue()
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.epoch++
 	var errs []error
 	total := len(reqs)
 	live, keep := reqs, []int(nil)
@@ -1480,11 +1576,18 @@ func (d *Dispatcher) Complete(jobID int, server string, at float64) error {
 	d.mu.Unlock()
 	if err := m.Complete(jobID, server, at); err != nil {
 		d.mu.Lock()
-		d.markTransportLocked(i, err)
+		// The RPC ran unlocked and a rejoin may have swapped the slot's
+		// handle meanwhile (AddMember): the failure belongs to the process
+		// that was called, not to the one that replaced it.
+		if d.members[i].m == m {
+			d.markTransportLocked(i, err)
+		}
 		d.mu.Unlock()
 		return fmt.Errorf("fed: member %s: %w", m.Name(), err)
 	}
 	if fromPlaced {
+		// The member acknowledged: the record is consumed, whichever
+		// handle the slot holds by now.
 		d.mu.Lock()
 		if cur, ok := d.placed[jobID]; ok && cur.member == i {
 			delete(d.placed, jobID)

@@ -110,6 +110,33 @@ type relaySource interface {
 	RelaySince(after uint64) (relay.Delta, bool, error)
 }
 
+// commitStarter is the optional capability of members whose transport
+// serves one handle's calls in the order they were issued. StartCommit
+// issues Member.Commit and returns once the commit is ordered before
+// any later call to this member — not once it is answered; wait
+// collects the answer (exactly what Commit would have returned) and is
+// called exactly once. The dispatcher's fan-out releases the dispatch
+// lock between the two (package doc, "Ordering"). A member without the
+// capability — InProcess, whose commit is a function call; a wrapper
+// that embeds Member; a Remote negotiated down to gob, which implements
+// it by committing before it returns — has its Commit run inside the
+// start step instead, under the lock: see startCommit.
+type commitStarter interface {
+	StartCommit(req agent.Request, server string) (wait func() (agent.Decision, error))
+}
+
+// startCommit starts a commit on m through its commitStarter
+// capability or, without one, runs the whole Commit now and hands its
+// stored result to wait: one dispatcher code path either way, only the
+// moment of blocking differs.
+func startCommit(m Member, req agent.Request, server string) (wait func() (agent.Decision, error)) {
+	if cs, ok := m.(commitStarter); ok {
+		return cs.StartCommit(req, server)
+	}
+	dec, err := m.Commit(req, server)
+	return func() (agent.Decision, error) { return dec, err }
+}
+
 // InProcess is the in-process Member: a named agent.Core behind the
 // transport seam. It never fails and its summaries are exact, so a
 // dispatcher refreshing inline (SummaryInterval 0) reproduces the

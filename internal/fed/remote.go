@@ -48,11 +48,11 @@ type Remote struct {
 	relayUnsupported bool
 
 	// wire is the negotiated framed connection carrying the hot member
-	// RPCs (Evaluate/Commit/Submit/SubmitBatch/Summary/Relay) with a
-	// pipelined request window; everything else stays on gob. Nil until
-	// the Member.WireCaps probe succeeds. wireUnsupported caches the
-	// definitive negotiated-down answer (a member predating WireCaps,
-	// or one reporting an incompatible frame version) so an old gob
+	// RPCs (Evaluate/Commit/Submit/SubmitBatch/Summary/Relay/Complete)
+	// with a pipelined request window; everything else stays on gob.
+	// Nil until the Member.WireCaps probe succeeds. wireUnsupported
+	// caches the definitive negotiated-down answer (a member predating
+	// WireCaps, or one reporting an older frame version) so an old gob
 	// peer is probed at most once per handle; forceGob pins the handle
 	// to gob regardless, for parity tests and rollback.
 	wire            *live.FrameClient
@@ -270,9 +270,13 @@ func (r *Remote) wireErr(w *live.FrameClient, method string, err error) error {
 // definition the member will resolve from its (Problem, Variant)
 // key. A spec that reuses a registry key but carries rewritten costs
 // or memory would silently schedule against the wrong cost table on
-// the member side, so it is rejected as non-transportable instead.
+// the member side, so it is rejected as non-transportable instead. The
+// registry's own pointer (what task.Resolve hands out, and what every
+// request decoded off the client wire carries) is equivalent by
+// identity; only a foreign spec pays the comparison of the cost maps.
 func wireEquivalent(spec, registry *task.Spec) bool {
-	return spec.MemoryMB == registry.MemoryMB && maps.Equal(spec.CostOn, registry.CostOn)
+	return spec == registry ||
+		spec.MemoryMB == registry.MemoryMB && maps.Equal(spec.CostOn, registry.CostOn)
 }
 
 // wireTask maps a core request onto the member wire. Specs must be
@@ -349,21 +353,44 @@ func (r *Remote) Evaluate(req agent.Request) (agent.Candidate, error) {
 }
 
 func (r *Remote) Commit(req agent.Request, server string) (agent.Decision, error) {
+	return r.StartCommit(req, server)()
+}
+
+// StartCommit is the commitStarter capability. On the framed wire it
+// returns as soon as the Commit frame is written: the connection is
+// FIFO and the member serves it sequentially, so the commit is ordered
+// before every later call of this handle, and wait only collects the
+// answer. A handle negotiated down to gob has no such order (net/rpc
+// serves requests concurrently), so there the whole commit runs before
+// StartCommit returns and wait hands back its result.
+func (r *Remote) StartCommit(req agent.Request, server string) (wait func() (agent.Decision, error)) {
 	args, err := wireTask(req)
 	if err != nil {
-		return agent.Decision{}, err
+		return func() (agent.Decision, error) { return agent.Decision{}, err }
 	}
 	args.Term = r.term()
-	var reply live.MemberDecisionReply
-	if w := r.wireClient(); w != nil {
-		if reply, err = w.Commit(&live.MemberCommitArgs{Task: args, Server: server}); err != nil {
-			return agent.Decision{}, r.wireErr(w, "Member.Commit", err)
-		}
-	} else if err := r.call("Member.Commit", live.MemberCommitArgs{Task: args, Server: server}, &reply); err != nil {
-		return agent.Decision{}, err
+	commit := live.MemberCommitArgs{Task: args, Server: server}
+	job := req.JobID
+	var await func() (live.MemberDecisionReply, error)
+	w := r.wireClient()
+	if w != nil {
+		await = w.StartCommit(&commit)
+	} else {
+		var reply live.MemberDecisionReply
+		err := r.call("Member.Commit", commit, &reply)
+		await = func() (live.MemberDecisionReply, error) { return reply, err }
 	}
-	return agent.Decision{JobID: req.JobID, Server: reply.Server,
-		Predicted: reply.Predicted, HasPrediction: reply.HasPrediction}, nil
+	return func() (agent.Decision, error) {
+		reply, err := await()
+		if err != nil {
+			if w != nil {
+				err = r.wireErr(w, "Member.Commit", err)
+			}
+			return agent.Decision{}, err
+		}
+		return agent.Decision{JobID: job, Server: reply.Server,
+			Predicted: reply.Predicted, HasPrediction: reply.HasPrediction}, nil
+	}
 }
 
 func (r *Remote) Submit(req agent.Request) (agent.Decision, error) {
@@ -425,7 +452,14 @@ func (r *Remote) SubmitBatch(reqs []agent.Request) ([]agent.Decision, error) {
 }
 
 func (r *Remote) Complete(jobID int, server string, at float64) error {
-	return r.call("Member.Complete", live.TaskDoneArgs{TaskKey: jobID, Server: server, At: at}, &live.Ack{})
+	args := live.TaskDoneArgs{TaskKey: jobID, Server: server, At: at}
+	if w := r.wireClient(); w != nil {
+		if err := w.Complete(&args); err != nil {
+			return r.wireErr(w, "Member.Complete", err)
+		}
+		return nil
+	}
+	return r.call("Member.Complete", args, &live.Ack{})
 }
 
 func (r *Remote) Report(server string, load, at float64) error {

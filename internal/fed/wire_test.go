@@ -138,7 +138,8 @@ func TestWireNegotiationUp(t *testing.T) {
 
 // TestFramedMatchesGobPlacements drives the same metatask through two
 // identical TCP members — one handle framed, one pinned to gob — and
-// requires bit-identical placement sequences and predictions.
+// requires bit-identical placement sequences and predictions, and the
+// same jobs retired by the completions.
 func TestFramedMatchesGobPlacements(t *testing.T) {
 	servers := []string{"artimon", "spinnaker", "soyotte", "valette"}
 	newMember := func() (*live.Agent, *Remote) {
@@ -189,6 +190,11 @@ func TestFramedMatchesGobPlacements(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+	// Complete crosses the framed wire too (msgComplete): both members
+	// retired the same jobs.
+	if g, f, want := mGob.Core().InFlight(), mFramed.Core().InFlight(), len(mt.Tasks)-len(mt.Tasks)/4; g != want || f != want {
+		t.Fatalf("in flight after completions: gob member %d, framed member %d, want %d", g, f, want)
 	}
 	r := rFramed
 	r.mu.Lock()

@@ -2,7 +2,7 @@ package live
 
 // Framed member wire: a versioned, length-prefixed binary protocol for
 // the hot federation RPCs (Member.Evaluate/Commit/Submit/SubmitBatch/
-// Summary/Relay). Unlike the gob wire it is hand-rolled — no
+// Summary/Relay/Complete). Unlike the gob wire it is hand-rolled — no
 // reflection, no per-message type dictionaries — and carries an
 // explicit correlation ID per frame, so a client can keep a sliding
 // window of requests in flight on one connection instead of paying a
@@ -44,14 +44,24 @@ const (
 	// mistaken for the legacy protocol.
 	frameSentinel = 0x00
 	// FrameVersion is the framed-wire protocol version this binary
-	// speaks, reported by Member.WireCaps.
-	FrameVersion = 1
+	// speaks, reported by Member.WireCaps. Version 2 added msgComplete; a
+	// dispatcher only opens a framed connection to a member reporting at
+	// least its own version, so a v1 member is driven over gob as a whole
+	// rather than torn down on a message type it does not know. A member
+	// keeps accepting the handshake of every older version (each is a
+	// subset of the next).
+	FrameVersion = 2
 
 	// maxFrameLen bounds one frame (16 MiB) so a corrupt or hostile
 	// length prefix cannot trigger an unbounded allocation.
 	maxFrameLen = 16 << 20
 	// frameMinLen is msgType+corrID, the smallest legal frame body.
 	frameMinLen = 9
+	// frameReadBuf sizes the buffered reader either end puts on a framed
+	// connection: decision frames are ~100 bytes, so a full 64-frame
+	// window fits one read; larger frames (summaries, batches) bypass the
+	// buffer.
+	frameReadBuf = 16 << 10
 
 	// Request message types. Replies carry the request type with
 	// msgReplyBit set; an application-level failure answers msgError
@@ -63,6 +73,7 @@ const (
 	msgSubmitBatch byte = 0x04
 	msgSummary     byte = 0x05
 	msgRelay       byte = 0x06
+	msgComplete    byte = 0x07 // since FrameVersion 2; empty reply payload
 
 	msgReplyBit byte = 0x80
 	msgError    byte = 0x7F
@@ -123,6 +134,14 @@ func beginFrame(b []byte, typ byte, corr uint64) []byte {
 func endFrame(b []byte, start int) []byte {
 	binary.LittleEndian.PutUint32(b[start:], uint32(len(b)-start-4))
 	return b
+}
+
+// acceptsHandshake reports whether hs is the preamble of a protocol
+// version this binary serves: its own or any older one.
+func acceptsHandshake(hs [len(frameHandshake)]byte) bool {
+	v := hs[len(hs)-1]
+	hs[len(hs)-1] = FrameVersion
+	return hs == frameHandshake && v >= 1 && v <= FrameVersion
 }
 
 // ---- primitive encoders -------------------------------------------------
@@ -413,6 +432,18 @@ func (r *wireReader) memberSummaryReply(s *MemberSummaryReply) {
 	}
 	s.RelaySeq = r.u64()
 	s.HasRelay = r.boolv()
+}
+
+func appendTaskDoneArgs(b []byte, a *TaskDoneArgs) []byte {
+	b = appendI64(b, a.TaskKey)
+	b = appendStr(b, a.Server)
+	return appendF64(b, a.At)
+}
+
+func (r *wireReader) taskDoneArgs(a *TaskDoneArgs) {
+	a.TaskKey = r.i64()
+	a.Server = r.str()
+	a.At = r.f64()
 }
 
 func appendMemberRelayArgs(b []byte, a *MemberRelayArgs) []byte {

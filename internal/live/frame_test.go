@@ -2,6 +2,9 @@ package live
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"net"
 	"net/rpc"
 	"reflect"
@@ -63,6 +66,14 @@ func TestFrameCommitAndRepliesRoundTrip(t *testing.T) {
 	r.memberEvalReply(&gotEval)
 	if !r.done() || gotEval != eval {
 		t.Fatalf("eval reply round trip: %+v", gotEval)
+	}
+
+	done := TaskDoneArgs{TaskKey: -4, Server: "artimon", At: 17.25}
+	r = frameRoundTrip(t, msgComplete, 9, func(b []byte) []byte { return appendTaskDoneArgs(b, &done) })
+	var gotDone TaskDoneArgs
+	r.taskDoneArgs(&gotDone)
+	if !r.done() || gotDone != done {
+		t.Fatalf("complete args round trip: %+v", gotDone)
 	}
 
 	dec := MemberDecisionReply{Server: "soyotte", Predicted: 8.75, HasPrediction: true, Unschedulable: true}
@@ -185,6 +196,32 @@ func TestFramedHandshake(t *testing.T) {
 		t.Fatalf("valid handshake rejected: %v", err)
 	}
 	fc.Close()
+
+	// A version 1 dispatcher sends only messages version 2 still serves:
+	// its handshake is accepted and echoed as sent. A version from the
+	// future is refused.
+	for _, c := range []struct {
+		version byte
+		ok      bool
+	}{{1, true}, {FrameVersion + 1, false}, {0, false}} {
+		old, err := net.Dial("tcp", a.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := frameHandshake
+		hs[len(hs)-1] = c.version
+		old.Write(hs[:])
+		old.SetReadDeadline(time.Now().Add(2 * time.Second))
+		var echo [len(frameHandshake)]byte
+		_, err = io.ReadFull(old, echo[:])
+		if c.ok && (err != nil || echo != hs) {
+			t.Errorf("version %d handshake: echo %v, err %v", c.version, echo, err)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("version %d handshake accepted", c.version)
+		}
+		old.Close()
+	}
 }
 
 func startTestAgent(t *testing.T) *Agent {
@@ -267,9 +304,36 @@ func TestFramedMatchesGobAgainstLiveAgent(t *testing.T) {
 		t.Fatalf("framed Summary %+v != gob %+v", gotSum, wantSum)
 	}
 
+	// Complete over either wire retires a job the same way: commit a
+	// second job over gob, complete one per protocol, and the member is
+	// idle again. A completion the member does not know is acknowledged
+	// on both.
+	task2 := MemberTaskArgs{JobID: 2, TaskID: 2, Problem: "wastecpu", Variant: 200, Arrival: 1}
+	var dec2 MemberDecisionReply
+	if err := gob.Call("Member.Commit", MemberCommitArgs{Task: task2, Server: dec.Server}, &dec2); err != nil {
+		t.Fatal(err)
+	}
+	if err := framed.Complete(&TaskDoneArgs{TaskKey: 1, Server: dec.Server, At: 50}); err != nil {
+		t.Fatalf("framed Complete: %v", err)
+	}
+	if got := a.Core().InFlight(); got != 1 {
+		t.Fatalf("in flight after framed Complete = %d, want 1", got)
+	}
+	if err := gob.Call("Member.Complete", TaskDoneArgs{TaskKey: 2, Server: dec2.Server, At: 60}, &Ack{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Core().InFlight(); got != 0 {
+		t.Fatalf("in flight after gob Complete = %d, want 0", got)
+	}
+	errGob := gob.Call("Member.Complete", TaskDoneArgs{TaskKey: 99, Server: "nowhere", At: 61}, &Ack{})
+	errFramed := framed.Complete(&TaskDoneArgs{TaskKey: 99, Server: "nowhere", At: 61})
+	if errGob != nil || errFramed != nil {
+		t.Fatalf("unknown completion: gob %v, framed %v", errGob, errFramed)
+	}
+
 	// An unknown problem is an application error: delivered as a
 	// WireError, mirroring rpc.ServerError on the gob side.
-	badTask := MemberTaskArgs{JobID: 2, TaskID: 2, Problem: "no-such-problem"}
+	badTask := MemberTaskArgs{JobID: 3, TaskID: 3, Problem: "no-such-problem"}
 	if _, err := framed.Submit(&badTask); err == nil {
 		t.Fatal("framed Submit of unknown problem succeeded")
 	} else if _, ok := err.(WireError); !ok {
@@ -304,6 +368,15 @@ func FuzzFrameDecode(f *testing.F) {
 			InFlight: 1, TenantInFlight: map[string]int{"a": 1}, ServerReady: map[string]float64{"m": 2},
 		})
 	}))
+	complete := seed(msgComplete, func(b []byte) []byte {
+		return appendTaskDoneArgs(b, &TaskDoneArgs{TaskKey: 5, Server: "m1", At: 2.5})
+	})
+	f.Add(complete)
+	f.Add(complete[:len(complete)-3])               // frame cut short of its length prefix
+	f.Add(seed(msgComplete, func(b []byte) []byte { // well-formed frame, payload cut inside At
+		return append(b, complete[4+frameMinLen:len(complete)-3]...)
+	}))
+	f.Add(seed(msgComplete|msgReplyBit, func(b []byte) []byte { return b }))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 	f.Add([]byte{9, 0, 0, 0, msgError})
 
@@ -350,6 +423,11 @@ func FuzzFrameDecode(f *testing.F) {
 					var v MemberSummaryReply
 					r.memberSummaryReply(&v)
 				}
+			case msgComplete:
+				if typ&msgReplyBit == 0 {
+					var v TaskDoneArgs
+					r.taskDoneArgs(&v)
+				}
 			case msgRelay:
 				if typ&msgReplyBit == 0 {
 					var v MemberRelayArgs
@@ -365,4 +443,169 @@ func FuzzFrameDecode(f *testing.F) {
 			_ = r.done()
 		}
 	})
+}
+
+// stalledMember is a framed peer that acknowledges the handshake,
+// reports every request frame it reads and answers only when the test
+// says so: the member that is alive on the wire but not answering.
+type stalledMember struct {
+	lis  net.Listener
+	got  chan uint64 // correlation IDs, in arrival order
+	conn chan net.Conn
+}
+
+func startStalledMember(t *testing.T) *stalledMember {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 64 = frameWindow: the reader never blocks on a test that is not
+	// listening.
+	s := &stalledMember{lis: lis, got: make(chan uint64, 64), conn: make(chan net.Conn, 1)}
+	go func() {
+		conn, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		var hs [len(frameHandshake)]byte
+		if _, err := io.ReadFull(conn, hs[:]); err != nil || hs != frameHandshake {
+			conn.Close()
+			return
+		}
+		conn.Write(hs[:])
+		s.conn <- conn
+		var buf []byte
+		for {
+			_, corr, _, err := readFrame(conn, &buf)
+			if err != nil {
+				return
+			}
+			s.got <- corr
+		}
+	}()
+	return s
+}
+
+// answer writes an Evaluate reply naming the correlation ID as server.
+func (s *stalledMember) answer(t *testing.T, conn net.Conn, corr uint64) {
+	t.Helper()
+	b := beginFrame(nil, msgEvaluate|msgReplyBit, corr)
+	b = appendMemberEvalReply(b, &MemberEvalReply{Server: fmt.Sprint(corr), Scored: true})
+	if _, err := conn.Write(endFrame(b, 0)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFramedCallTimeout pins the timeout contract the pooled call slots
+// must keep: a call against a member that does not answer fails with
+// ErrWireTimeout no earlier than the timeout, also on a slot and timer
+// that served earlier calls; the late reply is discarded by the reader
+// without disturbing later calls; and the abandoned slot is never
+// handed to another call.
+func TestFramedCallTimeout(t *testing.T) {
+	const timeout = 150 * time.Millisecond
+	s := startStalledMember(t)
+	defer s.lis.Close()
+	nc, err := net.Dial("tcp", s.lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewFrameClient(nc, timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	conn := <-s.conn
+	defer conn.Close()
+	task := MemberTaskArgs{JobID: 1, TaskID: 1, Problem: "wastecpu", Variant: 200}
+	slot := func(corr uint64) *frameCall {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.pending[corr]
+	}
+
+	// stall issues one call the member reads but never answers in time.
+	stall := func() (abandoned *frameCall, corr uint64) {
+		t.Helper()
+		errc := make(chan error, 1)
+		begin := time.Now()
+		go func() {
+			_, err := c.Evaluate(&task)
+			errc <- err
+		}()
+		select {
+		case corr = <-s.got:
+		case err := <-errc:
+			t.Fatalf("stalled call ended before it reached the member: %v", err)
+		}
+		abandoned = slot(corr)
+		err := <-errc
+		if !errors.Is(err, ErrWireTimeout) {
+			t.Fatalf("stalled call: %v, want ErrWireTimeout", err)
+		}
+		if d := time.Since(begin); d < timeout {
+			t.Fatalf("stalled call timed out after %v, before its %v budget", d, timeout)
+		}
+		if slot(corr) != nil || len(c.window) != 0 {
+			t.Fatalf("timed-out call left state behind: pending=%v window=%d", slot(corr) != nil, len(c.window))
+		}
+		return abandoned, corr
+	}
+	// serve issues calls the member answers at once and returns the slots
+	// they used.
+	serve := func(n int) (used []*frameCall) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			type res struct {
+				reply MemberEvalReply
+				err   error
+			}
+			resc := make(chan res, 1)
+			go func() {
+				reply, err := c.Evaluate(&task)
+				resc <- res{reply, err}
+			}()
+			var corr uint64
+			select {
+			case corr = <-s.got:
+			case r := <-resc:
+				t.Fatalf("call ended before it reached the member: %+v", r)
+			}
+			used = append(used, slot(corr))
+			s.answer(t, conn, corr)
+			if r := <-resc; r.err != nil || r.reply.Server != fmt.Sprint(corr) {
+				t.Fatalf("call %d after a timeout: reply %+v, err %v", corr, r.reply, r.err)
+			}
+		}
+		return used
+	}
+
+	first, corr := stall()
+	if first == nil {
+		t.Fatal("the stalled call was never registered")
+	}
+	s.answer(t, conn, corr) // the late reply: nobody is waiting for it
+	for _, u := range serve(8) {
+		if u == first {
+			t.Fatal("an abandoned call slot was pooled and handed to a later call")
+		}
+	}
+	// A reused slot carries a reused timer: it must again run its full
+	// course, not fire on a stale expiry of an earlier call — which a
+	// timer left running in the pool would have produced by now.
+	time.Sleep(timeout + timeout/4)
+	second, corr := stall()
+	s.answer(t, conn, corr)
+	for _, u := range serve(8) {
+		if u == first || u == second {
+			t.Fatal("an abandoned call slot was pooled and handed to a later call")
+		}
+	}
+	c.mu.Lock()
+	broken := c.broken
+	c.mu.Unlock()
+	if broken != nil {
+		t.Fatalf("late replies tore the connection down: %v", broken)
+	}
 }

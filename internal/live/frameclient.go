@@ -8,6 +8,7 @@ package live
 // wire latency across the window.
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -24,9 +25,15 @@ var ErrWireTimeout = errors.New("live: framed call timed out")
 // frameWindow bounds the requests in flight per framed connection.
 const frameWindow = 64
 
-// frameCall is one in-flight request slot.
+// frameCall is one in-flight request slot. Slots are pooled with their
+// timer and completion channel: done is 1-buffered and receives exactly
+// one send per registration — from whoever removes the slot from the
+// pending table (the reader on a reply, fail on a transport error) — so
+// it is empty again once the waiter has taken that send.
 type frameCall struct {
 	done    chan struct{}
+	timer   *time.Timer // armed for the whole call: window wait, write, reply
+	id      uint64
 	typ     byte
 	payload []byte
 	err     error
@@ -102,16 +109,17 @@ func (c *FrameClient) fail(err error) {
 	c.conn.Close()
 	for _, call := range pend {
 		call.err = err
-		close(call.done)
+		call.done <- struct{}{}
 	}
 }
 
 // readLoop matches reply frames to pending calls by correlation ID.
 // Replies to calls that already timed out client-side are discarded.
 func (c *FrameClient) readLoop() {
+	br := bufio.NewReaderSize(c.conn, frameReadBuf)
 	var buf []byte
 	for {
-		typ, corr, payload, err := readFrame(c.conn, &buf)
+		typ, corr, payload, err := readFrame(br, &buf)
 		if err != nil {
 			c.fail(fmt.Errorf("live: framed read: %w", err))
 			return
@@ -125,48 +133,64 @@ func (c *FrameClient) readLoop() {
 		}
 		call.typ = typ
 		call.payload = append(call.payload[:0], payload...)
-		close(call.done)
+		call.done <- struct{}{}
 	}
 }
 
+// getCall returns a slot with its timer armed for one call.
 func (c *FrameClient) getCall() *frameCall {
 	if v := c.calls.Get(); v != nil {
 		call := v.(*frameCall)
-		call.done = make(chan struct{})
 		call.typ, call.err = 0, nil
+		call.timer.Reset(c.timeout)
 		return call
 	}
-	return &frameCall{done: make(chan struct{})}
+	return &frameCall{done: make(chan struct{}, 1), timer: time.NewTimer(c.timeout)}
 }
 
-// roundTrip sends one request frame and waits for its reply or the
-// timeout. enc appends the request payload. On success the returned
-// call holds the reply frame; the caller must release it with putCall.
-func (c *FrameClient) roundTrip(typ byte, enc func([]byte) []byte) (*frameCall, error) {
-	timer := time.NewTimer(c.timeout)
-	defer timer.Stop()
+// putCall pools a slot whose call completed: its done channel is empty
+// and its timer is stopped and drained, so both are ready for Reset and
+// reuse. A slot whose call timed out is never passed here — its timer
+// has fired and a late completion must find nobody listening.
+func (c *FrameClient) putCall(call *frameCall) {
+	if !call.timer.Stop() {
+		select {
+		case <-call.timer.C:
+		default:
+		}
+	}
+	c.calls.Put(call)
+}
+
+// start is the first half of a call: it takes a window slot, registers
+// the call and writes its request frame. enc appends the request
+// payload. When start returns without error the frame is on the
+// connection ahead of every frame a later start writes, and the member
+// serves frames in that order; the caller must then call await exactly
+// once.
+func (c *FrameClient) start(typ byte, enc func([]byte) []byte) (*frameCall, error) {
+	call := c.getCall()
 	select {
 	case c.window <- struct{}{}:
-	case <-timer.C:
+	case <-call.timer.C:
 		return nil, fmt.Errorf("live: framed window full: %w", ErrWireTimeout)
 	}
-	defer func() { <-c.window }()
 
-	call := c.getCall()
 	c.mu.Lock()
 	if c.broken != nil {
 		err := c.broken
 		c.mu.Unlock()
-		c.calls.Put(call)
+		<-c.window
+		c.putCall(call)
 		return nil, err
 	}
-	id := c.nextID
+	call.id = c.nextID
 	c.nextID++
-	c.pending[id] = call
+	c.pending[call.id] = call
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	b := beginFrame(c.wbuf[:0], typ, id)
+	b := beginFrame(c.wbuf[:0], typ, call.id)
 	b = enc(b)
 	b = endFrame(b, 0)
 	c.wbuf = b
@@ -175,37 +199,50 @@ func (c *FrameClient) roundTrip(typ byte, enc func([]byte) []byte) (*frameCall, 
 	c.wmu.Unlock()
 	if werr != nil {
 		// A failed or partial write poisons the stream for every call.
-		c.fail(fmt.Errorf("live: framed write: %w", werr))
-		<-call.done // fail completed it
-		return nil, call.err
+		werr = fmt.Errorf("live: framed write: %w", werr)
+		c.fail(werr)
+		<-call.done // sent by fail, or by the reader if a reply raced it
+		<-c.window
+		return nil, werr
 	}
+	return call, nil
+}
 
+// await is the second half: it waits for the reply of a started call or
+// for the call's timeout and releases the window slot. On success the
+// call holds the reply frame; the caller must release it with putCall.
+func (c *FrameClient) await(call *frameCall) error {
+	defer func() { <-c.window }()
 	select {
 	case <-call.done:
-		if call.err != nil {
-			return nil, call.err
-		}
-		return call, nil
-	case <-timer.C:
+		return call.err
+	case <-call.timer.C:
 		c.mu.Lock()
-		if _, ok := c.pending[id]; ok {
-			delete(c.pending, id)
+		if _, ok := c.pending[call.id]; ok {
+			delete(c.pending, call.id)
 			c.mu.Unlock()
-			// The slot is abandoned to the reader (which will discard the
-			// late reply); the call struct is not pooled again.
-			return nil, ErrWireTimeout
+			// Nobody will complete the slot now (the reader discards the
+			// late reply), and it is not pooled again.
+			return ErrWireTimeout
 		}
 		c.mu.Unlock()
 		// The reply (or a transport failure) raced the timer: take it.
 		<-call.done
-		if call.err != nil {
-			return nil, call.err
-		}
-		return call, nil
+		return call.err
 	}
 }
 
-func (c *FrameClient) putCall(call *frameCall) { c.calls.Put(call) }
+// roundTrip is start then await: one blocking call.
+func (c *FrameClient) roundTrip(typ byte, enc func([]byte) []byte) (*frameCall, error) {
+	call, err := c.start(typ, enc)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.await(call); err != nil {
+		return nil, err
+	}
+	return call, nil
+}
 
 // finish decodes a reply frame into dec, translating msgError frames
 // into WireError and protocol violations into a torn-down connection.
@@ -242,13 +279,25 @@ func (c *FrameClient) Evaluate(args *MemberTaskArgs) (MemberEvalReply, error) {
 
 // Commit runs Member.Commit over the framed wire.
 func (c *FrameClient) Commit(args *MemberCommitArgs) (MemberDecisionReply, error) {
-	call, err := c.roundTrip(msgCommit, func(b []byte) []byte { return appendMemberCommitArgs(b, args) })
-	if err != nil {
-		return MemberDecisionReply{}, err
+	return c.StartCommit(args)()
+}
+
+// StartCommit writes the Member.Commit request and returns without
+// waiting for the answer: from then on the member serves the commit
+// before any frame written to this connection later. wait blocks for
+// the reply and must be called exactly once.
+func (c *FrameClient) StartCommit(args *MemberCommitArgs) (wait func() (MemberDecisionReply, error)) {
+	call, err := c.start(msgCommit, func(b []byte) []byte { return appendMemberCommitArgs(b, args) })
+	return func() (MemberDecisionReply, error) {
+		var reply MemberDecisionReply
+		if err == nil {
+			err = c.await(call)
+		}
+		if err == nil {
+			err = c.finish(call, msgCommit, func(r *wireReader) { r.memberDecisionReply(&reply) })
+		}
+		return reply, err
 	}
-	var reply MemberDecisionReply
-	err = c.finish(call, msgCommit, func(r *wireReader) { r.memberDecisionReply(&reply) })
-	return reply, err
 }
 
 // Submit runs Member.Submit over the framed wire.
@@ -293,4 +342,13 @@ func (c *FrameClient) Relay(args *MemberRelayArgs) (MemberRelayReply, error) {
 	var reply MemberRelayReply
 	err = c.finish(call, msgRelay, func(r *wireReader) { r.memberRelayReply(&reply) })
 	return reply, err
+}
+
+// Complete runs Member.Complete over the framed wire (FrameVersion 2).
+func (c *FrameClient) Complete(args *TaskDoneArgs) error {
+	call, err := c.roundTrip(msgComplete, func(b []byte) []byte { return appendTaskDoneArgs(b, args) })
+	if err != nil {
+		return err
+	}
+	return c.finish(call, msgComplete, func(*wireReader) {})
 }

@@ -5,6 +5,7 @@ package live
 // frame.go for the wire format.
 
 import (
+	"bufio"
 	"io"
 	"net"
 )
@@ -43,17 +44,21 @@ func (a *Agent) serveConn(conn net.Conn) {
 }
 
 // serveFramed validates and echoes the handshake (the sentinel byte is
-// already consumed), then serves frames sequentially: one reused read
-// buffer, one reused write buffer, one interning table per connection,
-// so the steady decision stream stops allocating once the problem and
-// server vocabulary has been seen. Sequential handling still yields
-// wire pipelining — the client keeps a window of requests in flight
-// and the member's core serializes decisions on its own lock anyway.
-// Any malformed frame closes the connection.
+// already consumed), then serves frames sequentially: one buffered
+// reader (a frame's header and body, and under pipelining several
+// frames, per read syscall), one reused frame buffer, one reused write
+// buffer, one interning table per connection, so the steady decision
+// stream stops allocating once the problem and server vocabulary has
+// been seen. Sequential handling still yields wire pipelining — the
+// client keeps a window of requests in flight and the member's core
+// serializes decisions on its own lock anyway — and it is what the
+// dispatcher's ordering argument rests on: a frame is served after
+// every frame written to the connection before it (internal/fed,
+// "Ordering"). Any malformed frame closes the connection.
 func (a *Agent) serveFramed(conn net.Conn) {
 	var hs [len(frameHandshake)]byte
 	hs[0] = frameSentinel
-	if _, err := io.ReadFull(conn, hs[1:]); err != nil || hs != frameHandshake {
+	if _, err := io.ReadFull(conn, hs[1:]); err != nil || !acceptsHandshake(hs) {
 		return
 	}
 	if _, err := conn.Write(hs[:]); err != nil {
@@ -61,13 +66,14 @@ func (a *Agent) serveFramed(conn net.Conn) {
 	}
 	svc := &MemberService{a}
 	var (
+		br   = bufio.NewReaderSize(conn, frameReadBuf)
 		rbuf []byte
 		wbuf []byte
 		in   = make(intern)
 		h    = frameHandler{svc: svc}
 	)
 	for {
-		typ, corr, payload, err := readFrame(conn, &rbuf)
+		typ, corr, payload, err := readFrame(br, &rbuf)
 		if err != nil {
 			return
 		}
@@ -96,6 +102,7 @@ type frameHandler struct {
 	sum    MemberSummaryReply
 	relay  MemberRelayArgs
 	rrep   MemberRelayReply
+	done   TaskDoneArgs
 }
 
 // errProtocol marks a frame the handler cannot decode or a message
@@ -182,6 +189,16 @@ func (h *frameHandler) handle(b []byte, typ byte, corr uint64, payload []byte, i
 		}
 		b = beginFrame(b, typ|msgReplyBit, corr)
 		b = appendMemberRelayReply(b, &h.rrep)
+	case msgComplete:
+		h.done = TaskDoneArgs{}
+		r.taskDoneArgs(&h.done)
+		if !r.done() {
+			return nil, protocolError("live: malformed Complete frame")
+		}
+		if err := h.svc.Complete(h.done, nil); err != nil {
+			return appendErrorFrame(b, corr, err), nil
+		}
+		b = beginFrame(b, typ|msgReplyBit, corr)
 	default:
 		return nil, protocolError("live: unknown frame type")
 	}
