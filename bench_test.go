@@ -922,7 +922,8 @@ func BenchmarkAgentSubmitSteadySaturatedMSF128(b *testing.B) {
 // BenchmarkClusterSubmitSteady is the same contract through the
 // sharded dispatch layer: shards=1 degenerates to the single core
 // behind the dispatch bookkeeping, shards=4 adds the fan-out (every
-// shard evaluates via its persistent worker, commit on the winner).
+// shard evaluated in turn in the caller's goroutine, commit on the
+// winner).
 // Both must also read 0 allocs/op.
 func BenchmarkClusterSubmitSteady(b *testing.B) {
 	for _, shards := range []int{1, 4} {

@@ -529,7 +529,7 @@ func (c *Core) SubmitBatch(reqs []Request) ([]Decision, error) {
 		cache = newBatchCache(c.htmMgr)
 		ev = cache
 	}
-	live, keep, shedErrs := c.intakeGateLocked(reqs)
+	live, keep, shedErrs := IntakeGate(c.bucket, reqs, c.shedLocked, "agent")
 	var decs []Decision
 	var err error
 	switch {
@@ -543,14 +543,10 @@ func (c *Core) SubmitBatch(reqs []Request) ([]Decision, error) {
 	if keep == nil {
 		return decs, err
 	}
-	out := make([]Decision, len(reqs))
-	for k, pos := range keep {
-		out[pos] = decs[k]
-	}
 	if err != nil {
 		shedErrs = append(shedErrs, err)
 	}
-	return out, errors.Join(shedErrs...)
+	return Scatter(decs, keep, len(reqs)), errors.Join(shedErrs...)
 }
 
 // submitBatchGreedyLocked is the historical batch path: requests are

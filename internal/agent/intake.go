@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"casched/internal/fair"
 	"casched/internal/sched"
 )
 
@@ -43,34 +44,52 @@ func multiTenant(reqs []Request) bool {
 	return false
 }
 
-// shedLocked emits the EventShed record for a refused request. Caller
-// holds c.mu.
-func (c *Core) shedLocked(req Request, reason string) {
-	c.emit(Event{Kind: EventShed, Time: req.Arrival, JobID: req.JobID,
+// ShedEvent is the EventShed record of a refused request.
+func ShedEvent(req Request, reason string) Event {
+	return Event{Kind: EventShed, Time: req.Arrival, JobID: req.JobID,
 		TaskID: req.TaskID, Attempt: req.Attempt,
-		Tenant: req.Tenant, Deadline: req.Deadline, Reason: reason})
+		Tenant: req.Tenant, Deadline: req.Deadline, Reason: reason}
 }
 
-// intakeGateLocked runs the token bucket over a batch in submission
-// order. It returns the admitted requests, their positions in the
-// original batch (nil when no bucket is configured, meaning "all, in
-// place"), and one ErrThrottled per refused request. Caller holds c.mu.
-func (c *Core) intakeGateLocked(reqs []Request) (live []Request, keep []int, errs []error) {
-	if c.bucket == nil {
+// shedLocked emits the EventShed record for a refused request. Caller
+// holds c.mu.
+func (c *Core) shedLocked(req Request, reason string) { c.emit(ShedEvent(req, reason)) }
+
+// IntakeGate runs a token bucket over a batch in submission order — the
+// one intake gate, in front of a core or of a dispatch layer (errors
+// are prefixed with layer). It returns the admitted requests, their
+// positions in the original batch (nil without a bucket, meaning "all,
+// in place"), and one ErrThrottled per refused request, each of which
+// is handed to shed first. Scatter undoes the compaction.
+func IntakeGate(bucket *fair.TokenBucket, reqs []Request, shed func(Request, string), layer string) (live []Request, keep []int, errs []error) {
+	if bucket == nil {
 		return reqs, nil, nil
 	}
 	live = make([]Request, 0, len(reqs))
 	keep = make([]int, 0, len(reqs))
 	for i, req := range reqs {
-		if !c.bucket.Take(req.Arrival) {
-			c.shedLocked(req, ShedThrottled)
-			errs = append(errs, fmt.Errorf("agent: batch job %d: %w", req.JobID, ErrThrottled))
+		if !bucket.Take(req.Arrival) {
+			shed(req, ShedThrottled)
+			errs = append(errs, fmt.Errorf("%s: batch job %d: %w", layer, req.JobID, ErrThrottled))
 			continue
 		}
 		live = append(live, req)
 		keep = append(keep, i)
 	}
 	return live, keep, errs
+}
+
+// Scatter maps the decisions for an IntakeGate's admitted requests back
+// to the caller's total positions; refused positions stay zero.
+func Scatter(decs []Decision, keep []int, total int) []Decision {
+	if keep == nil {
+		return decs
+	}
+	out := make([]Decision, total)
+	for k, pos := range keep {
+		out[pos] = decs[k]
+	}
+	return out
 }
 
 // admitDeadlineLocked is the deadline admission test: it accepts a

@@ -22,18 +22,31 @@ func (c *Core) RelaySince(after uint64) (relay.Delta, bool) {
 // signals, captured under one lock acquisition so the relay sequence
 // number is consistent with the in-flight and projected-ready state it
 // stamps — the invariant the dispatcher's rebase-then-fold accounting
-// depends on.
+// depends on. It is what a federation member publishes (fed.Summary).
 type LoadSummary struct {
-	InFlight       int
-	Servers        int
-	MinReady       float64
-	HasMinReady    bool
+	// InFlight and Servers feed the cheap balance signal (in-flight per
+	// server, the classic hierarchical-agent ranking).
+	InFlight int
+	Servers  int
+	// MinReady is the HTM-backed drain signal: the earliest projected
+	// instant at which one of the servers drains its live work, an
+	// absolute experiment date comparable across members against a
+	// common arrival anchor. HasMinReady is false for monitor-only
+	// heuristics, where routing falls back to the in-flight signal.
+	MinReady    float64
+	HasMinReady bool
+	// TenantInFlight splits InFlight per tenant (raw tenant strings,
+	// "" for untenanted work), so stale-mode routing ranks members on
+	// the submitting tenant's own backlog. Nil without tenanted work.
 	TenantInFlight map[string]int
-	// ServerReady maps each server to its projected drain instant
-	// (nil for monitor-only heuristics with no HTM projection).
+	// ServerReady maps each server to its projected drain instant — the
+	// per-server breakdown of MinReady that relay-based routing prices
+	// placements against. Published only with the relay on (nil for
+	// monitor-only heuristics with no HTM projection).
 	ServerReady map[string]float64
 	// RelaySeq is the relay ledger sequence the snapshot includes
-	// events up to; HasRelay reports whether the relay is on at all.
+	// events up to; HasRelay reports whether the relay is on at all (a
+	// dispatcher falls back to summary-only stale routing without it).
 	RelaySeq uint64
 	HasRelay bool
 }

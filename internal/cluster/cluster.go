@@ -1,16 +1,20 @@
-// Package cluster implements the sharded dispatch layer over the
-// agent core: N independent agent.Core shards, each owning a partition
-// of the server pool, behind one Cluster with the same driving surface
-// as a single core — membership, Submit/SubmitBatch, Complete/Report
-// feedback, and one merged event stream.
+// Package cluster implements the dispatch layer over the agent core:
+// one Dispatcher routing work over members that each own a partition
+// of the server pool, and the sharded Cluster — N in-process
+// agent.Core shards behind a Dispatcher, with the same driving surface
+// as a single core: membership, Submit/SubmitBatch, Complete/Report
+// feedback, and one merged event stream. The federation (internal/fed)
+// drives the same Dispatcher over members behind a summary seam or a
+// wire; rotation, fan-out, batch routing, the intake gate, placement
+// records, shed synthesis and event merging exist once, in
+// dispatcher.go.
 //
 // The paper's single central agent is the scalability ceiling of the
 // client-agent-server model: every decision consults every server's
 // trace under one lock. Sharding partitions the pool (a pluggable
-// ShardPolicy: hash, least-loaded, name-class affinity), so a
-// decision's cost scales with the shard's candidate set instead of the
-// whole pool, and independent shards evaluate concurrently. The
-// dispatch layer routes work two ways:
+// ShardPolicy: hash, least-loaded, name-class affinity), so a shard's
+// batch prediction cache, heuristic state and HTM lock cover its
+// partition only. The dispatch layer routes work two ways:
 //
 //   - Submit fans the request out: every shard evaluates it against
 //     its own partition (agent.Core.Evaluate — no commit), the
@@ -18,7 +22,15 @@
 //     and commits on exactly one shard. For partition-decomposable
 //     objectives (HMCT's completion date, MCT's estimate, MSF's
 //     sum-flow...) this reproduces the centralized decision up to
-//     cross-shard ties, at full fan-out evaluation cost.
+//     cross-shard ties, at full fan-out evaluation cost. The shards
+//     are evaluated one after the other in the caller's goroutine:
+//     since candidate pruning a shard's evaluation is a few
+//     microseconds, less than handing it to another goroutine costs.
+//     Persistent per-shard workers measured 30.7–34.6k decisions/s on
+//     the 4-shard 128-server busy workload where the plain loop does
+//     53.1–58.2k (2 cores; 18.4–20.2 µs against 9.0–9.2 µs per steady
+//     decision), so the workers are gone. A single Submit is therefore
+//     never faster on N shards than on one; sharding pays on bursts.
 //
 //   - SubmitBatch routes a burst hierarchically by
 //     power-of-two-choices over HTM-backed shard scores: the
@@ -48,31 +60,20 @@
 // removals.
 //
 // The Cluster is safe for concurrent use. Cluster-level submissions
-// serialize on the dispatch lock; completions and reports only take
-// the owning shard's lock, so feedback flows concurrently with
-// evaluation on other shards.
+// serialize on the dispatch lock, held from intake to commit;
+// completions and reports only take the owning shard's lock, so
+// feedback flows concurrently with evaluation on other shards.
 package cluster
 
 import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
-	"sync"
 
 	"casched/internal/agent"
-	"casched/internal/fair"
 	"casched/internal/htm"
 	"casched/internal/sched"
-	"casched/internal/stats"
 )
-
-// placedRec is one dispatcher placement record: the shard (or member)
-// that committed a job and when, for window-bounded retention.
-type placedRec struct {
-	shard int
-	at    float64
-}
 
 // tieEps mirrors sched's tie tolerance for cross-shard comparisons.
 const tieEps = 1e-9
@@ -213,7 +214,7 @@ func (cfg *Config) schedulerFor() (sched.Scheduler, error) {
 		return cfg.Core.Scheduler, nil
 	}
 	// Multi-shard: heuristics can carry per-instance state (RoundRobin,
-	// SA) and shards evaluate concurrently, so each shard needs its own
+	// SA) and each shard runs under its own lock, so each needs its own
 	// instance; the registry reconstructs by name — but only when the
 	// caller's instance IS a registry default, otherwise reconstruction
 	// would silently drop its configuration (KPB{K: 20}, MP{Tie:
@@ -261,50 +262,17 @@ func CoreConfig(base agent.Config, opts ...Option) (agent.Config, error) {
 	return cfg.Core, nil
 }
 
-// Cluster is the sharded agent: N cores behind one dispatch layer.
-// Construct with New.
+// Cluster is the sharded agent: a Dispatcher over N in-process cores
+// that are always fresh, never fail and commit by function call.
+// Submit, SubmitBatch, Subscribe, Servers, Rebalance and
+// FinalPredictions are the Dispatcher's; the methods below adapt the
+// rest of the single-core surface (no error returns: an in-process
+// member has none to report) and read the shards for inspection. The
+// Dispatcher's federation-only methods (AddMember, Leave, the Adopt
+// family...) are not meant for a Cluster. Construct with New.
 type Cluster struct {
-	policy ShardPolicy
+	*Dispatcher
 	shards []*agent.Core
-
-	// mu is the dispatch lock: membership, routing state and
-	// cluster-level submissions.
-	mu     sync.Mutex
-	home   map[string]int    // server name -> shard index
-	counts []int             // servers per shard
-	placed map[int]placedRec // jobID -> placement record, evicted on completion
-	rr     int               // rotation cursor for unscored heuristics
-	rng    *stats.RNG        // power-of-two-choices sampling for batch routing
-	// bucket is the dispatch-level intake limiter (nil = unlimited);
-	// placedWindow/placedSwept bound the placed map (see
-	// Config.PlacedWindow).
-	bucket       *fair.TokenBucket
-	placedWindow float64
-	placedSwept  float64
-
-	// emu guards the merged event stream (leaf lock: taken inside
-	// shard emits, never the other way around).
-	emu     sync.Mutex
-	subs    map[int]func(agent.Event)
-	nextSub int
-
-	// Persistent fan-out workers: one goroutine per shard, fed through
-	// fanChans with pointers into the reused fanCalls arena, so the
-	// per-submit fan-out neither spawns goroutines nor allocates result
-	// slices. Started lazily on the first multi-shard fan-out (fanOnce);
-	// single-shard clusters never start them. Close stops them.
-	fanOnce  sync.Once
-	fanChans []chan *fanoutCall
-	fanCalls []fanoutCall
-	fanWG    sync.WaitGroup
-}
-
-// fanoutCall is one shard's slot in the reused fan-out arena.
-type fanoutCall struct {
-	req  agent.Request
-	cand agent.Candidate
-	err  error
-	wg   *sync.WaitGroup
 }
 
 // New constructs a Cluster from functional options.
@@ -316,7 +284,8 @@ func New(opts ...Option) (*Cluster, error) {
 	return NewFromConfig(cfg)
 }
 
-// NewFromConfig constructs a Cluster from an explicit Config.
+// NewFromConfig constructs a Cluster from an explicit Config. Shards
+// are built in index order: the nth NewScheduler call serves shard n.
 func NewFromConfig(cfg Config) (*Cluster, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("cluster: needs at least 1 shard, got %d", cfg.Shards)
@@ -324,19 +293,8 @@ func NewFromConfig(cfg Config) (*Cluster, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = Hash()
 	}
-	cl := &Cluster{
-		policy:       cfg.Policy,
-		shards:       make([]*agent.Core, cfg.Shards),
-		home:         make(map[string]int),
-		counts:       make([]int, cfg.Shards),
-		placed:       make(map[int]placedRec),
-		subs:         make(map[int]func(agent.Event)),
-		rng:          stats.NewRNG(cfg.Core.Seed ^ 0x9e3779b97f4a7c15),
-		placedWindow: cfg.PlacedWindow,
-	}
-	if cfg.IntakeRate > 0 {
-		cl.bucket = fair.NewTokenBucket(cfg.IntakeRate, cfg.IntakeBurst)
-	}
+	cl := &Cluster{shards: make([]*agent.Core, cfg.Shards)}
+	members := make([]Member, cfg.Shards)
 	for i := range cl.shards {
 		s, err := cfg.schedulerFor()
 		if err != nil {
@@ -349,38 +307,17 @@ func NewFromConfig(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
 		cl.shards[i] = core
-		core.Subscribe(cl.forward)
+		members[i] = shard{NewInProcess(fmt.Sprintf("shard-%d", i), core)}
 	}
+	_, scored := cl.shards[0].Scheduler().(sched.ScoredScheduler)
+	cl.Dispatcher = newDispatcher(DispatcherConfig{
+		Policy:       cfg.Policy,
+		Seed:         cfg.Core.Seed,
+		IntakeRate:   cfg.IntakeRate,
+		IntakeBurst:  cfg.IntakeBurst,
+		PlacedWindow: cfg.PlacedWindow,
+	}, scored, "cluster", members)
 	return cl, nil
-}
-
-// forward relays one shard event into the merged stream. It runs on
-// the emitting shard's goroutine with that shard's lock held; emu
-// serializes deliveries, so every subscriber observes one total order
-// that preserves each shard's commit order.
-func (cl *Cluster) forward(ev agent.Event) {
-	cl.emu.Lock()
-	defer cl.emu.Unlock()
-	for _, fn := range cl.subs {
-		fn(ev)
-	}
-}
-
-// Subscribe registers an observer on the merged event stream of every
-// shard and returns its cancel function. Deliveries are serialized
-// (one total order, per-shard commit order preserved); callbacks must
-// be fast and must not call back into the Cluster.
-func (cl *Cluster) Subscribe(fn func(agent.Event)) (cancel func()) {
-	cl.emu.Lock()
-	defer cl.emu.Unlock()
-	id := cl.nextSub
-	cl.nextSub++
-	cl.subs[id] = fn
-	return func() {
-		cl.emu.Lock()
-		defer cl.emu.Unlock()
-		delete(cl.subs, id)
-	}
 }
 
 // NumShards returns the number of agent-core shards.
@@ -389,6 +326,9 @@ func (cl *Cluster) NumShards() int { return len(cl.shards) }
 // Shard exposes one shard's core for inspection (Gantt extraction,
 // accuracy studies) — not for driving; use the Cluster surface.
 func (cl *Cluster) Shard(i int) *agent.Core { return cl.shards[i] }
+
+// ShardOf returns the shard a server is assigned to.
+func (cl *Cluster) ShardOf(server string) (int, bool) { return cl.MemberOf(server) }
 
 // EvalStats sums the shards' HTM evaluation counters
 // (agent.Core.EvalStats).
@@ -409,125 +349,25 @@ func (cl *Cluster) UsesHTM() bool { return cl.shards[0].UsesHTM() }
 
 // AddServer registers a server, routed to a shard by the policy.
 // Idempotent by name.
-func (cl *Cluster) AddServer(name string) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if _, ok := cl.home[name]; ok {
-		return
-	}
-	sh := ClampIndex(cl.policy.Assign(name, cl.counts), len(cl.shards))
-	cl.home[name] = sh
-	cl.counts[sh]++
-	cl.shards[sh].AddServer(name)
-}
+func (cl *Cluster) AddServer(name string) { _ = cl.Dispatcher.AddServer(name) }
 
 // RemoveServer withdraws a server from its shard (collapse,
 // decommission). Policies that auto-balance trigger a rebalance when
 // partition sizes drift apart.
 func (cl *Cluster) RemoveServer(name string) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	sh, ok := cl.home[name]
-	if !ok {
-		return
-	}
-	delete(cl.home, name)
-	cl.counts[sh]--
-	cl.shards[sh].RemoveServer(name)
-	if ab, ok := cl.policy.(AutoBalancer); ok && ab.AutoBalance() {
-		cl.rebalanceLocked()
+	_ = cl.Dispatcher.RemoveServer(name)
+	if ab, ok := cl.cfg.Policy.(AutoBalancer); ok && ab.AutoBalance() {
+		cl.Rebalance()
 	}
 }
 
-// Rebalance migrates servers from over-full to under-full shards until
-// partition sizes differ by at most one. A migrated server starts a
-// fresh HTM trace and belief on its new shard — exactly a server
-// re-registering — while its in-flight jobs keep resolving through the
-// shard that placed them.
-func (cl *Cluster) Rebalance() (moved int) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.rebalanceLocked()
-}
-
-// rebalanceLocked implements Rebalance. Caller holds cl.mu.
-func (cl *Cluster) rebalanceLocked() (moved int) {
-	repaired := false
-	for {
-		maxI, minI := 0, 0
-		for i, c := range cl.counts {
-			if c > cl.counts[maxI] {
-				maxI = i
-			}
-			if c < cl.counts[minI] {
-				minI = i
-			}
-		}
-		if cl.counts[maxI]-cl.counts[minI] < 2 {
-			return moved
-		}
-		// Deterministic victim: the lexicographically last server of
-		// the over-full shard.
-		victim, found := "", false
-		for name, sh := range cl.home {
-			if sh == maxI && (!found || name > victim) {
-				victim, found = name, true
-			}
-		}
-		if !found {
-			// cl.counts says shard maxI is over-full but cl.home maps
-			// no server to it: the routing state disagrees with
-			// itself. Rebuild counts from home (the authoritative map)
-			// once and retry; if the disagreement persists, stop
-			// rather than loop forever on a phantom victim.
-			if repaired {
-				return moved
-			}
-			repaired = true
-			for i := range cl.counts {
-				cl.counts[i] = 0
-			}
-			for _, sh := range cl.home {
-				if sh >= 0 && sh < len(cl.counts) {
-					cl.counts[sh]++
-				}
-			}
-			continue
-		}
-		cl.shards[maxI].RemoveServer(victim)
-		cl.shards[minI].AddServer(victim)
-		cl.home[victim] = minI
-		cl.counts[maxI]--
-		cl.counts[minI]++
-		moved++
-	}
-}
-
-// Servers returns every registered server in sorted order.
-func (cl *Cluster) Servers() []string {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	out := make([]string, 0, len(cl.home))
-	for name := range cl.home {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ShardOf returns the shard a server is assigned to.
-func (cl *Cluster) ShardOf(server string) (int, bool) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	sh, ok := cl.home[server]
-	return sh, ok
-}
+// Close cancels the shards' event subscriptions. The Cluster must not
+// be used afterwards.
+func (cl *Cluster) Close() { _ = cl.Dispatcher.Close() }
 
 // LoadEstimate returns the owning shard's belief of the server's load.
 func (cl *Cluster) LoadEstimate(server string) float64 {
-	cl.mu.Lock()
-	sh, ok := cl.home[server]
-	cl.mu.Unlock()
+	sh, ok := cl.MemberOf(server)
 	if !ok {
 		return 0
 	}
@@ -535,7 +375,9 @@ func (cl *Cluster) LoadEstimate(server string) float64 {
 }
 
 // InFlight returns the number of placed-but-uncompleted jobs across
-// all shards.
+// all shards — the members' own live counts, exact where the
+// Dispatcher's placement records are only a trailing window
+// (Config.PlacedWindow).
 func (cl *Cluster) InFlight() int {
 	n := 0
 	for _, core := range cl.shards {
@@ -544,357 +386,25 @@ func (cl *Cluster) InFlight() int {
 	return n
 }
 
-// shed synthesizes a dispatch-level shed event into the merged stream.
-// Used for refusals the shards never see (the cluster's own intake
-// bucket) or that no single shard owns (fan-out deadline refusals,
-// where shards only evaluate and must not emit).
-func (cl *Cluster) shed(req agent.Request, reason string) {
-	cl.forward(agent.Event{
-		Kind:     agent.EventShed,
-		Time:     req.Arrival,
-		JobID:    req.JobID,
-		TaskID:   req.TaskID,
-		Attempt:  req.Attempt,
-		Tenant:   req.Tenant,
-		Deadline: req.Deadline,
-		Reason:   reason,
-	})
-}
-
-// notePlacedLocked records which shard committed a job, sweeping
-// expired records when a retention window is set. Caller holds cl.mu.
-func (cl *Cluster) notePlacedLocked(jobID, sh int, at float64) {
-	cl.placed[jobID] = placedRec{shard: sh, at: at}
-	cl.sweepPlacedLocked(at)
-}
-
-// sweepPlacedLocked evicts placement records older than the retention
-// window. Amortized: the full scan runs at most twice per window.
-// Caller holds cl.mu.
-func (cl *Cluster) sweepPlacedLocked(now float64) {
-	if cl.placedWindow <= 0 || now-cl.placedSwept < cl.placedWindow/2 {
-		return
-	}
-	cl.placedSwept = now
-	cutoff := now - cl.placedWindow
-	for id, rec := range cl.placed {
-		if rec.at < cutoff {
-			delete(cl.placed, id)
-		}
-	}
-}
-
-// Submit routes one task: every shard evaluates the request against
-// its own partition (fan-out, no commit), the scored winners are
-// compared, and the placement commits on exactly one shard. Heuristics
-// without a comparable objective (Random, RoundRobin, wrappers outside
-// sched.ScoredScheduler) are instead routed whole to a rotating
-// eligible shard — fanning them out would advance stateful heuristics
-// on shards that never commit and starve servers. See the package
-// comment for the decision-quality contract.
-//
-// With an intake limit configured, requests the dispatch-level bucket
-// refuses are shed with agent.ErrThrottled before any shard is
-// consulted. With admission on, a request no shard can finish by its
-// deadline is shed with agent.ErrDeadlineUnmet.
-func (cl *Cluster) Submit(req agent.Request) (agent.Decision, error) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if cl.bucket != nil && !cl.bucket.Take(req.Arrival) {
-		cl.shed(req, agent.ShedThrottled)
-		return agent.Decision{}, fmt.Errorf("cluster: job %d: %w", req.JobID, agent.ErrThrottled)
-	}
-	if len(cl.shards) == 1 {
-		return cl.shards[0].Submit(req)
-	}
-	if _, scored := cl.shards[0].Scheduler().(sched.ScoredScheduler); !scored {
-		return cl.submitRotateLocked(req)
-	}
-	dec, _, err := cl.submitFanoutLocked(req)
-	return dec, err
-}
-
-// submitRotateLocked delegates one whole decision to a rotating
-// eligible shard; only that shard's heuristic state advances. Caller
-// holds cl.mu.
-func (cl *Cluster) submitRotateLocked(req agent.Request) (agent.Decision, error) {
-	eligible := make([]int, 0, len(cl.shards))
-	for i, core := range cl.shards {
-		if cl.counts[i] > 0 && core.CanSolve(req.Spec) {
-			eligible = append(eligible, i)
-		}
-	}
-	if len(eligible) == 0 {
-		return agent.Decision{}, agent.ErrUnschedulable
-	}
-	sh := eligible[cl.rr%len(eligible)]
-	cl.rr++
-	dec, err := cl.shards[sh].Submit(req)
-	if err != nil {
-		return agent.Decision{}, err
-	}
-	cl.notePlacedLocked(req.JobID, sh, req.Arrival)
-	return dec, nil
-}
-
-// submitFanoutLocked is the fan-out/commit-on-winner path. Caller
-// holds cl.mu.
-//
-// Error contract (mirroring htm.Manager.EvaluateAll): as long as one
-// shard produces a winner the decision commits and per-shard
-// evaluation failures are suppressed — a shard that cannot evaluate
-// excludes only its own partition from the candidate set. Shard errors
-// surface only when every shard fails.
-func (cl *Cluster) submitFanoutLocked(req agent.Request) (agent.Decision, int, error) {
-	cl.fanOnce.Do(cl.startFanoutWorkers)
-	cl.fanWG.Add(len(cl.shards))
-	for i := range cl.shards {
-		c := &cl.fanCalls[i]
-		c.req = req
-		c.cand, c.err = agent.Candidate{}, nil
-		c.wg = &cl.fanWG
-		cl.fanChans[i] <- c
-	}
-	cl.fanWG.Wait()
-
-	winner := -1
-	deadlineBlocked := false
-	var best agent.Candidate
-	var errs []error
-	for i := range cl.fanCalls {
-		r := &cl.fanCalls[i]
-		if r.err != nil {
-			switch {
-			case errors.Is(r.err, agent.ErrDeadlineUnmet):
-				// A per-shard exclusion, like ErrUnschedulable: another
-				// shard's partition may still meet the deadline. Shards
-				// do not emit on Evaluate, so if every shard is blocked
-				// the dispatcher synthesizes the shed below.
-				deadlineBlocked = true
-			case !errors.Is(r.err, agent.ErrUnschedulable):
-				errs = append(errs, fmt.Errorf("cluster: shard %d: %w", i, r.err))
-			}
-			continue
-		}
-		if winner < 0 || BetterCandidate(r.cand, best) {
-			winner, best = i, r.cand
-		}
-	}
-	if winner < 0 {
-		if len(errs) > 0 {
-			return agent.Decision{}, -1, errors.Join(errs...)
-		}
-		if deadlineBlocked {
-			cl.shed(req, agent.ShedDeadline)
-			return agent.Decision{}, -1, fmt.Errorf("cluster: job %d: %w", req.JobID, agent.ErrDeadlineUnmet)
-		}
-		return agent.Decision{}, -1, agent.ErrUnschedulable
-	}
-	dec, err := cl.shards[winner].Commit(req, best.Server)
-	if err != nil {
-		return agent.Decision{}, -1, fmt.Errorf("cluster: commit on shard %d: %w", winner, err)
-	}
-	cl.notePlacedLocked(req.JobID, winner, req.Arrival)
-	return dec, winner, nil
-}
-
-// startFanoutWorkers launches the persistent per-shard evaluation
-// workers. Each worker serves one shard for the dispatcher's lifetime,
-// so a submit's fan-out costs len(shards) channel sends on warm
-// goroutines rather than len(shards) goroutine spawns plus a results
-// slice. Called exactly once, under cl.mu, via fanOnce.
-func (cl *Cluster) startFanoutWorkers() {
-	cl.fanCalls = make([]fanoutCall, len(cl.shards))
-	cl.fanChans = make([]chan *fanoutCall, len(cl.shards))
-	for i := range cl.shards {
-		ch := make(chan *fanoutCall)
-		cl.fanChans[i] = ch
-		core := cl.shards[i]
-		go func() {
-			for call := range ch {
-				call.cand, call.err = core.Evaluate(call.req)
-				call.wg.Done()
-			}
-		}()
-	}
-}
-
-// Close stops the persistent fan-out workers, if any were started. The
-// dispatcher must not be used after Close; it is safe to call on a
-// dispatcher that never fanned out (including single-shard clusters)
-// and safe to call at most once.
-func (cl *Cluster) Close() {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	for _, ch := range cl.fanChans {
-		close(ch)
-	}
-	cl.fanChans = nil
-}
-
-// SubmitBatch routes a burst of simultaneous arrivals hierarchically
-// by power-of-two-choices over HTM-backed shard scores: the in-flight
-// leader and one uniformly sampled other shard are compared on their
-// projected backlog at the burst's arrival (min ProjectedReady over
-// the partition minus the arrival date — read from O(1) cached drain
-// memos, no candidate projections), and the batch goes to the winner,
-// which pipelines it through one lock acquisition and its shard-local
-// batch prediction cache (see batchOrderLocked for the scoring and
-// tie rules). Only those two shards pay an HTM read per burst; the
-// cheap in-flight ranking still scans every shard, as the previous
-// router did. Monitor-only heuristics (no HTM) compare on the
-// in-flight/partition-size signal directly. Requests the routed shard
-// cannot solve fall to the next-best eligible shard by the cheap
-// ranking, so a mixed batch fans out only as far as eligibility
-// forces it. Failed requests yield zero Decisions with their errors
-// joined, like agent.Core.SubmitBatch.
-// With an intake limit configured, the dispatch-level bucket gates the
-// whole batch first: refused requests are shed with agent.ErrThrottled
-// before any shard is consulted (including the single-shard fast
-// path), and the admitted remainder is routed as usual. Per-shard
-// admission and fair-share arbitration run inside each routed
-// sub-batch, on the shard that owns it.
-func (cl *Cluster) SubmitBatch(reqs []agent.Request) ([]agent.Decision, error) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	var errs []error
-	live, keep := reqs, []int(nil)
-	if cl.bucket != nil {
-		live = make([]agent.Request, 0, len(reqs))
-		keep = make([]int, 0, len(reqs))
-		for i, req := range reqs {
-			if !cl.bucket.Take(req.Arrival) {
-				cl.shed(req, agent.ShedThrottled)
-				errs = append(errs, fmt.Errorf("cluster: batch job %d: %w", req.JobID, agent.ErrThrottled))
-				continue
-			}
-			live = append(live, req)
-			keep = append(keep, i)
-		}
-	}
-	// scatter maps shard results for the admitted sub-slice back to the
-	// caller's positions when the gate dropped anything.
-	scatter := func(decs []agent.Decision) []agent.Decision {
-		if keep == nil {
-			return decs
-		}
-		out := make([]agent.Decision, len(reqs))
-		for k, pos := range keep {
-			out[pos] = decs[k]
-		}
-		return out
-	}
-	if len(cl.shards) == 1 {
-		decs, err := cl.shards[0].SubmitBatch(live)
-		if err != nil {
-			errs = append(errs, err)
-		}
-		return scatter(decs), errors.Join(errs...)
-	}
-	at := 0.0
-	if len(live) > 0 {
-		at = live[0].Arrival
-	}
-	order := cl.batchOrderLocked(at)
-
-	assign := make([]int, len(live))
-	subBatches := make(map[int][]int) // shard -> positions within live
-	for i, req := range live {
-		assign[i] = -1
-		for _, sh := range order {
-			if cl.counts[sh] > 0 && cl.shards[sh].CanSolve(req.Spec) {
-				assign[i] = sh
-				subBatches[sh] = append(subBatches[sh], i)
-				break
-			}
-		}
-		if assign[i] < 0 {
-			errs = append(errs, fmt.Errorf("cluster: batch job %d: %w", req.JobID, agent.ErrUnschedulable))
-		}
-	}
-
-	out := make([]agent.Decision, len(live))
-	shardErrs := make(map[int]error, len(subBatches))
-	var wg sync.WaitGroup
-	var emu sync.Mutex
-	for sh, positions := range subBatches {
-		wg.Add(1)
-		go func(sh int, positions []int) {
-			defer wg.Done()
-			sub := make([]agent.Request, len(positions))
-			for k, pos := range positions {
-				sub[k] = live[pos]
-			}
-			decs, err := cl.shards[sh].SubmitBatch(sub)
-			for k, pos := range positions {
-				out[pos] = decs[k]
-			}
-			if err != nil {
-				emu.Lock()
-				shardErrs[sh] = err
-				emu.Unlock()
-			}
-		}(sh, positions)
-	}
-	wg.Wait()
-	for sh, err := range shardErrs {
-		errs = append(errs, fmt.Errorf("cluster: shard %d: %w", sh, err))
-	}
-	for i, d := range out {
-		if d.Server != "" {
-			cl.notePlacedLocked(live[i].JobID, assign[i], live[i].Arrival)
-		}
-	}
-	return scatter(out), errors.Join(errs...)
-}
-
-// batchOrderLocked returns the shard indexes in routing-preference
-// order for one batch arriving at date at: the shared
-// power-of-two-choices ranking (TwoChoicesOrder) over the shards'
-// live signals — in-flight counts and the O(1) min-ProjectedReady
-// drain memo from the HTM baseline cache. Caller holds cl.mu.
-func (cl *Cluster) batchOrderLocked(at float64) []int {
-	idx := make([]int, len(cl.shards))
-	for i := range idx {
-		idx[i] = i
-	}
-	return TwoChoicesOrder(idx,
-		func(i int) int { return cl.counts[i] },
-		func(i int) int { return cl.shards[i].InFlight() },
-		func(i int) (float64, bool) { return cl.shards[i].MinProjectedReady() },
-		at, cl.rng)
-}
-
 // Complete feeds a completion message to the shard that placed the
 // job (falling back to the server's current shard for jobs the
-// dispatcher never saw).
+// dispatcher never saw) and returns the core's answer. A function call
+// cannot be lost, so the placement record is consumed before it, not on
+// acknowledgement as across a wire.
 func (cl *Cluster) Complete(jobID int, server string, at float64) agent.Completion {
 	cl.mu.Lock()
-	sh := 0
-	if rec, ok := cl.placed[jobID]; ok {
-		sh = rec.shard
+	sh, fromPlaced, _ := cl.ownerLocked(jobID, server)
+	if fromPlaced {
 		delete(cl.placed, jobID)
-	} else if h, okh := cl.home[server]; okh {
-		// Unrouted jobs — and routed ones whose record aged out of the
-		// retention window — resolve through the server's current
-		// shard: the degraded-but-correct path as long as the server
-		// has not migrated since placement.
-		sh = h
 	}
-	core := cl.shards[sh]
 	cl.mu.Unlock()
-	return core.Complete(jobID, server, at)
+	return cl.shards[sh].Complete(jobID, server, at)
 }
 
 // Report feeds a monitor report to the server's shard; reports for
 // unknown servers are dropped, as the core itself drops them.
 func (cl *Cluster) Report(server string, load, at float64) {
-	cl.mu.Lock()
-	sh, ok := cl.home[server]
-	cl.mu.Unlock()
-	if ok {
-		cl.shards[sh].Report(server, load, at)
-	}
+	_ = cl.Dispatcher.Report(server, load, at)
 }
 
 // placedShard resolves the shard that placed a job, when the
@@ -903,7 +413,7 @@ func (cl *Cluster) placedShard(jobID int) (int, bool) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	rec, ok := cl.placed[jobID]
-	return rec.shard, ok
+	return rec.member, ok
 }
 
 // TenantInFlight merges every shard's per-tenant in-flight counts —
@@ -919,45 +429,29 @@ func (cl *Cluster) TenantInFlight() map[string]int {
 	return out
 }
 
-// Prediction returns the placement-time HTM prediction of an
-// in-flight job. The dispatcher's placement record resolves the shard
-// directly; jobs it never routed (single-shard fast paths) fall back
-// to probing every shard.
-func (cl *Cluster) Prediction(jobID int) (float64, bool) {
+// probe answers a per-job question from the shard that placed the job
+// or, for jobs the dispatcher holds no record of (the single-shard
+// shortcut, completed jobs), from the first shard that knows it.
+func (cl *Cluster) probe(jobID int, ask func(*agent.Core, int) (float64, bool)) (float64, bool) {
 	if sh, ok := cl.placedShard(jobID); ok {
-		return cl.shards[sh].Prediction(jobID)
+		return ask(cl.shards[sh], jobID)
 	}
 	for _, core := range cl.shards {
-		if p, ok := core.Prediction(jobID); ok {
+		if p, ok := ask(core, jobID); ok {
 			return p, true
 		}
 	}
 	return 0, false
+}
+
+// Prediction returns the placement-time HTM prediction of an
+// in-flight job.
+func (cl *Cluster) Prediction(jobID int) (float64, bool) {
+	return cl.probe(jobID, (*agent.Core).Prediction)
 }
 
 // PredictedCompletion returns the owning trace's current projection of
-// a placed job's completion date. Completed jobs have left the
-// dispatcher's placement record, so the probe fallback also serves
-// them.
+// a placed job's completion date.
 func (cl *Cluster) PredictedCompletion(jobID int) (float64, bool) {
-	if sh, ok := cl.placedShard(jobID); ok {
-		return cl.shards[sh].PredictedCompletion(jobID)
-	}
-	for _, core := range cl.shards {
-		if p, ok := core.PredictedCompletion(jobID); ok {
-			return p, true
-		}
-	}
-	return 0, false
-}
-
-// FinalPredictions merges every shard's end-of-run projections.
-func (cl *Cluster) FinalPredictions() map[int]float64 {
-	out := make(map[int]float64)
-	for _, core := range cl.shards {
-		for id, p := range core.FinalPredictions() {
-			out[id] = p
-		}
-	}
-	return out
+	return cl.probe(jobID, (*agent.Core).PredictedCompletion)
 }

@@ -211,15 +211,15 @@ func TestGoldenPlacements(t *testing.T) {
 				if wantSec == sections[h] {
 					continue
 				}
-				wl, gl := strings.Split(wantSec, "\n"), strings.Split(sections[h], "\n")
-				for i := 0; i < len(wl) && i < len(gl); i++ {
-					if wl[i] != gl[i] {
-						t.Errorf("%s %s: line %d: recorded %q, got %q", path, h, i+1, wl[i], gl[i])
+				recorded, now := strings.Split(wantSec, "\n"), strings.Split(sections[h], "\n")
+				for i := 0; i < len(recorded) && i < len(now); i++ {
+					if recorded[i] != now[i] {
+						t.Errorf("%s %s: line %d: recorded %q, got %q", path, h, i+1, recorded[i], now[i])
 						break
 					}
 				}
-				if len(wl) != len(gl) {
-					t.Errorf("%s %s: recorded %d lines, got %d", path, h, len(wl), len(gl))
+				if len(recorded) != len(now) {
+					t.Errorf("%s %s: recorded %d lines, got %d", path, h, len(recorded), len(now))
 				}
 			}
 			t.Errorf("%s differs from the recorded run", path)

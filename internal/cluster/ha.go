@@ -1,4 +1,4 @@
-package fed
+package cluster
 
 // Dispatcher-side seams of the self-healing federation: graceful
 // member departure with partition reassignment, automatic
@@ -20,35 +20,51 @@ import (
 	"sort"
 	"sync"
 
-	"casched/internal/cluster"
 	"casched/internal/ha"
 )
 
-// partitionSource is the optional capability of members that can
+// PartitionSource is the optional capability of members that can
 // enumerate their current server partition — the promotion path's
 // bootstrap for home/counts state a standby never saw registrations
 // for. ok is false when the member predates the Partition RPC.
-type partitionSource interface {
+type PartitionSource interface {
 	Partition() ([]string, bool, error)
 }
 
-// fencer is the optional capability of members that accept a fencing
+// Fencer is the optional capability of members that accept a fencing
 // term: once fenced at term T, the member refuses commits stamped
 // with any lower term, so a deposed leader that has not yet noticed
 // its deposition cannot place work behind the new leader's back.
 // Best-effort by design — members that predate the Fence RPC simply
 // cannot be fenced (the happens-before of ledger replication still
 // covers the common retry path).
-type fencer interface {
+type Fencer interface {
 	Fence(term uint64) error
 }
 
 // reassignment is one server move computed under the dispatch lock
-// and executed (the member RPC) outside it.
+// and executed (the member calls) outside it. from is the member to
+// withdraw the server from, nil when the source is dead or departed.
 type reassignment struct {
 	server string
 	to     int
 	m      Member
+	from   Member
+}
+
+// moveLocked re-homes one server — the one mover of servers between
+// partitions, behind dead-member reassignment and Rebalance alike.
+// withdraw says the source is alive and must be told. Caller holds
+// d.mu and issues the returned move through applyMoves.
+func (d *Dispatcher) moveLocked(server string, from, to int, withdraw bool) reassignment {
+	d.home[server] = to
+	d.counts[from]--
+	d.counts[to]++
+	mv := reassignment{server: server, to: to, m: d.members[to].m}
+	if withdraw {
+		mv.from = d.members[from].m
+	}
+	return mv
 }
 
 // reassignLocked moves every server homed on member from to a
@@ -61,7 +77,7 @@ type reassignment struct {
 // Caller holds d.mu; the returned moves' AddServer RPCs must be
 // issued outside the lock.
 func (d *Dispatcher) reassignLocked(from int) []reassignment {
-	live := d.liveLocked()
+	live := d.liveLocked(nil)
 	var partition []string
 	for s, h := range d.home {
 		if h == from {
@@ -74,35 +90,91 @@ func (d *Dispatcher) reassignLocked(from int) []reassignment {
 	sort.Strings(partition)
 	moves := make([]reassignment, 0, len(partition))
 	for _, s := range partition {
-		sub := make([]int, len(live))
-		for k, li := range live {
-			sub[k] = d.counts[li]
-		}
-		to := live[cluster.ClampIndex(d.cfg.Policy.Assign(s, sub), len(live))]
-		d.home[s] = to
-		d.counts[from]--
-		d.counts[to]++
 		d.reassigned++
-		moves = append(moves, reassignment{server: s, to: to, m: d.members[to].m})
+		moves = append(moves, d.moveLocked(s, from, d.assignAmongLocked(s, live), false))
 	}
 	return moves
 }
 
-// applyMoves issues the AddServer RPCs of computed reassignments.
-// Failures are collected, not unwound: the assignment is already
-// recorded, and the server's own re-registration (which replays
-// AddServer idempotently to its recorded member) heals a move the
-// RPC lost. Caller must NOT hold d.mu.
+// Rebalance migrates servers from over-full to under-full members
+// until partition sizes differ by at most one. A migrated server starts
+// a fresh HTM trace and belief on its new member — exactly a server
+// re-registering — while its in-flight jobs keep resolving through the
+// member that placed them.
+func (d *Dispatcher) Rebalance() (moved int) {
+	d.mu.Lock()
+	moves := d.levelLocked()
+	d.mu.Unlock()
+	_ = d.applyMoves(moves) // failures are marked on the member and healed by re-registration
+	return len(moves)
+}
+
+// levelLocked computes Rebalance's moves, among the live members.
+// Caller holds d.mu.
+func (d *Dispatcher) levelLocked() (moves []reassignment) {
+	live := d.liveLocked(nil)
+	if len(live) == 0 {
+		return nil
+	}
+	repaired := false
+	for {
+		maxI, minI := live[0], live[0]
+		for _, i := range live {
+			if d.counts[i] > d.counts[maxI] {
+				maxI = i
+			}
+			if d.counts[i] < d.counts[minI] {
+				minI = i
+			}
+		}
+		if d.counts[maxI]-d.counts[minI] < 2 {
+			return moves
+		}
+		// Deterministic victim: the lexicographically last server of
+		// the over-full member.
+		victim, found := "", false
+		for name, i := range d.home {
+			if i == maxI && (!found || name > victim) {
+				victim, found = name, true
+			}
+		}
+		if !found {
+			// d.counts says member maxI is over-full but d.home maps no
+			// server to it: the routing state disagrees with itself.
+			// Rebuild counts from home (the authoritative map) once and
+			// retry; if the disagreement persists, stop rather than loop
+			// forever on a phantom victim.
+			if repaired {
+				return moves
+			}
+			repaired = true
+			clear(d.counts)
+			for _, i := range d.home {
+				if i >= 0 && i < len(d.counts) {
+					d.counts[i]++
+				}
+			}
+			continue
+		}
+		moves = append(moves, d.moveLocked(victim, maxI, minI, true))
+	}
+}
+
+// applyMoves issues the member calls of computed moves: the withdrawal
+// from a live source, then the AddServer. Failures are collected, not
+// unwound: the assignment is already recorded, and the server's own
+// re-registration (which replays AddServer idempotently to its recorded
+// member) heals a move the call lost. Caller must NOT hold d.mu.
 func (d *Dispatcher) applyMoves(moves []reassignment) error {
 	var errs []error
 	for _, mv := range moves {
-		if err := mv.m.AddServer(mv.server); err != nil {
-			errs = append(errs, fmt.Errorf("fed: reassign %s to member %s: %w", mv.server, mv.m.Name(), err))
-			d.mu.Lock()
-			if d.members[mv.to].m == mv.m {
-				d.markTransportLocked(mv.to, err)
+		if mv.from != nil {
+			if err := mv.from.RemoveServer(mv.server); err != nil {
+				errs = append(errs, d.memberErr(mv.from, err))
 			}
-			d.mu.Unlock()
+		}
+		if err := mv.m.AddServer(mv.server); err != nil {
+			errs = append(errs, fmt.Errorf("reassign %s: %w", mv.server, d.callFailed(mv.to, mv.m, err)))
 		}
 	}
 	return errors.Join(errs...)
@@ -116,26 +188,31 @@ func (d *Dispatcher) applyMoves(moves []reassignment) error {
 // an empty partition and accretes servers as they register.
 func (d *Dispatcher) Leave(name string) error {
 	d.mu.Lock()
-	idx := -1
-	for i, ms := range d.members {
-		if ms.m.Name() == name {
-			idx = i
-			break
-		}
-	}
+	idx := d.markLeftLocked(name)
 	if idx < 0 {
 		d.mu.Unlock()
-		return fmt.Errorf("fed: leave: unknown member %s", name)
+		return fmt.Errorf("%s: leave: unknown member %s", d.tag, name)
 	}
-	ms := d.members[idx]
-	if ms.unsub != nil {
-		ms.unsub()
-		ms.unsub = nil
-	}
-	ms.left = true
 	moves := d.reassignLocked(idx)
 	d.mu.Unlock()
 	return d.applyMoves(moves)
+}
+
+// markLeftLocked flags member name as departed, cancels its event
+// subscription and returns its index (-1 when unknown). Caller holds
+// d.mu.
+func (d *Dispatcher) markLeftLocked(name string) int {
+	for i, ms := range d.members {
+		if ms.m.Name() == name {
+			if ms.unsub != nil {
+				ms.unsub()
+				ms.unsub = nil
+			}
+			ms.left = true
+			return i
+		}
+	}
+	return -1
 }
 
 // MarkLeft records a graceful departure WITHOUT reassigning — the
@@ -147,17 +224,8 @@ func (d *Dispatcher) Leave(name string) error {
 // picked up by ReassignDead or by the servers' own re-registration.
 func (d *Dispatcher) MarkLeft(name string) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, ms := range d.members {
-		if ms.m.Name() == name {
-			if ms.unsub != nil {
-				ms.unsub()
-				ms.unsub = nil
-			}
-			ms.left = true
-			return
-		}
-	}
+	d.markLeftLocked(name)
+	d.mu.Unlock()
 }
 
 // ReassignDead re-partitions the servers of members whose eviction
@@ -215,40 +283,40 @@ func (d *Dispatcher) AdoptPartition(name string, servers []string) {
 	}
 }
 
-// AdoptPartitions queries every live partition-capable member for its
-// current server set (in parallel, outside the dispatch lock) and
-// adopts the answers. Members that fail the query are skipped — their
-// servers re-register through the failover book anyway, which rebuilds
-// the same state more slowly.
-func (d *Dispatcher) AdoptPartitions() {
-	type query struct {
-		name string
-		src  partitionSource
-	}
+// eachLive runs fn on every live member's handle, in parallel and
+// outside the dispatch lock (each call may be a member RPC), and waits.
+func (d *Dispatcher) eachLive(fn func(m Member)) {
 	d.mu.Lock()
-	var queries []query
+	var live []Member
 	for _, ms := range d.members {
-		if ms.evicted || ms.left {
-			continue
-		}
-		if src, ok := ms.m.(partitionSource); ok {
-			queries = append(queries, query{ms.m.Name(), src})
+		if !ms.evicted && !ms.left {
+			live = append(live, ms.m)
 		}
 	}
 	d.mu.Unlock()
 	var wg sync.WaitGroup
-	for _, q := range queries {
+	for _, m := range live {
 		wg.Add(1)
-		go func(q query) {
+		go func() {
 			defer wg.Done()
-			servers, ok, err := q.src.Partition()
-			if err != nil || !ok {
-				return
-			}
-			d.AdoptPartition(q.name, servers)
-		}(q)
+			fn(m)
+		}()
 	}
 	wg.Wait()
+}
+
+// AdoptPartitions queries every live partition-capable member for its
+// current server set and adopts the answers. Members that fail the
+// query are skipped — their servers re-register through the failover
+// book anyway, which rebuilds the same state more slowly.
+func (d *Dispatcher) AdoptPartitions() {
+	d.eachLive(func(m Member) {
+		if src, ok := m.(PartitionSource); ok {
+			if servers, ok, err := src.Partition(); err == nil && ok {
+				d.AdoptPartition(m.Name(), servers)
+			}
+		}
+	})
 }
 
 // AdoptPlacements installs a standby follower's replicated job
@@ -285,66 +353,30 @@ func (d *Dispatcher) AdoptPlacements(placed map[int]ha.Placement) {
 // last gossiped summaries are noted first, so replication lag is
 // measurable even between pulls.
 func (d *Dispatcher) FollowRelay(f *ha.Follower) {
-	type pull struct {
-		name  string
-		src   relaySource
-		since uint64
-	}
 	d.mu.Lock()
-	var pulls []pull
 	for _, ms := range d.members {
-		if ms.evicted || ms.left {
-			continue
+		if _, ok := ms.m.(RelaySource); ok && !ms.evicted && !ms.left && ms.summary.HasRelay {
+			f.NoteLedger(ms.m.Name(), ms.summary.RelaySeq)
 		}
-		src, ok := ms.m.(relaySource)
-		if !ok {
-			continue
-		}
-		name := ms.m.Name()
-		if ms.summary.HasRelay {
-			f.NoteLedger(name, ms.summary.RelaySeq)
-		}
-		pulls = append(pulls, pull{name, src, f.Cursor(name)})
 	}
 	d.mu.Unlock()
-	var wg sync.WaitGroup
-	for _, p := range pulls {
-		wg.Add(1)
-		go func(p pull) {
-			defer wg.Done()
-			delta, ok, err := p.src.RelaySince(p.since)
-			if err != nil || !ok {
-				return
+	d.eachLive(func(m Member) {
+		if src, ok := m.(RelaySource); ok {
+			if delta, ok, err := src.RelaySince(f.Cursor(m.Name())); err == nil && ok {
+				f.Observe(m.Name(), delta)
 			}
-			f.Observe(p.name, delta)
-		}(p)
-	}
-	wg.Wait()
+		}
+	})
 }
 
 // FenceMembers stamps every live fence-capable member with the new
-// leader's term (in parallel; best-effort): from the first fenced
-// commit on, the members refuse work from any older term, closing the
-// window where a deposed-but-unaware leader could still place.
+// leader's term (best-effort): from the first fenced commit on, the
+// members refuse work from any older term, closing the window where a
+// deposed-but-unaware leader could still place.
 func (d *Dispatcher) FenceMembers(term uint64) {
-	d.mu.Lock()
-	var fs []fencer
-	for _, ms := range d.members {
-		if ms.evicted || ms.left {
-			continue
-		}
-		if fc, ok := ms.m.(fencer); ok {
-			fs = append(fs, fc)
-		}
-	}
-	d.mu.Unlock()
-	var wg sync.WaitGroup
-	for _, fc := range fs {
-		wg.Add(1)
-		go func(fc fencer) {
-			defer wg.Done()
+	d.eachLive(func(m Member) {
+		if fc, ok := m.(Fencer); ok {
 			_ = fc.Fence(term)
-		}(fc)
-	}
-	wg.Wait()
+		}
+	})
 }

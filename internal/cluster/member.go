@@ -1,4 +1,4 @@
-package fed
+package cluster
 
 import (
 	"casched/internal/agent"
@@ -8,45 +8,10 @@ import (
 
 // Summary is the compact load summary a member periodically publishes
 // to the dispatcher — the whole of what federation gossips about a
-// partition. InFlight and Servers feed the cheap balance signal
-// (in-flight per server, the classic hierarchical-agent ranking);
-// MinReady is the HTM-backed drain signal: the earliest projected
-// instant at which one of the member's servers drains its live work
-// (min ProjectedReady over the partition, an absolute experiment date
-// comparable across members against a common arrival anchor).
-// HasMinReady is false for monitor-only heuristics, where routing
-// falls back to the in-flight signal.
-type Summary struct {
-	// InFlight is the member's count of placed-but-uncompleted jobs.
-	InFlight int
-	// Servers is the member's registered-server count.
-	Servers int
-	// MinReady is min over the partition of the per-server projected
-	// drain instant (valid only when HasMinReady).
-	MinReady    float64
-	HasMinReady bool
-	// TenantInFlight splits InFlight per tenant (raw tenant strings,
-	// "" for untenanted work) — the dispatcher's fair stale-mode
-	// routing signal: with multi-tenant traffic, power-of-two-choices
-	// ranks members on the submitting tenant's own backlog, so one
-	// tenant's burst cannot steer every tenant's routing. Nil when the
-	// member has no tenanted work or predates the field.
-	TenantInFlight map[string]int
-	// ServerReady maps each of the member's servers to its projected
-	// drain instant — the per-server breakdown of MinReady that relay-
-	// based routing prices candidate placements against. Published only
-	// by relay-enabled members; nil otherwise (including all members
-	// that predate the relay).
-	ServerReady map[string]float64
-	// RelaySeq is the member's relay-ledger sequence number at the
-	// instant this summary was captured: relayed events with Seq <=
-	// RelaySeq are already included in the counts above. Valid only
-	// when HasRelay; members that predate the relay (or run with it
-	// off) leave HasRelay false and the dispatcher falls back to
-	// summary-only stale routing.
-	RelaySeq uint64
-	HasRelay bool
-}
+// partition: the core's own consistent snapshot (agent.LoadSummary,
+// where the fields are documented), carried as is by the in-process
+// member and field for field over the wire.
+type Summary = agent.LoadSummary
 
 // Member is the dispatcher's handle on one federated agent: the
 // transport seam. The in-process implementation wraps an agent.Core
@@ -87,30 +52,30 @@ type Member interface {
 	Close() error
 }
 
-// eventSource is the optional capability of members whose event stream
+// EventSource is the optional capability of members whose event stream
 // the dispatcher can merge (the in-process transport; remote members
 // do not stream events over the wire).
-type eventSource interface {
+type EventSource interface {
 	Subscribe(fn func(agent.Event)) (cancel func())
 }
 
-// finalPredictor is the optional capability behind
+// FinalPredictor is the optional capability behind
 // Dispatcher.FinalPredictions (in-process members).
-type finalPredictor interface {
+type FinalPredictor interface {
 	FinalPredictions() map[int]float64
 }
 
-// relaySource is the optional capability of members that stream their
+// RelaySource is the optional capability of members that stream their
 // decision/completion events: RelaySince returns the events after the
 // given ledger sequence. ok is false when the member does not speak
 // relay (relay off, or an old member on the wire) — the dispatcher
 // then routes from gossiped summaries alone, exactly as before the
 // relay existed. err is a transport failure, counted like any other.
-type relaySource interface {
+type RelaySource interface {
 	RelaySince(after uint64) (relay.Delta, bool, error)
 }
 
-// commitStarter is the optional capability of members whose transport
+// CommitStarter is the optional capability of members whose transport
 // serves one handle's calls in the order they were issued. StartCommit
 // issues Member.Commit and returns once the commit is ordered before
 // any later call to this member — not once it is answered; wait
@@ -120,22 +85,47 @@ type relaySource interface {
 // capability — InProcess, whose commit is a function call; a wrapper
 // that embeds Member; a Remote negotiated down to gob, which implements
 // it by committing before it returns — has its Commit run inside the
-// start step instead, under the lock: see startCommit.
-type commitStarter interface {
+// start step instead, under the lock: see StartCommit.
+type CommitStarter interface {
 	StartCommit(req agent.Request, server string) (wait func() (agent.Decision, error))
 }
 
-// startCommit starts a commit on m through its commitStarter
+// StartCommit starts a commit on m through its CommitStarter
 // capability or, without one, runs the whole Commit now and hands its
-// stored result to wait: one dispatcher code path either way, only the
-// moment of blocking differs.
-func startCommit(m Member, req agent.Request, server string) (wait func() (agent.Decision, error)) {
-	if cs, ok := m.(commitStarter); ok {
+// stored result to wait — how a wrapper that adds the capability to any
+// member forwards it (the dispatcher itself skips the stored result:
+// commitLocked).
+func StartCommit(m Member, req agent.Request, server string) (wait func() (agent.Decision, error)) {
+	if cs, ok := m.(CommitStarter); ok {
 		return cs.StartCommit(req, server)
 	}
 	dec, err := m.Commit(req, server)
 	return func() (agent.Decision, error) { return dec, err }
 }
+
+// liveSignals is the optional capability of always-fresh members: the
+// member is a core in the dispatcher's address space, so it never
+// fails, commits by function call, and its load signals are read in
+// place instead of from a summary that ages. The dispatcher evaluates
+// such members inline, never refreshes, probes or evicts them, and a
+// dispatcher over nothing else reads no clock on the submission path.
+// The sharded Cluster's members have it; InProcess deliberately does
+// not — the federation study and the chaos scenarios make in-process
+// members stale on purpose, behind the summary seam.
+type liveSignals interface {
+	// InFlight is the member's placed-but-uncompleted job count.
+	InFlight() int
+	// MinProjectedReady is the earliest projected drain instant over
+	// the member's partition (ok false for monitor-only heuristics).
+	MinProjectedReady() (float64, bool)
+}
+
+// shard is the always-fresh member: an InProcess whose signals the
+// dispatcher reads live (liveSignals).
+type shard struct{ *InProcess }
+
+func (s shard) InFlight() int                      { return s.core.InFlight() }
+func (s shard) MinProjectedReady() (float64, bool) { return s.core.MinProjectedReady() }
 
 // InProcess is the in-process Member: a named agent.Core behind the
 // transport seam. It never fails and its summaries are exact, so a
@@ -197,22 +187,7 @@ func (m *InProcess) Report(server string, load, at float64) error {
 	return nil
 }
 
-func (m *InProcess) Summary() (Summary, error) {
-	ls := m.core.LoadSummary()
-	s := Summary{
-		InFlight:    ls.InFlight,
-		Servers:     ls.Servers,
-		MinReady:    ls.MinReady,
-		HasMinReady: ls.HasMinReady,
-		ServerReady: ls.ServerReady,
-		RelaySeq:    ls.RelaySeq,
-		HasRelay:    ls.HasRelay,
-	}
-	if len(ls.TenantInFlight) > 0 {
-		s.TenantInFlight = ls.TenantInFlight
-	}
-	return s, nil
-}
+func (m *InProcess) Summary() (Summary, error) { return m.core.LoadSummary(), nil }
 
 // RelaySince serves the dispatcher's relay pull straight from the
 // wrapped core's ledger. ok is false when the core runs with the relay
@@ -223,7 +198,7 @@ func (m *InProcess) RelaySince(after uint64) (relay.Delta, bool, error) {
 }
 
 // Partition enumerates the wrapped core's current server set — the
-// promotion bootstrap (partitionSource capability).
+// promotion bootstrap (PartitionSource capability).
 func (m *InProcess) Partition() ([]string, bool, error) {
 	return m.core.Servers(), true, nil
 }

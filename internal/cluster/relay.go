@@ -1,7 +1,7 @@
-package fed
+package cluster
 
 // Dispatcher-side half of the live event relay: pulling each
-// relay-capable member's decision/completion deltas (relaySource),
+// relay-capable member's decision/completion deltas (RelaySource),
 // folding them into the member's view, and pricing degraded-mode
 // routing on the resulting near-fresh per-server backlog picture. The
 // member-side half is the agent core's relay ledger; the wire is
@@ -32,23 +32,10 @@ func (d *Dispatcher) RelayStats() RelayStats {
 	return RelayStats{EventsFolded: d.relayFolded, Delegated: d.relayRouted}
 }
 
-// relayDue pulls relay deltas from members whose last pull is older
-// than RelayInterval. Caller must NOT hold d.mu. A no-op with the
-// relay off.
-func (d *Dispatcher) relayDue() {
-	if d.cfg.Relay {
-		d.relayPull(false)
-	}
-}
-
 // PullRelay forces a relay pull of every synced member regardless of
 // RelayInterval — the background relay tick of the TCP runtime, and
 // the freshness dial of the federation study.
-func (d *Dispatcher) PullRelay() {
-	if d.cfg.Relay {
-		d.relayPull(true)
-	}
-}
+func (d *Dispatcher) PullRelay() { d.relayPull(true) }
 
 // relayPull collects the members due a relay pull, performs the pulls
 // OUTSIDE the dispatch lock (like summary refresh: a slow member's
@@ -56,11 +43,14 @@ func (d *Dispatcher) PullRelay() {
 // members whose view is synced are pulled — an unsynced view cannot
 // fold a delta and waits for the next summary rebase instead; members
 // that answered "no relay" (relayCap < 0) are skipped until a summary
-// proves otherwise.
+// proves otherwise. A no-op with the relay off.
 func (d *Dispatcher) relayPull(force bool) {
+	if !d.cfg.Relay {
+		return
+	}
 	type pull struct {
 		i     int
-		src   relaySource
+		src   RelaySource
 		since uint64
 	}
 	d.mu.Lock()
@@ -70,7 +60,7 @@ func (d *Dispatcher) relayPull(force bool) {
 		if ms.evicted || ms.left || ms.relayFetching || ms.view == nil || !ms.view.Synced() || ms.relayCap < 0 {
 			continue
 		}
-		src, ok := ms.m.(relaySource)
+		src, ok := ms.m.(RelaySource)
 		if !ok {
 			ms.relayCap = -1
 			continue
@@ -102,12 +92,12 @@ func (d *Dispatcher) relayPull(force bool) {
 // been rejoined away from, and only transport failures count toward
 // eviction. A member that answers "relay unsupported" is remembered
 // as such until a later summary advertises relay again.
-func (d *Dispatcher) applyRelay(i int, src relaySource, delta relay.Delta, ok bool, err error) {
+func (d *Dispatcher) applyRelay(i int, src RelaySource, delta relay.Delta, ok bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	ms := d.members[i]
 	ms.relayFetching = false
-	cur, _ := ms.m.(relaySource)
+	cur, _ := ms.m.(RelaySource)
 	if cur != src {
 		return
 	}

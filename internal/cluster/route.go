@@ -8,13 +8,9 @@ import (
 	"casched/internal/stats"
 )
 
-// This file is the routing arithmetic shared by the sharded Cluster
-// and the federated dispatcher (internal/fed): the cross-partition
-// candidate comparison and the power-of-two-choices burst ordering.
-// The federation's fresh-summary decision parity depends on both
-// layers computing exactly the same thing, so the logic lives here
-// once and both import it — reading live core state on the cluster
-// side and gossip summaries on the federation side.
+// The Dispatcher's routing arithmetic: the cross-partition candidate
+// comparison and the power-of-two-choices burst ordering, pure
+// functions of the signals each member hands them.
 
 // backlogTieFraction is the relative margin within which two
 // partitions' projected backlogs count as equal for batch routing,
@@ -25,8 +21,8 @@ import (
 const backlogTieFraction = 0.5
 
 // ClampIndex maps an arbitrary ShardPolicy.Assign answer into
-// [0, n) — the defensive clamp both dispatch layers apply before
-// indexing their partition tables.
+// [0, n) — the defensive clamp applied before indexing the partition
+// tables.
 func ClampIndex(i, n int) int {
 	if i < 0 || i >= n {
 		i %= n

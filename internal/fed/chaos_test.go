@@ -205,11 +205,10 @@ func TestChaosThroughDispatcher(t *testing.T) {
 	servers := []string{"sv00", "sv01", "sv02", "sv03"}
 	for i, sv := range servers {
 		m := i % 2
-		if err := d.members[m].m.AddServer(sv); err != nil {
+		if err := d.Member(m).AddServer(sv); err != nil {
 			t.Fatal(err)
 		}
-		d.home[sv] = m
-		d.counts[m]++
+		d.AdoptPartition(d.Member(m).Name(), []string{sv})
 	}
 	spec := evenSpec(servers)
 
@@ -233,5 +232,79 @@ func TestChaosThroughDispatcher(t *testing.T) {
 	d.RefreshSummaries()
 	if mi := d.Members(); mi[1].Evicted {
 		t.Fatalf("m1 not readmitted after revive: %+v", mi[1])
+	}
+}
+
+// TestRemoveServerReleasesDispatchLock pins that the member call of
+// Dispatcher.RemoveServer runs outside the dispatch lock, like
+// AddServer's, Complete's and Report's: while one member sits on an
+// OpRemoveServer for a transport timeout (injected latency), a
+// submission must still be decided by the members that answer.
+func TestRemoveServerReleasesDispatchLock(t *testing.T) {
+	now := time.Unix(1000, 0)
+	cfg := Config{Heuristic: "HMCT", Seed: 7, StaleAfter: 10 * time.Second,
+		Now: func() time.Time { return now }}
+	inj := NewScriptInjector(0)
+	entered, release := make(chan struct{}), make(chan struct{})
+	inj.sleep = func(time.Duration) {
+		close(entered)
+		<-release
+	}
+	members := make([]Member, 2)
+	for i := range members {
+		s, err := sched.ByName(cfg.Heuristic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		core, err := agent.New(agent.Config{Scheduler: s, Seed: cfg.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		members[i] = Chaos(NewInProcess(fmt.Sprintf("m%d", i), core), inj)
+	}
+	d, err := NewWithMembers(cfg, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := []string{"sv00", "sv01", "sv02", "sv03"}
+	for i, sv := range servers {
+		if err := d.Member(i % 2).AddServer(sv); err != nil {
+			t.Fatal(err)
+		}
+		d.AdoptPartition(d.Member(i%2).Name(), []string{sv})
+	}
+	spec := evenSpec(servers)
+	if _, err := d.Submit(req(1, spec, 0)); err != nil {
+		t.Fatal(err)
+	}
+
+	// m1's next call sleeps until released: that call is the removal.
+	inj.SetLatency("m1", time.Millisecond)
+	removed := make(chan error, 1)
+	go func() { removed <- d.RemoveServer("sv01") }()
+	<-entered
+	inj.SetLatency("m1", 0)
+	defer func() {
+		close(release)
+		if err := <-removed; err != nil {
+			t.Errorf("RemoveServer: %v", err)
+		}
+		if _, ok := d.MemberOf("sv01"); ok {
+			t.Error("sv01 still assigned after its removal was answered")
+		}
+	}()
+
+	decided := make(chan error, 1)
+	go func() {
+		_, err := d.Submit(req(2, spec, 1))
+		decided <- err
+	}()
+	select {
+	case err := <-decided:
+		if err != nil {
+			t.Errorf("Submit during the blocked removal: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("Submit waited for another member's RemoveServer call: the dispatch lock is held across it")
 	}
 }

@@ -142,11 +142,10 @@ func newFlakyFed(t *testing.T, nMembers, nServers int, tweak func(*Config)) (*Di
 	}
 	for i, sv := range servers {
 		m := i % nMembers
-		if err := d.members[m].m.AddServer(sv); err != nil {
+		if err := d.Member(m).AddServer(sv); err != nil {
 			t.Fatal(err)
 		}
-		d.home[sv] = m
-		d.counts[m]++
+		d.AdoptPartition(d.Member(m).Name(), []string{sv})
 	}
 	return d, flakies, servers, &now
 }

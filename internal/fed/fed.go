@@ -4,11 +4,12 @@
 // transport — the paper's single central agent generalized to the
 // cooperating-agents extension its §7 sketches.
 //
-// The Dispatcher is the cluster dispatch layer with the shards behind
-// a transport seam instead of in process. Each member periodically
-// publishes a Summary (in-flight count, server count, min projected
-// drain instant from the HTM baseline memos); routing picks its mode
-// per decision from the summaries' freshness:
+// The Dispatcher is cluster.Dispatcher — the one dispatch core, which
+// the sharded cluster.Cluster drives over always-fresh in-process
+// shards — here with the members behind a summary seam or a wire. Each
+// member periodically publishes a Summary (in-flight count, server
+// count, min projected drain instant from the HTM baseline memos);
+// routing picks its mode per decision from the summaries' freshness:
 //
 //   - Fresh mode (every live member's summary younger than
 //     StaleAfter): Submit fans the request out — every member
@@ -45,7 +46,7 @@
 // every submission: intake, mode selection, the Evaluate fan-out, the
 // choice of the winner and the start of its commit. It does not cover
 // the wait for the commit's answer. A fresh-mode decision's ordering
-// point is the moment its Commit is issued (startCommit), not the
+// point is the moment its Commit is issued (StartCommit), not the
 // moment it is answered: the framed member connection is FIFO and the
 // member serves it sequentially (live.Agent.serveFramed), so once
 // decision A's Commit frame is written to member m, every call issued
@@ -60,152 +61,79 @@
 // the same order as when the lock was held throughout.
 //
 // The early release is a capability of the member transport, found by
-// type assertion like the event and relay surfaces (commitStarter in
-// member.go). A member without it has its whole Commit run at the
-// start step, under the lock: InProcess, wrappers that embed Member,
-// and a Remote negotiated down to gob, where net/rpc serves requests
-// concurrently and gives no order. The paths that delegate a whole
-// decision keep the lock across their member RPCs as before — degraded
-// routing, unscored rotation, SubmitBatch — and Complete, Report,
-// summary and relay fetches have always run outside it. After the
-// lock has been away, bookkeeping is applied to a member slot only
-// while it still holds the handle that was called (a rejoin may swap
-// it), and a fan-out whose commit was refused re-evaluates if another
-// submission ran meanwhile (submitFanoutLocked).
+// type assertion like the event and relay surfaces
+// (cluster.CommitStarter). A member without it has its whole Commit run
+// under the lock: InProcess, wrappers that embed Member, and a Remote
+// negotiated down to gob, where net/rpc serves requests concurrently
+// and gives no order. The paths that delegate a whole decision keep the
+// lock across their member RPCs — degraded routing, unscored rotation,
+// SubmitBatch — and Complete, Report, AddServer, RemoveServer, summary
+// and relay fetches run outside it. After the lock has been away,
+// bookkeeping is applied to a member slot only while it still holds the
+// handle that was called (a rejoin may swap it), and a fan-out whose
+// commit was refused re-evaluates if another submission ran meanwhile
+// (submitFanoutLocked).
+//
+// Who evaluates where is likewise read from the member. The fan-out
+// gives every member of this package its own goroutine for the
+// Evaluate — InProcess, Remote, Chaos and any wrapper: the call may
+// block on I/O or on an injected fault, and the round trips overlap.
+// Only the cluster's own shard members, which declare themselves always
+// fresh, are evaluated inline in the caller's goroutine, never
+// refreshed and never evicted; a dispatcher over nothing else reads no
+// clock and pulls no summary on the submission path.
 package fed
 
 import (
-	"errors"
 	"fmt"
-	"math"
-	"slices"
-	"sort"
-	"sync"
 	"time"
 
 	"casched/internal/agent"
 	"casched/internal/cluster"
-	"casched/internal/fair"
-	"casched/internal/relay"
 	"casched/internal/sched"
-	"casched/internal/stats"
-	"casched/internal/task"
 )
 
-// ErrNoMembers is returned when no live (non-evicted) member is
-// available to route to.
-var ErrNoMembers = errors.New("fed: no live member")
+// The dispatch core lives in internal/cluster (live imports cluster and
+// this package imports live, so it cannot sit here); the federation
+// names it has always gone by are kept as aliases.
+type (
+	// Dispatcher is the federated dispatch layer (cluster.Dispatcher).
+	Dispatcher = cluster.Dispatcher
+	// Config parameterizes a Dispatcher (cluster.DispatcherConfig).
+	Config = cluster.DispatcherConfig
+	// Member is the dispatcher's handle on one federated agent.
+	Member = cluster.Member
+	// Summary is the load summary a member publishes.
+	Summary = cluster.Summary
+	// MemberInfo is a diagnostic snapshot of one member's routing state.
+	MemberInfo = cluster.MemberInfo
+	// RelayStats aggregates the dispatcher's relay accounting.
+	RelayStats = cluster.RelayStats
+	// InProcess is the in-process Member behind the summary seam.
+	InProcess = cluster.InProcess
 
-// ErrUnreachable marks a member call that failed at the transport
-// level (dial failure, timeout, broken connection) as opposed to a
-// member that answered with a scheduling error. Member
-// implementations wrap transport failures with it; only unreachable
-// errors count toward a member's consecutive-failure eviction, so a
-// healthy member rejecting bad requests is never evicted for them.
-var ErrUnreachable = errors.New("fed: member unreachable")
+	commitStarter   = cluster.CommitStarter
+	eventSource     = cluster.EventSource
+	finalPredictor  = cluster.FinalPredictor
+	relaySource     = cluster.RelaySource
+	partitionSource = cluster.PartitionSource
+	fencer          = cluster.Fencer
+)
 
-// ErrUncertain marks the subset of unreachable errors where the
-// request may nonetheless have been delivered and executed — a
-// timeout after send, a connection that broke mid-call. A mutating
-// call that fails this way must NOT be retried on another member
-// (the placement could land twice); a dial failure, by contrast,
-// provably never delivered anything and is safe to reroute.
-// ErrUncertain wraps ErrUnreachable, so it also counts toward
-// eviction.
-var ErrUncertain = fmt.Errorf("fed: delivery uncertain: %w", ErrUnreachable)
+// The member error taxonomy (see cluster.ErrUnreachable).
+var (
+	ErrNoMembers   = cluster.ErrNoMembers
+	ErrUnreachable = cluster.ErrUnreachable
+	ErrUncertain   = cluster.ErrUncertain
+)
 
-// Config parameterizes a Dispatcher. Most callers use New with
-// options.
-type Config struct {
-	// Members is the number of in-process members New constructs
-	// (default 1). Ignored by NewWithMembers.
-	Members int
-	// Policy assigns servers to members (default cluster.Hash()) — the
-	// same ShardPolicy seam the cluster partitions with.
-	Policy cluster.ShardPolicy
-	// Heuristic is the registry name of the heuristic every member
-	// runs (required). The dispatcher needs it to know whether scored
-	// fan-out applies; members started out of process must be
-	// configured with the same heuristic.
-	Heuristic string
-	// Seed drives each member's decision randomness and the
-	// dispatcher's routing sample.
-	Seed uint64
-	// HTMWorkers, HTMSync and BatchAssignment configure in-process
-	// member cores (as the cluster options do per shard).
-	HTMWorkers      int
-	HTMSync         bool
-	BatchAssignment bool
-	// TenantShares and Admission configure in-process member cores'
-	// fair-share arbitration and deadline admission (agent.Config).
-	// Remote members carry their own configuration (casagent flags);
-	// the dispatcher only threads tenant and deadline over the wire.
-	TenantShares map[string]float64
-	Admission    bool
-	// IntakeRate, when positive, bounds the federation's raw intake
-	// with one dispatch-level token bucket (rate per experiment second,
-	// burst IntakeBurst, default max(rate, 1)) — one limiter per
-	// deployment, before any member is consulted. Refusals are shed
-	// with agent.ErrThrottled and an agent.EventShed on the merged
-	// stream.
-	IntakeRate  float64
-	IntakeBurst float64
-	// PlacedWindow, when positive, bounds the dispatcher's job→member
-	// placement records to a trailing window of experiment seconds (see
-	// cluster.Config.PlacedWindow — the same degraded completion
-	// fallback applies: swept jobs resolve through the server's owning
-	// member).
-	PlacedWindow float64
-	// Relay turns on the live event relay: in-process member cores run
-	// with relay ledgers (agent.Config.Relay), and the dispatcher polls
-	// each relay-capable member's decision/completion deltas, folding
-	// them — plus optimistic local accounting for its own delegations —
-	// onto the member's last gossiped summary (internal/relay.View).
-	// Degraded-mode routing then prices each request on near-fresh
-	// per-server projected-ready instants instead of frozen
-	// power-of-two-choices. Off (the default) the dispatcher routes
-	// exactly as before the relay existed, bit for bit. Members that do
-	// not speak relay (old binaries, relay off member-side) are
-	// detected and fall back to summary-only routing individually.
-	Relay bool
-	// RelayInterval is the minimum age before a submission pulls relay
-	// deltas inline. 0 (the default) pulls on every submission — the
-	// exact near-fresh mode the federation study measures. The TCP
-	// runtime sets it to its relay tick and pulls in the background.
-	RelayInterval time.Duration
-	// RelayMaxConsecutive bounds consecutive delegations to one member
-	// between relay/gossip view advances (default 8): a member whose
-	// view stopped moving is demoted to last in the routing order, so
-	// a wedged relay stream cannot re-create the herding the relay
-	// exists to prevent.
-	RelayMaxConsecutive int
-	// StaleAfter is the summary age beyond which a member no longer
-	// counts as fresh (default 2s). Any member gone stale degrades
-	// Submit routing from exact fan-out to power-of-two-choices.
-	StaleAfter time.Duration
-	// SummaryInterval is the minimum age before a submission refreshes
-	// a member's summary inline. 0 (the default) refreshes on every
-	// submission — exact summaries, the in-process mode. Runtimes with
-	// remote members set it to their gossip period and refresh in the
-	// background.
-	SummaryInterval time.Duration
-	// MaxFailures is the consecutive-failure count that evicts a
-	// member (default 3).
-	MaxFailures int
-	// ProbeInterval is the readmission probe period for evicted
-	// members (default StaleAfter).
-	ProbeInterval time.Duration
-	// ReassignAfter, when positive, re-partitions a dead member's
-	// servers among the survivors once its eviction has lasted this
-	// long (ReassignDead, called from the gossip tick). 0 (the
-	// default) keeps the pre-HA behavior: an evicted member's
-	// partition waits for its return. Graceful departures (Leave)
-	// always reassign immediately, regardless of this setting.
-	ReassignAfter time.Duration
-	// Now is the time source for summary freshness (default time.Now;
-	// tests and the staleness study inject fakes).
-	Now func() time.Time
+// NewInProcess wraps a core as a federation member.
+func NewInProcess(name string, core *agent.Core) *InProcess {
+	return cluster.NewInProcess(name, core)
 }
+
+// startCommit is cluster.StartCommit, for member wrappers.
+var startCommit = cluster.StartCommit
 
 // Option configures a Dispatcher.
 type Option func(*Config)
@@ -290,148 +218,6 @@ func WithReassignAfter(d time.Duration) Option {
 	return func(c *Config) { c.ReassignAfter = d }
 }
 
-func (cfg *Config) defaults() {
-	if cfg.Members == 0 {
-		cfg.Members = 1
-	}
-	if cfg.Policy == nil {
-		cfg.Policy = cluster.Hash()
-	}
-	if cfg.StaleAfter == 0 {
-		cfg.StaleAfter = 2 * time.Second
-	}
-	if cfg.MaxFailures == 0 {
-		cfg.MaxFailures = 3
-	}
-	if cfg.RelayMaxConsecutive == 0 {
-		cfg.RelayMaxConsecutive = 8
-	}
-	if cfg.ProbeInterval == 0 {
-		cfg.ProbeInterval = cfg.StaleAfter
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-}
-
-// placedRec is one dispatcher placement record: the member that
-// committed a job, the server it landed on and when, for
-// window-bounded retention. The server makes the record replayable:
-// a standby dispatcher that mirrored it can answer a client's retried
-// request with the original decision instead of placing the job a
-// second time.
-type placedRec struct {
-	member int
-	server string
-	at     float64
-}
-
-// memberState is the dispatcher's bookkeeping for one member.
-type memberState struct {
-	m         Member
-	summary   Summary
-	fetched   time.Time // last successful summary refresh; zero = never
-	fails     int       // consecutive transport failures
-	evicted   bool
-	evictedAt time.Time // when eviction happened (reassignment clock)
-	left      bool      // departed gracefully; never probed or routed
-	probed    time.Time // last readmission probe of an evicted member
-	fetching  bool      // a summary fetch is in flight (outside the lock)
-	unsub     func()    // event-stream cancel, for members that stream
-
-	// Relay state (Config.Relay; all zero/nil otherwise). view is the
-	// near-fresh fold of the last summary plus relayed events plus
-	// optimistic delegations; relayCap caches whether the member speaks
-	// relay (0 unknown, 1 yes, -1 no); delegSeq counts delegations to
-	// the member — the marker ordering optimistic entries against
-	// summary fetches; consec counts delegations since the view last
-	// advanced (the herding bound).
-	view          *relay.View
-	relayCap      int8
-	relayFetched  time.Time
-	relayFetching bool
-	delegSeq      uint64
-	consec        int
-}
-
-// MemberInfo is a diagnostic snapshot of one member's routing state.
-type MemberInfo struct {
-	Name string
-	// Left reports a graceful departure (Fed.Leave): the member is out
-	// of the pool and its partition has been reassigned; unlike an
-	// eviction, no readmission probe runs (the member said goodbye).
-	Left bool
-	// Servers is the dispatcher's partition count for the member;
-	// ReportedServers is what the member's last summary claimed. A
-	// disagreement means the member lost (or never replayed) part of
-	// its partition — the restart-drift signal an operator watches.
-	Servers         int
-	ReportedServers int
-	InFlight        int
-	Evicted         bool
-	Fresh           bool
-	SummaryAge      time.Duration
-	// Relay diagnostics (meaningful only with Config.Relay on):
-	// RelayCapable reports the member speaks relay; RelaySynced that
-	// its view is currently routable; RelaySeq the member-ledger
-	// sequence folded up to; RelayAge the time since the last
-	// successful relay pull (MaxInt64 = never); RelayPending the
-	// optimistic delegations not yet confirmed by relayed events.
-	RelayCapable bool
-	RelaySynced  bool
-	RelaySeq     uint64
-	RelayAge     time.Duration
-	RelayPending int
-}
-
-// Dispatcher is the federated dispatch layer. Construct with New
-// (in-process members) or NewWithMembers (custom transports); drive
-// like a cluster: AddServer, Submit/SubmitBatch, Complete/Report.
-type Dispatcher struct {
-	cfg    Config
-	scored bool
-
-	// mu is the dispatch lock: membership, routing state, summaries
-	// and submissions up to their ordering point (package doc,
-	// "Ordering").
-	mu      sync.Mutex
-	members []*memberState
-	home    map[string]int    // server name -> member index
-	counts  []int             // servers per member
-	placed  map[int]placedRec // jobID -> placement record, evicted on completion
-	rr      int               // rotation cursor for unscored heuristics
-	rng     *stats.RNG        // power-of-two-choices sampling
-	// epoch counts the submissions that took the dispatch lock. A
-	// fan-out that released the lock to await its commit reads it on both
-	// sides: unchanged means no other submission ran in between, so the
-	// candidates it still holds were evaluated against the current
-	// placements (submitFanoutLocked).
-	epoch uint64
-	// bucket is the dispatch-level intake limiter (nil = unlimited);
-	// placedWindow/placedSwept bound the placed map (see
-	// Config.PlacedWindow).
-	bucket       *fair.TokenBucket
-	placedWindow float64
-	placedSwept  float64
-	// resume marks a dispatcher promoted from standby state: Submit
-	// then answers requests whose job already has a replicated
-	// placement record with the recorded decision instead of placing
-	// again — the replay-dedup half of client failover. reassigned
-	// counts servers moved off dead or departed members.
-	resume     bool
-	reassigned uint64
-	// relayFolded counts relay events folded into member views;
-	// relayRouted counts degraded-mode delegations priced by relay
-	// views (vs summary-only p2c).
-	relayFolded uint64
-	relayRouted uint64
-
-	// emu guards the merged event stream of event-streaming members.
-	emu     sync.Mutex
-	subs    map[int]func(agent.Event)
-	nextSub int
-}
-
 // New constructs a Dispatcher over Config.Members fresh in-process
 // member cores, each running its own instance of the configured
 // heuristic over its server partition — the federated twin of
@@ -441,7 +227,7 @@ func New(opts ...Option) (*Dispatcher, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	cfg.defaults()
+	cfg.Defaults()
 	if cfg.Members < 1 {
 		return nil, fmt.Errorf("fed: needs at least 1 member, got %d", cfg.Members)
 	}
@@ -474,1171 +260,5 @@ func New(opts ...Option) (*Dispatcher, error) {
 // name must match what the members run; members may also join later
 // through AddMember.
 func NewWithMembers(cfg Config, members []Member) (*Dispatcher, error) {
-	cfg.defaults()
-	if cfg.Heuristic == "" {
-		return nil, errors.New("fed: config needs a heuristic")
-	}
-	proto, err := sched.ByName(cfg.Heuristic)
-	if err != nil {
-		return nil, fmt.Errorf("fed: %w", err)
-	}
-	_, scored := proto.(sched.ScoredScheduler)
-	d := &Dispatcher{
-		cfg:          cfg,
-		scored:       scored,
-		home:         make(map[string]int),
-		placed:       make(map[int]placedRec),
-		subs:         make(map[int]func(agent.Event)),
-		rng:          stats.NewRNG(cfg.Seed ^ 0x9e3779b97f4a7c15),
-		placedWindow: cfg.PlacedWindow,
-	}
-	if cfg.IntakeRate > 0 {
-		d.bucket = fair.NewTokenBucket(cfg.IntakeRate, cfg.IntakeBurst)
-	}
-	for _, m := range members {
-		d.addMemberLocked(m)
-	}
-	return d, nil
-}
-
-// AddMember registers a member handle with the dispatcher (a remote
-// agent joining the federation). Idempotent by name: rejoining under
-// an existing name replaces the handle, clears the old failure state
-// and replays the member's server partition into the new handle —
-// a restarted casagent comes back with an empty core, but the
-// dispatcher still owns the partition map, so re-registration
-// restores the servers it is responsible for. A non-nil error means
-// part of the partition could not be replayed; the join should be
-// retried (the replay is idempotent).
-func (d *Dispatcher) AddMember(m Member) error {
-	d.mu.Lock()
-	idx := -1
-	var partition []string
-	for i, ms := range d.members {
-		if ms.m.Name() != m.Name() {
-			continue
-		}
-		idx = i
-		if ms.unsub != nil {
-			ms.unsub()
-			ms.unsub = nil
-		}
-		ms.m = m
-		ms.fails = 0
-		ms.evicted = false
-		ms.left = false
-		ms.fetched = time.Time{}
-		if d.cfg.Relay {
-			// The rejoined process has a fresh ledger: drop the old fold
-			// and re-probe capability; the next summary rebases the view.
-			ms.view = relay.NewView()
-			ms.relayCap = 0
-			ms.relayFetched = time.Time{}
-			ms.consec = 0
-		}
-		if es, ok := m.(eventSource); ok {
-			ms.unsub = es.Subscribe(d.forward)
-		}
-		for name, home := range d.home {
-			if home == i {
-				partition = append(partition, name)
-			}
-		}
-		break
-	}
-	if idx < 0 {
-		d.addMemberLocked(m)
-		d.mu.Unlock()
-		return nil
-	}
-	d.mu.Unlock()
-
-	// Replay the whole partition OUTSIDE the dispatch lock (each call
-	// is a member RPC that may run to its timeout; routing for the
-	// other members must not stall behind it) — every failure is
-	// collected and surfaced rather than silently leaving the member
-	// with a partial server set, and the replay stops early if the
-	// member earns eviction mid-way. AddServer is idempotent by name
-	// on the member side, so an in-process handle swap (where the
-	// core kept its servers) is unharmed.
-	var errs []error
-	for _, name := range partition {
-		if err := m.AddServer(name); err != nil {
-			errs = append(errs, fmt.Errorf("fed: replay %s to member %s: %w", name, m.Name(), err))
-			d.mu.Lock()
-			evicted := false
-			if d.members[idx].m == m {
-				d.markTransportLocked(idx, err)
-				evicted = d.members[idx].evicted
-			}
-			d.mu.Unlock()
-			if evicted {
-				break
-			}
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// addMemberLocked appends a new member slot. Caller holds d.mu (or is
-// the constructor).
-func (d *Dispatcher) addMemberLocked(m Member) {
-	ms := &memberState{m: m}
-	if d.cfg.Relay {
-		ms.view = relay.NewView()
-	}
-	if es, ok := m.(eventSource); ok {
-		ms.unsub = es.Subscribe(d.forward)
-	}
-	d.members = append(d.members, ms)
-	d.counts = append(d.counts, 0)
-}
-
-// forward relays one member event into the merged stream.
-func (d *Dispatcher) forward(ev agent.Event) {
-	d.emu.Lock()
-	defer d.emu.Unlock()
-	for _, fn := range d.subs {
-		fn(ev)
-	}
-}
-
-// Subscribe registers an observer on the merged event stream of every
-// event-streaming member (the in-process transport; remote members do
-// not stream events over the wire) and returns its cancel function.
-func (d *Dispatcher) Subscribe(fn func(agent.Event)) (cancel func()) {
-	d.emu.Lock()
-	defer d.emu.Unlock()
-	id := d.nextSub
-	d.nextSub++
-	d.subs[id] = fn
-	return func() {
-		d.emu.Lock()
-		defer d.emu.Unlock()
-		delete(d.subs, id)
-	}
-}
-
-// NumMembers returns the number of registered members (including
-// evicted ones).
-func (d *Dispatcher) NumMembers() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.members)
-}
-
-// Member exposes one member handle for inspection.
-func (d *Dispatcher) Member(i int) Member {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.members[i].m
-}
-
-// Members returns a diagnostic snapshot of every member's routing
-// state.
-func (d *Dispatcher) Members() []MemberInfo {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	now := d.cfg.Now()
-	out := make([]MemberInfo, len(d.members))
-	for i, ms := range d.members {
-		age := time.Duration(math.MaxInt64)
-		if !ms.fetched.IsZero() {
-			age = now.Sub(ms.fetched)
-		}
-		info := MemberInfo{
-			Name:            ms.m.Name(),
-			Left:            ms.left,
-			Servers:         d.counts[i],
-			ReportedServers: ms.summary.Servers,
-			InFlight:        ms.summary.InFlight,
-			Evicted:         ms.evicted,
-			Fresh:           d.freshLocked(ms, now),
-			SummaryAge:      age,
-		}
-		if ms.view != nil {
-			info.RelayCapable = ms.relayCap > 0
-			info.RelaySynced = ms.view.Synced()
-			info.RelaySeq = ms.view.Seq()
-			info.RelayPending = ms.view.Pending()
-			info.RelayAge = time.Duration(math.MaxInt64)
-			if !ms.relayFetched.IsZero() {
-				info.RelayAge = now.Sub(ms.relayFetched)
-			}
-		}
-		out[i] = info
-	}
-	return out
-}
-
-// Close cancels member event subscriptions and closes the member
-// handles.
-func (d *Dispatcher) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var errs []error
-	for _, ms := range d.members {
-		if ms.unsub != nil {
-			ms.unsub()
-			ms.unsub = nil
-		}
-		if err := ms.m.Close(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// AddServer registers a server, routed to a member by the policy —
-// the same partitioning seam the cluster uses. A server the policy
-// would hand to an evicted member is rerouted among the live members
-// (the policy applied to the live subset), so registration keeps
-// working while part of the federation is partitioned.
-//
-// Idempotent by name, and the idempotent path replays: re-registering
-// an already-assigned server re-issues AddServer to its recorded
-// member, which heals a member that missed the first add (an
-// uncertain timeout, a restart). Assignments never move on
-// re-registration — the disjoint-partition invariant holds even
-// through delivery uncertainty, because an uncertain first add
-// records the assignment before surfacing its error.
-func (d *Dispatcher) AddServer(name string) error {
-	d.mu.Lock()
-	if i, ok := d.home[name]; ok {
-		m := d.members[i].m
-		d.mu.Unlock()
-		if err := m.AddServer(name); err != nil {
-			d.mu.Lock()
-			d.markTransportLocked(i, err)
-			d.mu.Unlock()
-			return fmt.Errorf("fed: member %s: %w", m.Name(), err)
-		}
-		return nil
-	}
-	if len(d.members) == 0 {
-		d.mu.Unlock()
-		return ErrNoMembers
-	}
-	i := cluster.ClampIndex(d.cfg.Policy.Assign(name, d.counts), len(d.members))
-	if d.members[i].evicted || d.members[i].left {
-		live := d.liveLocked()
-		if len(live) == 0 {
-			d.mu.Unlock()
-			return ErrNoMembers
-		}
-		sub := make([]int, len(live))
-		for k, li := range live {
-			sub[k] = d.counts[li]
-		}
-		i = live[cluster.ClampIndex(d.cfg.Policy.Assign(name, sub), len(live))]
-	}
-	// Record the assignment before the member RPC resolves its
-	// outcome class: an uncertain failure (the add may have been
-	// delivered) must pin the server to this member so a registration
-	// retry replays to the same partition instead of creating an
-	// overlapping one elsewhere. A certain failure (refused dial:
-	// provably not delivered) unwinds the record so the retry can
-	// reroute freely.
-	d.home[name] = i
-	d.counts[i]++
-	m := d.members[i].m
-	d.mu.Unlock()
-	err := m.AddServer(name)
-	if err == nil {
-		return nil
-	}
-	d.mu.Lock()
-	d.markTransportLocked(i, err)
-	if !errors.Is(err, ErrUncertain) {
-		if cur, ok := d.home[name]; ok && cur == i {
-			delete(d.home, name)
-			d.counts[i]--
-		}
-	}
-	d.mu.Unlock()
-	return fmt.Errorf("fed: member %s: %w", m.Name(), err)
-}
-
-// RemoveServer withdraws a server from its member's partition.
-func (d *Dispatcher) RemoveServer(name string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	i, ok := d.home[name]
-	if !ok {
-		return nil
-	}
-	if err := d.members[i].m.RemoveServer(name); err != nil {
-		d.markTransportLocked(i, err)
-		return fmt.Errorf("fed: member %s: %w", d.members[i].m.Name(), err)
-	}
-	delete(d.home, name)
-	d.counts[i]--
-	return nil
-}
-
-// Servers returns every registered server in sorted order.
-func (d *Dispatcher) Servers() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.home))
-	for name := range d.home {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// MemberOf returns the member index a server is assigned to.
-func (d *Dispatcher) MemberOf(server string) (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	i, ok := d.home[server]
-	return i, ok
-}
-
-// InFlight returns the dispatcher's count of jobs it placed that have
-// not yet reported completion — its own accounting, maintained even
-// when a member dies between evaluation and the completion message.
-func (d *Dispatcher) InFlight() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.placed)
-}
-
-// markFailureLocked records one transport failure; MaxFailures
-// consecutive failures evict the member. Caller holds d.mu.
-func (d *Dispatcher) markFailureLocked(i int) {
-	ms := d.members[i]
-	ms.fails++
-	if ms.fails >= d.cfg.MaxFailures && !ms.evicted {
-		ms.evicted = true
-		ms.evictedAt = d.cfg.Now()
-		ms.probed = ms.evictedAt
-	}
-}
-
-// markTransportLocked counts err toward eviction only when it is a
-// transport failure (ErrUnreachable): a member that answered — even
-// with a scheduling error — is alive. Caller holds d.mu.
-func (d *Dispatcher) markTransportLocked(i int, err error) {
-	if errors.Is(err, ErrUnreachable) {
-		d.markFailureLocked(i)
-	}
-}
-
-// markSuccessLocked resets the consecutive-failure count; a
-// successful probe of an evicted member readmits it. Caller holds
-// d.mu.
-func (d *Dispatcher) markSuccessLocked(i int) {
-	ms := d.members[i]
-	ms.fails = 0
-	ms.evicted = false
-}
-
-// freshLocked reports whether a member's summary is young enough for
-// exact fan-out routing. Caller holds d.mu.
-func (d *Dispatcher) freshLocked(ms *memberState, now time.Time) bool {
-	return !ms.evicted && !ms.left && !ms.fetched.IsZero() && now.Sub(ms.fetched) <= d.cfg.StaleAfter
-}
-
-// refreshDue refreshes, in parallel, every member whose summary is
-// older than SummaryInterval, and probes evicted members whose
-// ProbeInterval elapsed. Caller must NOT hold d.mu.
-func (d *Dispatcher) refreshDue() {
-	d.refresh(false)
-}
-
-// RefreshSummaries forces a summary fetch of every live member,
-// regardless of SummaryInterval — the background gossip tick of the
-// TCP runtime, and the staleness dial of the federation study.
-// Evicted members are still only probed on the ProbeInterval
-// schedule, so a dead member is not re-dialed on every tick.
-func (d *Dispatcher) RefreshSummaries() {
-	d.refresh(true)
-}
-
-// refresh collects the members due a summary fetch, performs the
-// fetches OUTSIDE the dispatch lock (a slow or partitioned member
-// must not stall routing for everyone else — its RPC can block for
-// the full transport timeout), and re-locks to apply the results.
-// A per-member in-flight flag keeps concurrent submissions from
-// piling onto the same slow member: whoever loses the race simply
-// routes on the summary it has, which is exactly the degraded-mode
-// contract.
-//
-// Readmission probes of evicted members run on their own
-// ProbeInterval schedule. On the inline (non-forced) path they are
-// fire-and-forget — a submission must not wait a transport timeout
-// on a member already known dead; the probe's result lands before a
-// later submission. The forced path (the gossip tick, explicit
-// RefreshSummaries) waits for them, since it runs off the dispatch
-// path and deterministic drivers rely on it.
-func (d *Dispatcher) refresh(force bool) {
-	d.mu.Lock()
-	now := d.cfg.Now()
-	var due, probes []int
-	var dueH, probeH []Member
-	var dueMark, probeMark []uint64
-	for i, ms := range d.members {
-		if ms.fetching || ms.left {
-			continue
-		}
-		if ms.evicted {
-			if now.Sub(ms.probed) < d.cfg.ProbeInterval {
-				continue
-			}
-			ms.probed = now
-			ms.fetching = true
-			probes = append(probes, i)
-			probeH = append(probeH, ms.m)
-			probeMark = append(probeMark, ms.delegSeq)
-			continue
-		}
-		if !force && !ms.fetched.IsZero() && now.Sub(ms.fetched) < d.cfg.SummaryInterval {
-			continue
-		}
-		ms.fetching = true
-		due = append(due, i)
-		dueH = append(dueH, ms.m)
-		// The delegation marker is captured before the fetch starts:
-		// a summary can only include delegations made before this
-		// instant, so the relay view's rebase keeps optimistic entries
-		// with later markers (see relay.View.Rebase).
-		dueMark = append(dueMark, ms.delegSeq)
-	}
-	d.mu.Unlock()
-
-	var wg sync.WaitGroup
-	fetchOne := func(i int, m Member, marker uint64) {
-		defer wg.Done()
-		s, err := m.Summary()
-		d.applyFetch(i, m, s, err, marker)
-	}
-	for k, i := range probes {
-		if force {
-			wg.Add(1)
-			go fetchOne(i, probeH[k], probeMark[k])
-			continue
-		}
-		// Fire-and-forget: the caller routes now, the probe's result
-		// lands for a later decision.
-		go func(i int, m Member, marker uint64) {
-			s, err := m.Summary()
-			d.applyFetch(i, m, s, err, marker)
-		}(i, probeH[k], probeMark[k])
-	}
-	for k, i := range due {
-		wg.Add(1)
-		go fetchOne(i, dueH[k], dueMark[k])
-	}
-	wg.Wait()
-}
-
-// applyFetch records one summary-fetch outcome. The handle identity
-// check discards results that describe a process the member slot has
-// since been rejoined away from. Like every other member call, only
-// transport failures count toward eviction — a member that answers
-// its Summary with an application error is alive (it just never goes
-// fresh, so routing treats it as permanently stale).
-func (d *Dispatcher) applyFetch(i int, m Member, s Summary, err error, marker uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ms := d.members[i]
-	ms.fetching = false
-	if ms.m != m {
-		return
-	}
-	if err != nil {
-		d.markTransportLocked(i, err)
-		return
-	}
-	ms.summary = s
-	ms.fetched = d.cfg.Now()
-	d.markSuccessLocked(i)
-	if ms.view != nil {
-		if s.HasRelay {
-			ms.relayCap = 1
-			ms.view.Rebase(relay.Base{
-				InFlight: s.InFlight,
-				Tenant:   s.TenantInFlight,
-				Ready:    s.ServerReady,
-				Seq:      s.RelaySeq,
-			}, marker)
-			ms.consec = 0
-		} else {
-			// The member answered without relay fields: an old binary or
-			// relay off member-side. Route it from summaries alone.
-			ms.relayCap = -1
-			ms.view.Unsync()
-		}
-	}
-}
-
-// liveLocked returns the indexes of non-evicted, non-departed
-// members. Caller holds d.mu.
-func (d *Dispatcher) liveLocked() []int {
-	out := make([]int, 0, len(d.members))
-	for i, ms := range d.members {
-		if !ms.evicted && !ms.left {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// allFreshLocked reports whether every listed member is fresh. Caller
-// holds d.mu.
-func (d *Dispatcher) allFreshLocked(live []int) bool {
-	now := d.cfg.Now()
-	for _, i := range live {
-		if !d.freshLocked(d.members[i], now) {
-			return false
-		}
-	}
-	return true
-}
-
-// shed synthesizes a dispatch-level shed event into the merged
-// stream — for refusals no single member owns (the dispatcher's own
-// intake bucket, fan-out deadline refusals where members only
-// evaluate and must not emit).
-func (d *Dispatcher) shed(req agent.Request, reason string) {
-	d.forward(agent.Event{
-		Kind:     agent.EventShed,
-		Time:     req.Arrival,
-		JobID:    req.JobID,
-		TaskID:   req.TaskID,
-		Attempt:  req.Attempt,
-		Tenant:   req.Tenant,
-		Deadline: req.Deadline,
-		Reason:   reason,
-	})
-}
-
-// notePlacedLocked records which member committed a job and the
-// server it landed on, sweeping expired records when a retention
-// window is set. Caller holds d.mu.
-func (d *Dispatcher) notePlacedLocked(jobID, member int, server string, at float64) {
-	d.placed[jobID] = placedRec{member: member, server: server, at: at}
-	d.sweepPlacedLocked(at)
-}
-
-// sweepPlacedLocked evicts placement records older than the retention
-// window (amortized: the full scan runs at most twice per window).
-// Caller holds d.mu.
-func (d *Dispatcher) sweepPlacedLocked(now float64) {
-	if d.placedWindow <= 0 || now-d.placedSwept < d.placedWindow/2 {
-		return
-	}
-	d.placedSwept = now
-	cutoff := now - d.placedWindow
-	for id, rec := range d.placed {
-		if rec.at < cutoff {
-			delete(d.placed, id)
-		}
-	}
-}
-
-// Submit routes one task. Fresh summaries select exact fan-out
-// (every live member evaluates, commit on the winner — the
-// centralized cluster's decision); a stale or partitioned member
-// degrades routing to power-of-two-choices over the last-known
-// summaries, delegating the whole decision to the chosen member.
-// Heuristics without a comparable objective rotate over eligible
-// members, as the cluster does.
-//
-// With an intake limit configured, requests the dispatch-level bucket
-// refuses are shed with agent.ErrThrottled before any member RPC. A
-// request no member can finish by its deadline (admission on,
-// fan-out mode) is shed with agent.ErrDeadlineUnmet.
-func (d *Dispatcher) Submit(req agent.Request) (agent.Decision, error) {
-	d.refreshDue()
-	d.relayDue()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.epoch++
-	// Replay dedup, checked before the intake gate: on a dispatcher
-	// promoted from standby state, a request whose job already carries
-	// a replicated placement record is a client retry of a decision the
-	// old leader answered — return the recorded decision rather than
-	// burning an intake token and placing the job twice.
-	if d.resume {
-		if rec, ok := d.placed[req.JobID]; ok && rec.server != "" {
-			return agent.Decision{JobID: req.JobID, Server: rec.server}, nil
-		}
-	}
-	if d.bucket != nil && !d.bucket.Take(req.Arrival) {
-		d.shed(req, agent.ShedThrottled)
-		return agent.Decision{}, fmt.Errorf("fed: job %d: %w", req.JobID, agent.ErrThrottled)
-	}
-	live := d.liveLocked()
-	if len(live) == 0 {
-		return agent.Decision{}, ErrNoMembers
-	}
-	if !d.scored {
-		return d.submitRotateLocked(req, live)
-	}
-	if d.allFreshLocked(live) {
-		return d.submitFanoutLocked(req, live)
-	}
-	return d.submitDegradedLocked(req, live)
-}
-
-// submitRotateLocked delegates one whole decision to a rotating
-// eligible member — the unscored-heuristic path, mirroring the
-// cluster's rotation. Caller holds d.mu.
-func (d *Dispatcher) submitRotateLocked(req agent.Request, live []int) (agent.Decision, error) {
-	var eligible []int
-	var errs []error
-	for _, i := range live {
-		if d.counts[i] == 0 {
-			continue
-		}
-		ok, err := d.members[i].m.CanSolve(req.Spec)
-		if err != nil {
-			d.markTransportLocked(i, err)
-			errs = append(errs, fmt.Errorf("fed: member %s: %w", d.members[i].m.Name(), err))
-			continue
-		}
-		if ok {
-			eligible = append(eligible, i)
-		}
-	}
-	if len(eligible) == 0 {
-		if len(errs) > 0 {
-			return agent.Decision{}, errors.Join(errs...)
-		}
-		return agent.Decision{}, agent.ErrUnschedulable
-	}
-	i := eligible[d.rr%len(eligible)]
-	d.rr++
-	dec, err := d.members[i].m.Submit(req)
-	if err != nil {
-		d.markTransportLocked(i, err)
-		return agent.Decision{}, fmt.Errorf("fed: member %s: %w", d.members[i].m.Name(), err)
-	}
-	d.markSuccessLocked(i)
-	d.notePlacedLocked(req.JobID, i, dec.Server, req.Arrival)
-	return dec, nil
-}
-
-// submitFanoutLocked is the fresh-mode exact path: parallel Evaluate
-// on every live member, commit on the best-scored candidate. Caller
-// holds d.mu, and holds it again on return; in between the lock is
-// released exactly while the winner's commit is awaited. The commit is
-// started under the lock (startCommit: the member will serve it before
-// anything issued to it later), so the next submission's fan-out may
-// overlap this one's commit round trip and still evaluate against the
-// committed state — the package doc's "Ordering" section has the
-// argument.
-//
-// A commit that fails (the member died between Evaluate and Commit)
-// marks the failure and drops that candidate; the decision never
-// half-commits and the dispatcher's in-flight accounting records only
-// real commits. An uncertain failure is surfaced. After a rejection or
-// a failed dial nothing committed, and the decision goes to the
-// next-best candidate of the same fan-out — unless another submission
-// took the dispatch lock while it was released (d.epoch moved): that
-// one may have placed a job the remaining candidates were not
-// evaluated against, so the fan-out is run again over the members that
-// have not refused this request (at most once per member). The member
-// handle is read before the lock is released and compared after, as
-// Report does: a rejoin may have swapped it, and the new process must
-// not inherit the old one's success or failure.
-//
-// The error contract mirrors the cluster: as long as one member
-// produces a winner the decision commits; member errors surface only
-// when every member fails.
-func (d *Dispatcher) submitFanoutLocked(req agent.Request, live []int) (agent.Decision, error) {
-	var errs []error
-	deadlineBlocked := false
-	var refused []int // members whose commit of this request failed
-	for len(live) > 0 {
-		results, remaining, blocked, evalErrs := d.evaluateAllLocked(req, live)
-		errs = append(errs, evalErrs...)
-		deadlineBlocked = deadlineBlocked || blocked
-		exact := true
-		for exact && len(remaining) > 0 {
-			// Winner among the remaining candidates: primary objective,
-			// then tie objective; remaining ties keep the earlier member
-			// (stable), exactly the cluster's cross-shard comparison.
-			best := 0
-			for p := 1; p < len(remaining); p++ {
-				if cluster.BetterCandidate(results[remaining[p]].cand, results[remaining[best]].cand) {
-					best = p
-				}
-			}
-			k := remaining[best]
-			i := live[k]
-			m := d.members[i].m
-			wait := startCommit(m, req, results[k].cand.Server)
-			epoch := d.epoch
-			d.mu.Unlock()
-			dec, err := wait()
-			d.mu.Lock()
-			current := d.members[i].m == m
-			if err == nil {
-				if current {
-					d.markSuccessLocked(i)
-				}
-				d.notePlacedLocked(req.JobID, i, dec.Server, req.Arrival)
-				return dec, nil
-			}
-			errs = append(errs, fmt.Errorf("fed: commit on member %s: %w", m.Name(), err))
-			if current {
-				d.markTransportLocked(i, err)
-			}
-			if errors.Is(err, ErrUncertain) {
-				// The member may have committed before the transport gave
-				// up. Committing the job elsewhere could place it twice,
-				// so surface the error instead — if the commit did land,
-				// the completion still reaches the member through the
-				// server-home fallback in Complete, keeping its core
-				// consistent.
-				return agent.Decision{}, errors.Join(errs...)
-			}
-			// Either the member answered with a rejection (membership
-			// changed between Evaluate and Commit) or the dial itself
-			// failed — in both cases nothing committed, so falling back to
-			// the next-best candidate is safe.
-			remaining = append(remaining[:best], remaining[best+1:]...)
-			refused = append(refused, i)
-			exact = d.epoch == epoch
-		}
-		if exact {
-			break
-		}
-		live = live[:0]
-		for _, i := range d.liveLocked() {
-			if !slices.Contains(refused, i) {
-				live = append(live, i)
-			}
-		}
-	}
-	if len(errs) > 0 {
-		return agent.Decision{}, errors.Join(errs...)
-	}
-	if deadlineBlocked {
-		d.shed(req, agent.ShedDeadline)
-		return agent.Decision{}, fmt.Errorf("fed: job %d: %w", req.JobID, agent.ErrDeadlineUnmet)
-	}
-	return agent.Decision{}, agent.ErrUnschedulable
-}
-
-// evaluated is one member's answer to a fan-out Evaluate.
-type evaluated struct {
-	cand agent.Candidate
-	err  error
-}
-
-// evaluateAllLocked is the fan-out half of submitFanoutLocked: Evaluate
-// on every listed member in parallel. results is indexed like live;
-// remaining lists the positions that produced a candidate. A member
-// that cannot solve the task or cannot meet its deadline is simply left
-// out (deadlineBlocked reports the latter: members do not emit on
-// Evaluate, so if every member is blocked the dispatcher synthesizes
-// the shed); any other failure is returned in errs and counted toward
-// the member's eviction. Caller holds d.mu.
-func (d *Dispatcher) evaluateAllLocked(req agent.Request, live []int) (results []evaluated, remaining []int, deadlineBlocked bool, errs []error) {
-	res := make([]evaluated, len(live)) // never reassigned: the goroutines capture it by value
-	var wg sync.WaitGroup
-	for k, i := range live {
-		wg.Add(1)
-		go func(k, i int) {
-			defer wg.Done()
-			c, err := d.members[i].m.Evaluate(req)
-			res[k] = evaluated{c, err}
-		}(k, i)
-	}
-	wg.Wait()
-	remaining = make([]int, 0, len(live))
-	for k, r := range res {
-		switch {
-		case r.err == nil:
-			remaining = append(remaining, k)
-		case errors.Is(r.err, agent.ErrDeadlineUnmet):
-			// A per-member exclusion, like ErrUnschedulable: another
-			// member's partition may still meet the deadline.
-			deadlineBlocked = true
-		case !errors.Is(r.err, agent.ErrUnschedulable):
-			errs = append(errs, fmt.Errorf("fed: member %s: %w", d.members[live[k]].m.Name(), r.err))
-			d.markTransportLocked(live[k], r.err)
-		}
-	}
-	return res, remaining, deadlineBlocked, errs
-}
-
-// submitDegradedLocked is the stale-mode path: members ordered by
-// power-of-two-choices over the last-known summaries — or, with the
-// relay on and views synced, by the estimated completion of this
-// request on each member's best server (relayOrderLocked) — and the
-// decision delegated whole to the first eligible member that accepts
-// it. Caller holds d.mu.
-func (d *Dispatcher) submitDegradedLocked(req agent.Request, live []int) (agent.Decision, error) {
-	order, viaRelay := d.relayOrderLocked(req, live)
-	if !viaRelay {
-		order = d.orderLocked(req.Arrival, live, req.Tenant)
-	}
-	var errs []error
-	deadlineBlocked := false
-	for _, i := range order {
-		if d.counts[i] == 0 {
-			continue
-		}
-		ok, err := d.members[i].m.CanSolve(req.Spec)
-		if err != nil {
-			d.markTransportLocked(i, err)
-			errs = append(errs, fmt.Errorf("fed: member %s: %w", d.members[i].m.Name(), err))
-			continue
-		}
-		if !ok {
-			continue
-		}
-		dec, err := d.members[i].m.Submit(req)
-		if err != nil {
-			if errors.Is(err, agent.ErrUnschedulable) {
-				continue // membership changed member-side; try the next
-			}
-			if errors.Is(err, agent.ErrDeadlineUnmet) {
-				// The member's own admission refused (and emitted its
-				// shed); another member's partition may still make the
-				// deadline, so keep walking the order.
-				deadlineBlocked = true
-				continue
-			}
-			errs = append(errs, fmt.Errorf("fed: member %s: %w", d.members[i].m.Name(), err))
-			d.markTransportLocked(i, err)
-			if errors.Is(err, ErrUncertain) {
-				// Submit is evaluate+commit in one call, so an
-				// uncertain transport failure may have committed
-				// member-side. Trying the next member could place the
-				// job twice; surface the error instead (completions
-				// for a landed commit still route by server home, and
-				// the member is evicted after MaxFailures such errors
-				// anyway).
-				return agent.Decision{}, errors.Join(errs...)
-			}
-			continue // rejection or failed dial: nothing committed
-		}
-		d.markSuccessLocked(i)
-		d.notePlacedLocked(req.JobID, i, dec.Server, req.Arrival)
-		d.noteDelegatedLocked(i, req, dec, viaRelay)
-		return dec, nil
-	}
-	if len(errs) > 0 {
-		return agent.Decision{}, errors.Join(errs...)
-	}
-	if deadlineBlocked {
-		return agent.Decision{}, fmt.Errorf("fed: job %d: %w", req.JobID, agent.ErrDeadlineUnmet)
-	}
-	return agent.Decision{}, agent.ErrUnschedulable
-}
-
-// SubmitBatch routes a burst hierarchically by power-of-two-choices
-// over the summary-backed member scores — structurally the cluster's
-// batch router, with summaries standing in for the in-process HTM
-// reads (fresh summaries make the routing identical; stale ones make
-// it approximate). The routed member pipelines its sub-batch through
-// its shard-local batch prediction cache.
-// With an intake limit configured, the dispatch-level bucket gates
-// the whole batch first (including the single-member shortcut);
-// refused requests are shed with agent.ErrThrottled and never cross a
-// member RPC. With multi-tenant traffic, routing ranks members per
-// tenant on the submitting tenant's own summarized backlog
-// (Summary.TenantInFlight), so one tenant's burst does not steer
-// another tenant's placements.
-func (d *Dispatcher) SubmitBatch(reqs []agent.Request) ([]agent.Decision, error) {
-	d.refreshDue()
-	d.relayDue()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.epoch++
-	var errs []error
-	total := len(reqs)
-	live, keep := reqs, []int(nil)
-	if d.bucket != nil {
-		live = make([]agent.Request, 0, len(reqs))
-		keep = make([]int, 0, len(reqs))
-		for i, req := range reqs {
-			if !d.bucket.Take(req.Arrival) {
-				d.shed(req, agent.ShedThrottled)
-				errs = append(errs, fmt.Errorf("fed: batch job %d: %w", req.JobID, agent.ErrThrottled))
-				continue
-			}
-			live = append(live, req)
-			keep = append(keep, i)
-		}
-	}
-	reqs = live
-	// scatter maps results for the admitted sub-slice back to the
-	// caller's positions when the gate dropped anything.
-	scatter := func(decs []agent.Decision) []agent.Decision {
-		if keep == nil {
-			return decs
-		}
-		out := make([]agent.Decision, total)
-		for k, pos := range keep {
-			out[pos] = decs[k]
-		}
-		return out
-	}
-	liveMembers := d.liveLocked()
-	if len(liveMembers) == 0 {
-		return scatter(make([]agent.Decision, len(reqs))), errors.Join(append(errs, ErrNoMembers)...)
-	}
-	if len(d.members) == 1 {
-		// Mirror the cluster's single-shard shortcut: no routing, no
-		// sampling.
-		i := liveMembers[0]
-		out, err := d.members[i].m.SubmitBatch(reqs)
-		if err != nil {
-			d.markTransportLocked(i, err)
-			errs = append(errs, err)
-		}
-		if len(out) != len(reqs) {
-			out = make([]agent.Decision, len(reqs))
-		}
-		for k, dec := range out {
-			if dec.Server != "" {
-				d.notePlacedLocked(reqs[k].JobID, i, dec.Server, reqs[k].Arrival)
-			}
-		}
-		return scatter(out), errors.Join(errs...)
-	}
-	at := 0.0
-	if len(reqs) > 0 {
-		at = reqs[0].Arrival
-	}
-	// One routing order per tenant in the batch, memoized: each
-	// tenant's requests walk members ranked on that tenant's own
-	// backlog. Single-tenant batches reduce to the historical single
-	// order (one memo entry, total-in-flight signal).
-	orders := make(map[string][]int)
-	orderFor := func(tenant string) []int {
-		if o, ok := orders[tenant]; ok {
-			return o
-		}
-		o := d.orderLocked(at, liveMembers, tenant)
-		orders[tenant] = o
-		return o
-	}
-
-	assign := make([]int, len(reqs))
-	subBatches := make(map[int][]int) // member -> request positions
-	// Bursts overwhelmingly share task specs, so memoize the
-	// eligibility probe per (member, spec) within the call — for
-	// remote members each probe is an RPC under the dispatch lock.
-	type solveKey struct {
-		member int
-		spec   *task.Spec
-	}
-	solvable := make(map[solveKey]bool)
-	canSolve := func(i int, spec *task.Spec) bool {
-		key := solveKey{i, spec}
-		if ok, seen := solvable[key]; seen {
-			return ok
-		}
-		ok, err := d.members[i].m.CanSolve(spec)
-		if err != nil {
-			d.markTransportLocked(i, err)
-			errs = append(errs, fmt.Errorf("fed: member %s: %w", d.members[i].m.Name(), err))
-			ok = false
-		}
-		solvable[key] = ok
-		return ok
-	}
-	for k, req := range reqs {
-		assign[k] = -1
-		for _, i := range orderFor(req.Tenant) {
-			if d.counts[i] == 0 {
-				continue
-			}
-			if canSolve(i, req.Spec) {
-				assign[k] = i
-				subBatches[i] = append(subBatches[i], k)
-				break
-			}
-		}
-		if assign[k] < 0 {
-			errs = append(errs, fmt.Errorf("fed: batch job %d: %w", req.JobID, agent.ErrUnschedulable))
-		}
-	}
-
-	out := make([]agent.Decision, len(reqs))
-	memberErrs := make(map[int]error, len(subBatches))
-	var wg sync.WaitGroup
-	var emu sync.Mutex
-	for i, positions := range subBatches {
-		wg.Add(1)
-		go func(i int, positions []int) {
-			defer wg.Done()
-			sub := make([]agent.Request, len(positions))
-			for k, pos := range positions {
-				sub[k] = reqs[pos]
-			}
-			decs, err := d.members[i].m.SubmitBatch(sub)
-			for k, pos := range positions {
-				if k < len(decs) {
-					out[pos] = decs[k]
-				}
-			}
-			if err != nil {
-				emu.Lock()
-				memberErrs[i] = err
-				emu.Unlock()
-			}
-		}(i, positions)
-	}
-	wg.Wait()
-	for i, err := range memberErrs {
-		errs = append(errs, fmt.Errorf("fed: member %s: %w", d.members[i].m.Name(), err))
-		// Only transport failures count toward eviction; per-request
-		// scheduling errors inside a delivered batch (even a batch
-		// that failed wholesale, e.g. reused job ids) prove the member
-		// answered.
-		d.markTransportLocked(i, err)
-	}
-	for k, dec := range out {
-		if dec.Server != "" {
-			d.notePlacedLocked(reqs[k].JobID, assign[k], dec.Server, reqs[k].Arrival)
-		}
-	}
-	return scatter(out), errors.Join(errs...)
-}
-
-// orderLocked returns member indexes in routing-preference order for
-// one decision at date at: the shared power-of-two-choices ranking
-// (cluster.TwoChoicesOrder — the exact logic the Cluster routes
-// with, which is what keeps fresh-summary routing in decision
-// parity) computed from the members' last-known summaries instead of
-// live core reads.
-//
-// The in-flight signal is per tenant when summaries carry a tenant
-// split: a member busy with another tenant's work still ranks as idle
-// for this tenant, so weighted arbitration member-side is not undone
-// by routing every tenant onto the globally-least-loaded member.
-// Untenanted traffic against untenanted summaries degenerates to the
-// historical total-in-flight ranking (the per-tenant count of "" IS
-// the total), which is what keeps single-tenant routing bit-for-bit.
-// Caller holds d.mu.
-func (d *Dispatcher) orderLocked(at float64, live []int, tenant string) []int {
-	return cluster.TwoChoicesOrder(live,
-		func(i int) int { return d.counts[i] },
-		func(i int) int {
-			ms := d.members[i]
-			if ms.view != nil && ms.view.Synced() {
-				// Relay on and folded: the near-fresh in-flight (with
-				// optimistic delegations) replaces the frozen summary.
-				return ms.view.TenantInFlight(tenant)
-			}
-			s := ms.summary
-			if s.TenantInFlight != nil {
-				return s.TenantInFlight[tenant]
-			}
-			return s.InFlight
-		},
-		func(i int) (float64, bool) {
-			ms := d.members[i]
-			if ms.view != nil && ms.view.Synced() {
-				if r, ok := ms.view.MinReady(); ok {
-					return r, true
-				}
-			}
-			s := ms.summary
-			return s.MinReady, s.HasMinReady
-		},
-		at, d.rng)
-}
-
-// Complete feeds a completion message to the member that placed the
-// job (falling back to the server's owning member). The dispatcher's
-// in-flight record is consumed only once the member acknowledged: a
-// completion the member never saw leaves the job in its core, so
-// dropping the record early would let the two accountings diverge —
-// keeping it means a redelivered completion still routes to the
-// right member.
-func (d *Dispatcher) Complete(jobID int, server string, at float64) error {
-	d.mu.Lock()
-	rec, fromPlaced := d.placed[jobID]
-	i := rec.member
-	if !fromPlaced {
-		// Unrouted jobs — and routed ones whose record aged out of the
-		// retention window — resolve through the server's owning
-		// member.
-		h, okh := d.home[server]
-		if !okh {
-			d.mu.Unlock()
-			return nil
-		}
-		i = h
-	}
-	m := d.members[i].m
-	d.mu.Unlock()
-	if err := m.Complete(jobID, server, at); err != nil {
-		d.mu.Lock()
-		// The RPC ran unlocked and a rejoin may have swapped the slot's
-		// handle meanwhile (AddMember): the failure belongs to the process
-		// that was called, not to the one that replaced it.
-		if d.members[i].m == m {
-			d.markTransportLocked(i, err)
-		}
-		d.mu.Unlock()
-		return fmt.Errorf("fed: member %s: %w", m.Name(), err)
-	}
-	if fromPlaced {
-		// The member acknowledged: the record is consumed, whichever
-		// handle the slot holds by now.
-		d.mu.Lock()
-		if cur, ok := d.placed[jobID]; ok && cur.member == i {
-			delete(d.placed, jobID)
-		}
-		d.mu.Unlock()
-	}
-	return nil
-}
-
-// Report feeds a monitor report to the server's owning member.
-func (d *Dispatcher) Report(server string, load, at float64) error {
-	d.mu.Lock()
-	i, ok := d.home[server]
-	var m Member
-	if ok {
-		// Copy the handle under the lock: a concurrent rejoin may swap
-		// the member slot's handle (AddMember), and the RPC below runs
-		// unlocked.
-		m = d.members[i].m
-	}
-	d.mu.Unlock()
-	if m == nil {
-		return nil
-	}
-	if err := m.Report(server, load, at); err != nil {
-		d.mu.Lock()
-		if d.members[i].m == m {
-			d.markTransportLocked(i, err)
-		}
-		d.mu.Unlock()
-		return fmt.Errorf("fed: member %s: %w", m.Name(), err)
-	}
-	return nil
-}
-
-// FinalPredictions merges the end-of-run projections of members that
-// expose them (in-process members).
-func (d *Dispatcher) FinalPredictions() map[int]float64 {
-	d.mu.Lock()
-	members := make([]Member, len(d.members))
-	for i, ms := range d.members {
-		members[i] = ms.m
-	}
-	d.mu.Unlock()
-	out := make(map[int]float64)
-	for _, m := range members {
-		if fp, ok := m.(finalPredictor); ok {
-			for id, p := range fp.FinalPredictions() {
-				out[id] = p
-			}
-		}
-	}
-	return out
+	return cluster.NewDispatcher(cfg, members)
 }

@@ -189,7 +189,7 @@ func TestRemoteRejectsNonRegistrySpec(t *testing.T) {
 // study and runtime rely on.
 func TestConfigDefaults(t *testing.T) {
 	var cfg Config
-	cfg.defaults()
+	cfg.Defaults()
 	if cfg.Members != 1 || cfg.Policy == nil || cfg.StaleAfter != 2*time.Second ||
 		cfg.MaxFailures != 3 || cfg.ProbeInterval != cfg.StaleAfter || cfg.Now == nil {
 		t.Errorf("unexpected defaults: %+v", cfg)

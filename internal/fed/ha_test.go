@@ -175,11 +175,10 @@ func TestFedHAFollowerMirrorsLedger(t *testing.T) {
 	servers := []string{"sv00", "sv01", "sv02", "sv03"}
 	for i, sv := range servers {
 		m := i % 2
-		if err := d.members[m].m.AddServer(sv); err != nil {
+		if err := d.Member(m).AddServer(sv); err != nil {
 			t.Fatal(err)
 		}
-		d.home[sv] = m
-		d.counts[m]++
+		d.AdoptPartition(d.Member(m).Name(), []string{sv})
 	}
 	spec := evenSpec(servers)
 	placed := map[int]string{}
@@ -200,8 +199,8 @@ func TestFedHAFollowerMirrorsLedger(t *testing.T) {
 		if p.Server != placed[job] {
 			t.Errorf("mirror job %d on %s, want %s", job, p.Server, placed[job])
 		}
-		if i, _ := d.MemberOf(p.Server); d.members[i].m.Name() != p.Member {
-			t.Errorf("mirror job %d attributed to %s, server owned by %s", job, p.Member, d.members[i].m.Name())
+		if i, _ := d.MemberOf(p.Server); d.Member(i).Name() != p.Member {
+			t.Errorf("mirror job %d attributed to %s, server owned by %s", job, p.Member, d.Member(i).Name())
 		}
 	}
 	for lag, v := range f.Lags() {

@@ -452,11 +452,10 @@ func newHeldFed(t *testing.T, maxFailures int, wrap func(Member) Member) (*Dispa
 		t.Fatal(err)
 	}
 	for sv, m := range map[string]int{"sv0": 0, "sv1": 1, "sv3": 1} {
-		if err := d.members[m].m.AddServer(sv); err != nil {
+		if err := d.Member(m).AddServer(sv); err != nil {
 			t.Fatal(err)
 		}
-		d.home[sv] = m
-		d.counts[m]++
+		d.AdoptPartition(d.Member(m).Name(), []string{sv})
 	}
 	return d, held
 }
@@ -618,11 +617,9 @@ func TestHandleSwappedWhileCommitAwaited(t *testing.T) {
 	if mi := d.Members()[0]; mi.Evicted {
 		t.Error("the rejoined member was evicted for the old process's failure")
 	}
-	d.mu.Lock()
-	fails, handle := d.members[0].fails, d.members[0].m
-	d.mu.Unlock()
-	if fails != 0 || handle != Member(fresh) {
-		t.Errorf("slot 0: fails=%d, fresh handle=%v; want 0 and true", fails, handle == Member(fresh))
+	// MaxFailures is 1: not evicted (above) is no failure counted.
+	if handle := d.Member(0); handle != Member(fresh) {
+		t.Error("slot 0 does not hold the fresh handle")
 	}
 	if e1 := held[1].evaluations(); e1 != 1 {
 		t.Errorf("m1 evaluated %d times, want 1 (fallback within the fan-out)", e1)
@@ -654,11 +651,9 @@ func TestHandleSwappedWhileCompleteInFlight(t *testing.T) {
 	if err := <-done; !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("Complete: %v, want the old handle's transport error", err)
 	}
-	d.mu.Lock()
-	fails, evicted := d.members[0].fails, d.members[0].evicted
-	d.mu.Unlock()
-	if fails != 0 || evicted {
-		t.Errorf("rejoined member inherited the failure: fails=%d evicted=%v", fails, evicted)
+	// MaxFailures is 1: one inherited failure would have evicted it.
+	if d.Members()[0].Evicted {
+		t.Error("rejoined member inherited the failure")
 	}
 	// The completion was not acknowledged, so the record stays and a
 	// redelivery reaches the slot's current handle.

@@ -476,12 +476,7 @@ func (r *Remote) Summary() (Summary, error) {
 	} else if err := r.call("Member.Summary", live.Ack{}, &reply); err != nil {
 		return Summary{}, err
 	}
-	return Summary{InFlight: reply.InFlight, Servers: reply.Servers,
-		MinReady: reply.MinReady, HasMinReady: reply.HasMinReady,
-		TenantInFlight: reply.TenantInFlight,
-		ServerReady:    reply.ServerReady,
-		RelaySeq:       reply.RelaySeq,
-		HasRelay:       reply.HasRelay}, nil
+	return Summary(reply), nil // the wire struct is the summary, field for field
 }
 
 // RelaySince pulls the member's relay events after the given ledger

@@ -225,16 +225,7 @@ func (s *MemberService) Summary(_ Ack, reply *MemberSummaryReply) error {
 	if err != nil {
 		return err
 	}
-	ls := core.LoadSummary()
-	reply.InFlight = ls.InFlight
-	reply.Servers = ls.Servers
-	reply.MinReady, reply.HasMinReady = ls.MinReady, ls.HasMinReady
-	if len(ls.TenantInFlight) > 0 {
-		reply.TenantInFlight = ls.TenantInFlight
-	}
-	reply.ServerReady = ls.ServerReady
-	reply.RelaySeq = ls.RelaySeq
-	reply.HasRelay = ls.HasRelay
+	*reply = MemberSummaryReply(core.LoadSummary()) // same fields, in the same order
 	return nil
 }
 
