@@ -1171,16 +1171,14 @@ func BenchmarkFedSubmitBatchRelay(b *testing.B) {
 	b.ReportMetric(float64(agentBenchTasks)*float64(b.N)/b.Elapsed().Seconds(), "decisions/s")
 }
 
-// --- Federation wire benchmarks: real TCP members, gob vs framed ---
+// --- Federation wire benchmarks: real TCP members on the framed wire ---
 
 // newWireFederation starts a real TCP dispatcher plus four member
 // agents joined over loopback, registers the n-server synthetic pool
-// through the dispatcher, and returns the dispatcher handle. forceGob
-// pins every member handle to the legacy gob wire; otherwise the
-// handles negotiate the framed wire. Summaries stay fresh (generous
-// StaleAfter, background refresh) so every submission takes the exact
-// fan-out path.
-func newWireFederation(b *testing.B, names []string, forceGob bool) *casched.Federation {
+// through the dispatcher, and returns the dispatcher handle. Summaries
+// stay fresh (generous StaleAfter, background refresh) so every
+// submission takes the exact fan-out path.
+func newWireFederation(b *testing.B, names []string) *casched.Federation {
 	b.Helper()
 	clock := casched.NewLiveClock(1000)
 	fs, err := casched.StartFedServer(casched.FedServerConfig{
@@ -1190,7 +1188,6 @@ func newWireFederation(b *testing.B, names []string, forceGob bool) *casched.Fed
 		Timeout:         10 * time.Second,
 		StaleAfter:      time.Hour,
 		SummaryInterval: 50 * time.Millisecond,
-		ForceGob:        forceGob,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -1224,13 +1221,12 @@ func newWireFederation(b *testing.B, names []string, forceGob bool) *casched.Fed
 // path over a real TCP wire: per submission the dispatcher fans an
 // Evaluate out to all four members and commits on the winner, so every
 // decision pays five member round trips plus encode/decode on both
-// sides. wire=gob is the legacy net/rpc encoding; wire=framed is the
-// length-prefixed binary wire over its pipelined connection. The
-// decisions/s ratio between the two at a given testbed size is the
-// framing speedup, and it widens with the server count because gob
-// re-describes types while the framed encoding's cost stays flat per
-// field. Placements are transport-independent (see
-// TestFramedMatchesGobPlacements). Each timed iteration plays the
+// sides of the length-prefixed binary wire and its pipelined
+// connection. The rows keep the wire=framed prefix they had while a
+// wire=gob row stood next to each (the net/rpc member wire, removed;
+// its last figures are in CHANGES.md), so history lines up. Placements
+// are what the member's core decides in place (see
+// TestFramedMatchesCorePlacements). Each timed iteration plays the
 // 192-task stream at fresh job IDs and a fresh time offset; the
 // completions retiring the round run untimed so the member traces stay
 // bounded.
@@ -1243,21 +1239,16 @@ func newWireFederation(b *testing.B, names []string, forceGob bool) *casched.Fed
 func BenchmarkFedSubmitWire(b *testing.B) {
 	for _, c := range []struct {
 		nServers int
-		wire     string
 		callers  int
-	}{
-		{128, "gob", 1}, {128, "framed", 1}, {128, "framed", 2},
-		{512, "gob", 1}, {512, "framed", 1},
-		{1024, "gob", 1}, {1024, "framed", 1},
-	} {
+	}{{128, 1}, {128, 2}, {512, 1}, {1024, 1}} {
 		c := c
-		name := fmt.Sprintf("wire=%s/servers=%d", c.wire, c.nServers)
+		name := fmt.Sprintf("wire=framed/servers=%d", c.nServers)
 		if c.callers > 1 {
 			name += fmt.Sprintf("/callers=%d", c.callers)
 		}
 		b.Run(name, func(b *testing.B) {
 			names, batches := benchBatches(b, c.nServers, agentBenchTasks, 16)
-			d := newWireFederation(b, names, c.wire == "gob")
+			d := newWireFederation(b, names)
 			horizon := batches[len(batches)-1][0].Arrival + 10
 			var stream []casched.AgentRequest
 			for _, batch := range batches {

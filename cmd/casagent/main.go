@@ -42,7 +42,7 @@ func main() {
 		admission = flag.Bool("admission", false, "shed tasks whose deadline no server can meet")
 		rate      = flag.Float64("intake-rate", 0, "intake token-bucket rate in tasks per virtual second (0 = unlimited)")
 		burst     = flag.Float64("intake-burst", 0, "intake token-bucket burst capacity (0 = max(rate, 1))")
-		relay     = flag.Bool("relay", true, "keep the federation event relay ledger (single-core agents); -relay=false emulates a pre-relay member")
+		relay     = flag.Bool("relay", true, "keep the federation event relay ledger (single-core agents); with -relay=false the member answers relay pulls Disabled")
 		metrics   = flag.String("metrics-addr", "", "serve Prometheus GET /metrics on this address (empty = off)")
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof under /debug/pprof/ on this address (empty = off; the same value as -metrics-addr shares one server)")
 		drainT    = flag.Duration("drain-timeout", 5*time.Second, "SIGTERM drain budget: wait for in-flight tasks, then leave the federation (with -join)")

@@ -26,7 +26,7 @@ import (
 // PartitionSource is the optional capability of members that can
 // enumerate their current server partition — the promotion path's
 // bootstrap for home/counts state a standby never saw registrations
-// for. ok is false when the member predates the Partition RPC.
+// for. ok is false when a wrapper's inner member lacks the capability.
 type PartitionSource interface {
 	Partition() ([]string, bool, error)
 }
@@ -35,9 +35,9 @@ type PartitionSource interface {
 // term: once fenced at term T, the member refuses commits stamped
 // with any lower term, so a deposed leader that has not yet noticed
 // its deposition cannot place work behind the new leader's back.
-// Best-effort by design — members that predate the Fence RPC simply
-// cannot be fenced (the happens-before of ledger replication still
-// covers the common retry path).
+// Best-effort by design — a member that cannot be reached at promotion
+// is not fenced (the happens-before of ledger replication still covers
+// the common retry path).
 type Fencer interface {
 	Fence(term uint64) error
 }

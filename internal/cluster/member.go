@@ -68,7 +68,7 @@ type FinalPredictor interface {
 // RelaySource is the optional capability of members that stream their
 // decision/completion events: RelaySince returns the events after the
 // given ledger sequence. ok is false when the member does not speak
-// relay (relay off, or an old member on the wire) — the dispatcher
+// relay (relay off) — the dispatcher
 // then routes from gossiped summaries alone, exactly as before the
 // relay existed. err is a transport failure, counted like any other.
 type RelaySource interface {
@@ -83,9 +83,8 @@ type RelaySource interface {
 // called exactly once. The dispatcher's fan-out releases the dispatch
 // lock between the two (package doc, "Ordering"). A member without the
 // capability — InProcess, whose commit is a function call; a wrapper
-// that embeds Member; a Remote negotiated down to gob, which implements
-// it by committing before it returns — has its Commit run inside the
-// start step instead, under the lock: see StartCommit.
+// that embeds Member — has its Commit run inside the start step
+// instead, under the lock: see StartCommit.
 type CommitStarter interface {
 	StartCommit(req agent.Request, server string) (wait func() (agent.Decision, error))
 }

@@ -31,7 +31,7 @@
 // power-of-two-choices over summary-backed backlog scores), fresh
 // summaries simply being exact.
 //
-// Members that keep failing (RPC errors, timeouts) are evicted after
+// Members that keep failing (transport errors, timeouts) are evicted after
 // MaxFailures consecutive failures: their partition leaves the
 // candidate pool and only a periodic readmission probe (a Summary
 // fetch every ProbeInterval) still reaches them; the first successful
@@ -45,33 +45,40 @@
 // covers membership, routing state, summaries and the deciding part of
 // every submission: intake, mode selection, the Evaluate fan-out, the
 // choice of the winner and the start of its commit. It does not cover
-// the wait for the commit's answer. A fresh-mode decision's ordering
-// point is the moment its Commit is issued (StartCommit), not the
-// moment it is answered: the framed member connection is FIFO and the
-// member serves it sequentially (live.Agent.serveFramed), so once
-// decision A's Commit frame is written to member m, every call issued
-// to m afterwards — decision B's Evaluate included — is served after
-// A's commit. B's evaluations at the other members never depended on
-// A. B therefore evaluates against exactly the state it would have
-// seen had A been answered first, and the lock can be released while
-// A's answer travels: B's fan-out overlaps A's commit round trip, reply
+// the wait for the commit's answer.
+//
+// Every Remote is FIFO: it drives all of its member's calls over one
+// framed connection, which the member serves sequentially in the order
+// the frames were written (live.Agent.serveFramed), so "written before"
+// is "served before" for any two calls of one handle — Evaluate,
+// Commit, AddServer, RemoveServer, Fence and the rest alike. A
+// fresh-mode decision's
+// ordering point is therefore the moment its Commit is issued
+// (StartCommit), not the moment it is answered: once decision A's
+// Commit frame is written to member m, every call issued to m
+// afterwards — decision B's Evaluate included — is served after A's
+// commit. B's evaluations at the other members never depended on A. B
+// therefore evaluates against exactly the state it would have seen had
+// A been answered first, and the lock can be released while A's answer
+// travels: B's fan-out overlaps A's commit round trip, reply
 // bookkeeping and client reply. Concurrent submissions decide exactly
 // like the same requests one at a time in ordering-point order
 // (TestFanoutLinearizable); a single caller issues the same calls in
-// the same order as when the lock was held throughout.
+// the same order as when the lock was held throughout. The same order
+// covers membership: an Evaluate written after a RemoveServer never
+// names the removed server (TestCommitServedBeforeLaterEvaluate).
 //
 // The early release is a capability of the member transport, found by
 // type assertion like the event and relay surfaces
 // (cluster.CommitStarter). A member without it has its whole Commit run
-// under the lock: InProcess, wrappers that embed Member, and a Remote
-// negotiated down to gob, where net/rpc serves requests concurrently
-// and gives no order. The paths that delegate a whole decision keep the
-// lock across their member RPCs — degraded routing, unscored rotation,
-// SubmitBatch — and Complete, Report, AddServer, RemoveServer, summary
-// and relay fetches run outside it. After the lock has been away,
-// bookkeeping is applied to a member slot only while it still holds the
-// handle that was called (a rejoin may swap it), and a fan-out whose
-// commit was refused re-evaluates if another submission ran meanwhile
+// under the lock: InProcess, and wrappers that embed Member. The paths
+// that delegate a whole decision keep the lock across their member
+// calls — degraded routing, unscored rotation, SubmitBatch — and
+// Complete, Report, AddServer, RemoveServer, summary and relay fetches
+// run outside it. After the lock has been away, bookkeeping is applied
+// to a member slot only while it still holds the handle that was called
+// (a rejoin may swap it), and a fan-out whose commit was refused
+// re-evaluates if another submission ran meanwhile
 // (submitFanoutLocked).
 //
 // Who evaluates where is likewise read from the member. The fan-out

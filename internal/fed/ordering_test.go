@@ -107,9 +107,12 @@ func (h *loggingHMCT) Choose(ctx *sched.Context) (string, error) {
 // tcpDeploy is a dispatcher over real live agents on loopback, each
 // reached through a Remote handle behind an orderProbe.
 type tcpDeploy struct {
-	d     *Dispatcher
-	logs  []*servedLog
-	probe *probeLog
+	d       *Dispatcher
+	logs    []*servedLog
+	probe   *probeLog
+	remotes []*Remote
+	taps    []*wireTap   // with tapped: what each Remote wrote, in order
+	hold    atomic.Int64 // nanoseconds each commit's answer is held back
 }
 
 // newTCPDeploy starts nMembers live agents and a dispatcher over them,
@@ -117,11 +120,13 @@ type tcpDeploy struct {
 // hash policy — the same partition on every call. commitDelay holds
 // each commit's answer back member-side (the core's event callback runs
 // inside Commit). Summaries are fetched once and never go stale, so
-// every submission takes the fan-out path.
-func newTCPDeploy(t *testing.T, nMembers, nServers int, forceGob bool, commitDelay time.Duration) *tcpDeploy {
+// every submission takes the fan-out path. With tapped, each Remote
+// reaches its member through a wireTap.
+func newTCPDeploy(t *testing.T, nMembers, nServers int, tapped bool, commitDelay time.Duration) *tcpDeploy {
 	t.Helper()
 	now := time.Unix(1000, 0)
 	dep := &tcpDeploy{probe: &probeLog{}}
+	dep.hold.Store(int64(commitDelay))
 	members := make([]Member, nMembers)
 	for i := range members {
 		log := &servedLog{}
@@ -137,13 +142,17 @@ func newTCPDeploy(t *testing.T, nMembers, nServers int, forceGob bool, commitDel
 				return
 			}
 			begin := time.Now()
-			time.Sleep(commitDelay)
+			time.Sleep(time.Duration(dep.hold.Load()))
 			log.add(served{commit: true, job: ev.JobID, server: ev.Server}, begin, time.Now())
 		})
-		r := NewRemote(fmt.Sprintf("m%d", i), a.Addr(), 10*time.Second)
-		if forceGob {
-			r.ForceGob()
+		addr := a.Addr()
+		if tapped {
+			tap := newWireTap(t, addr)
+			dep.taps = append(dep.taps, tap)
+			addr = tap.Addr()
 		}
+		r := NewRemote(fmt.Sprintf("m%d", i), addr, 10*time.Second)
+		dep.remotes = append(dep.remotes, r)
 		members[i] = &orderProbe{Member: r, shared: dep.probe}
 		dep.logs = append(dep.logs, log)
 	}
@@ -266,78 +275,103 @@ func TestFanoutLinearizable(t *testing.T) {
 // TestCommitServedBeforeLaterEvaluate checks the member side of the
 // ordering argument with commit answers held back: whatever overlaps
 // dispatcher-side, a member serves a decision's commit before it serves
-// the evaluation of any decision that passed the ordering point later.
-// Over the framed wire the overlap must actually happen (the lock is
-// released while the answer is awaited); a handle pinned to gob has no
-// ordered transport and must never have two decisions in flight.
+// the evaluation of any decision that passed the ordering point later,
+// and the overlap must actually happen (the lock is released while the
+// answer is awaited). The same order holds across call types: a
+// RemoveServer written while a commit's answer is held is served after
+// that commit and before an Evaluate written after it.
 func TestCommitServedBeforeLaterEvaluate(t *testing.T) {
-	for _, wire := range []string{"framed", "gob"} {
-		wire := wire
-		t.Run(wire, func(t *testing.T) {
-			const nJobs = 160
-			dep := newTCPDeploy(t, 2, 8, wire == "gob", 2*time.Millisecond)
-			reqs := make([]agent.Request, nJobs)
-			for i := range reqs {
-				reqs[i] = req(i, task.Synthetic(i%3, 8), float64(i))
-			}
-			dep.submitAll(t, reqs, 4)
-			if t.Failed() {
-				return
-			}
-			// An evaluation served by one member while another member is
-			// inside a commit belongs to a second decision in flight.
-			overlaps := 0
-			for m, log := range dep.logs {
-				for _, c := range log.entries {
-					if !c.commit {
-						continue
-					}
-					for o, other := range dep.logs {
-						for _, e := range other.entries {
-							if o != m && !e.commit && e.begin.After(c.begin) && e.begin.Before(c.end) {
-								overlaps++
-							}
+	t.Run("framed", func(t *testing.T) {
+		const nJobs = 160
+		dep := newTCPDeploy(t, 2, 8, true, 2*time.Millisecond)
+		reqs := make([]agent.Request, nJobs)
+		for i := range reqs {
+			reqs[i] = req(i, task.Synthetic(i%3, 8), float64(i))
+		}
+		dep.submitAll(t, reqs, 4)
+		if t.Failed() {
+			return
+		}
+		// An evaluation served by one member while another member is
+		// inside a commit belongs to a second decision in flight.
+		overlaps := 0
+		for m, log := range dep.logs {
+			for _, c := range log.entries {
+				if !c.commit {
+					continue
+				}
+				for o, other := range dep.logs {
+					for _, e := range other.entries {
+						if o != m && !e.commit && e.begin.After(c.begin) && e.begin.Before(c.end) {
+							overlaps++
 						}
 					}
 				}
 			}
-			if wire == "gob" && overlaps != 0 {
-				t.Errorf("%d evaluations were served while a gob commit was being served elsewhere: two decisions in flight", overlaps)
+		}
+		if overlaps == 0 {
+			t.Error("no evaluation overlapped a held commit: the dispatch lock was not released")
+		}
+		pos := make(map[int]int, nJobs)
+		for k, job := range dep.probe.order {
+			pos[job] = k
+		}
+		for m, log := range dep.logs {
+			var committed []int // ordering positions of this member's commits
+			for _, e := range log.commits() {
+				committed = append(committed, pos[e.job])
 			}
-			if wire == "framed" && overlaps == 0 {
-				t.Error("no evaluation overlapped a held commit: the dispatch lock was not released")
-			}
-			pos := make(map[int]int, nJobs)
-			for k, job := range dep.probe.order {
-				pos[job] = k
-			}
-			for m, log := range dep.logs {
-				var committed []int // ordering positions of this member's commits
-				for _, e := range log.commits() {
-					committed = append(committed, pos[e.job])
+			seen := 0
+			for _, e := range log.entries {
+				if e.commit {
+					seen++
+					continue
 				}
-				seen := 0
-				for _, e := range log.entries {
-					if e.commit {
-						seen++
-						continue
-					}
-					// Every commit of this member ordered before the job
-					// must have been served already.
-					due := 0
-					for _, p := range committed {
-						if p < pos[e.job] {
-							due++
-						}
-					}
-					if seen < due {
-						t.Fatalf("member %d evaluated job %d (ordering position %d) with %d of %d earlier commits served",
-							m, e.job, pos[e.job], seen, due)
+				// Every commit of this member ordered before the job
+				// must have been served already.
+				due := 0
+				for _, p := range committed {
+					if p < pos[e.job] {
+						due++
 					}
 				}
+				if seen < due {
+					t.Fatalf("member %d evaluated job %d (ordering position %d) with %d of %d earlier commits served",
+						m, e.job, pos[e.job], seen, due)
+				}
 			}
-		})
-	}
+		}
+
+		// Membership rides the same connection. only00 runs on sv00 and
+		// nowhere else: commit a job there with the answer held, write
+		// RemoveServer(sv00) behind it, and once the tap has seen that
+		// frame go out write an Evaluate. Served in the order written,
+		// the commit still finds sv00, and the evaluation no longer does.
+		only00 := task.Synthetic(0, 1)
+		home, ok := dep.d.MemberOf("sv00")
+		if !ok {
+			t.Fatal("sv00 has no home member")
+		}
+		r, tap := dep.remotes[home], dep.taps[home]
+		if cand, err := r.Evaluate(req(1000, only00, 200)); err != nil || cand.Server != "sv00" {
+			t.Fatalf("before the removal: %+v, %v; want sv00", cand, err)
+		}
+		dep.hold.Store(int64(150 * time.Millisecond))
+		wait := r.StartCommit(req(1000, only00, 200), "sv00")
+		written := tap.expect(0x0A) // RemoveServer, frame.go's message table
+		removed := make(chan error, 1)
+		go func() { removed <- r.RemoveServer("sv00") }()
+		<-written
+		if cand, err := r.Evaluate(req(1001, only00, 201)); !errors.Is(err, agent.ErrUnschedulable) {
+			t.Errorf("an Evaluate written after RemoveServer(sv00) answered %+v, %v; want unschedulable", cand, err)
+		}
+		if err := <-removed; err != nil {
+			t.Errorf("RemoveServer: %v", err)
+		}
+		if dec, err := wait(); err != nil || dec.Server != "sv00" {
+			t.Errorf("the commit written before RemoveServer(sv00): %+v, %v; want it placed on sv00", dec, err)
+		}
+	})
 }
 
 // heldMember is an in-process member behind a scripted ordered

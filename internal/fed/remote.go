@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"net"
-	"net/rpc"
-	"strings"
 	"sync"
 	"time"
 
@@ -24,12 +22,14 @@ var ErrTimeout = errors.New("fed: member call timed out")
 // zero.
 const defaultTimeout = 2 * time.Second
 
-// Remote is the TCP Member: a handle on a remote casagent's "Member"
-// RPC service, speaking the live wire protocol. Calls are bounded by
-// the per-member timeout; a timed-out or broken connection is dropped
-// and redialed lazily on the next call, so a member that recovers
-// becomes reachable again without dispatcher intervention (the
-// readmission probe exercises exactly this path).
+// Remote is the TCP Member: a handle on a remote casagent, driving all
+// thirteen member calls over one framed connection (live.FrameClient).
+// The connection is FIFO and the member serves it in order, so every
+// call of this handle is served after every call written before it.
+// Calls are bounded by the per-member timeout; a timed-out or broken
+// connection is dropped and redialed lazily on the next call, so a
+// member that recovers becomes reachable again without dispatcher
+// intervention (the readmission probe exercises exactly this path).
 //
 // Tasks cross the wire as (Problem, Variant) registry pairs, so only
 // registry-resolvable specs can be federated over TCP — the same
@@ -39,32 +39,19 @@ type Remote struct {
 	addr    string
 	timeout time.Duration
 
-	mu     sync.Mutex
-	client *rpc.Client
-	// relayUnsupported caches a definitive "this member does not speak
-	// relay" answer (Disabled reply, or an rpc can't-find-method error
-	// from a pre-relay binary), so the dispatcher asks at most once
-	// per handle. A rejoin creates a fresh Remote, re-probing.
+	mu   sync.Mutex
+	wire *live.FrameClient // nil until the first call, and after a transport failure
+	// relayUnsupported caches the member's Disabled answer to a relay
+	// pull, so the dispatcher asks at most once per handle. A rejoin
+	// creates a fresh Remote, re-probing.
 	relayUnsupported bool
-
-	// wire is the negotiated framed connection carrying the hot member
-	// RPCs (Evaluate/Commit/Submit/SubmitBatch/Summary/Relay/Complete)
-	// with a pipelined request window; everything else stays on gob.
-	// Nil until the Member.WireCaps probe succeeds. wireUnsupported
-	// caches the definitive negotiated-down answer (a member predating
-	// WireCaps, or one reporting an older frame version) so an old gob
-	// peer is probed at most once per handle; forceGob pins the handle
-	// to gob regardless, for parity tests and rollback.
-	wire            *live.FrameClient
-	wireUnsupported bool
-	forceGob        bool
 
 	// termSource, when set, stamps every mutating call with the
 	// dispatcher's current leader term — the fencing token HA-aware
-	// members check commits against. Nil (and a zero stamp) outside HA
-	// deployments, which old members decode as "unfenced" and always
-	// admit. Set once, before the handle is published to the
-	// dispatcher (SetTermSource), so reads need no lock.
+	// members check commits against. Nil (and a zero stamp, which
+	// members always admit) outside HA deployments. Set once, before the
+	// handle is published to the dispatcher (SetTermSource), so reads
+	// need no lock.
 	termSource func() uint64
 }
 
@@ -91,169 +78,56 @@ func NewRemote(name, addr string, timeout time.Duration) *Remote {
 
 func (r *Remote) Name() string { return r.name }
 
-// Addr returns the member's RPC address.
+// Addr returns the member's listen address.
 func (r *Remote) Addr() string { return r.addr }
 
-// conn returns the live client, dialing if needed.
-func (r *Remote) conn() (*rpc.Client, error) {
+// The error taxonomy drives the dispatcher's safety decisions. A dial
+// or handshake failure wraps plain ErrUnreachable: no request frame was
+// written, the call provably never left, rerouting is safe (wireClient).
+// A failure after the write — a timeout, a connection that broke
+// mid-call — wraps ErrUncertain: the request may have been executed
+// member-side, mutating calls must not be rerouted. A msgError frame is
+// a delivered answer (the member answered, the call failed; a
+// stale-term refusal is one): it keeps the connection, carries no
+// transport sentinel, and neither evicts nor reroutes (wireErr).
+
+// wireClient returns the framed connection, dialing it on first use
+// under r.mu so that concurrent first callers share one connection.
+// Never blocks past the member timeout per waiting caller.
+func (r *Remote) wireClient() (*live.FrameClient, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.client != nil {
-		return r.client, nil
-	}
-	c, err := net.DialTimeout("tcp", r.addr, r.timeout)
-	if err != nil {
-		return nil, fmt.Errorf("fed: dial member %s: %w: %w", r.name, ErrUnreachable, err)
-	}
-	r.client = rpc.NewClient(c)
-	return r.client, nil
-}
-
-// reset detaches the connection so the next call redials. With
-// deferred set the old client is closed only after a grace period of
-// one timeout: a timed-out call proves nothing about OTHER calls in
-// flight on the same connection (the gossip fetch runs outside the
-// dispatch lock and can overlap a commit), and closing immediately
-// would abort them all as spurious uncertain failures. A connection
-// that already broke is closed at once — everything on it is failing
-// anyway.
-func (r *Remote) reset(c *rpc.Client, deferred bool) {
-	r.mu.Lock()
-	if r.client == c {
-		r.client = nil
-	}
-	r.mu.Unlock()
-	if c == nil {
-		return
-	}
-	if deferred {
-		time.AfterFunc(r.timeout, func() { c.Close() })
-		return
-	}
-	c.Close()
-}
-
-// call performs one bounded RPC. The error taxonomy drives the
-// dispatcher's safety decisions: a server-side error (the member
-// answered, the call failed) keeps the connection and carries no
-// transport sentinel; a dial failure wraps plain ErrUnreachable (the
-// request provably never left, rerouting is safe); a timeout or a
-// connection that broke mid-call wraps ErrUncertain (the request may
-// have been executed member-side, mutating calls must not be
-// rerouted). Unreachable-class failures drop the connection so the
-// next call redials.
-func (r *Remote) call(method string, args, reply any) error {
-	c, err := r.conn()
-	if err != nil {
-		return err
-	}
-	call := c.Go(method, args, reply, make(chan *rpc.Call, 1))
-	timer := time.NewTimer(r.timeout)
-	defer timer.Stop()
-	select {
-	case <-call.Done:
-		if call.Error == nil {
-			return nil
-		}
-		if _, ok := call.Error.(rpc.ServerError); ok {
-			return fmt.Errorf("fed: member %s: %w", r.name, call.Error)
-		}
-		// Everything else — including rpc.ErrShutdown — is classified
-		// uncertain: net/rpc also fails PENDING calls with ErrShutdown
-		// when the connection dies mid-flight, so the error does not
-		// prove the request was never sent. Conservative beats a
-		// double placement.
-		r.reset(c, false)
-		return fmt.Errorf("fed: member %s: %w: %w", r.name, ErrUncertain, call.Error)
-	case <-timer.C:
-		r.reset(c, true)
-		return fmt.Errorf("fed: member %s: %s: %w: %w", r.name, method, ErrUncertain, ErrTimeout)
-	}
-}
-
-// ForceGob pins the handle to the legacy gob wire, skipping framed
-// negotiation entirely. Must be called before the Remote is handed to
-// a Dispatcher; parity tests use it to compare the two protocols.
-func (r *Remote) ForceGob() {
-	r.mu.Lock()
-	r.forceGob = true
-	r.mu.Unlock()
-}
-
-// wireClient returns the framed connection for the hot member RPCs,
-// negotiating it on first use: a gob Member.WireCaps probe decides
-// whether the member speaks the framed protocol. Members that predate
-// the method (rpc "can't find method") or report an older frame
-// version are remembered as gob-only; transient probe or dial failures
-// return nil without caching, so the next call re-probes. Never blocks
-// past the member timeout.
-func (r *Remote) wireClient() *live.FrameClient {
-	r.mu.Lock()
-	if r.forceGob || r.wireUnsupported {
-		r.mu.Unlock()
-		return nil
-	}
 	if r.wire != nil {
-		w := r.wire
-		r.mu.Unlock()
-		return w
-	}
-	r.mu.Unlock()
-
-	var reply live.MemberWireCapsReply
-	if err := r.call("Member.WireCaps", live.Ack{}, &reply); err != nil {
-		if missingMethod(err) {
-			r.mu.Lock()
-			r.wireUnsupported = true
-			r.mu.Unlock()
-		}
-		return nil
-	}
-	if reply.FrameVersion < live.FrameVersion {
-		r.mu.Lock()
-		r.wireUnsupported = true
-		r.mu.Unlock()
-		return nil
+		return r.wire, nil
 	}
 	conn, err := net.DialTimeout("tcp", r.addr, r.timeout)
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("fed: dial member %s: %w: %w", r.name, ErrUnreachable, err)
 	}
-	fc, err := live.NewFrameClient(conn, r.timeout)
+	// A member on another frame version fails here, with both versions
+	// named: unreachable until it is upgraded, not a dead peer.
+	w, err := live.NewFrameClient(conn, r.timeout)
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("fed: member %s: %w: %w", r.name, ErrUnreachable, err)
 	}
-	r.mu.Lock()
-	if r.wire == nil {
-		r.wire = fc
-	} else {
-		// A concurrent caller won the race; keep its connection.
-		go fc.Close()
-	}
-	w := r.wire
-	r.mu.Unlock()
-	return w
+	r.wire = w
+	return w, nil
 }
 
-// resetWire drops the framed connection so the next hot call
-// renegotiates, mirroring reset on the gob side.
+// resetWire drops the framed connection so the next call redials.
 func (r *Remote) resetWire(w *live.FrameClient) {
 	r.mu.Lock()
 	if r.wire == w {
 		r.wire = nil
 	}
 	r.mu.Unlock()
-	if w != nil {
-		w.Close()
-	}
+	w.Close()
 }
 
-// wireErr classifies a framed-call failure with exactly the gob
-// taxonomy: a WireError is a delivered server-side answer (keep the
-// connection, no transport sentinel); a timeout wraps
+// wireErr classifies the failure of a call whose frame was handed to
+// the connection: a WireError is a delivered answer; a timeout wraps
 // ErrUncertain+ErrTimeout; any other transport failure wraps
-// ErrUncertain. Transport-class failures drop the framed connection so
-// the next call renegotiates.
+// ErrUncertain. Transport-class failures drop the connection.
 func (r *Remote) wireErr(w *live.FrameClient, method string, err error) error {
 	var we live.WireError
 	if errors.As(err, &we) {
@@ -264,6 +138,19 @@ func (r *Remote) wireErr(w *live.FrameClient, method string, err error) error {
 		return fmt.Errorf("fed: member %s: %s: %w: %w", r.name, method, ErrUncertain, ErrTimeout)
 	}
 	return fmt.Errorf("fed: member %s: %w: %w", r.name, ErrUncertain, err)
+}
+
+// cold runs one of the calls made once per registration, report or
+// promotion rather than per decision.
+func (r *Remote) cold(method string, call func(*live.FrameClient) error) error {
+	w, err := r.wireClient()
+	if err != nil {
+		return err
+	}
+	if err := call(w); err != nil {
+		return r.wireErr(w, method, err)
+	}
+	return nil
 }
 
 // wireEquivalent reports whether a spec matches the registry
@@ -308,14 +195,14 @@ func wireTask(req agent.Request) (live.MemberTaskArgs, error) {
 }
 
 func (r *Remote) AddServer(server string) error {
-	return r.call("Member.AddServer", live.MemberServerArgs{Name: server}, &live.Ack{})
+	return r.cold("Member.AddServer", func(w *live.FrameClient) error { return w.AddServer(server) })
 }
 
 func (r *Remote) RemoveServer(server string) error {
-	return r.call("Member.RemoveServer", live.MemberServerArgs{Name: server}, &live.Ack{})
+	return r.cold("Member.RemoveServer", func(w *live.FrameClient) error { return w.RemoveServer(server) })
 }
 
-func (r *Remote) CanSolve(spec *task.Spec) (bool, error) {
+func (r *Remote) CanSolve(spec *task.Spec) (ok bool, err error) {
 	if spec == nil {
 		return false, nil
 	}
@@ -323,11 +210,11 @@ func (r *Remote) CanSolve(spec *task.Spec) (bool, error) {
 	if err != nil || !wireEquivalent(spec, resolved) {
 		return false, nil // not wire-transportable: not this member's problem
 	}
-	var reply live.MemberCanSolveReply
-	if err := r.call("Member.CanSolve", live.MemberCanSolveArgs{Problem: spec.Problem, Variant: spec.Variant}, &reply); err != nil {
-		return false, err
-	}
-	return reply.OK, nil
+	err = r.cold("Member.CanSolve", func(w *live.FrameClient) (err error) {
+		ok, err = w.CanSolve(spec.Problem, spec.Variant)
+		return err
+	})
+	return ok, err
 }
 
 func (r *Remote) Evaluate(req agent.Request) (agent.Candidate, error) {
@@ -335,13 +222,13 @@ func (r *Remote) Evaluate(req agent.Request) (agent.Candidate, error) {
 	if err != nil {
 		return agent.Candidate{}, err
 	}
-	var reply live.MemberEvalReply
-	if w := r.wireClient(); w != nil {
-		if reply, err = w.Evaluate(&args); err != nil {
-			return agent.Candidate{}, r.wireErr(w, "Member.Evaluate", err)
-		}
-	} else if err := r.call("Member.Evaluate", args, &reply); err != nil {
+	w, err := r.wireClient()
+	if err != nil {
 		return agent.Candidate{}, err
+	}
+	reply, err := w.Evaluate(&args)
+	if err != nil {
+		return agent.Candidate{}, r.wireErr(w, "Member.Evaluate", err)
 	}
 	if reply.Unschedulable {
 		return agent.Candidate{}, agent.ErrUnschedulable
@@ -356,37 +243,26 @@ func (r *Remote) Commit(req agent.Request, server string) (agent.Decision, error
 	return r.StartCommit(req, server)()
 }
 
-// StartCommit is the commitStarter capability. On the framed wire it
-// returns as soon as the Commit frame is written: the connection is
-// FIFO and the member serves it sequentially, so the commit is ordered
-// before every later call of this handle, and wait only collects the
-// answer. A handle negotiated down to gob has no such order (net/rpc
-// serves requests concurrently), so there the whole commit runs before
-// StartCommit returns and wait hands back its result.
+// StartCommit is the commitStarter capability. It returns as soon as
+// the Commit frame is written: the connection is FIFO and the member
+// serves it sequentially, so the commit is ordered before every later
+// call of this handle, and wait only collects the answer.
 func (r *Remote) StartCommit(req agent.Request, server string) (wait func() (agent.Decision, error)) {
 	args, err := wireTask(req)
+	var w *live.FrameClient
+	if err == nil {
+		w, err = r.wireClient()
+	}
 	if err != nil {
 		return func() (agent.Decision, error) { return agent.Decision{}, err }
 	}
 	args.Term = r.term()
-	commit := live.MemberCommitArgs{Task: args, Server: server}
+	await := w.StartCommit(&live.MemberCommitArgs{Task: args, Server: server})
 	job := req.JobID
-	var await func() (live.MemberDecisionReply, error)
-	w := r.wireClient()
-	if w != nil {
-		await = w.StartCommit(&commit)
-	} else {
-		var reply live.MemberDecisionReply
-		err := r.call("Member.Commit", commit, &reply)
-		await = func() (live.MemberDecisionReply, error) { return reply, err }
-	}
 	return func() (agent.Decision, error) {
 		reply, err := await()
 		if err != nil {
-			if w != nil {
-				err = r.wireErr(w, "Member.Commit", err)
-			}
-			return agent.Decision{}, err
+			return agent.Decision{}, r.wireErr(w, "Member.Commit", err)
 		}
 		return agent.Decision{JobID: job, Server: reply.Server,
 			Predicted: reply.Predicted, HasPrediction: reply.HasPrediction}, nil
@@ -399,13 +275,13 @@ func (r *Remote) Submit(req agent.Request) (agent.Decision, error) {
 		return agent.Decision{}, err
 	}
 	args.Term = r.term()
-	var reply live.MemberDecisionReply
-	if w := r.wireClient(); w != nil {
-		if reply, err = w.Submit(&args); err != nil {
-			return agent.Decision{}, r.wireErr(w, "Member.Submit", err)
-		}
-	} else if err := r.call("Member.Submit", args, &reply); err != nil {
+	w, err := r.wireClient()
+	if err != nil {
 		return agent.Decision{}, err
+	}
+	reply, err := w.Submit(&args)
+	if err != nil {
+		return agent.Decision{}, r.wireErr(w, "Member.Submit", err)
 	}
 	if reply.Unschedulable {
 		return agent.Decision{}, agent.ErrUnschedulable
@@ -418,26 +294,25 @@ func (r *Remote) Submit(req agent.Request) (agent.Decision, error) {
 }
 
 func (r *Remote) SubmitBatch(reqs []agent.Request) ([]agent.Decision, error) {
+	out := make([]agent.Decision, len(reqs))
 	args := live.MemberBatchArgs{Tasks: make([]live.MemberTaskArgs, len(reqs))}
 	stamp := r.term()
 	for i, req := range reqs {
 		t, err := wireTask(req)
 		if err != nil {
-			return make([]agent.Decision, len(reqs)), err
+			return out, err
 		}
 		t.Term = stamp
 		args.Tasks[i] = t
 	}
-	var reply live.MemberBatchReply
-	if w := r.wireClient(); w != nil {
-		var err error
-		if reply, err = w.SubmitBatch(&args); err != nil {
-			return make([]agent.Decision, len(reqs)), r.wireErr(w, "Member.SubmitBatch", err)
-		}
-	} else if err := r.call("Member.SubmitBatch", args, &reply); err != nil {
-		return make([]agent.Decision, len(reqs)), err
+	w, err := r.wireClient()
+	if err != nil {
+		return out, err
 	}
-	out := make([]agent.Decision, len(reqs))
+	reply, err := w.SubmitBatch(&args)
+	if err != nil {
+		return out, r.wireErr(w, "Member.SubmitBatch", err)
+	}
 	for i, d := range reply.Decisions {
 		if i >= len(out) {
 			break
@@ -452,40 +327,37 @@ func (r *Remote) SubmitBatch(reqs []agent.Request) ([]agent.Decision, error) {
 }
 
 func (r *Remote) Complete(jobID int, server string, at float64) error {
-	args := live.TaskDoneArgs{TaskKey: jobID, Server: server, At: at}
-	if w := r.wireClient(); w != nil {
-		if err := w.Complete(&args); err != nil {
-			return r.wireErr(w, "Member.Complete", err)
-		}
-		return nil
+	w, err := r.wireClient()
+	if err != nil {
+		return err
 	}
-	return r.call("Member.Complete", args, &live.Ack{})
+	if err := w.Complete(&live.TaskDoneArgs{TaskKey: jobID, Server: server, At: at}); err != nil {
+		return r.wireErr(w, "Member.Complete", err)
+	}
+	return nil
 }
 
 func (r *Remote) Report(server string, load, at float64) error {
-	return r.call("Member.Report", live.LoadReportArgs{Name: server, Load: load, At: at}, &live.Ack{})
+	return r.cold("Member.Report", func(w *live.FrameClient) error { return w.Report(server, load, at) })
 }
 
 func (r *Remote) Summary() (Summary, error) {
-	var reply live.MemberSummaryReply
-	if w := r.wireClient(); w != nil {
-		var err error
-		if reply, err = w.Summary(); err != nil {
-			return Summary{}, r.wireErr(w, "Member.Summary", err)
-		}
-	} else if err := r.call("Member.Summary", live.Ack{}, &reply); err != nil {
+	w, err := r.wireClient()
+	if err != nil {
 		return Summary{}, err
+	}
+	reply, err := w.Summary()
+	if err != nil {
+		return Summary{}, r.wireErr(w, "Member.Summary", err)
 	}
 	return Summary(reply), nil // the wire struct is the summary, field for field
 }
 
 // RelaySince pulls the member's relay events after the given ledger
-// sequence. ok is false — with a nil error — when the member does not
-// speak relay: either it answers Disabled (relay off member-side), or
-// it predates the Member.Relay method entirely, in which case net/rpc
-// answers a ServerError naming the missing method; both are cached so
-// an old member is asked exactly once. Transport failures surface as
-// errors and count toward eviction like any other member call.
+// sequence. ok is false — with a nil error — when the member answers
+// Disabled (relay off member-side); that is cached, so such a member is
+// asked exactly once. Transport failures surface as errors and count
+// toward eviction like any other member call.
 func (r *Remote) RelaySince(after uint64) (relay.Delta, bool, error) {
 	r.mu.Lock()
 	unsupported := r.relayUnsupported
@@ -493,25 +365,13 @@ func (r *Remote) RelaySince(after uint64) (relay.Delta, bool, error) {
 	if unsupported {
 		return relay.Delta{}, false, nil
 	}
-	var reply live.MemberRelayReply
-	if w := r.wireClient(); w != nil {
-		// A framed member necessarily has Member.Relay (it postdates it),
-		// so only Disabled can negotiate relay down here.
-		var err error
-		if reply, err = w.Relay(&live.MemberRelayArgs{Since: after}); err != nil {
-			return relay.Delta{}, false, r.wireErr(w, "Member.Relay", err)
-		}
-	} else if err := r.call("Member.Relay", live.MemberRelayArgs{Since: after}, &reply); err != nil {
-		var srvErr rpc.ServerError
-		if errors.As(err, &srvErr) && strings.Contains(string(srvErr), "can't find method") {
-			// An old member: the method does not exist. Remember, so the
-			// dispatcher stops asking this handle.
-			r.mu.Lock()
-			r.relayUnsupported = true
-			r.mu.Unlock()
-			return relay.Delta{}, false, nil
-		}
+	w, err := r.wireClient()
+	if err != nil {
 		return relay.Delta{}, false, err
+	}
+	reply, err := w.Relay(&live.MemberRelayArgs{Since: after})
+	if err != nil {
+		return relay.Delta{}, false, r.wireErr(w, "Member.Relay", err)
 	}
 	if reply.Disabled {
 		r.mu.Lock()
@@ -538,39 +398,20 @@ func (r *Remote) RelaySince(after uint64) (relay.Delta, bool, error) {
 	return d, true, nil
 }
 
-// missingMethod reports the rpc error a pre-HA member answers when
-// asked for a method it does not have — treated as "capability
-// absent", never as a transport failure.
-func missingMethod(err error) bool {
-	var srvErr rpc.ServerError
-	return errors.As(err, &srvErr) && strings.Contains(string(srvErr), "can't find method")
-}
-
 // Fence stamps the member with the new leader's term (the fencer
-// capability). A member that predates the Fence RPC simply cannot be
-// fenced; that is reported as success, because fencing is best-effort
-// by contract.
+// capability).
 func (r *Remote) Fence(term uint64) error {
-	err := r.call("Member.Fence", live.MemberFenceArgs{Term: term}, &live.Ack{})
-	if err != nil && missingMethod(err) {
-		return nil
-	}
-	return err
+	return r.cold("Member.Fence", func(w *live.FrameClient) error { return w.Fence(term) })
 }
 
 // Partition asks the member for its current server set (the
-// partitionSource capability). ok is false — with a nil error — when
-// the member predates the Partition RPC; the promoting dispatcher
-// then waits for the servers' own re-registrations instead.
-func (r *Remote) Partition() ([]string, bool, error) {
-	var reply live.MemberPartitionReply
-	if err := r.call("Member.Partition", live.Ack{}, &reply); err != nil {
-		if missingMethod(err) {
-			return nil, false, nil
-		}
-		return nil, false, err
-	}
-	return reply.Servers, true, nil
+// partitionSource capability; a Remote always has it).
+func (r *Remote) Partition() (servers []string, ok bool, err error) {
+	err = r.cold("Member.Partition", func(w *live.FrameClient) (err error) {
+		servers, err = w.Partition()
+		return err
+	})
+	return servers, err == nil, err
 }
 
 func (r *Remote) Close() error {
@@ -579,11 +420,6 @@ func (r *Remote) Close() error {
 	if r.wire != nil {
 		r.wire.Close()
 		r.wire = nil
-	}
-	if r.client != nil {
-		err := r.client.Close()
-		r.client = nil
-		return err
 	}
 	return nil
 }

@@ -40,10 +40,6 @@ type ServerConfig struct {
 	MaxFailures     int
 	// Timeout bounds each member RPC (default 2s).
 	Timeout time.Duration
-	// ForceGob pins every member handle to the legacy gob wire,
-	// skipping framed negotiation (see Remote.ForceGob) — a rollback
-	// switch and the parity-test seam.
-	ForceGob bool
 	// IntakeRate, when positive, bounds the federation's raw intake
 	// with one dispatch-level token bucket (IntakeRate tasks per
 	// virtual second, burst IntakeBurst).
@@ -536,9 +532,6 @@ func (f *FedService) Join(args live.JoinArgs, _ *live.Ack) error {
 			args.Name, args.Heuristic, f.s.cfg.Heuristic)
 	}
 	r := NewRemote(args.Name, args.Addr, f.s.cfg.Timeout)
-	if f.s.cfg.ForceGob {
-		r.ForceGob()
-	}
 	if f.s.cfg.HA != nil {
 		// Mutating member calls carry this replica's current term as the
 		// fencing stamp; members refuse stamps older than the highest

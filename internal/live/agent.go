@@ -56,15 +56,15 @@ type AgentConfig struct {
 	// dispatcher RPC addresses: after listening, the agent announces
 	// itself with Fed.Join to each (a replicated-dispatcher deployment
 	// lists the leader and every standby so all of them track the
-	// member) and serves as a federation member (its "Member" RPC
-	// service drives the core). Joining requires a single core
+	// member) and serves as a federation member (the framed member wire
+	// drives the core). Joining requires a single core
 	// (Shards <= 1). Startup fails only when every address refuses.
 	Join string
 	// RelayOff disables the federation event relay ledger on a
 	// single-core agent. By default a live single-core agent keeps the
 	// ledger (cheap, bounded) so a relay-enabled dispatcher can stream
 	// its decisions; with RelayOff the agent answers relay pulls
-	// Disabled, emulating a pre-relay member.
+	// Disabled.
 	RelayOff bool
 	// Name is the agent's federation member name (default: its listen
 	// address).
@@ -182,13 +182,6 @@ func StartAgent(cfg AgentConfig) (*Agent, error) {
 		lis.Close()
 		return nil, fmt.Errorf("live: agent rpc register: %w", err)
 	}
-	if core != nil {
-		// Single-core agents double as federation members.
-		if err := a.srv.RegisterName("Member", &MemberService{a}); err != nil {
-			lis.Close()
-			return nil, fmt.Errorf("live: member rpc register: %w", err)
-		}
-	}
 	go a.serve()
 	if cfg.Join != "" {
 		if core == nil {
@@ -202,7 +195,7 @@ func StartAgent(cfg AgentConfig) (*Agent, error) {
 		a.name = name
 		var firstErr error
 		for _, da := range splitAddrs(cfg.Join) {
-			if err := join(da, JoinArgs{Name: name, Addr: a.Addr(), Heuristic: cfg.Scheduler.Name()}); err != nil {
+			if err := fedCall(da, "Fed.Join", "join federation", JoinArgs{Name: name, Addr: a.Addr(), Heuristic: cfg.Scheduler.Name()}); err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
@@ -238,11 +231,10 @@ func (a *Agent) Close() error {
 }
 
 // admitTerm enforces the leader-election fence on a mutating member
-// call: zero terms are always admitted (HA off, or a legacy
-// dispatcher), a term at or above the watermark raises it, a lower
-// term is refused. The refusal travels as an rpc.ServerError — a
-// delivered answer, not a transport failure, so the caller neither
-// evicts this member nor reroutes the task.
+// call: zero terms are always admitted (HA off), a term at or above
+// the watermark raises it, a lower term is refused. The refusal travels
+// as a msgError frame — a delivered answer, not a transport failure, so
+// the caller neither evicts this member nor reroutes the task.
 func (a *Agent) admitTerm(term uint64) error {
 	if term == 0 {
 		return nil
@@ -267,7 +259,7 @@ func (a *Agent) Leave(timeout time.Duration) {
 	joined, name := a.joined, a.name
 	a.mu.Unlock()
 	for _, da := range joined {
-		leave(da, LeaveArgs{Name: name})
+		_ = fedCall(da, "Fed.Leave", "leave federation", LeaveArgs{Name: name})
 	}
 	if a.core == nil {
 		return

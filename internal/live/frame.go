@@ -1,25 +1,28 @@
 package live
 
-// Framed member wire: a versioned, length-prefixed binary protocol for
-// the hot federation RPCs (Member.Evaluate/Commit/Submit/SubmitBatch/
-// Summary/Relay/Complete). Unlike the gob wire it is hand-rolled — no
-// reflection, no per-message type dictionaries — and carries an
-// explicit correlation ID per frame, so a client can keep a sliding
-// window of requests in flight on one connection instead of paying a
-// round trip per call.
+// Framed member wire: the versioned, length-prefixed binary protocol
+// that carries every call a federation dispatcher makes on a member.
+// It is hand-rolled — no reflection, no per-message type dictionaries —
+// and carries an explicit correlation ID per frame, so a client keeps a
+// sliding window of requests in flight on one connection instead of
+// paying a round trip per call, and the member serves that connection
+// in the order it was written (frameserver.go).
 //
-// The protocol is negotiated, never assumed: a dispatcher first asks
-// Member.WireCaps over gob; members that predate the method answer
-// net/rpc's "can't find method", and the dispatcher stays on gob.
-// A framed connection opens with a fixed 6-byte handshake
+// A framed connection opens with a fixed 6-byte preamble
 //
 //	[0x00 'C' 'A' 'S' 'F' version]
 //
-// which the server echoes back to accept. The sentinel byte 0x00 is
-// provably not a valid first byte of a gob request stream (gob encodes
-// each message with a non-zero uvarint byte count first), so the
-// server can sniff one byte off an accepted connection and route it to
-// the right protocol; gob bytes are replayed into net/rpc untouched.
+// which each end sends and compares: the member answers its own
+// preamble and serves the connection only if the two are identical.
+// There is no negotiation. Dispatcher and members upgrade together; a
+// mismatch is refused with both versions named ("member speaks frame
+// v2, dispatcher v3"), never mistaken for a dead peer. The sentinel
+// byte 0x00 is provably not a valid first byte of a gob request stream
+// (gob encodes each message with a non-zero uvarint byte count first),
+// so the member's listener, which also serves the net/rpc "Agent"
+// service to clients and servers, sniffs one byte off an accepted
+// connection and routes it; gob bytes are replayed into net/rpc
+// untouched.
 //
 // Every frame is
 //
@@ -30,6 +33,24 @@ package live
 // strings are a 4-byte length followed by the bytes. Decoding is
 // bounds-checked everywhere and rejects trailing garbage: a malformed
 // frame closes the connection, it never panics or over-reads.
+//
+// The messages (a reply carries the request type with msgReplyBit set;
+// msgError answers any request with the error text):
+//
+//	type  call          request payload             reply payload
+//	0x01  Evaluate      MemberTaskArgs              MemberEvalReply
+//	0x02  Commit        MemberCommitArgs            MemberDecisionReply
+//	0x03  Submit        MemberTaskArgs              MemberDecisionReply
+//	0x04  SubmitBatch   count, MemberTaskArgs…      MemberBatchReply
+//	0x05  Summary       —                           MemberSummaryReply
+//	0x06  Relay         since u64                   MemberRelayReply
+//	0x07  Complete      TaskDoneArgs                —
+//	0x08  CanSolve      problem str, variant i64    ok bool
+//	0x09  AddServer     name str                    —
+//	0x0A  RemoveServer  name str                    —
+//	0x0B  Report        name str, load, at f64      —
+//	0x0C  Fence         term u64                    —
+//	0x0D  Partition     —                           count, name str…
 
 import (
 	"encoding/binary"
@@ -41,16 +62,13 @@ import (
 const (
 	// frameSentinel is the first handshake byte. A gob request stream
 	// always starts with a non-zero length byte, so 0x00 cannot be
-	// mistaken for the legacy protocol.
+	// mistaken for a net/rpc connection.
 	frameSentinel = 0x00
 	// FrameVersion is the framed-wire protocol version this binary
-	// speaks, reported by Member.WireCaps. Version 2 added msgComplete; a
-	// dispatcher only opens a framed connection to a member reporting at
-	// least its own version, so a v1 member is driven over gob as a whole
-	// rather than torn down on a message type it does not know. A member
-	// keeps accepting the handshake of every older version (each is a
-	// subset of the next).
-	FrameVersion = 2
+	// speaks, the last byte of its preamble. Version 2 added msgComplete,
+	// version 3 the six calls that used to ride net/rpc. Both ends must
+	// agree exactly.
+	FrameVersion = 3
 
 	// maxFrameLen bounds one frame (16 MiB) so a corrupt or hostile
 	// length prefix cannot trigger an unbounded allocation.
@@ -62,34 +80,43 @@ const (
 	// window fits one read; larger frames (summaries, batches) bypass the
 	// buffer.
 	frameReadBuf = 16 << 10
+	// maxFrameScratch bounds the frame scratch either end keeps between
+	// frames: a buffer that one large frame (a relay resync, a big
+	// SubmitBatch) grew past it is dropped once that frame is handled
+	// rather than pinned for the life of the connection.
+	maxFrameScratch = 64 << 10
 
 	// Request message types. Replies carry the request type with
 	// msgReplyBit set; an application-level failure answers msgError
 	// with the error string as payload (a delivered answer, the framed
 	// analogue of rpc.ServerError — not a transport failure).
-	msgEvaluate    byte = 0x01
-	msgCommit      byte = 0x02
-	msgSubmit      byte = 0x03
-	msgSubmitBatch byte = 0x04
-	msgSummary     byte = 0x05
-	msgRelay       byte = 0x06
-	msgComplete    byte = 0x07 // since FrameVersion 2; empty reply payload
+	msgEvaluate     byte = 0x01
+	msgCommit       byte = 0x02
+	msgSubmit       byte = 0x03
+	msgSubmitBatch  byte = 0x04
+	msgSummary      byte = 0x05
+	msgRelay        byte = 0x06
+	msgComplete     byte = 0x07
+	msgCanSolve     byte = 0x08
+	msgAddServer    byte = 0x09
+	msgRemoveServer byte = 0x0A
+	msgReport       byte = 0x0B
+	msgFence        byte = 0x0C
+	msgPartition    byte = 0x0D
 
 	msgReplyBit byte = 0x80
 	msgError    byte = 0x7F
 )
 
-// frameHandshake is the 6-byte connection preamble; the server echoes
-// it verbatim to accept.
+// frameHandshake is the 6-byte connection preamble each end sends.
 var frameHandshake = [6]byte{frameSentinel, 'C', 'A', 'S', 'F', FrameVersion}
 
-// MemberWireCapsReply answers the framed-wire capability probe. Old
-// members predate the Member.WireCaps method entirely; the rpc "can't
-// find method" error is the negotiated-down signal.
-type MemberWireCapsReply struct {
-	// FrameVersion is the highest framed protocol version the member
-	// accepts (0 = framing unsupported).
-	FrameVersion int
+// peerFrameVersion returns the version byte of a peer's preamble, or
+// false when it is not a framed preamble at all.
+func peerFrameVersion(hs [len(frameHandshake)]byte) (byte, bool) {
+	v := hs[len(hs)-1]
+	hs[len(hs)-1] = FrameVersion
+	return v, hs == frameHandshake
 }
 
 // WireError is an application-level error delivered over the framed
@@ -136,12 +163,12 @@ func endFrame(b []byte, start int) []byte {
 	return b
 }
 
-// acceptsHandshake reports whether hs is the preamble of a protocol
-// version this binary serves: its own or any older one.
-func acceptsHandshake(hs [len(frameHandshake)]byte) bool {
-	v := hs[len(hs)-1]
-	hs[len(hs)-1] = FrameVersion
-	return hs == frameHandshake && v >= 1 && v <= FrameVersion
+// trimScratch drops a frame buffer that grew past maxFrameScratch.
+func trimScratch(b []byte) []byte {
+	if cap(b) > maxFrameScratch {
+		return nil
+	}
+	return b
 }
 
 // ---- primitive encoders -------------------------------------------------
@@ -162,6 +189,14 @@ func appendBool(b []byte, v bool) []byte {
 func appendStr(b []byte, s string) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
 	return append(b, s...)
+}
+
+func appendStrs(b []byte, ss []string) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ss)))
+	for _, s := range ss {
+		b = appendStr(b, s)
+	}
+	return b
 }
 
 // ---- string interning ---------------------------------------------------
@@ -265,6 +300,19 @@ func (r *wireReader) count() int {
 		return 0
 	}
 	return n
+}
+
+// strs reads a counted string list (nil when empty).
+func (r *wireReader) strs() []string {
+	n := r.count()
+	if n == 0 {
+		return nil
+	}
+	ss := make([]string, n)
+	for i := range ss {
+		ss[i] = r.str()
+	}
+	return ss
 }
 
 func (r *wireReader) done() bool { return !r.bad && r.off == len(r.buf) }
@@ -416,7 +464,7 @@ func (r *wireReader) memberSummaryReply(s *MemberSummaryReply) {
 			}
 		}
 	} else {
-		s.TenantInFlight = nil // nil map = gob absence semantics
+		s.TenantInFlight = nil // nil map = absent
 	}
 	if n := r.count(); n > 0 {
 		s.ServerReady = make(map[string]float64, n)

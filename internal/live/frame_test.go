@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/rpc"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"casched/internal/agent"
 	"casched/internal/sched"
+	"casched/internal/task"
 )
 
 // frameRoundTrip encodes a payload, wraps it in a frame, reads the
@@ -121,7 +124,7 @@ func TestFrameBatchSummaryRelayRoundTrip(t *testing.T) {
 		t.Fatalf("summary round trip: %+v", gotSum)
 	}
 	// Nil maps must survive as nil — the dispatcher reads absence as
-	// capability information, matching the gob contract.
+	// capability information.
 	empty := MemberSummaryReply{InFlight: 1}
 	r = frameRoundTrip(t, msgSummary|msgReplyBit, 7, func(b []byte) []byte { return appendMemberSummaryReply(b, &empty) })
 	var gotEmpty MemberSummaryReply
@@ -197,30 +200,61 @@ func TestFramedHandshake(t *testing.T) {
 	}
 	fc.Close()
 
-	// A version 1 dispatcher sends only messages version 2 still serves:
-	// its handshake is accepted and echoed as sent. A version from the
-	// future is refused.
-	for _, c := range []struct {
-		version byte
-		ok      bool
-	}{{1, true}, {FrameVersion + 1, false}, {0, false}} {
+}
+
+// With negotiation gone, a peer on another frame version must not look
+// like a dead one. Both directions, each against a scripted peer: a
+// member answers a dispatcher of any other version with its own
+// preamble before closing, and a dispatcher that reads a preamble of
+// another version fails naming both.
+func TestFrameVersionMismatch(t *testing.T) {
+	a := startTestAgent(t)
+	defer a.Close()
+	for _, version := range []byte{FrameVersion - 1, FrameVersion + 1, 0} {
 		old, err := net.Dial("tcp", a.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		hs := frameHandshake
-		hs[len(hs)-1] = c.version
+		hs[len(hs)-1] = version
 		old.Write(hs[:])
 		old.SetReadDeadline(time.Now().Add(2 * time.Second))
-		var echo [len(frameHandshake)]byte
-		_, err = io.ReadFull(old, echo[:])
-		if c.ok && (err != nil || echo != hs) {
-			t.Errorf("version %d handshake: echo %v, err %v", c.version, echo, err)
+		var answer [len(frameHandshake)]byte
+		if _, err := io.ReadFull(old, answer[:]); err != nil || answer != frameHandshake {
+			t.Errorf("version %d dispatcher: member answered %v, %v; want its own preamble %v", version, answer, err, frameHandshake)
 		}
-		if !c.ok && err == nil {
-			t.Errorf("version %d handshake accepted", c.version)
+		// … and serves nothing on that connection.
+		old.Write(endFrame(beginFrame(nil, msgSummary, 1), 0))
+		if n, err := old.Read(answer[:]); err == nil {
+			t.Errorf("version %d dispatcher: member served %d bytes after the mismatch", version, n)
 		}
 		old.Close()
+	}
+
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go func() { // a member one version behind
+		conn, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var hs [len(frameHandshake)]byte
+		io.ReadFull(conn, hs[:])
+		hs[len(hs)-1] = FrameVersion - 1
+		conn.Write(hs[:])
+	}()
+	conn, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewFrameClient(conn, 2*time.Second)
+	want := fmt.Sprintf("member speaks frame v%d, dispatcher v%d", FrameVersion-1, FrameVersion)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("handshake against an older member: %v, want an error naming both versions (%q)", err, want)
 	}
 }
 
@@ -237,20 +271,13 @@ func startTestAgent(t *testing.T) *Agent {
 	return a
 }
 
-// The framed client and the legacy gob client must see identical
-// answers from the same member — the framing changes the transport,
-// not one bit of the decision.
-func TestFramedMatchesGobAgainstLiveAgent(t *testing.T) {
+// The framed client must see exactly what the member's core answers:
+// the reference for the wire is the core itself. All thirteen calls
+// cross it here, each checked against the core read in place.
+func TestFramedAgainstLiveAgent(t *testing.T) {
 	a := startTestAgent(t)
 	defer a.Close()
-	a.Engine().AddServer("artimon")
-	a.Engine().AddServer("valette")
-
-	gob, err := rpc.Dial("tcp", a.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gob.Close()
+	core := a.Core()
 	conn, err := net.Dial("tcp", a.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -261,83 +288,268 @@ func TestFramedMatchesGobAgainstLiveAgent(t *testing.T) {
 	}
 	defer framed.Close()
 
-	var caps MemberWireCapsReply
-	if err := gob.Call("Member.WireCaps", Ack{}, &caps); err != nil {
-		t.Fatalf("WireCaps: %v", err)
+	// Membership: AddServer, RemoveServer, Partition, CanSolve.
+	for _, name := range []string{"artimon", "valette", "soyotte"} {
+		if err := framed.AddServer(name); err != nil {
+			t.Fatalf("AddServer(%s): %v", name, err)
+		}
 	}
-	if caps.FrameVersion != FrameVersion {
-		t.Fatalf("WireCaps = %d, want %d", caps.FrameVersion, FrameVersion)
-	}
-
-	task := MemberTaskArgs{JobID: 1, TaskID: 1, Problem: "wastecpu", Variant: 200, Arrival: 0}
-	var wantEval MemberEvalReply
-	if err := gob.Call("Member.Evaluate", task, &wantEval); err != nil {
+	if err := framed.RemoveServer("soyotte"); err != nil {
 		t.Fatal(err)
 	}
-	gotEval, err := framed.Evaluate(&task)
+	part, err := framed.Partition()
+	if err != nil || !slices.Equal(part, core.Servers()) || len(part) != 2 {
+		t.Fatalf("Partition = %v, %v; the core holds %v", part, err, core.Servers())
+	}
+	spec, err := task.Resolve("wastecpu", 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotEval != wantEval {
-		t.Fatalf("framed Evaluate %+v != gob %+v", gotEval, wantEval)
+	if ok, err := framed.CanSolve("wastecpu", 200); err != nil || ok != core.CanSolve(spec) || !ok {
+		t.Fatalf("CanSolve = %v, %v; the core says %v", ok, err, core.CanSolve(spec))
+	}
+	if _, err := framed.CanSolve("no-such-problem", 0); !isWireError(err) {
+		t.Fatalf("CanSolve of an unknown problem: %T (%v), want WireError", err, err)
+	}
+	if err := framed.Report("artimon", 0.5, 1); err != nil {
+		t.Fatalf("Report: %v", err)
 	}
 
-	// Commit through the framed wire, then check both protocols read
-	// the same summary.
-	dec, err := framed.Commit(&MemberCommitArgs{Task: task, Server: gotEval.Server})
+	// Evaluate, then Commit what it named; the summary is the core's.
+	args := MemberTaskArgs{JobID: 1, TaskID: 1, Problem: "wastecpu", Variant: 200, Arrival: 0}
+	want, err := core.Evaluate(agent.Request{JobID: 1, TaskID: 1, Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Server != gotEval.Server {
-		t.Fatalf("framed Commit placed on %q, want %q", dec.Server, gotEval.Server)
-	}
-	var wantSum MemberSummaryReply
-	if err := gob.Call("Member.Summary", Ack{}, &wantSum); err != nil {
+	gotEval, err := framed.Evaluate(&args)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if gotEval != (MemberEvalReply{Server: want.Server, Score: want.Score, Tie: want.Tie, Scored: want.Scored}) {
+		t.Fatalf("framed Evaluate %+v, the core evaluates %+v", gotEval, want)
+	}
+	dec, err := framed.Commit(&MemberCommitArgs{Task: args, Server: gotEval.Server})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := core.Prediction(1); dec.Server != gotEval.Server || dec.Predicted != p || dec.HasPrediction != ok {
+		t.Fatalf("framed Commit %+v; the core predicts %v, %v on %s", dec, p, ok, gotEval.Server)
 	}
 	gotSum, err := framed.Summary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotSum.InFlight != wantSum.InFlight || gotSum.Servers != wantSum.Servers ||
-		gotSum.MinReady != wantSum.MinReady || gotSum.HasMinReady != wantSum.HasMinReady {
-		t.Fatalf("framed Summary %+v != gob %+v", gotSum, wantSum)
+	if wantSum := MemberSummaryReply(core.LoadSummary()); !reflect.DeepEqual(gotSum, wantSum) || gotSum.InFlight != 1 {
+		t.Fatalf("framed Summary %+v, the core's %+v", gotSum, wantSum)
 	}
 
-	// Complete over either wire retires a job the same way: commit a
-	// second job over gob, complete one per protocol, and the member is
-	// idle again. A completion the member does not know is acknowledged
-	// on both.
-	task2 := MemberTaskArgs{JobID: 2, TaskID: 2, Problem: "wastecpu", Variant: 200, Arrival: 1}
-	var dec2 MemberDecisionReply
-	if err := gob.Call("Member.Commit", MemberCommitArgs{Task: task2, Server: dec.Server}, &dec2); err != nil {
-		t.Fatal(err)
+	// Submit and SubmitBatch delegate whole decisions; Relay replays all
+	// four placements; Complete retires them one by one. A completion
+	// the member does not know is acknowledged.
+	args2 := MemberTaskArgs{JobID: 2, TaskID: 2, Problem: "wastecpu", Variant: 200, Arrival: 1}
+	dec2, err := framed.Submit(&args2)
+	if err != nil || dec2.Server == "" {
+		t.Fatalf("framed Submit: %+v, %v", dec2, err)
 	}
-	if err := framed.Complete(&TaskDoneArgs{TaskKey: 1, Server: dec.Server, At: 50}); err != nil {
-		t.Fatalf("framed Complete: %v", err)
+	args3, args4 := args2, args2
+	args3.JobID, args3.TaskID, args4.JobID, args4.TaskID = 3, 3, 4, 4
+	brep, err := framed.SubmitBatch(&MemberBatchArgs{Tasks: []MemberTaskArgs{args3, args4}})
+	if err != nil || brep.Error != "" || len(brep.Decisions) != 2 {
+		t.Fatalf("framed SubmitBatch: %+v, %v", brep, err)
 	}
-	if got := a.Core().InFlight(); got != 1 {
-		t.Fatalf("in flight after framed Complete = %d, want 1", got)
+	rrep, err := framed.Relay(&MemberRelayArgs{})
+	if err != nil || rrep.Disabled || len(rrep.Events) != 4 {
+		t.Fatalf("framed Relay: %+v, %v; want the four decisions", rrep, err)
 	}
-	if err := gob.Call("Member.Complete", TaskDoneArgs{TaskKey: 2, Server: dec2.Server, At: 60}, &Ack{}); err != nil {
-		t.Fatal(err)
+	servers := []string{dec.Server, dec2.Server, brep.Decisions[0].Server, brep.Decisions[1].Server}
+	for i, server := range servers {
+		if err := framed.Complete(&TaskDoneArgs{TaskKey: i + 1, Server: server, At: 50 + float64(i)}); err != nil {
+			t.Fatalf("framed Complete %d: %v", i+1, err)
+		}
+		if got := core.InFlight(); got != len(servers)-1-i {
+			t.Fatalf("in flight after %d completions = %d", i+1, got)
+		}
 	}
-	if got := a.Core().InFlight(); got != 0 {
-		t.Fatalf("in flight after gob Complete = %d, want 0", got)
-	}
-	errGob := gob.Call("Member.Complete", TaskDoneArgs{TaskKey: 99, Server: "nowhere", At: 61}, &Ack{})
-	errFramed := framed.Complete(&TaskDoneArgs{TaskKey: 99, Server: "nowhere", At: 61})
-	if errGob != nil || errFramed != nil {
-		t.Fatalf("unknown completion: gob %v, framed %v", errGob, errFramed)
+	if err := framed.Complete(&TaskDoneArgs{TaskKey: 99, Server: "nowhere", At: 61}); err != nil {
+		t.Fatalf("unknown completion: %v", err)
 	}
 
-	// An unknown problem is an application error: delivered as a
-	// WireError, mirroring rpc.ServerError on the gob side.
-	badTask := MemberTaskArgs{JobID: 3, TaskID: 3, Problem: "no-such-problem"}
-	if _, err := framed.Submit(&badTask); err == nil {
-		t.Fatal("framed Submit of unknown problem succeeded")
-	} else if _, ok := err.(WireError); !ok {
+	// Application errors are delivered answers (WireError) that keep the
+	// connection: an unknown problem, and a term below the fence.
+	badTask := MemberTaskArgs{JobID: 5, TaskID: 5, Problem: "no-such-problem"}
+	if _, err := framed.Submit(&badTask); !isWireError(err) {
 		t.Fatalf("framed app error is %T (%v), want WireError", err, err)
+	}
+	if err := framed.Fence(7); err != nil {
+		t.Fatalf("Fence(7): %v", err)
+	}
+	if err := framed.Fence(6); !isWireError(err) || !strings.Contains(err.Error(), "stale leader term") {
+		t.Fatalf("Fence below the watermark: %T (%v), want the stale-term refusal as a WireError", err, err)
+	}
+	stale := args2
+	stale.JobID, stale.TaskID, stale.Term = 6, 6, 6
+	if _, err := framed.Submit(&stale); !isWireError(err) {
+		t.Fatalf("Submit at a stale term: %T (%v), want WireError", err, err)
+	}
+	if _, err := framed.Summary(); err != nil {
+		t.Fatalf("the connection did not survive delivered errors: %v", err)
+	}
+}
+
+func isWireError(err error) bool {
+	var we WireError
+	return errors.As(err, &we)
+}
+
+// testHandler is a frame handler over a bare core: the server half of a
+// framed connection without the connection.
+func testHandler(t testing.TB) *frameHandler {
+	t.Helper()
+	core, err := agent.New(agent.Config{Scheduler: sched.NewHMCT(), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &frameHandler{a: &Agent{core: core}, in: make(intern)}
+}
+
+// The six calls that joined the framed wire in version 3, as the client
+// encodes them (payloads restated here on purpose: this is the wire
+// format the table in frame.go documents).
+var coldRequests = []struct {
+	name    string
+	typ     byte
+	payload func([]byte) []byte
+}{
+	{"CanSolve", msgCanSolve, func(b []byte) []byte { return appendI64(appendStr(b, "wastecpu"), 200) }},
+	{"AddServer", msgAddServer, func(b []byte) []byte { return appendStr(b, "artimon") }},
+	{"RemoveServer", msgRemoveServer, func(b []byte) []byte { return appendStr(b, "artimon") }},
+	{"Report", msgReport, func(b []byte) []byte { return appendF64(appendF64(appendStr(b, "artimon"), 0.5), 3) }},
+	{"Fence", msgFence, func(b []byte) []byte { return appendU64(b, 4) }},
+	{"Partition", msgPartition, func(b []byte) []byte { return b }},
+}
+
+// Each of them round-trips through the handler — the request decodes,
+// the core is driven, the reply frame carries the request's type and
+// correlation ID — and a payload cut short or followed by garbage is a
+// protocol error that tears the connection down, not an answer.
+func TestFrameColdCallsRoundTripAndMalformed(t *testing.T) {
+	h := testHandler(t)
+	h.a.core.AddServer("valette")
+	for i, c := range coldRequests {
+		payload := c.payload(nil)
+		out, err := h.handle(nil, c.typ, uint64(i), payload)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var buf []byte
+		typ, corr, reply, err := readFrame(bytes.NewReader(out), &buf)
+		if err != nil || typ != c.typ|msgReplyBit || corr != uint64(i) {
+			t.Fatalf("%s reply frame = (%#x, %d, %v), want (%#x, %d)", c.name, typ, corr, err, c.typ|msgReplyBit, i)
+		}
+		r := wireReader{buf: reply}
+		switch c.typ {
+		case msgCanSolve:
+			if ok := r.boolv(); !ok || !r.done() {
+				t.Errorf("CanSolve reply = %v (done %v), want true", ok, r.done())
+			}
+		case msgPartition:
+			if got := r.strs(); !r.done() || !slices.Equal(got, h.a.core.Servers()) {
+				t.Errorf("Partition reply = %v, the core holds %v", got, h.a.core.Servers())
+			}
+		default:
+			if !r.done() {
+				t.Errorf("%s reply carries %d payload bytes, want none", c.name, len(reply))
+			}
+		}
+		if c.typ == msgAddServer && !slices.Contains(h.a.core.Servers(), "artimon") {
+			t.Error("AddServer did not reach the core")
+		}
+		if c.typ == msgRemoveServer && slices.Contains(h.a.core.Servers(), "artimon") {
+			t.Error("RemoveServer did not reach the core")
+		}
+		if c.typ == msgFence && h.a.admitTerm(3) == nil {
+			t.Error("Fence did not raise the watermark")
+		}
+
+		if _, err := h.handle(nil, c.typ, 0, append(payload[:len(payload):len(payload)], 0)); err == nil {
+			t.Errorf("%s: trailing garbage accepted", c.name)
+		}
+		if len(payload) > 0 {
+			if _, err := h.handle(nil, c.typ, 0, payload[:len(payload)-1]); err == nil {
+				t.Errorf("%s: payload cut short accepted", c.name)
+			}
+		}
+	}
+	if _, err := h.handle(nil, msgPartition+1, 0, nil); err == nil {
+		t.Error("unknown message type accepted")
+	}
+}
+
+// Frame scratch is bounded: after one 1 MiB SubmitBatch frame — answered
+// by an error frame as large, since the member quotes the problem name
+// it does not know — and one small frame, neither end holds a buffer
+// past maxFrameScratch.
+func TestFrameScratchBounded(t *testing.T) {
+	a := startTestAgent(t)
+	defer a.Close()
+	big := MemberBatchArgs{Tasks: []MemberTaskArgs{{JobID: 1, TaskID: 1, Problem: strings.Repeat("x", 1<<20)}}}
+
+	// Server side, on a handler of its own so the buffers can be read.
+	h := frameHandler{a: a, in: make(intern)}
+	var in, out bytes.Buffer
+	in.Write(endFrame(appendMemberBatchArgs(beginFrame(nil, msgSubmitBatch, 1), &big), 0))
+	in.Write(endFrame(beginFrame(nil, msgSummary, 2), 0))
+	if err := h.serveFrame(&in, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() < 1<<20 {
+		t.Fatalf("the big frame was answered in %d bytes: the reply buffer never grew", out.Len())
+	}
+	if err := h.serveFrame(&in, &out); err != nil {
+		t.Fatal(err)
+	}
+	if cap(h.rbuf) > maxFrameScratch || cap(h.wbuf) > maxFrameScratch {
+		t.Errorf("server scratch after a 1 MiB frame: read %d, write %d bytes; want at most %d", cap(h.rbuf), cap(h.wbuf), maxFrameScratch)
+	}
+
+	// Client side, over a real connection.
+	conn, err := net.Dial("tcp", a.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewFrameClient(conn, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.SubmitBatch(&big); !isWireError(err) || len(err.Error()) < 1<<20 {
+		t.Fatalf("big batch: %T, want the member's 1 MiB refusal", err)
+	}
+	if _, err := c.Summary(); err != nil {
+		t.Fatal(err)
+	}
+	c.wmu.Lock()
+	wcap := cap(c.wbuf)
+	c.wmu.Unlock()
+	if wcap > maxFrameScratch {
+		t.Errorf("client write scratch after a 1 MiB frame: %d bytes; want at most %d", wcap, maxFrameScratch)
+	}
+	// The reader's scratch is its loop's own; the same step on a buffer
+	// the test can see, fed the member's two replies from above.
+	var rbuf []byte
+	for out.Len() > 0 {
+		if err := c.readReply(&out, &rbuf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cap(rbuf) > maxFrameScratch {
+		t.Errorf("client read scratch after a 1 MiB frame: %d bytes; want at most %d", cap(rbuf), maxFrameScratch)
+	}
+	call := c.getCall()
+	call.payload = make([]byte, 1<<20)
+	c.putCall(call)
+	if cap(call.payload) > maxFrameScratch {
+		t.Errorf("a pooled call slot keeps a %d byte payload buffer", cap(call.payload))
 	}
 }
 
@@ -377,6 +589,19 @@ func FuzzFrameDecode(f *testing.F) {
 		return append(b, complete[4+frameMinLen:len(complete)-3]...)
 	}))
 	f.Add(seed(msgComplete|msgReplyBit, func(b []byte) []byte { return b }))
+	// The version 3 messages: one valid frame each, the same frame cut
+	// short of its length prefix, and a well-formed frame whose payload
+	// is cut (Partition has no request payload to cut: its reply is).
+	for _, c := range coldRequests {
+		valid := seed(c.typ, c.payload)
+		if c.typ == msgPartition {
+			valid = seed(c.typ|msgReplyBit, func(b []byte) []byte { return appendStrs(b, []string{"artimon", "valette"}) })
+		}
+		f.Add(valid)
+		f.Add(valid[:len(valid)-1])
+		f.Add(seed(valid[4], func(b []byte) []byte { return append(b, valid[4+frameMinLen:len(valid)-1]...) }))
+	}
+	f.Add(seed(msgCanSolve|msgReplyBit, func(b []byte) []byte { return appendBool(b, true) }))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 	f.Add([]byte{9, 0, 0, 0, msgError})
 
@@ -390,6 +615,26 @@ func FuzzFrameDecode(f *testing.F) {
 				return // malformed or exhausted: rejected cleanly
 			}
 			r := wireReader{buf: payload, in: in}
+			// The version 3 payloads are decoded field by field where
+			// they are used (frameHandler.handle, the FrameClient calls);
+			// the same sequences here.
+			switch typ {
+			case msgCanSolve:
+				r.str()
+				r.i64()
+			case msgCanSolve | msgReplyBit:
+				r.boolv()
+			case msgAddServer, msgRemoveServer:
+				r.str()
+			case msgReport:
+				r.str()
+				r.f64()
+				r.f64()
+			case msgFence:
+				r.u64()
+			case msgPartition | msgReplyBit:
+				r.strs()
+			}
 			switch typ &^ msgReplyBit {
 			case msgEvaluate, msgSubmit:
 				if typ&msgReplyBit == 0 {

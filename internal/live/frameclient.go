@@ -17,9 +17,9 @@ import (
 	"time"
 )
 
-// ErrWireTimeout marks a framed call that exceeded its budget; like a
-// gob timeout the request may have reached the member, so callers must
-// treat the outcome as uncertain for mutating calls.
+// ErrWireTimeout marks a framed call that exceeded its budget; the
+// request may have reached the member, so callers must treat the
+// outcome as uncertain for mutating calls.
 var ErrWireTimeout = errors.New("live: framed call timed out")
 
 // frameWindow bounds the requests in flight per framed connection.
@@ -59,7 +59,8 @@ type FrameClient struct {
 
 // NewFrameClient performs the framed handshake on conn and starts the
 // reply reader. The timeout bounds the handshake, each call, and each
-// frame write; non-positive selects 2s. On error the conn is closed.
+// frame write; non-positive selects 2s. On error the conn is closed; a
+// member on another frame version is reported with both versions named.
 func NewFrameClient(conn net.Conn, timeout time.Duration) (*FrameClient, error) {
 	if timeout <= 0 {
 		timeout = 2 * time.Second
@@ -76,6 +77,9 @@ func NewFrameClient(conn net.Conn, timeout time.Duration) (*FrameClient, error) 
 	}
 	if echo != frameHandshake {
 		conn.Close()
+		if v, ok := peerFrameVersion(echo); ok {
+			return nil, fmt.Errorf("live: member speaks frame v%d, dispatcher v%d", v, FrameVersion)
+		}
 		return nil, errors.New("live: framed handshake rejected")
 	}
 	conn.SetDeadline(time.Time{})
@@ -115,26 +119,40 @@ func (c *FrameClient) fail(err error) {
 
 // readLoop matches reply frames to pending calls by correlation ID.
 // Replies to calls that already timed out client-side are discarded.
+// The frame scratch is the loop's own: the writers' cache lines never
+// see it.
 func (c *FrameClient) readLoop() {
 	br := bufio.NewReaderSize(c.conn, frameReadBuf)
 	var buf []byte
 	for {
-		typ, corr, payload, err := readFrame(br, &buf)
-		if err != nil {
+		if err := c.readReply(br, &buf); err != nil {
 			c.fail(fmt.Errorf("live: framed read: %w", err))
 			return
 		}
-		c.mu.Lock()
-		call := c.pending[corr]
-		delete(c.pending, corr)
-		c.mu.Unlock()
-		if call == nil {
-			continue
-		}
+	}
+}
+
+// readReply reads one reply frame through the scratch *buf, hands its
+// payload to the call waiting for it, and drops scratch the frame grew
+// past maxFrameScratch before the call is completed.
+func (c *FrameClient) readReply(r io.Reader, buf *[]byte) error {
+	typ, corr, payload, err := readFrame(r, buf)
+	if err != nil {
+		return err
+	}
+	c.mu.Lock()
+	call := c.pending[corr]
+	delete(c.pending, corr)
+	c.mu.Unlock()
+	if call != nil {
 		call.typ = typ
 		call.payload = append(call.payload[:0], payload...)
+	}
+	*buf = trimScratch(*buf)
+	if call != nil {
 		call.done <- struct{}{}
 	}
+	return nil
 }
 
 // getCall returns a slot with its timer armed for one call.
@@ -159,6 +177,7 @@ func (c *FrameClient) putCall(call *frameCall) {
 		default:
 		}
 	}
+	call.payload = trimScratch(call.payload)
 	c.calls.Put(call)
 }
 
@@ -193,9 +212,9 @@ func (c *FrameClient) start(typ byte, enc func([]byte) []byte) (*frameCall, erro
 	b := beginFrame(c.wbuf[:0], typ, call.id)
 	b = enc(b)
 	b = endFrame(b, 0)
-	c.wbuf = b
 	c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
 	_, werr := c.conn.Write(b)
+	c.wbuf = trimScratch(b)
 	c.wmu.Unlock()
 	if werr != nil {
 		// A failed or partial write poisons the stream for every call.
@@ -344,11 +363,61 @@ func (c *FrameClient) Relay(args *MemberRelayArgs) (MemberRelayReply, error) {
 	return reply, err
 }
 
-// Complete runs Member.Complete over the framed wire (FrameVersion 2).
+// Complete runs Member.Complete over the framed wire.
 func (c *FrameClient) Complete(args *TaskDoneArgs) error {
 	call, err := c.roundTrip(msgComplete, func(b []byte) []byte { return appendTaskDoneArgs(b, args) })
 	if err != nil {
 		return err
 	}
 	return c.finish(call, msgComplete, func(*wireReader) {})
+}
+
+// The six calls below are cold — once per server registration, monitor
+// report or promotion, never per decision — and share one path.
+
+// cold is one blocking call: enc appends the request payload, dec reads
+// the reply payload.
+func (c *FrameClient) cold(typ byte, enc func([]byte) []byte, dec func(*wireReader)) error {
+	call, err := c.roundTrip(typ, enc)
+	if err != nil {
+		return err
+	}
+	return c.finish(call, typ, dec)
+}
+
+func noPayload(b []byte) []byte { return b }
+func noReply(*wireReader)       {}
+
+// CanSolve runs Member.CanSolve over the framed wire.
+func (c *FrameClient) CanSolve(problem string, variant int) (ok bool, err error) {
+	err = c.cold(msgCanSolve,
+		func(b []byte) []byte { return appendI64(appendStr(b, problem), variant) },
+		func(r *wireReader) { ok = r.boolv() })
+	return ok, err
+}
+
+// AddServer runs Member.AddServer over the framed wire.
+func (c *FrameClient) AddServer(name string) error {
+	return c.cold(msgAddServer, func(b []byte) []byte { return appendStr(b, name) }, noReply)
+}
+
+// RemoveServer runs Member.RemoveServer over the framed wire.
+func (c *FrameClient) RemoveServer(name string) error {
+	return c.cold(msgRemoveServer, func(b []byte) []byte { return appendStr(b, name) }, noReply)
+}
+
+// Report runs Member.Report over the framed wire.
+func (c *FrameClient) Report(name string, load, at float64) error {
+	return c.cold(msgReport, func(b []byte) []byte { return appendF64(appendF64(appendStr(b, name), load), at) }, noReply)
+}
+
+// Fence runs Member.Fence over the framed wire.
+func (c *FrameClient) Fence(term uint64) error {
+	return c.cold(msgFence, func(b []byte) []byte { return appendU64(b, term) }, noReply)
+}
+
+// Partition runs Member.Partition over the framed wire.
+func (c *FrameClient) Partition() (servers []string, err error) {
+	err = c.cold(msgPartition, noPayload, func(r *wireReader) { servers = r.strs() })
+	return servers, err
 }

@@ -6,13 +6,16 @@ package live
 
 import (
 	"bufio"
+	"errors"
 	"io"
 	"net"
+
+	"casched/internal/task"
 )
 
 // prefixConn replays sniffed bytes before reading from the underlying
-// connection, so the gob path sees an untouched stream after the
-// one-byte protocol sniff.
+// connection, so net/rpc sees an untouched stream after the one-byte
+// protocol sniff.
 type prefixConn struct {
 	net.Conn
 	prefix []byte
@@ -30,7 +33,7 @@ func (p *prefixConn) Read(b []byte) (int, error) {
 // serveConn sniffs the first byte of an accepted connection: the
 // framed handshake sentinel 0x00 — never a legal first byte of a gob
 // request stream — selects the framed member wire; anything else is
-// replayed into the legacy net/rpc (gob) server.
+// replayed into the net/rpc server of the "Agent" service.
 func (a *Agent) serveConn(conn net.Conn) {
 	var first [1]byte
 	if _, err := io.ReadFull(conn, first[:]); err != nil {
@@ -43,55 +46,47 @@ func (a *Agent) serveConn(conn net.Conn) {
 	a.srv.ServeConn(&prefixConn{Conn: conn, prefix: first[:]})
 }
 
-// serveFramed validates and echoes the handshake (the sentinel byte is
-// already consumed), then serves frames sequentially: one buffered
-// reader (a frame's header and body, and under pipelining several
-// frames, per read syscall), one reused frame buffer, one reused write
-// buffer, one interning table per connection, so the steady decision
-// stream stops allocating once the problem and server vocabulary has
-// been seen. Sequential handling still yields wire pipelining — the
-// client keeps a window of requests in flight and the member's core
-// serializes decisions on its own lock anyway — and it is what the
-// dispatcher's ordering argument rests on: a frame is served after
-// every frame written to the connection before it (internal/fed,
+// serveFramed reads the peer's preamble (the sentinel byte is already
+// consumed), answers its own — so a dispatcher on another frame version
+// learns which one this member speaks instead of seeing a dead peer —
+// and, if the two are identical, serves frames sequentially: one
+// buffered reader (a frame's header and body, and under pipelining
+// several frames, per read syscall), one reused frame buffer, one
+// reused write buffer, one interning table per connection, so the
+// steady decision stream stops allocating once the problem and server
+// vocabulary has been seen. Sequential handling still yields wire
+// pipelining — the client keeps a window of requests in flight and the
+// member's core serializes decisions on its own lock anyway — and it is
+// what the dispatcher's ordering argument rests on: a frame is served
+// after every frame written to the connection before it (internal/fed,
 // "Ordering"). Any malformed frame closes the connection.
 func (a *Agent) serveFramed(conn net.Conn) {
 	var hs [len(frameHandshake)]byte
 	hs[0] = frameSentinel
-	if _, err := io.ReadFull(conn, hs[1:]); err != nil || !acceptsHandshake(hs) {
+	if _, err := io.ReadFull(conn, hs[1:]); err != nil {
 		return
 	}
-	if _, err := conn.Write(hs[:]); err != nil {
+	if _, framed := peerFrameVersion(hs); !framed {
 		return
 	}
-	svc := &MemberService{a}
-	var (
-		br   = bufio.NewReaderSize(conn, frameReadBuf)
-		rbuf []byte
-		wbuf []byte
-		in   = make(intern)
-		h    = frameHandler{svc: svc}
-	)
-	for {
-		typ, corr, payload, err := readFrame(br, &rbuf)
-		if err != nil {
-			return
-		}
-		wbuf, err = h.handle(wbuf[:0], typ, corr, payload, in)
-		if err != nil {
-			return
-		}
-		if _, err := conn.Write(wbuf); err != nil {
-			return
-		}
+	if _, err := conn.Write(frameHandshake[:]); err != nil || hs != frameHandshake {
+		return
+	}
+	h := frameHandler{a: a, in: make(intern)}
+	br := bufio.NewReaderSize(conn, frameReadBuf)
+	for h.serveFrame(br, conn) == nil {
 	}
 }
 
-// frameHandler owns the per-connection reply scratch: request and
-// reply structs are reused across frames (reset before each decode)
-// so the hot Evaluate/Commit/Submit handlers do not allocate per call.
+// frameHandler is one framed connection's state: the member it drives,
+// the frame scratch and the request and reply structs, reused across
+// frames (reset before each decode) so the hot Evaluate/Commit/Submit
+// handlers do not allocate per call.
 type frameHandler struct {
-	svc *MemberService
+	a  *Agent
+	in intern
+
+	rbuf, wbuf []byte
 
 	task   MemberTaskArgs
 	commit MemberCommitArgs
@@ -100,107 +95,127 @@ type frameHandler struct {
 	batch  MemberBatchArgs
 	brep   MemberBatchReply
 	sum    MemberSummaryReply
-	relay  MemberRelayArgs
 	rrep   MemberRelayReply
 	done   TaskDoneArgs
+}
+
+// serveFrame reads one request frame, answers it, and drops whatever
+// scratch the frame grew past maxFrameScratch.
+func (h *frameHandler) serveFrame(r io.Reader, w io.Writer) error {
+	typ, corr, payload, err := readFrame(r, &h.rbuf)
+	if err != nil {
+		return err
+	}
+	h.wbuf, err = h.handle(h.wbuf[:0], typ, corr, payload)
+	h.rbuf = trimScratch(h.rbuf)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(h.wbuf)
+	h.wbuf = trimScratch(h.wbuf)
+	return err
 }
 
 // errProtocol marks a frame the handler cannot decode or a message
 // type it does not know; the connection is torn down rather than
 // answered.
-type protocolError string
+var errProtocol = errors.New("live: malformed or unknown frame")
 
-func (e protocolError) Error() string { return string(e) }
+// errSharded answers every member call on an agent without a single
+// core: a member is itself one partition.
+var errSharded = errors.New("live: a sharded agent cannot serve as a federation member")
 
-// handle decodes one request frame, runs the matching MemberService
-// handler and appends the reply frame (or an msgError frame for an
-// application-level failure) to b.
-func (h *frameHandler) handle(b []byte, typ byte, corr uint64, payload []byte, in intern) ([]byte, error) {
-	r := wireReader{buf: payload, in: in}
+// handle decodes one request frame, runs the call against the member's
+// core (member.go) and appends the reply frame — or an msgError frame
+// for an application-level failure — to b.
+func (h *frameHandler) handle(b []byte, typ byte, corr uint64, payload []byte) ([]byte, error) {
+	core := h.a.core
+	if core == nil {
+		return appendErrorFrame(b, corr, errSharded), nil
+	}
+	r := wireReader{buf: payload, in: h.in}
 	start := len(b)
+	b = beginFrame(b, typ|msgReplyBit, corr)
+	// Each case decodes its request and, only if the payload was
+	// consumed exactly, runs the call and appends the reply payload.
+	var err error
 	switch typ {
 	case msgEvaluate:
 		h.task = MemberTaskArgs{}
-		r.memberTaskArgs(&h.task)
-		if !r.done() {
-			return nil, protocolError("live: malformed Evaluate frame")
+		if r.memberTaskArgs(&h.task); r.done() {
+			h.eval = MemberEvalReply{}
+			err = h.evaluate()
+			b = appendMemberEvalReply(b, &h.eval)
 		}
-		h.eval = MemberEvalReply{}
-		if err := h.svc.Evaluate(h.task, &h.eval); err != nil {
-			return appendErrorFrame(b, corr, err), nil
-		}
-		b = beginFrame(b, typ|msgReplyBit, corr)
-		b = appendMemberEvalReply(b, &h.eval)
 	case msgCommit:
 		h.commit = MemberCommitArgs{}
-		r.memberCommitArgs(&h.commit)
-		if !r.done() {
-			return nil, protocolError("live: malformed Commit frame")
+		if r.memberCommitArgs(&h.commit); r.done() {
+			err = h.commitTask()
+			b = appendMemberDecisionReply(b, &h.dec)
 		}
-		h.dec = MemberDecisionReply{}
-		if err := h.svc.Commit(h.commit, &h.dec); err != nil {
-			return appendErrorFrame(b, corr, err), nil
-		}
-		b = beginFrame(b, typ|msgReplyBit, corr)
-		b = appendMemberDecisionReply(b, &h.dec)
 	case msgSubmit:
 		h.task = MemberTaskArgs{}
-		r.memberTaskArgs(&h.task)
-		if !r.done() {
-			return nil, protocolError("live: malformed Submit frame")
+		if r.memberTaskArgs(&h.task); r.done() {
+			err = h.submit()
+			b = appendMemberDecisionReply(b, &h.dec)
 		}
-		h.dec = MemberDecisionReply{}
-		if err := h.svc.Submit(h.task, &h.dec); err != nil {
-			return appendErrorFrame(b, corr, err), nil
-		}
-		b = beginFrame(b, typ|msgReplyBit, corr)
-		b = appendMemberDecisionReply(b, &h.dec)
 	case msgSubmitBatch:
 		h.batch = MemberBatchArgs{}
-		r.memberBatchArgs(&h.batch)
-		if !r.done() {
-			return nil, protocolError("live: malformed SubmitBatch frame")
+		if r.memberBatchArgs(&h.batch); r.done() {
+			err = h.submitBatch()
+			b = appendMemberBatchReply(b, &h.brep)
 		}
-		h.brep = MemberBatchReply{}
-		if err := h.svc.SubmitBatch(h.batch, &h.brep); err != nil {
-			return appendErrorFrame(b, corr, err), nil
-		}
-		b = beginFrame(b, typ|msgReplyBit, corr)
-		b = appendMemberBatchReply(b, &h.brep)
 	case msgSummary:
-		if !r.done() {
-			return nil, protocolError("live: malformed Summary frame")
+		if r.done() {
+			h.sum = MemberSummaryReply(core.LoadSummary()) // same fields, in the same order
+			b = appendMemberSummaryReply(b, &h.sum)
 		}
-		h.sum = MemberSummaryReply{}
-		if err := h.svc.Summary(Ack{}, &h.sum); err != nil {
-			return appendErrorFrame(b, corr, err), nil
-		}
-		b = beginFrame(b, typ|msgReplyBit, corr)
-		b = appendMemberSummaryReply(b, &h.sum)
 	case msgRelay:
-		h.relay = MemberRelayArgs{}
-		r.memberRelayArgs(&h.relay)
-		if !r.done() {
-			return nil, protocolError("live: malformed Relay frame")
+		var args MemberRelayArgs
+		if r.memberRelayArgs(&args); r.done() {
+			h.relay(args.Since)
+			b = appendMemberRelayReply(b, &h.rrep)
 		}
-		h.rrep = MemberRelayReply{}
-		if err := h.svc.Relay(h.relay, &h.rrep); err != nil {
-			return appendErrorFrame(b, corr, err), nil
-		}
-		b = beginFrame(b, typ|msgReplyBit, corr)
-		b = appendMemberRelayReply(b, &h.rrep)
 	case msgComplete:
 		h.done = TaskDoneArgs{}
-		r.taskDoneArgs(&h.done)
-		if !r.done() {
-			return nil, protocolError("live: malformed Complete frame")
+		if r.taskDoneArgs(&h.done); r.done() {
+			core.Complete(h.done.TaskKey, h.done.Server, h.done.At)
 		}
-		if err := h.svc.Complete(h.done, nil); err != nil {
-			return appendErrorFrame(b, corr, err), nil
+	case msgCanSolve:
+		if problem, variant := r.str(), r.i64(); r.done() {
+			var spec *task.Spec
+			if spec, err = task.Resolve(problem, variant); err == nil {
+				b = appendBool(b, core.CanSolve(spec))
+			}
 		}
-		b = beginFrame(b, typ|msgReplyBit, corr)
+	case msgAddServer:
+		if name := r.str(); r.done() {
+			core.AddServer(name)
+		}
+	case msgRemoveServer:
+		if name := r.str(); r.done() {
+			core.RemoveServer(name)
+		}
+	case msgReport:
+		if name, load, at := r.str(), r.f64(), r.f64(); r.done() {
+			core.Report(name, load, at)
+		}
+	case msgFence:
+		if term := r.u64(); r.done() {
+			err = h.a.admitTerm(term)
+		}
+	case msgPartition:
+		if r.done() {
+			b = appendStrs(b, core.Servers())
+		}
 	default:
-		return nil, protocolError("live: unknown frame type")
+		return nil, errProtocol
+	}
+	if !r.done() {
+		return nil, errProtocol
+	}
+	if err != nil {
+		return appendErrorFrame(b[:start], corr, err), nil
 	}
 	return endFrame(b, start), nil
 }

@@ -11,30 +11,19 @@ import (
 	"casched/internal/task"
 )
 
-// This file is the member half of the federation protocol: the
-// "Member" RPC service every single-core live agent exposes, through
-// which a federated dispatcher (internal/fed) drives the agent's core
-// — Evaluate/Commit for exact fan-out decisions, Submit/SubmitBatch
-// for delegated ones, partition membership, execution feedback and
-// the periodic load summary. The dispatcher stamps every timestamp,
-// so member clocks never skew the decisions.
-
-// MemberService is the RPC facade over the agent's core. It is
-// registered on every single-core agent; sharded agents (Shards > 1)
-// cannot federate — a member is itself one partition.
-type MemberService struct{ a *Agent }
-
-// memberCore resolves the agent's single core, rejecting sharded
-// engines.
-func (s *MemberService) memberCore() (*agent.Core, error) {
-	if s.a.core == nil {
-		return nil, errors.New("live: a sharded agent cannot serve as a federation member")
-	}
-	return s.a.core, nil
-}
+// This file is the member half of the federation protocol: what each
+// call a federated dispatcher (internal/fed) makes on a single-core
+// agent does to the agent's core — Evaluate/Commit for exact fan-out
+// decisions, Submit/SubmitBatch for delegated ones, the relay feed.
+// The calls arrive as frames on the member wire (frame.go); the frame
+// handler (frameserver.go) decodes into its scratch, runs the methods
+// below — the calls that are one line against the core are inline in
+// its switch — and encodes the reply. The dispatcher stamps every
+// timestamp, so member clocks never skew the decisions. Sharded agents
+// (Shards > 1) cannot federate — a member is itself one partition.
 
 // memberRequest resolves a wire task into a core request.
-func memberRequest(args MemberTaskArgs) (agent.Request, error) {
+func memberRequest(args *MemberTaskArgs) (agent.Request, error) {
 	spec, err := task.Resolve(args.Problem, args.Variant)
 	if err != nil {
 		return agent.Request{}, err
@@ -51,205 +40,111 @@ func memberRequest(args MemberTaskArgs) (agent.Request, error) {
 	}, nil
 }
 
-// Evaluate runs the member's heuristic against its partition without
-// committing.
-func (s *MemberService) Evaluate(args MemberTaskArgs, reply *MemberEvalReply) error {
-	core, err := s.memberCore()
+// evaluate runs the member's heuristic on h.task against its partition
+// without committing. "No server of this partition solves it" and an
+// admission refusal are answers (h.eval), not errors.
+func (h *frameHandler) evaluate() error {
+	req, err := memberRequest(&h.task)
 	if err != nil {
 		return err
 	}
-	req, err := memberRequest(args)
-	if err != nil {
+	cand, err := h.a.core.Evaluate(req)
+	switch {
+	case errors.Is(err, agent.ErrUnschedulable):
+		h.eval.Unschedulable = true
+	case errors.Is(err, agent.ErrDeadlineUnmet):
+		h.eval.DeadlineUnmet = true
+	case err != nil:
 		return err
+	default:
+		h.eval = MemberEvalReply{Server: cand.Server, Score: cand.Score, Tie: cand.Tie, Scored: cand.Scored}
 	}
-	cand, err := core.Evaluate(req)
-	if errors.Is(err, agent.ErrUnschedulable) {
-		reply.Unschedulable = true
-		return nil
-	}
-	if errors.Is(err, agent.ErrDeadlineUnmet) {
-		reply.DeadlineUnmet = true
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	*reply = MemberEvalReply{Server: cand.Server, Score: cand.Score, Tie: cand.Tie, Scored: cand.Scored}
 	return nil
 }
 
-// Commit commits a previously evaluated placement.
-func (s *MemberService) Commit(args MemberCommitArgs, reply *MemberDecisionReply) error {
-	core, err := s.memberCore()
+// commitTask commits h.commit, a previously evaluated placement.
+func (h *frameHandler) commitTask() error {
+	if err := h.a.admitTerm(h.commit.Task.Term); err != nil {
+		return err
+	}
+	req, err := memberRequest(&h.commit.Task)
 	if err != nil {
 		return err
 	}
-	if err := s.a.admitTerm(args.Task.Term); err != nil {
+	dec, err := h.a.core.Commit(req, h.commit.Server)
+	h.dec = MemberDecisionReply{Server: dec.Server, Predicted: dec.Predicted, HasPrediction: dec.HasPrediction}
+	return err
+}
+
+// submit delegates the whole decision on h.task to the member.
+func (h *frameHandler) submit() error {
+	if err := h.a.admitTerm(h.task.Term); err != nil {
 		return err
 	}
-	req, err := memberRequest(args.Task)
+	req, err := memberRequest(&h.task)
 	if err != nil {
 		return err
 	}
-	dec, err := core.Commit(req, args.Server)
-	if err != nil {
+	dec, err := h.a.core.Submit(req)
+	switch {
+	case errors.Is(err, agent.ErrUnschedulable):
+		h.dec = MemberDecisionReply{Unschedulable: true}
+	case errors.Is(err, agent.ErrDeadlineUnmet):
+		h.dec = MemberDecisionReply{DeadlineUnmet: true}
+	case err != nil:
 		return err
+	default:
+		h.dec = MemberDecisionReply{Server: dec.Server, Predicted: dec.Predicted, HasPrediction: dec.HasPrediction}
 	}
-	*reply = MemberDecisionReply{Server: dec.Server, Predicted: dec.Predicted, HasPrediction: dec.HasPrediction}
 	return nil
 }
 
-// Submit delegates one whole decision to the member.
-func (s *MemberService) Submit(args MemberTaskArgs, reply *MemberDecisionReply) error {
-	core, err := s.memberCore()
-	if err != nil {
-		return err
-	}
-	if err := s.a.admitTerm(args.Term); err != nil {
-		return err
-	}
-	req, err := memberRequest(args)
-	if err != nil {
-		return err
-	}
-	dec, err := core.Submit(req)
-	if errors.Is(err, agent.ErrUnschedulable) {
-		reply.Unschedulable = true
-		return nil
-	}
-	if errors.Is(err, agent.ErrDeadlineUnmet) {
-		reply.DeadlineUnmet = true
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	*reply = MemberDecisionReply{Server: dec.Server, Predicted: dec.Predicted, HasPrediction: dec.HasPrediction}
-	return nil
-}
-
-// SubmitBatch pipelines a burst through the member's batch prediction
-// cache. Per-request failures leave zero decisions; their joined
-// errors travel flattened in the reply rather than failing the RPC.
-func (s *MemberService) SubmitBatch(args MemberBatchArgs, reply *MemberBatchReply) error {
-	core, err := s.memberCore()
-	if err != nil {
-		return err
-	}
+// submitBatch pipelines the burst h.batch through the member's batch
+// prediction cache. Per-request failures leave zero decisions; their
+// joined errors travel flattened in the reply rather than failing the
+// call.
+func (h *frameHandler) submitBatch() error {
 	var term uint64
-	for _, t := range args.Tasks {
-		if t.Term > term {
-			term = t.Term
-		}
+	for i := range h.batch.Tasks {
+		term = max(term, h.batch.Tasks[i].Term)
 	}
-	if err := s.a.admitTerm(term); err != nil {
+	if err := h.a.admitTerm(term); err != nil {
 		return err
 	}
-	reqs := make([]agent.Request, len(args.Tasks))
-	for i, t := range args.Tasks {
-		req, err := memberRequest(t)
+	reqs := make([]agent.Request, len(h.batch.Tasks))
+	for i := range h.batch.Tasks {
+		req, err := memberRequest(&h.batch.Tasks[i])
 		if err != nil {
-			return fmt.Errorf("live: batch job %d: %w", t.JobID, err)
+			return fmt.Errorf("live: batch job %d: %w", h.batch.Tasks[i].JobID, err)
 		}
 		reqs[i] = req
 	}
-	decs, err := core.SubmitBatch(reqs)
-	reply.Decisions = make([]MemberDecisionReply, len(decs))
+	decs, err := h.a.core.SubmitBatch(reqs)
+	h.brep = MemberBatchReply{Decisions: make([]MemberDecisionReply, len(decs))}
 	for i, d := range decs {
-		reply.Decisions[i] = MemberDecisionReply{Server: d.Server, Predicted: d.Predicted, HasPrediction: d.HasPrediction}
+		h.brep.Decisions[i] = MemberDecisionReply{Server: d.Server, Predicted: d.Predicted, HasPrediction: d.HasPrediction}
 	}
 	if err != nil {
-		reply.Error = err.Error()
+		h.brep.Error = err.Error()
 	}
 	return nil
 }
 
-// CanSolve answers the dispatcher's eligibility probe.
-func (s *MemberService) CanSolve(args MemberCanSolveArgs, reply *MemberCanSolveReply) error {
-	core, err := s.memberCore()
-	if err != nil {
-		return err
-	}
-	spec, err := task.Resolve(args.Problem, args.Variant)
-	if err != nil {
-		return err
-	}
-	reply.OK = core.CanSolve(spec)
-	return nil
-}
-
-// AddServer registers a server into the member's partition.
-func (s *MemberService) AddServer(args MemberServerArgs, _ *Ack) error {
-	core, err := s.memberCore()
-	if err != nil {
-		return err
-	}
-	core.AddServer(args.Name)
-	return nil
-}
-
-// RemoveServer withdraws a server from the member's partition.
-func (s *MemberService) RemoveServer(args MemberServerArgs, _ *Ack) error {
-	core, err := s.memberCore()
-	if err != nil {
-		return err
-	}
-	core.RemoveServer(args.Name)
-	return nil
-}
-
-// Complete feeds a completion message to the member's core.
-func (s *MemberService) Complete(args TaskDoneArgs, _ *Ack) error {
-	core, err := s.memberCore()
-	if err != nil {
-		return err
-	}
-	core.Complete(args.TaskKey, args.Server, args.At)
-	return nil
-}
-
-// Report feeds a monitor report to the member's core.
-func (s *MemberService) Report(args LoadReportArgs, _ *Ack) error {
-	core, err := s.memberCore()
-	if err != nil {
-		return err
-	}
-	core.Report(args.Name, args.Load, args.At)
-	return nil
-}
-
-// Summary returns the member's load summary — also the dispatcher's
-// liveness probe.
-func (s *MemberService) Summary(_ Ack, reply *MemberSummaryReply) error {
-	core, err := s.memberCore()
-	if err != nil {
-		return err
-	}
-	*reply = MemberSummaryReply(core.LoadSummary()) // same fields, in the same order
-	return nil
-}
-
-// Relay streams the member's decision/completion events after the
-// requested ledger sequence (the federation dispatcher's near-fresh
-// routing feed). A member running with the relay off answers
-// Disabled; members older than this method don't have it at all, and
-// the dispatcher classifies the resulting rpc "can't find method"
-// error the same way.
-func (s *MemberService) Relay(args MemberRelayArgs, reply *MemberRelayReply) error {
-	core, err := s.memberCore()
-	if err != nil {
-		return err
-	}
-	delta, ok := core.RelaySince(args.Since)
+// relay fills h.rrep with the member's decision/completion events after
+// the requested ledger sequence (the federation dispatcher's near-fresh
+// routing feed). A member running with the relay off answers Disabled.
+func (h *frameHandler) relay(since uint64) {
+	h.rrep = MemberRelayReply{}
+	delta, ok := h.a.core.RelaySince(since)
 	if !ok {
-		reply.Disabled = true
-		return nil
+		h.rrep.Disabled = true
+		return
 	}
-	reply.From, reply.To, reply.Resync = delta.From, delta.To, delta.Resync
+	h.rrep.From, h.rrep.To, h.rrep.Resync = delta.From, delta.To, delta.Resync
 	if len(delta.Events) > 0 {
-		reply.Events = make([]RelayEvent, len(delta.Events))
+		h.rrep.Events = make([]RelayEvent, len(delta.Events))
 		for i, ev := range delta.Events {
-			reply.Events[i] = RelayEvent{
+			h.rrep.Events[i] = RelayEvent{
 				Seq:      ev.Seq,
 				Kind:     uint8(ev.Kind),
 				JobID:    ev.JobID,
@@ -261,79 +156,32 @@ func (s *MemberService) Relay(args MemberRelayArgs, reply *MemberRelayReply) err
 			}
 		}
 	}
-	return nil
 }
 
-// Partition lists the servers this member currently owns. A freshly
-// promoted dispatcher queries it to adopt the federation's real
-// partition before the servers re-register through the new leader.
-func (s *MemberService) Partition(_ Ack, reply *MemberPartitionReply) error {
-	core, err := s.memberCore()
-	if err != nil {
-		return err
-	}
-	reply.Servers = core.Servers()
-	return nil
-}
-
-// WireCaps answers the framed-wire capability probe (see frame.go): a
-// dispatcher asks over gob before opening a framed connection for the
-// hot decision RPCs. Members that predate this method answer net/rpc's
-// "can't find method" and the dispatcher stays on gob.
-func (s *MemberService) WireCaps(_ Ack, reply *MemberWireCapsReply) error {
-	reply.FrameVersion = FrameVersion
-	return nil
-}
-
-// Fence raises the member's election fencing watermark — called by a
-// freshly promoted dispatcher on every member before it serves
-// clients, so a deposed leader's in-flight commits are refused even
-// if the new leader has not placed anything yet.
-func (s *MemberService) Fence(args MemberFenceArgs, _ *Ack) error {
-	return s.a.admitTerm(args.Term)
-}
-
-// joinTimeout bounds the dial and the Fed.Join RPC so a blackholed
+// joinTimeout bounds the dial and the Fed.* RPC so a blackholed
 // dispatcher address fails agent startup instead of hanging it.
 const joinTimeout = 5 * time.Second
 
-// join announces this agent to a federation dispatcher.
-func join(dispatcherAddr string, args JoinArgs) error {
+// fedCall makes one bounded control call on a federation dispatcher's
+// "Fed" service — Fed.Join at startup, Fed.Leave at graceful departure —
+// naming what it was doing in the error.
+func fedCall(dispatcherAddr, method, what string, args any) error {
 	conn, err := net.DialTimeout("tcp", dispatcherAddr, joinTimeout)
 	if err != nil {
 		return fmt.Errorf("live: dial federation dispatcher: %w", err)
 	}
 	client := rpc.NewClient(conn)
 	defer client.Close()
-	call := client.Go("Fed.Join", args, &Ack{}, make(chan *rpc.Call, 1))
+	call := client.Go(method, args, &Ack{}, make(chan *rpc.Call, 1))
 	timer := time.NewTimer(joinTimeout)
 	defer timer.Stop()
 	select {
 	case <-call.Done:
 		if call.Error != nil {
-			return fmt.Errorf("live: join federation: %w", call.Error)
+			return fmt.Errorf("live: %s: %w", what, call.Error)
 		}
 		return nil
 	case <-timer.C:
-		return fmt.Errorf("live: join federation: no answer from %s within %s", dispatcherAddr, joinTimeout)
-	}
-}
-
-// leave announces this agent's graceful departure to one dispatcher.
-// Best-effort: unreachable dispatchers and ones predating Fed.Leave
-// ("can't find method") are simply skipped — eviction cleans up.
-func leave(dispatcherAddr string, args LeaveArgs) {
-	conn, err := net.DialTimeout("tcp", dispatcherAddr, joinTimeout)
-	if err != nil {
-		return
-	}
-	client := rpc.NewClient(conn)
-	defer client.Close()
-	call := client.Go("Fed.Leave", args, &Ack{}, make(chan *rpc.Call, 1))
-	timer := time.NewTimer(joinTimeout)
-	defer timer.Stop()
-	select {
-	case <-call.Done:
-	case <-timer.C:
+		return fmt.Errorf("live: %s: no answer from %s within %s", what, dispatcherAddr, joinTimeout)
 	}
 }

@@ -1,7 +1,7 @@
 package live
 
-// Wire types for the net/rpc (gob) protocol between clients, the agent
-// and the servers. The exchange mirrors NetSolve's (§2.1):
+// Wire types. First the net/rpc (gob) protocol between clients, the
+// agent and the servers; the exchange mirrors NetSolve's (§2.1):
 //
 //	server --> agent : Register (problems it solves), periodic LoadReport
 //	client --> agent : Schedule (which server should run this problem?)
@@ -78,12 +78,13 @@ type TaskDoneArgs struct {
 }
 
 // Federation wire types: the member half of the protocol. A federated
-// dispatcher (internal/fed) drives member agents through the "Member"
-// RPC service every agent exposes; a member announces itself to a
-// dispatcher with "Fed.Join". Tasks cross the wire as
-// (Problem, Variant) pairs resolved against the shared task registry,
-// exactly as the client protocol does; timestamps are stamped by the
-// dispatcher so member clocks never enter the decisions.
+// dispatcher (internal/fed) drives member agents over the framed member
+// wire (frame.go), which encodes the Member* types below field by
+// field; a member announces itself to a dispatcher with "Fed.Join" over
+// net/rpc. Tasks cross the wire as (Problem, Variant) pairs resolved
+// against the shared task registry, exactly as the client protocol
+// does; timestamps are stamped by the dispatcher so member clocks never
+// enter the decisions.
 
 // JoinArgs announces a member agent to a federation dispatcher.
 type JoinArgs struct {
@@ -111,15 +112,13 @@ type MemberTaskArgs struct {
 	Arrival   float64
 	Submitted float64
 	// Tenant and Deadline carry the multi-tenant intake fields (empty /
-	// zero for single-tenant traffic — the legacy wire shape, which gob
-	// decodes unchanged on both sides).
+	// zero for single-tenant traffic).
 	Tenant   string
 	Deadline float64
 	// Term is the dispatcher's leader-election fencing token. Members
 	// reject mutating calls carrying a term below their high-water
 	// mark, so a deposed leader cannot double-place after a standby
-	// takes over. Zero means unfenced (HA off, and the legacy wire
-	// shape, which gob decodes unchanged on both sides).
+	// takes over. Zero means unfenced (HA off).
 	Term uint64
 }
 
@@ -130,8 +129,8 @@ type MemberEvalReply struct {
 	Score, Tie float64
 	Scored     bool
 	// Unschedulable distinguishes "no server of this partition solves
-	// it" from transport or scheduling errors, which travel as RPC
-	// errors. DeadlineUnmet marks an admission refusal (no server of
+	// it" from transport or scheduling errors, which travel as error
+	// frames. DeadlineUnmet marks an admission refusal (no server of
 	// this partition meets the task's deadline) — also a per-member
 	// exclusion, not a transport failure.
 	Unschedulable bool
@@ -166,23 +165,6 @@ type MemberBatchReply struct {
 	Error     string
 }
 
-// MemberCanSolveArgs asks whether any of the member's servers solves
-// the problem.
-type MemberCanSolveArgs struct {
-	Problem string
-	Variant int
-}
-
-// MemberCanSolveReply is the eligibility answer.
-type MemberCanSolveReply struct {
-	OK bool
-}
-
-// MemberServerArgs names a server for partition membership calls.
-type MemberServerArgs struct {
-	Name string
-}
-
 // MemberSummaryReply is the member's load summary (fed.Summary over
 // the wire).
 type MemberSummaryReply struct {
@@ -192,14 +174,13 @@ type MemberSummaryReply struct {
 	HasMinReady bool
 	// TenantInFlight splits InFlight per tenant — the fair-share
 	// routing signal of a multi-tenant federation. Nil from members
-	// with no tenanted work (and from pre-tenant members, which gob
-	// decodes as nil).
+	// with no tenanted work.
 	TenantInFlight map[string]int
-	// Relay fields (new on the wire; pre-relay members leave them at
-	// their gob zero values, so HasRelay stays false and the
-	// dispatcher routes them from summaries alone): ServerReady is the
-	// per-server projected-drain breakdown relay routing prices
-	// against, RelaySeq the member's relay-ledger sequence at capture.
+	// Relay fields (HasRelay false from a member running with the relay
+	// off, which the dispatcher routes from summaries alone):
+	// ServerReady is the per-server projected-drain breakdown relay
+	// routing prices against, RelaySeq the member's relay-ledger
+	// sequence at capture.
 	ServerReady map[string]float64
 	RelaySeq    uint64
 	HasRelay    bool
@@ -227,8 +208,6 @@ type RelayEvent struct {
 // MemberRelayReply is a relay delta (relay.Delta over the wire).
 // Disabled reports that the member runs with the relay off — a
 // capability answer, not an error, so the dispatcher stops asking.
-// Old members predate the Member.Relay method entirely; the rpc
-// "can't find method" error is classified the same way client-side.
 type MemberRelayReply struct {
 	Events   []RelayEvent
 	From, To uint64
@@ -240,9 +219,7 @@ type MemberRelayReply struct {
 // dispatchers follow the member relay streams and elect a leader over
 // the "HA" RPC service each HA-enabled dispatcher exposes; members
 // fence mutating calls by election term; agents announce graceful
-// departure with "Fed.Leave". All additions are gob-backward
-// compatible — old peers never see the new methods, and the new
-// fields decode as zero from old peers.
+// departure with "Fed.Leave". Both services ride net/rpc (gob).
 
 // HAVoteArgs solicits one election vote (ha.VoteArgs on the wire).
 type HAVoteArgs struct {
@@ -278,18 +255,4 @@ type HAHeartbeatReply struct {
 // drains its in-flight work.
 type LeaveArgs struct {
 	Name string
-}
-
-// MemberPartitionReply lists the servers a member currently owns —
-// queried by a freshly promoted dispatcher to adopt the real
-// partition before servers re-register.
-type MemberPartitionReply struct {
-	Servers []string
-}
-
-// MemberFenceArgs raises the member's fencing watermark to Term at
-// promotion time, closing the window before the new leader's first
-// mutating call.
-type MemberFenceArgs struct {
-	Term uint64
 }

@@ -6,34 +6,11 @@ import (
 	"testing"
 )
 
-// The relay extension changes the member wire protocol only by adding
-// fields (MemberSummaryReply) and methods (Member.Relay). These tests
-// pin the gob compatibility contract in both directions against the
-// pre-relay shape of the types, declared locally exactly as they stood
-// before the relay: a new dispatcher must interoperate with old
-// members and an old dispatcher with new members, without either side
-// misreading a summary.
-
-// legacySummaryReply is MemberSummaryReply as of the pre-relay wire
-// (multi-tenant era): no ServerReady, RelaySeq or HasRelay.
-type legacySummaryReply struct {
-	InFlight       int
-	Servers        int
-	MinReady       float64
-	HasMinReady    bool
-	TenantInFlight map[string]int
-}
-
-// legacyDecisionReply is MemberDecisionReply, unchanged by the relay —
-// pinned so a future edit that breaks delegation compatibility fails
-// here, not in production.
-type legacyDecisionReply struct {
-	Server        string
-	Predicted     float64
-	HasPrediction bool
-	Unschedulable bool
-	DeadlineUnmet bool
-}
+// What still rides net/rpc — the client protocol, Fed.Join/Fed.Leave and
+// the HA election service — is gob-encoded; these tests pin that every
+// field of its types survives a gob round trip. The Member* types cross
+// the framed wire only (frame_test.go), where both ends speak exactly
+// one version, so they have no gob compatibility contract to pin.
 
 func gobRoundTrip(t *testing.T, in, out any) {
 	t.Helper()
@@ -46,117 +23,9 @@ func gobRoundTrip(t *testing.T, in, out any) {
 	}
 }
 
-// New member -> old dispatcher: the relay fields travel on the wire
-// and the old decoder must skip them without disturbing the fields it
-// knows.
-func TestSummaryReplyNewToOld(t *testing.T) {
-	in := MemberSummaryReply{
-		InFlight:       7,
-		Servers:        3,
-		MinReady:       12.5,
-		HasMinReady:    true,
-		TenantInFlight: map[string]int{"gold": 4},
-		ServerReady:    map[string]float64{"m1": 10, "m2": 12.5},
-		RelaySeq:       99,
-		HasRelay:       true,
-	}
-	var out legacySummaryReply
-	gobRoundTrip(t, in, &out)
-	if out.InFlight != 7 || out.Servers != 3 || out.MinReady != 12.5 || !out.HasMinReady {
-		t.Fatalf("legacy decode mangled shared fields: %+v", out)
-	}
-	if out.TenantInFlight["gold"] != 4 {
-		t.Fatalf("legacy decode lost tenant split: %+v", out)
-	}
-}
-
-// Old member -> new dispatcher: the relay fields are absent from the
-// wire and must decode as gob zero values, which the dispatcher reads
-// as "does not speak relay" (HasRelay false).
-func TestSummaryReplyOldToNew(t *testing.T) {
-	in := legacySummaryReply{
-		InFlight:       5,
-		Servers:        2,
-		MinReady:       8,
-		HasMinReady:    true,
-		TenantInFlight: map[string]int{"": 5},
-	}
-	var out MemberSummaryReply
-	gobRoundTrip(t, in, &out)
-	if out.InFlight != 5 || out.Servers != 2 || out.MinReady != 8 || !out.HasMinReady {
-		t.Fatalf("new decode mangled shared fields: %+v", out)
-	}
-	if out.HasRelay || out.RelaySeq != 0 || out.ServerReady != nil {
-		t.Fatalf("relay fields must stay at gob zero from an old member: %+v", out)
-	}
-}
-
-// The delegation reply is byte-compatible both ways: the relay did not
-// touch it.
-func TestDecisionReplyBothDirections(t *testing.T) {
-	newIn := MemberDecisionReply{Server: "m3", Predicted: 4.25, HasPrediction: true}
-	var oldOut legacyDecisionReply
-	gobRoundTrip(t, newIn, &oldOut)
-	if oldOut != (legacyDecisionReply{Server: "m3", Predicted: 4.25, HasPrediction: true}) {
-		t.Fatalf("new->old decision reply: %+v", oldOut)
-	}
-	oldIn := legacyDecisionReply{Server: "m1", Unschedulable: true}
-	var newOut MemberDecisionReply
-	gobRoundTrip(t, oldIn, &newOut)
-	if newOut != (MemberDecisionReply{Server: "m1", Unschedulable: true}) {
-		t.Fatalf("old->new decision reply: %+v", newOut)
-	}
-}
-
-// legacyTaskArgs is MemberTaskArgs as of the pre-HA wire (relay era):
-// no Term fencing token.
-type legacyTaskArgs struct {
-	JobID     int
-	TaskID    int
-	Attempt   int
-	Problem   string
-	Variant   int
-	Arrival   float64
-	Submitted float64
-	Tenant    string
-	Deadline  float64
-}
-
-// New dispatcher -> old member: the fencing term travels on the wire
-// and the old decoder must skip it; an old member simply cannot be
-// fenced, which the HA layer treats as best-effort.
-func TestTaskArgsNewToOld(t *testing.T) {
-	in := MemberTaskArgs{
-		JobID: 9, TaskID: 9, Attempt: 1, Problem: "wastecpu", Variant: 200,
-		Arrival: 12.5, Submitted: 12, Tenant: "gold", Deadline: 99, Term: 7,
-	}
-	var out legacyTaskArgs
-	gobRoundTrip(t, in, &out)
-	if out.JobID != 9 || out.Problem != "wastecpu" || out.Variant != 200 ||
-		out.Arrival != 12.5 || out.Tenant != "gold" || out.Deadline != 99 {
-		t.Fatalf("legacy decode mangled shared fields: %+v", out)
-	}
-}
-
-// Old dispatcher -> new member: Term is absent from the wire and must
-// decode as zero, which the member's fence admits unconditionally —
-// an unfenced legacy dispatcher keeps working against HA-aware
-// members.
-func TestTaskArgsOldToNew(t *testing.T) {
-	in := legacyTaskArgs{JobID: 4, TaskID: 4, Problem: "matmul", Variant: 100, Arrival: 3}
-	var out MemberTaskArgs
-	gobRoundTrip(t, in, &out)
-	if out.JobID != 4 || out.Problem != "matmul" || out.Variant != 100 || out.Arrival != 3 {
-		t.Fatalf("new decode mangled shared fields: %+v", out)
-	}
-	if out.Term != 0 {
-		t.Fatalf("Term must stay at gob zero from an old dispatcher: %d", out.Term)
-	}
-}
-
-// The HA election and membership types are new on the wire (old peers
-// never see the methods); pin that every field survives a gob round
-// trip so the election protocol cannot silently lose a term or flag.
+// The HA election and membership types: pin that every field survives a
+// gob round trip so the election protocol cannot silently lose a term
+// or flag.
 func TestHAWireRoundTrips(t *testing.T) {
 	{
 		in := HAVoteArgs{Candidate: "d2", Term: 41}
@@ -199,38 +68,11 @@ func TestHAWireRoundTrips(t *testing.T) {
 		}
 	}
 	{
-		in := MemberPartitionReply{Servers: []string{"artimon", "valette"}}
-		var out MemberPartitionReply
-		gobRoundTrip(t, in, &out)
-		if len(out.Servers) != 2 || out.Servers[0] != "artimon" || out.Servers[1] != "valette" {
-			t.Fatalf("partition reply: %+v", out)
-		}
-	}
-	{
-		in := MemberFenceArgs{Term: 41}
-		var out MemberFenceArgs
+		in := JoinArgs{Name: "m2", Addr: "127.0.0.1:9", Heuristic: "HMCT"}
+		var out JoinArgs
 		gobRoundTrip(t, in, &out)
 		if out != in {
-			t.Fatalf("fence args: %+v", out)
+			t.Fatalf("join args: %+v", out)
 		}
-	}
-}
-
-// The relay delta itself must be gob-encodable with all fields
-// surviving a round trip (new-to-new; old peers never call
-// Member.Relay, and the dispatcher classifies their "can't find
-// method" rpc error as relay-incapable).
-func TestRelayReplyRoundTrip(t *testing.T) {
-	in := MemberRelayReply{
-		Events: []RelayEvent{
-			{Seq: 1, Kind: 1, JobID: 10, Tenant: "gold", Server: "m1", Time: 3, Ready: 7.5, HasReady: true},
-			{Seq: 2, Kind: 2, JobID: 10, Tenant: "gold", Server: "m1", Time: 9},
-		},
-		From: 0, To: 2,
-	}
-	var out MemberRelayReply
-	gobRoundTrip(t, in, &out)
-	if len(out.Events) != 2 || out.Events[0] != in.Events[0] || out.Events[1] != in.Events[1] || out.To != 2 {
-		t.Fatalf("relay reply round trip: %+v", out)
 	}
 }
