@@ -338,6 +338,7 @@ func (cl *Cluster) EvalStats() htm.EvalStats {
 		st := sh.EvalStats()
 		total.Candidates += st.Candidates
 		total.Projections += st.Projections
+		total.Replicated += st.Replicated
 		total.NameLookups += st.NameLookups
 		total.IndexBuilds += st.IndexBuilds
 	}

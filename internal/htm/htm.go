@@ -37,22 +37,50 @@
 // predictions reads only the candidates within its tie tolerance of the
 // minimum. Manager.Minimizing(objective, tie) returns the evaluation
 // surface for such a heuristic (Minimizer): under one lock acquisition
-// it computes for every solvable candidate a lower bound of the
-// objective from the live jobs, read in place; projects the candidate
-// of least bound to obtain an incumbent; then scans the others and
-// projects one only if its bound does not strictly
-// exceed incumbent + tie, the incumbent tightening as projections come
-// in. Only projected candidates are snapshotted. The contract is that
-// the result holds, in server-name order and bit-identical to the
-// exhaustive predictions, every candidate whose objective is within tie
-// of the minimum: the true minimiser is never pruned (its bound is at
-// most its objective, which is at most any incumbent), so the minimum
-// over the result is the true minimum, and a candidate within tie of it
-// has a bound within tie of every incumbent. Heuristic code, scores,
-// tie-breaks, random draws and placements are therefore unchanged. On a
-// lightly loaded pool a decision projects a handful of candidates
-// whatever the pool size; as load rises the bounds separate less and
-// the pass degrades toward the exhaustive one (EvalStats counts both).
+// it computes a lower bound of the objective for the candidates and
+// projects one only if its bound does not strictly exceed incumbent +
+// tie, the incumbent being the least objective projected so far (+Inf
+// before the first). Only projected candidates are snapshotted. The
+// contract is that the result holds, in server-name order and
+// bit-identical to the exhaustive predictions, every candidate whose
+// objective is within tie of the minimum: the true minimiser is never
+// pruned (its bound is at most its objective, which is at most any
+// incumbent), so the minimum over the result is the true minimum, and a
+// candidate within tie of it has a bound within tie of every incumbent.
+// Which candidates beyond those are returned depends on the order of
+// projection and is not part of the contract. Heuristic code, scores,
+// tie-breaks, random draws and placements are therefore unchanged.
+//
+// The pass costs O(walked candidates + idle classes), not O(pool). A
+// candidate whose trace is in the clock walk (Manager.busy, see "Trace
+// clock") is bounded from its live jobs, read in place, and projected on
+// its own; of those the one of least bound goes first and the others
+// follow in name order, which is the order a saturated pool has always
+// been walked in. The idle candidates are never visited one by one: the
+// candidate index groups a spec's entries into classes by everything
+// the projection of an empty trace reads beside the arrival and the spec
+// — the cost triple and the trace's memory configuration (RAM, swap,
+// thrash model) — and a class with an idle member is bounded once, over
+// no live job, and if it must be looked at projected once, on its first
+// idle member; the prediction is then copied under the name of every
+// other idle member. That is exact without a closed form for the idle
+// completion date: fluid is deterministic, and each member would be
+// handed the same clock (an idle trace is brought to the trace time
+// before it is cloned), the same arrival, cost and footprint, the same
+// memory model and the same empty live set, so it would compute the same
+// bits. Classes are taken in order of idle flow I+w+O and before the
+// walked candidates: an idle projection is the cheapest there is and
+// lands on its bound, so it makes the tightest incumbent for its price.
+// What stays per candidate: a trace in the walk even if it holds no live
+// job (emptied by a re-anchor since the last advance, collapsed under
+// the memory model, or with a fluid clock that the last event left
+// within fluid's time tolerance ahead of the trace time — a job added
+// there is released at that clock, not at its arrival), and every
+// candidate of a list resolved by name. On a lightly loaded pool a
+// decision projects a class or two and a few busy candidates whatever
+// the pool size; as load rises the bounds separate less and the pass
+// degrades toward the exhaustive one. EvalStats counts candidates,
+// projections run and predictions served by copy (Replicated).
 //
 // The bound. Let the new job cost (I, w, O) on the server and arrive at
 // a, let r_i be the remaining compute of each job computing at a, and
@@ -110,10 +138,14 @@
 // and SubmitBatch's cache (it reuses every prediction across the batch).
 // The pruned pass is sequential, since each projection decides whether
 // the next is needed; WithWorkers applies to the exhaustive pass. A
-// stale baseline is refreshed for every solvable candidate, projected or
+// stale baseline is refreshed for every walked candidate, projected or
 // not, exactly when the exhaustive pass would refresh it, so cached
-// projections and ready times stay bit-identical too. An evaluation
-// error on a candidate that was pruned is never observed.
+// projections and ready times stay bit-identical too. Idle traces need no
+// refresh, by the baseline-on-drain rule: a trace leaves the clock walk
+// with an empty baseline installed, which is what any later refresh would
+// compute until the next placement, so its ready time is the trace time
+// and PredictedCompletion reads its finished jobs from the trace itself.
+// An evaluation error on a candidate that was pruned is never observed.
 //
 // # Candidate index
 //
@@ -123,7 +155,10 @@
 // hashing every server name into the spec's cost table and the trace
 // map on every decision. The result (specIndex) is the solvable server
 // names in name order with, at the same positions, their traces and
-// costs. Candidates hands out the names; when the EvaluateAll family or
+// costs, the map from a pool position to the entry (how a walked trace
+// finds its candidate), and the idle classes of "Pruning": built with
+// the index, in one pass over the pool, and dropped with it. Candidates
+// hands out the names; when the EvaluateAll family or
 // MeetsDeadline gets that very slice back (same backing array and
 // length, index still cached) the pass reads the entries and looks no
 // name up. Any other list (a subset, a shuffle, a copy, names the pool
@@ -136,9 +171,10 @@
 //
 // The cache is keyed by spec pointer, which the registry, the workload
 // generators and the wire decoding share per task type, and is bounded
-// by construction: at most maxIndexedSpecs indexes, all dropped when a
-// further spec arrives and whenever AddServer or DropServer changes the
-// pool. It is state per task type, never per task; a client that mints
+// by construction: at most maxIndexedSpecs indexes, each a few words per
+// solvable server (entry, pool slot, class, class member), all dropped
+// when a further spec arrives and whenever AddServer or DropServer
+// changes the pool. It is state per task type, never per task; a client that mints
 // a spec per task only pays a rebuild per decision (about what the
 // per-decision filtering used to cost; EvalStats.IndexBuilds shows it).
 // An index copies the costs, hence the contract stated on task.Spec: a
@@ -147,16 +183,21 @@
 // # Trace clock
 //
 // Advancing the trace time walks only the traces that may hold a live
-// job (Manager.busy): a trace joins the walk when a job is placed on it
-// and leaves it at the first advance that finds it drained. An idle
-// trace's fluid clock is left behind, which is exact because advancing
+// job (Manager.busy, kept in server-name order so that the pruned pass,
+// which bounds exactly these, meets them in the order of the pool): a
+// trace joins the walk when a job is placed on it and leaves it at the
+// first advance that finds it drained, not collapsed and not ahead of the
+// trace time, with an empty baseline (see "Pruning"). An idle trace's
+// fluid clock is left behind, which is exact because advancing
 // a fluid.Sim without live jobs moves nothing but its clock; syncLocked
 // brings it to the trace time wherever the sim is about to be read or
 // changed (cloning for a projection or a baseline, Place, Sim), and
 // ForceComplete advances to the re-anchor instant itself. Retention
-// pruning reads no clock. So an arrival on a large, mostly idle pool
-// pays for the busy traces and the candidates it projects, not for a
-// tick per server, and every prediction, cached baseline, ready time and
+// pruning reads no clock, and the ready aggregates (MinProjectedReady,
+// ProjectedReadyAll) answer the trace time for an idle trace without
+// reading it. So an arrival on a large, mostly idle pool pays for the
+// busy traces and the candidates it projects, not for a tick or a bound
+// per server, and every prediction, cached baseline, ready time and
 // Sim().Now() is what the whole-pool walk produced
 // (TestLazyClockMatchesWalk).
 //
@@ -164,12 +205,14 @@
 package htm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -267,12 +310,23 @@ type serverTrace struct {
 	// family reads O(1) instead of rescanning the map — that scan is
 	// the routing hot path of a sharded dispatch layer.
 	drain float64
-	// ramMB is the modelled main memory (0 when memory is not modelled
-	// for this server); the pruning bound reads it to tell whether a
-	// placement can put the server under memory pressure.
-	ramMB float64
+	// mem is the sim's memory configuration (zero when memory is not
+	// modelled for this server): the pruning bound reads its RAM to tell
+	// whether a placement can put the server under memory pressure, and
+	// it is the trace's half of the idle-class key.
+	mem memConfig
+	// pos is the trace's position in Manager.ordered, renumbered when a
+	// server joins or leaves.
+	pos int32
 	// busy marks membership of Manager.busy, the traces the clock walks.
 	busy bool
+}
+
+// memConfig is a fluid.Config without the name: what the fluid model of
+// a server reads beside its jobs.
+type memConfig struct {
+	ramMB, swapMB, thrashAlpha float64
+	thrash                     bool
 }
 
 // baselineSet is a refcounted, pooled baseline projection. The trace
@@ -346,9 +400,11 @@ type Manager struct {
 	ordered    []*serverTrace
 	placements map[int]placement
 	now        float64
-	// busy holds the traces that may have a live job, the only ones the
-	// trace clock walks; every other trace is idle and its fluid clock
-	// trails m.now until syncLocked brings it up (see "Trace clock").
+	// busy holds, in server-name order, the traces that may have a live
+	// job, the only ones the trace clock walks and the pruned pass bounds
+	// one by one; every other trace is idle, its baseline empty or stale,
+	// and its fluid clock trails m.now until syncLocked brings it up (see
+	// "Trace clock").
 	busy []*serverTrace
 	// index caches each spec resolved against the current pool (see
 	// "Candidate index"): at most maxIndexedSpecs entries, dropped
@@ -371,6 +427,9 @@ type Manager struct {
 	// projected; their ratio is the share pruning skipped (EvalStats).
 	considered atomic.Uint64
 	projected  atomic.Uint64
+	// replicated counts the predictions the pruned pass copied from an
+	// idle class's representative instead of projecting them.
+	replicated atomic.Uint64
 	// nameLookups counts the candidates of those calls that were resolved
 	// by server name instead of through the index; indexBuilds the index
 	// builds.
@@ -422,13 +481,22 @@ func (m *Manager) addServerLocked(name string) {
 			cfg.Thrash = true
 		}
 	}
-	tr := &serverTrace{sim: fluid.New(cfg), ramMB: cfg.RAMMB}
+	tr := &serverTrace{sim: fluid.New(cfg), mem: memConfig{cfg.RAMMB, cfg.SwapMB, cfg.ThrashAlpha, cfg.Thrash}}
 	tr.sim.AdvanceTo(m.now)
 	m.traces[name] = tr
 	i := sort.SearchStrings(m.order, name)
 	m.order = slices.Insert(m.order, i, name)
 	m.ordered = slices.Insert(m.ordered, i, tr)
+	m.renumberLocked(i)
 	clear(m.index)
+}
+
+// renumberLocked restores serverTrace.pos from position i on, after an
+// insertion or a deletion there.
+func (m *Manager) renumberLocked(i int) {
+	for ; i < len(m.ordered); i++ {
+		m.ordered[i].pos = int32(i)
+	}
 }
 
 // Placements returns the ids of every job ever placed, in ascending
@@ -463,8 +531,12 @@ func (m *Manager) Now() float64 {
 type EvalStats struct {
 	// Candidates counts the solvable candidates offered to the
 	// EvaluateAll family; Projections those that were projected. The
-	// difference is what pruning skipped.
+	// difference is what pruning skipped or served from an idle class.
 	Candidates, Projections uint64
+	// Replicated counts the predictions served by copying the projection
+	// of an idle class's representative (see "Pruning"); they are not in
+	// Projections.
+	Replicated uint64
 	// NameLookups counts the candidates those passes (and the admission
 	// test) had to resolve by server name: lists other than the one
 	// Manager.Candidates hands out. A deployment whose decisions go
@@ -481,6 +553,7 @@ func (m *Manager) EvalStats() EvalStats {
 	return EvalStats{
 		Candidates:  m.considered.Load(),
 		Projections: m.projected.Load(),
+		Replicated:  m.replicated.Load(),
 		NameLookups: m.nameLookups.Load(),
 		IndexBuilds: m.indexBuilds.Load(),
 	}
@@ -499,10 +572,34 @@ type indexEntry struct {
 
 // specIndex is one spec resolved against the pool: the tracked servers
 // that solve it, in name order, as the names callers see and as the
-// entries the evaluation passes read. Immutable once built.
+// entries the evaluation passes read, and grouped into the classes the
+// pruned pass serves idle candidates from. Immutable once built.
 type specIndex struct {
 	names   []string
 	entries []indexEntry
+	// slot maps a pool position (serverTrace.pos) to the server's entry,
+	// -1 where the server does not solve the spec; classOf maps an entry
+	// to its class and next to the class's next entry in name order, -1
+	// after the last.
+	slot    []int32
+	classOf []int32
+	next    []int32
+	// classes is ordered by idle flow, ties by first member.
+	classes []idleClass
+}
+
+// classKey is everything the projection of an empty trace reads beside
+// the arrival and the spec: the cost and the memory configuration.
+type classKey struct {
+	cost task.Cost
+	mem  memConfig
+}
+
+// idleClass is the entries of one spec that share a classKey and so
+// project identically while their traces are idle.
+type idleClass struct {
+	classKey
+	first, size int32 // the first member (see specIndex.next) and their number
 }
 
 // owns reports whether candidates is the names slice itself, handed
@@ -521,11 +618,39 @@ func (m *Manager) indexLocked(spec *task.Spec) *specIndex {
 		clear(m.index)
 	}
 	n := min(len(m.order), len(spec.CostOn))
-	ix := &specIndex{names: make([]string, 0, n), entries: make([]indexEntry, 0, n)}
+	ix := &specIndex{
+		names: make([]string, 0, n), entries: make([]indexEntry, 0, n),
+		slot: make([]int32, len(m.order)), next: make([]int32, 0, n),
+	}
+	byKey := make(map[classKey]int)
+	var last []int32 // per class, while its list is being built
 	for i, name := range m.order {
-		if cost, ok := spec.Cost(name); ok {
-			ix.names = append(ix.names, name)
-			ix.entries = append(ix.entries, indexEntry{tr: m.ordered[i], cost: cost})
+		ix.slot[i] = -1
+		cost, ok := spec.Cost(name)
+		if !ok {
+			continue
+		}
+		tr, k := m.ordered[i], int32(len(ix.entries))
+		ix.slot[i] = k
+		ix.names = append(ix.names, name)
+		ix.entries = append(ix.entries, indexEntry{tr: tr, cost: cost})
+		key := classKey{cost: cost, mem: tr.mem}
+		ix.next = append(ix.next, -1)
+		if c, ok := byKey[key]; ok {
+			ix.next[last[c]] = k
+			last[c] = k
+			ix.classes[c].size++
+		} else {
+			byKey[key] = len(ix.classes)
+			ix.classes = append(ix.classes, idleClass{classKey: key, first: k, size: 1})
+			last = append(last, k)
+		}
+	}
+	slices.SortStableFunc(ix.classes, func(a, b idleClass) int { return cmp.Compare(a.cost.Total(), b.cost.Total()) })
+	ix.classOf = make([]int32, len(ix.entries))
+	for c, cl := range ix.classes {
+		for k := cl.first; k >= 0; k = ix.next[k] {
+			ix.classOf[k] = int32(c)
 		}
 	}
 	m.index[spec] = ix
@@ -566,13 +691,22 @@ func (m *Manager) solverLocked(spec *task.Spec, server string) (indexEntry, erro
 	return e, err
 }
 
+// ownedLocked returns the spec's cached index when candidates is the
+// slice it handed out, nil for any other list.
+func (m *Manager) ownedLocked(spec *task.Spec, candidates []string) *specIndex {
+	if ix := m.index[spec]; ix != nil && ix.owns(candidates) {
+		return ix
+	}
+	return nil
+}
+
 // resolveLocked returns the solvable candidates as entries, in
 // candidate order: the index's own when candidates is the slice
 // Candidates handed out, otherwise each name looked up into sc.entries,
 // with one error per unknown server. Either way the caller runs the
 // same pass over the result, which it must not modify.
 func (m *Manager) resolveLocked(spec *task.Spec, candidates []string, sc *evalScratch) (entries []indexEntry, errs []error) {
-	if ix := m.index[spec]; ix != nil && ix.owns(candidates) {
+	if ix := m.ownedLocked(spec, candidates); ix != nil {
 		return ix.entries, nil
 	}
 	entries = sc.entries[:0]
@@ -603,8 +737,14 @@ func (m *Manager) AdvanceTo(t float64) {
 // already stands there (a job placed at this instant stays waiting and
 // is activated, at the same date, by the next real advance or inside
 // any projection), so the commit that follows an evaluation does not
-// walk them again. A trace whose last job ended leaves the walk. The
-// baseline caches stay valid (see the package comment).
+// walk them again. The baseline caches stay valid (see the package
+// comment). A trace leaves the walk once it is idle in the sense the
+// rest of the package relies on: no live job, not collapsed, and its
+// fluid clock not ahead of the trace time (the last event of a trace may
+// fall within fluid's time tolerance after t). It leaves with an empty
+// baseline, which is what a refresh would compute from then on, so its
+// ready time is the trace time and nothing has to look at it again until
+// a job is placed on it.
 func (m *Manager) advanceLocked(t float64) float64 {
 	if t <= m.now {
 		return m.now
@@ -613,10 +753,11 @@ func (m *Manager) advanceLocked(t float64) float64 {
 	busy := m.busy[:0]
 	for _, tr := range m.busy {
 		tr.sim.AdvanceToQuiet(t)
-		if len(tr.sim.Live()) > 0 {
+		if collapsed, _ := tr.sim.Collapsed(); len(tr.sim.Live()) > 0 || collapsed || tr.sim.Now() > t {
 			busy = append(busy, tr)
 		} else {
 			tr.busy = false
+			tr.setBaseline(newBaselineSet(), tr.gen)
 		}
 	}
 	clear(m.busy[len(busy):])
@@ -867,11 +1008,14 @@ type evalScratch struct {
 	jobs    []candidateJob
 	preds   []Prediction
 	perr    []error
-	bounds  []float64 // the pruned pass's bound per entry (prune.go)
+	// The pruned pass's (prune.go): the bound of every candidate it bounds
+	// one by one, and the idle members of every class.
+	bounds []float64
+	idle   []int32
 }
 
 // put returns the scratch to the pool, dropping the trace pointers a
-// name-resolved pass left in it.
+// name-resolved or pruned pass left in it.
 func (sc *evalScratch) put() {
 	clear(sc.entries)
 	scratchPool.Put(sc)
@@ -944,14 +1088,22 @@ func (m *Manager) EvaluateAllInto(id int, spec *task.Spec, arrival float64, cand
 	return out, errors.Join(errs...)
 }
 
-// sortByServer orders predictions by server name. Insertion sort in
-// place of sort.Slice: the candidate list arrives near-sorted (it is
-// built from the sorted server order), the comparison closure would
-// allocate, and with unique server names the sorted result is
-// identical.
+// sortByServer orders predictions by server name. The exhaustive pass
+// hands it a sorted list and the pruned pass a near-sorted one (a
+// replicated class, then the few walked candidates that were projected),
+// which an insertion sort puts right in about as many moves as there are
+// predictions. Several replicated classes are sorted runs that interleave;
+// once the moves exceed a few per prediction pdqsort finishes the job.
+// Neither allocates (the comparison captures nothing), and with unique
+// server names any sort gives the same result.
 func sortByServer(out []Prediction) {
+	budget := 4 * len(out)
 	for i := 1; i < len(out); i++ {
 		for k := i; k > 0 && out[k].Server < out[k-1].Server; k-- {
+			if budget--; budget < 0 {
+				slices.SortFunc(out, func(a, b Prediction) int { return strings.Compare(a.Server, b.Server) })
+				return
+			}
 			out[k], out[k-1] = out[k-1], out[k]
 		}
 	}
@@ -1001,7 +1153,8 @@ func (m *Manager) Place(id int, spec *task.Spec, arrival float64, server string)
 	}
 	if !tr.busy {
 		tr.busy = true
-		m.busy = append(m.busy, tr)
+		i, _ := slices.BinarySearchFunc(m.busy, tr.pos, func(b *serverTrace, pos int32) int { return cmp.Compare(b.pos, pos) })
+		m.busy = slices.Insert(m.busy, i, tr)
 	}
 	tr.invalidate()
 	m.placements[id] = placement{server: server, arrival: arrival}
@@ -1087,6 +1240,7 @@ func (m *Manager) DropServer(name string) {
 	if i, ok := slices.BinarySearch(m.order, name); ok {
 		m.order = slices.Delete(m.order, i, i+1)
 		m.ordered = slices.Delete(m.ordered, i, i+1)
+		m.renumberLocked(i)
 	}
 	if i := slices.Index(m.busy, tr); i >= 0 {
 		m.busy = slices.Delete(m.busy, i, i+1)
@@ -1145,16 +1299,21 @@ func (m *Manager) MeetsDeadline(spec *task.Spec, arrival, deadline float64, cand
 // tracked server. An idle server pins the aggregate at the current
 // trace time. This is the load signal a sharded dispatch layer
 // compares across HTMs when routing a batch — one cached-baseline
-// scan, no candidate projections. ok is false when no server is
-// tracked.
+// scan of the busy traces, no candidate projections. ok is false when
+// no server is tracked.
 func (m *Manager) MinProjectedReady() (float64, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.order) == 0 {
 		return 0, false
 	}
+	// A trace outside the walk is ready at the trace time (advanceLocked),
+	// and none is ready earlier.
+	if len(m.busy) < len(m.ordered) {
+		return m.now, true
+	}
 	best := math.Inf(1)
-	for _, tr := range m.ordered {
+	for _, tr := range m.busy {
 		if ready := m.readyLocked(tr); ready < best {
 			best = ready
 		}
@@ -1175,7 +1334,10 @@ func (m *Manager) ProjectedReadyAll() map[string]float64 {
 	}
 	ready := make(map[string]float64, len(m.order))
 	for i, name := range m.order {
-		ready[name] = m.readyLocked(m.ordered[i])
+		ready[name] = m.now
+		if tr := m.ordered[i]; tr.busy {
+			ready[name] = m.readyLocked(tr)
+		}
 	}
 	return ready
 }

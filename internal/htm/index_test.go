@@ -95,13 +95,15 @@ func checkIndexedDecision(t *testing.T, m *Manager, rng *stats.RNG, id int, spec
 	if got := m.EvalStats().NameLookups - st.NameLookups; got != uint64(2*len(named)) {
 		t.Errorf("job %d: two named passes over %d candidates counted %d name lookups", id, len(named), got)
 	}
-	if !samePredictions(all, namedAll) || !samePredictions(pruned, namedPruned) {
-		t.Fatalf("job %d: indexed and named entries disagree\n indexed %+v / %+v\n named   %+v / %+v",
-			id, all, pruned, namedAll, namedPruned)
+	if !samePredictions(all, namedAll) {
+		t.Fatalf("job %d: indexed and named entries disagree\n indexed %+v\n named   %+v", id, all, namedAll)
 	}
-	for _, p := range pruned {
-		if i := slices.IndexFunc(all, func(q Prediction) bool { return q.Server == p.Server }); i < 0 || !samePrediction(all[i], p) {
-			t.Errorf("job %d: pruned prediction %+v is not the exhaustive one", id, p)
+	// The two pruned passes go through the candidates in different orders
+	// (idle classes against name by name), so they may differ in what they
+	// return beyond the contract; both must meet it.
+	for entry, got := range map[string][]Prediction{"indexed": pruned, "named": namedPruned} {
+		if err := meetsContract(MinCompletion, all, got); err != nil {
+			t.Fatalf("job %d: %s pruned pass: %v", id, entry, err)
 		}
 	}
 
@@ -121,8 +123,8 @@ func checkIndexedDecision(t *testing.T, m *Manager, rng *stats.RNG, id int, spec
 	if got, err := m.EvaluateAll(id, spec, now, shuffled); err != nil || !samePredictions(got, all) {
 		t.Errorf("job %d: shuffled list: %+v, %v; want %+v", id, got, err, all)
 	}
-	if got, err := z.EvaluateAll(id, spec, now, m.Servers()); err != nil || !samePredictions(got, pruned) {
-		t.Errorf("job %d: whole pool, solvers or not: %+v, %v; want %+v", id, got, err, pruned)
+	if got, err := z.EvaluateAll(id, spec, now, m.Servers()); err != nil || meetsContract(MinCompletion, all, got) != nil {
+		t.Errorf("job %d: whole pool, solvers or not: %+v, %v (%v)", id, got, err, meetsContract(MinCompletion, all, got))
 	}
 	var subset []string
 	var wantSubset []Prediction

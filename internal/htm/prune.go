@@ -76,7 +76,12 @@ func (z *Minimizer) EvaluateAllInto(id int, spec *task.Spec, arrival float64, ca
 // reads the live jobs in place and returns -Inf where nothing is
 // proven, which the caller always projects.
 func lowerBound(obj Objective, tr *serverTrace, cost task.Cost, memoryMB, arrival float64) float64 {
-	live := tr.sim.Live()
+	return boundOver(obj, tr.sim.Live(), tr.mem.ramMB, cost, memoryMB, arrival)
+}
+
+// boundOver is lowerBound on a live set and a modelled RAM; an idle
+// class is bounded over no live job.
+func boundOver(obj Objective, live []*fluid.Job, ramMB float64, cost task.Cost, memoryMB, arrival float64) float64 {
 	w := cost.Compute
 	// shared is the CPU work the jobs computing now must receive before
 	// the new job's own w seconds of CPU are through.
@@ -107,7 +112,7 @@ func lowerBound(obj Objective, tr *serverTrace, cost task.Cost, memoryMB, arriva
 		// Σπ ≥ -(outputs-1)·outWork holds only when the new job delays
 		// no placed job on the input link and memory pressure cannot
 		// change the CPU rate.
-		if (cost.Input > 0 && inputs > 0) || (tr.ramMB > 0 && memory > tr.ramMB) {
+		if (cost.Input > 0 && inputs > 0) || (ramMB > 0 && memory > ramMB) {
 			return math.Inf(-1)
 		}
 		bound = flow
@@ -123,19 +128,97 @@ func lowerBound(obj Objective, tr *serverTrace, cost task.Cost, memoryMB, arriva
 	return bound - n*n*(8e-9+4e-15*(arrival+flow))
 }
 
-// evaluateMinimizing is the pruned evaluation pass. Under one lock
-// acquisition it bounds every solvable candidate, projects the
-// candidate of least bound to obtain an incumbent, then scans the rest
-// and projects only those whose bound does not strictly exceed the
-// incumbent plus tie; the incumbent is +Inf until a projection succeeds
-// and tightens as projections come in. Projections run under the lock
-// and one after the other — WithWorkers applies to the exhaustive pass
-// only — since each decides whether the next is needed.
+// walkedLocked splits the index's candidates for the pruned pass: those
+// whose trace is in the clock walk are returned as entries, in name
+// order (in sc.entries); of the others, sc.idle counts how many each
+// class has.
+func (m *Manager) walkedLocked(ix *specIndex, sc *evalScratch) []indexEntry {
+	sc.idle = sc.idle[:0]
+	for c := range ix.classes {
+		sc.idle = append(sc.idle, ix.classes[c].size)
+	}
+	entries := sc.entries[:0]
+	for _, tr := range m.busy {
+		if k := ix.slot[tr.pos]; k >= 0 {
+			entries = append(entries, ix.entries[k])
+			sc.idle[ix.classOf[k]]--
+		}
+	}
+	sc.entries = entries
+	return entries
+}
+
+// evaluateMinimizing is the pruned evaluation pass, under one lock
+// acquisition. The incumbent is the least objective projected so far,
+// +Inf until a projection succeeds, and whatever has a bound strictly
+// above the incumbent plus tie is skipped. When the list is the index's
+// own, the idle candidates come first, by class in order of idle flow: a
+// class is bounded over no live job and projected once, on its first idle
+// member, and the prediction is copied under the name of each other idle
+// member, which would be given the same arrival, cost and empty live set.
+// An idle projection is the cheapest there is and lands on its bound, so
+// it goes ahead of candidates whose bound may be far below their
+// objective. Then the candidates whose trace is in the clock walk (every
+// candidate, for any other list) are bounded one by one, the one of least
+// bound is projected and then the others in name order. Projections run
+// under the lock and one after the other — WithWorkers applies to the
+// exhaustive pass only — since each decides whether the next is needed.
 func (m *Manager) evaluateMinimizing(obj Objective, tie float64, id int, spec *task.Spec, arrival float64, candidates []string, out []Prediction) ([]Prediction, error) {
 	sc := scratchPool.Get().(*evalScratch)
 	m.mu.Lock()
 	arrival = m.advanceLocked(arrival)
-	entries, errs := m.resolveLocked(spec, candidates, sc)
+	var (
+		entries []indexEntry
+		errs    []error
+		classes []idleClass
+		offered int
+	)
+	ix := m.ownedLocked(spec, candidates)
+	if ix != nil {
+		entries, classes, offered = m.walkedLocked(ix, sc), ix.classes, len(ix.entries)
+	} else {
+		entries, errs = m.resolveLocked(spec, candidates, sc)
+		offered = len(entries)
+	}
+	out = out[:0]
+	incumbent, projected, replicated := math.Inf(1), 0, 0
+	// try projects one candidate; only a successful projection makes an
+	// incumbent. A trace nothing was ever placed on has no baseline yet.
+	try := func(e *indexEntry) (Prediction, bool) {
+		projected++
+		m.baselineLocked(e.tr)
+		p, err := project(candidateJob{cost: e.cost, clone: m.liveCloneLocked(e.tr), baseline: e.tr.baseline.acquire()},
+			id, spec, arrival, false)
+		if err != nil {
+			errs = append(errs, err)
+			return p, false
+		}
+		if v := obj.value(&p); v < incumbent {
+			incumbent = v
+		}
+		return p, true
+	}
+	for c := range classes {
+		cl := &classes[c]
+		if sc.idle[c] == 0 || boundOver(obj, nil, cl.mem.ramMB, cl.cost, spec.MemoryMB, arrival) > incumbent+tie {
+			continue
+		}
+		k := cl.first
+		for ix.entries[k].tr.busy {
+			k = ix.next[k]
+		}
+		p, ok := try(&ix.entries[k])
+		if !ok {
+			continue
+		}
+		for ; k >= 0; k = ix.next[k] {
+			if !ix.entries[k].tr.busy {
+				p.Server = ix.names[k]
+				out = append(out, p)
+			}
+		}
+		replicated += int(sc.idle[c]) - 1
+	}
 	if cap(sc.bounds) < len(entries) {
 		sc.bounds = make([]float64, len(entries))
 	}
@@ -146,15 +229,15 @@ func (m *Manager) evaluateMinimizing(obj Objective, tie float64, id int, spec *t
 		// The exhaustive pass refreshes a stale baseline at the first
 		// evaluation after the trace changed; refreshing here at the
 		// same instant, projected or not, keeps the cached projections
-		// (and the drain memo ProjectedReady serves) bit-identical.
+		// (and the drain memo ProjectedReady serves) bit-identical. An
+		// idle trace needs none: advanceLocked left it the baseline a
+		// refresh would compute.
 		m.baselineLocked(e.tr)
 		bounds[i] = lowerBound(obj, e.tr, e.cost, spec.MemoryMB, arrival)
 		if bounds[i] < bounds[first] {
 			first = i
 		}
 	}
-	out = out[:0]
-	incumbent, projected := math.Inf(1), 0
 	for k := range entries {
 		// The candidate of least bound is projected first, the one it
 		// displaces in its place; the result is sorted below.
@@ -168,23 +251,14 @@ func (m *Manager) evaluateMinimizing(obj Objective, tie float64, id int, spec *t
 		if bounds[i] > incumbent+tie {
 			continue
 		}
-		projected++
-		e := &entries[i]
-		p, err := project(candidateJob{cost: e.cost, clone: m.liveCloneLocked(e.tr), baseline: e.tr.baseline.acquire()},
-			id, spec, arrival, false)
-		if err != nil {
-			errs = append(errs, err)
-			continue
+		if p, ok := try(&entries[i]); ok {
+			out = append(out, p)
 		}
-		// Only a successful projection makes an incumbent.
-		if v := obj.value(&p); v < incumbent {
-			incumbent = v
-		}
-		out = append(out, p)
 	}
 	m.mu.Unlock()
-	m.considered.Add(uint64(len(entries)))
+	m.considered.Add(uint64(offered))
 	m.projected.Add(uint64(projected))
+	m.replicated.Add(uint64(replicated))
 	sortByServer(out)
 	sc.put()
 	return out, errors.Join(errs...)

@@ -1,9 +1,14 @@
 package htm
 
 import (
+	"cmp"
+	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"casched/internal/fluid"
 	"casched/internal/stats"
 	"casched/internal/task"
 )
@@ -27,7 +32,11 @@ type pruneCase struct {
 // input, compute and output phases, input and output costs as large as
 // the computation (link sharing), zero-cost phases, the memory model
 // with footprints that thrash and collapse the Table 2 servers, WithSync
-// re-anchors and DropServer. Exhausted input reads as zeros.
+// re-anchors and DropServer. The top two bits of the first byte make the
+// pool tie-heavy, which is where idle classes are projected once and
+// copied: 01 gives every server the cost drawn for the first (one
+// class), 10 that cost or the next float64 up in compute (two classes
+// one ulp apart in flow). Exhausted input reads as zeros.
 func buildPruneCase(data []byte) pruneCase {
 	next := func() int {
 		if len(data) == 0 {
@@ -63,8 +72,15 @@ func buildPruneCase(data []byte) pruneCase {
 	}
 	spec := func() *task.Spec {
 		s := &task.Spec{Problem: "p", CostOn: map[string]task.Cost{}, MemoryMB: footprints[next()%5]}
-		for _, name := range servers {
-			s.CostOn[name] = cost()
+		for i, name := range servers {
+			c := cost()
+			if ties := flags >> 6; i > 0 && (ties == 1 || ties == 2) {
+				c = s.CostOn[servers[0]]
+				if ties == 2 && i%2 == 1 {
+					c.Compute = math.Nextafter(c.Compute, math.Inf(1))
+				}
+			}
+			s.CostOn[name] = c
 		}
 		return s
 	}
@@ -113,44 +129,54 @@ func (c pruneCase) boundsAt(obj Objective) map[string]float64 {
 	return out
 }
 
+// meetsContract checks a pruned result against the exhaustive
+// predictions of the same candidates: in server-name order, each
+// prediction bit-identical to the exhaustive one, and every candidate
+// whose objective is within the tie tolerance of the minimum present.
+func meetsContract(obj Objective, full, pruned []Prediction) error {
+	best := math.Inf(1)
+	byServer := make(map[string]Prediction, len(full))
+	for _, p := range full {
+		byServer[p.Server] = p
+		best = min(best, obj.value(&p))
+	}
+	kept := make(map[string]bool, len(pruned))
+	for i, p := range pruned {
+		if i > 0 && pruned[i-1].Server >= p.Server {
+			return fmt.Errorf("objective %d: pruned predictions out of server order at %d (%s, %s)", obj, i, pruned[i-1].Server, p.Server)
+		}
+		if want, ok := byServer[p.Server]; !ok || !samePrediction(want, p) {
+			return fmt.Errorf("objective %d on %s: pruned prediction %+v, exhaustive %+v", obj, p.Server, p, want)
+		}
+		kept[p.Server] = true
+	}
+	for _, p := range full {
+		if obj.value(&p) <= best+pruneTie && !kept[p.Server] {
+			return fmt.Errorf("objective %d: %s is within the tie tolerance of the minimum %.12g but was pruned (%+v)", obj, p.Server, best, p)
+		}
+	}
+	return nil
+}
+
 // checkPruneCase is the property behind pruning, for both objectives:
 // the bound never exceeds the projected objective, and the pruned pass
-// returns exactly the exhaustive predictions of a candidate subset that
-// holds everything within the tie tolerance of the minimum.
+// meets its contract both through the name list and through the index
+// (where idle candidates are served by class).
 func checkPruneCase(t *testing.T, c pruneCase) {
 	t.Helper()
 	for _, obj := range []Objective{MinCompletion, MinSumFlow} {
 		bounds := c.boundsAt(obj)
 		full, _ := c.m.EvaluateAll(1<<20, c.spec, c.arrival, c.candidates)
-		pruned, _ := c.m.Minimizing(obj, pruneTie).EvaluateAll(1<<20, c.spec, c.arrival, c.candidates)
-
-		best := math.Inf(1)
-		byServer := make(map[string]Prediction, len(full))
 		for _, p := range full {
-			byServer[p.Server] = p
-			v := obj.value(&p)
-			if b := bounds[p.Server]; b > v {
+			if b, v := bounds[p.Server], obj.value(&p); b > v {
 				t.Errorf("objective %d on %s: bound %.12g exceeds the projected objective %.12g (%+v)",
 					obj, p.Server, b, v, p)
 			}
-			if v < best {
-				best = v
-			}
 		}
-		kept := make(map[string]bool, len(pruned))
-		for i, p := range pruned {
-			if i > 0 && pruned[i-1].Server >= p.Server {
-				t.Errorf("objective %d: pruned predictions out of server order at %d", obj, i)
-			}
-			if want, ok := byServer[p.Server]; !ok || !samePrediction(want, p) {
-				t.Errorf("objective %d on %s: pruned prediction %+v, exhaustive %+v", obj, p.Server, p, want)
-			}
-			kept[p.Server] = true
-		}
-		for _, p := range full {
-			if obj.value(&p) <= best+pruneTie && !kept[p.Server] {
-				t.Errorf("objective %d: %s is within the tie tolerance of the minimum %.12g but was pruned (%+v)",
-					obj, p.Server, best, p)
+		for _, list := range [][]string{c.candidates, c.m.Candidates(c.spec)} {
+			pruned, _ := c.m.Minimizing(obj, pruneTie).EvaluateAll(1<<20, c.spec, c.arrival, list)
+			if err := meetsContract(obj, full, pruned); err != nil {
+				t.Error(err)
 			}
 		}
 	}
@@ -249,10 +275,436 @@ func FuzzPruneBound(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 7, 4, 1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 33, 65, 129, 200, 250})
 	f.Add([]byte{3, 31, 0, 9, 9, 9, 16, 8, 8, 8, 32, 7, 7, 7, 5, 0, 134, 2, 48, 6, 6, 6})
+	// Tie-heavy pools (see buildPruneCase). One cost class: every server
+	// idle; two of the four busy. Two classes one ulp apart: idle; with the
+	// memory model, a re-anchor that empties a trace still in the clock
+	// walk and a placement at the instant of the evaluation.
+	f.Add([]byte{0x40, 0, 3, 0, 2, 2})
+	f.Add([]byte{0x40, 2, 0x20, 0, 2, 3, 0, 0, 0, 0, 0, 0, 0x21, 0, 2, 3, 0, 0, 0, 0, 0, 0, 3, 0, 2, 2})
+	f.Add([]byte{0x80, 0, 3, 0, 2, 2})
+	f.Add([]byte{0x83, 3, 0x20, 3, 2, 3, 0, 0, 0, 0, 0, 0, 0x45, 0, 0x21, 3, 2, 3, 0, 0, 0, 0, 0, 0, 0, 3, 2, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1024 {
 			t.Skip()
 		}
 		checkPruneCase(t, buildPruneCase(data))
 	})
+}
+
+// evaluateMinimizingRef is the pruned pass as it stood before idle
+// classes, kept as the reference TestIdleClassReplication drives a twin
+// Manager through: every candidate is bounded and has its baseline
+// refreshed, the least bound is projected first and the rest in
+// candidate order.
+func (m *Manager) evaluateMinimizingRef(obj Objective, tie float64, id int, spec *task.Spec, arrival float64, candidates []string) ([]Prediction, error) {
+	sc := scratchPool.Get().(*evalScratch)
+	defer sc.put()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	arrival = m.advanceLocked(arrival)
+	entries, errs := m.resolveLocked(spec, candidates, sc)
+	bounds := make([]float64, len(entries))
+	first := 0
+	for i := range entries {
+		e := &entries[i]
+		m.baselineLocked(e.tr)
+		bounds[i] = lowerBound(obj, e.tr, e.cost, spec.MemoryMB, arrival)
+		if bounds[i] < bounds[first] {
+			first = i
+		}
+	}
+	var out []Prediction
+	incumbent := math.Inf(1)
+	for k := range entries {
+		i := k
+		switch k {
+		case 0:
+			i = first
+		case first:
+			i = 0
+		}
+		if bounds[i] > incumbent+tie {
+			continue
+		}
+		e := &entries[i]
+		p, err := project(candidateJob{cost: e.cost, clone: m.liveCloneLocked(e.tr), baseline: e.tr.baseline.acquire()},
+			id, spec, arrival, false)
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		if v := obj.value(&p); v < incumbent {
+			incumbent = v
+		}
+		out = append(out, p)
+	}
+	slices.SortFunc(out, func(a, b Prediction) int { return cmp.Compare(a.Server, b.Server) })
+	return out, errors.Join(errs...)
+}
+
+// classPool is one pool flavour of TestIdleClassReplication: the server
+// names and the cost class of the i-th one.
+type classPool struct {
+	name    string
+	memory  bool
+	servers []string
+	class   func(i int) float64
+	// replicates says whether idle servers of this pool can share a class.
+	replicates bool
+}
+
+func classPools() []classPool {
+	plain := make([]string, 24)
+	for i := range plain {
+		plain[i] = fmt.Sprintf("n%02d", i)
+	}
+	// With the memory model the Table 2 machines get their RAM and swap
+	// (chamagne and artimon share the RAM, not the swap); the other names
+	// are modelled without memory.
+	mixed := append([]string{"artimon", "cabestan", "chamagne", "pulney", "spinnaker", "valette", "xrousse", "zanzibar"}, plain[:12]...)
+	third := func(i int) float64 { return float64(i % 3) }
+	return []classPool{
+		{name: "repeated", servers: plain, class: third, replicates: true},
+		{name: "distinct", servers: plain, class: func(i int) float64 { return float64(i) / 4 }},
+		// Two classes whose idle flows differ by an ulp or so: both are
+		// within the bound's slack of the minimum, one alone within the tie.
+		{name: "ulp", servers: plain, class: func(i int) float64 { return float64(i%2) * 0x1p-48 }, replicates: true},
+		{name: "repeated+memory", memory: true, servers: mixed, class: third, replicates: true},
+		// One cost everywhere: with memory modelled the classes are the
+		// memory configurations.
+		{name: "one-cost+memory", memory: true, servers: mixed, class: func(int) float64 { return 0 }, replicates: true},
+	}
+}
+
+// classSpecs returns more specs than the index caches, so the rotation
+// also drops and rebuilds the classes; a few cover only part of the pool.
+func classSpecs(pool classPool) []*task.Spec {
+	footprints := []float64{0, 0, 40, 120, 300, 700}
+	specs := make([]*task.Spec, maxIndexedSpecs+8)
+	for k := range specs {
+		specs[k] = &task.Spec{Problem: "class", Variant: k, CostOn: map[string]task.Cost{}, MemoryMB: footprints[k%len(footprints)]}
+		for i, name := range pool.servers {
+			if k%9 == 4 && i%4 == 1 {
+				continue
+			}
+			specs[k].CostOn[name] = task.Cost{Input: 0.5 * float64(k%3), Compute: 5 + float64(k%7) + pool.class(i), Output: 0.25}
+		}
+	}
+	return specs
+}
+
+// TestIdleClassReplication drives twin Managers through the same
+// decisions, one through the pruned pass and one through the pass as it
+// stood before idle classes (evaluateMinimizingRef), with an exhaustive
+// evaluation on the twin at every decision and on the Manager under test
+// only now and then, so that most decisions find idle traces no pass has
+// touched: fluid clocks that trail, baselines never taken. Between
+// decisions: placements on the winner, WithSync re-anchors (of the job
+// just placed too, which empties a trace still in the clock walk),
+// joins, drops, a drop and re-join. At every decision the pruned result
+// meets the contract against the exhaustive predictions, and every ready
+// time, predicted completion and exhaustive prediction of the two
+// Managers agree bit for bit.
+func TestIdleClassReplication(t *testing.T) {
+	sameFloat := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, pool := range classPools() {
+		for _, sync := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/sync=%v", pool.name, sync), func(t *testing.T) {
+				var opts []Option
+				if pool.memory {
+					opts = append(opts, WithMemoryModel())
+				}
+				if sync {
+					opts = append(opts, WithSync())
+				}
+				start := pool.servers[:len(pool.servers)-4]
+				m, twin := New(start, opts...), New(start, opts...)
+				specs := classSpecs(pool)
+				rng := stats.NewRNG(20)
+				now := 0.0
+				collapsed := 0
+				for id := 0; id < 600; id++ {
+					// Mostly a light pool, with spells where arrivals outrun it.
+					gap := 1.5
+					if id/100%2 == 1 {
+						gap = 0.15
+					}
+					now += gap * rng.Float64()
+					switch tracked := m.Servers(); rng.Intn(16) {
+					case 0:
+						name := pool.servers[rng.Intn(len(pool.servers))]
+						m.AddServer(name)
+						twin.AddServer(name)
+					case 1:
+						if len(tracked) > 8 {
+							name := tracked[rng.Intn(len(tracked))]
+							m.DropServer(name)
+							twin.DropServer(name)
+						}
+					case 2:
+						name := tracked[rng.Intn(len(tracked))]
+						for _, h := range []*Manager{m, twin} {
+							h.DropServer(name)
+							h.AddServer(name)
+						}
+					}
+					spec := specs[rng.Intn(len(specs))]
+					obj := []Objective{MinCompletion, MinSumFlow}[id%2]
+
+					var best Prediction
+					before := m.EvalStats()
+					pruned, err := m.Minimizing(obj, pruneTie).EvaluateAll(id, spec, now, m.Candidates(spec))
+					after := m.EvalStats()
+					ref, refErr := twin.evaluateMinimizingRef(obj, pruneTie, id, spec, now, twin.Candidates(spec))
+					full, fullErr := twin.EvaluateAll(id, spec, now, twin.Candidates(spec))
+					// A pruned pass reports the evaluation errors of the candidates
+					// it projects, here those on collapsed traces.
+					if fullErr == nil && (err != nil || refErr != nil) {
+						t.Fatalf("job %d: pruned pass errors %v, %v; the exhaustive pass has none", id, err, refErr)
+					}
+					if fullErr != nil {
+						collapsed++
+					}
+					if err := meetsContract(obj, full, pruned); err != nil {
+						t.Fatalf("job %d: %v\n pruned %+v\n full   %+v", id, err, pruned, full)
+					}
+					if err := meetsContract(obj, full, ref); err != nil {
+						t.Fatalf("job %d: the reference pass itself: %v", id, err)
+					}
+					if got := after.Projections - before.Projections + after.Replicated - before.Replicated; err == nil && got != uint64(len(pruned)) {
+						t.Fatalf("job %d: %d projections and %d copies for %d predictions", id,
+							after.Projections-before.Projections, after.Replicated-before.Replicated, len(pruned))
+					}
+					if after.Candidates-before.Candidates != uint64(len(m.Candidates(spec))) {
+						t.Fatalf("job %d: %d candidates counted of %d", id, after.Candidates-before.Candidates, len(m.Candidates(spec)))
+					}
+					if id%7 == 3 {
+						own, _ := m.EvaluateAll(id, spec, now, m.Candidates(spec))
+						if !samePredictions(own, full) {
+							t.Fatalf("job %d: exhaustive predictions differ after the two passes\n classes   %+v\n reference %+v", id, own, full)
+						}
+					}
+
+					// Place on the winner; now and then anywhere, which is what
+					// overloads a server's memory and collapses its trace.
+					target := ""
+					for _, p := range pruned {
+						if target == "" || obj.value(&p) < obj.value(&best) {
+							target, best = p.Server, p
+						}
+					}
+					if own := m.Candidates(spec); len(own) > 0 && rng.Intn(10) == 0 {
+						target = own[rng.Intn(len(own))]
+					}
+					if target != "" {
+						errA, errB := m.Place(id, spec, now, target), twin.Place(id, spec, now, target)
+						if (errA == nil) != (errB == nil) {
+							t.Fatalf("job %d on %s: %v against %v", id, target, errA, errB)
+						}
+					}
+					if old := id - rng.Intn(12); old >= 0 && rng.Intn(2) == 0 {
+						errA, errB := m.NotifyCompletion(old, now), twin.NotifyCompletion(old, now)
+						if (errA == nil) != (errB == nil) {
+							t.Fatalf("job %d: re-anchor of %d: %v against %v", id, old, errA, errB)
+						}
+					}
+
+					if !slices.IsSortedFunc(m.busy, func(a, b *serverTrace) int { return cmp.Compare(a.sim.Name(), b.sim.Name()) }) {
+						t.Fatalf("job %d: the clock walk is not in server-name order", id)
+					}
+					ready, twinReady := m.ProjectedReadyAll(), twin.ProjectedReadyAll()
+					if len(ready) != len(twinReady) {
+						t.Fatalf("job %d: %d and %d ready times", id, len(ready), len(twinReady))
+					}
+					for s, r := range twinReady {
+						if !sameFloat(ready[s], r) {
+							t.Fatalf("job %d: %s ready at %v, on the reference twin at %v", id, s, ready[s], r)
+						}
+					}
+					for _, job := range twin.Placements() {
+						a, okA := m.PredictedCompletion(job)
+						b, okB := twin.PredictedCompletion(job)
+						if okA != okB || !sameFloat(a, b) {
+							t.Fatalf("job %d: completion of %d %v %v, on the reference twin %v %v", id, job, a, okA, b, okB)
+						}
+					}
+				}
+				st := m.EvalStats()
+				if pool.replicates != (st.Replicated > 0) {
+					t.Errorf("%d predictions replicated, replicates=%v", st.Replicated, pool.replicates)
+				}
+				if st.Projections+st.Replicated >= st.Candidates {
+					t.Errorf("nothing pruned: %+v", st)
+				}
+				if pool.memory && collapsed == 0 {
+					t.Error("no decision met a collapsed trace")
+				}
+			})
+		}
+	}
+}
+
+// TestReadyAggregatesMatchPerTrace pins MinProjectedReady and
+// ProjectedReadyAll, which answer for idle traces without reading them,
+// against a loop over ProjectedReady, on the churn generator of
+// TestIndexChurnDifferential, through light and saturated spells.
+func TestReadyAggregatesMatchPerTrace(t *testing.T) {
+	universe := churnUniverse()
+	specs := churnSpecs(universe)
+	m := New(universe[:10], WithSync())
+	rng := stats.NewRNG(15)
+	now := 0.0
+	idleAnswers, busyAnswers := 0, 0
+	for id := 0; id < 600; id++ {
+		gap := 3.0
+		if id/100%2 == 1 {
+			gap = 0.3
+		}
+		now += gap * rng.Float64()
+		switch tracked := m.Servers(); rng.Intn(8) {
+		case 0:
+			m.AddServer(universe[rng.Intn(len(universe))])
+		case 1:
+			if len(tracked) > 4 {
+				m.DropServer(tracked[rng.Intn(len(tracked))])
+			}
+		}
+		spec := specs[rng.Intn(3)]
+		own := m.Candidates(spec)
+		// Pruned evaluations only, so idle traces stay unread.
+		if _, err := m.Minimizing(MinCompletion, pruneTie).EvaluateAll(id, spec, now, own); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Place(id, spec, now, own[rng.Intn(len(own))]); err != nil {
+			t.Fatal(err)
+		}
+		if old := id - rng.Intn(8); rng.Intn(3) == 0 {
+			_ = m.NotifyCompletion(old, now) // on a dropped server: nothing to anchor
+		}
+		got, ok := m.MinProjectedReady()
+		all := m.ProjectedReadyAll()
+		want := math.Inf(1)
+		for _, s := range m.Servers() {
+			r, _ := m.ProjectedReady(s)
+			want = min(want, r)
+			if math.Float64bits(all[s]) != math.Float64bits(r) {
+				t.Fatalf("job %d: ProjectedReadyAll[%s] = %v, ProjectedReady %v", id, s, all[s], r)
+			}
+		}
+		if !ok || math.Float64bits(got) != math.Float64bits(want) || len(all) != len(m.Servers()) {
+			t.Fatalf("job %d: MinProjectedReady %v %v, least ProjectedReady %v", id, got, ok, want)
+		}
+		if want == now {
+			idleAnswers++
+		} else {
+			busyAnswers++
+		}
+	}
+	if idleAnswers == 0 || busyAnswers == 0 {
+		t.Errorf("%d decisions with an idle trace, %d without: both regimes must be met", idleAnswers, busyAnswers)
+	}
+}
+
+// TestSortByServerRuns: the pruned pass hands sortByServer sorted runs,
+// not a near-sorted list.
+func TestSortByServerRuns(t *testing.T) {
+	var out, want []Prediction
+	for run := 0; run < 5; run++ {
+		for i := run; i < 4096; i += 5 {
+			out = append(out, Prediction{Server: fmt.Sprintf("sv%04d", i), Flow: float64(i)})
+		}
+	}
+	for i := 0; i < 4096; i++ {
+		want = append(want, Prediction{Server: fmt.Sprintf("sv%04d", i), Flow: float64(i)})
+	}
+	if allocs := testing.AllocsPerRun(1, func() { sortByServer(out) }); allocs != 0 {
+		t.Errorf("sortByServer allocated %v times", allocs)
+	}
+	if !samePredictions(out, want) {
+		t.Error("runs not merged into server order")
+	}
+}
+
+// TestIdleClassClockAhead pins why a drained trace stays in the clock
+// walk while its fluid clock is ahead of the trace time: the last event
+// of a trace may fall within fluid's time tolerance after the advance
+// that reaches it, and a job added to that trace is released at the
+// trace's clock, not at its arrival, so its prediction is not the one an
+// idle server of the same class gets.
+func TestIdleClassClockAhead(t *testing.T) {
+	cost := task.Cost{Compute: 10}
+	spec := &task.Spec{Problem: "p", CostOn: map[string]task.Cost{"a": cost, "b": cost, "c": cost}}
+	m := New([]string{"a", "b", "c"})
+	if err := m.Place(1, spec, 0, "a"); err != nil {
+		t.Fatal(err)
+	}
+	arrival := 10 - 5e-10
+	m.AdvanceTo(arrival)
+	if sim, _ := m.Sim("a"); len(sim.Live()) != 0 || sim.Now() <= arrival {
+		t.Fatalf("a holds %d live jobs at %v: the case needs it drained and ahead of %v", len(sim.Live()), sim.Now(), arrival)
+	}
+	own := m.Candidates(spec)
+	pruned, err := m.Minimizing(MinCompletion, pruneTie).EvaluateAll(2, spec, arrival, own)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := m.EvaluateAll(2, spec, arrival, own)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if samePrediction(full[0], Prediction{Server: "a", Completion: full[1].Completion, Flow: full[1].Flow}) {
+		t.Fatal("a projects like the idle servers: the case does not distinguish them")
+	}
+	if err := meetsContract(MinCompletion, full, pruned); err != nil {
+		t.Errorf("%v\n pruned %+v\n full   %+v", err, pruned, full)
+	}
+	// The next advance finds the trace behind the trace time again.
+	m.AdvanceTo(11)
+	if tr := m.traces["a"]; tr.busy {
+		t.Error("a still in the clock walk after the trace time passed its clock")
+	}
+}
+
+// TestCollapsedTraceNotReplicated: a collapsed trace holds no live job,
+// yet it is no idle member of its class — it stays in the clock walk and
+// is evaluated on its own, where it raises the error the exhaustive pass
+// raises. Table 2 has no two machines of one memory configuration, so
+// the case is built by giving three traces the same one.
+func TestCollapsedTraceNotReplicated(t *testing.T) {
+	names := []string{"x", "y", "z"}
+	m := New(names, WithMemoryModel())
+	for _, name := range names {
+		tr := m.traces[name]
+		tr.sim = fluid.New(fluid.Config{Name: name, RAMMB: 128, SwapMB: 126, Thrash: true})
+		tr.mem = memConfig{ramMB: 128, swapMB: 126, thrash: true}
+	}
+	on := func(memoryMB float64) *task.Spec {
+		cost := task.Cost{Input: 1, Compute: 10, Output: 1}
+		return &task.Spec{Problem: "p", MemoryMB: memoryMB, CostOn: map[string]task.Cost{"x": cost, "y": cost, "z": cost}}
+	}
+	for id := 1; id <= 2; id++ {
+		if err := m.Place(id, on(150), 0, "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := on(10)
+	for _, arrival := range []float64{1, 30} {
+		own := m.Candidates(spec)
+		if ix := m.index[spec]; len(ix.classes) != 1 || ix.classes[0].size != 3 {
+			t.Fatalf("classes %+v: the case needs the three servers in one", ix.classes)
+		}
+		pruned, _ := m.Minimizing(MinCompletion, pruneTie).EvaluateAll(3, spec, arrival, own)
+		if sim, _ := m.Sim("x"); arrival == 1 {
+			if collapsed, _ := sim.Collapsed(); !collapsed || len(sim.Live()) != 0 {
+				t.Fatal("x did not collapse")
+			}
+		}
+		full, err := m.EvaluateAll(3, spec, arrival, own)
+		if err == nil || len(full) != 2 {
+			t.Fatalf("exhaustive pass over a collapsed trace: %+v, %v", full, err)
+		}
+		if err := meetsContract(MinCompletion, full, pruned); err != nil || len(pruned) != 2 {
+			t.Errorf("arrival %v: %v\n pruned %+v\n full   %+v", arrival, err, pruned, full)
+		}
+	}
 }

@@ -133,12 +133,14 @@ func TestWriteHAGauges(t *testing.T) {
 
 func TestWriteEvalCounters(t *testing.T) {
 	var b strings.Builder
-	WriteEval(&b, htm.EvalStats{Candidates: 2048, Projections: 23, NameLookups: 7, IndexBuilds: 3})
+	WriteEval(&b, htm.EvalStats{Candidates: 2048, Projections: 23, Replicated: 41, NameLookups: 7, IndexBuilds: 3})
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE casched_htm_candidates_total counter",
 		"casched_htm_candidates_total 2048",
 		"casched_htm_projections_total 23",
+		"# TYPE casched_htm_replicated_total counter",
+		"casched_htm_replicated_total 41",
 		"# TYPE casched_htm_name_lookups_total counter",
 		"casched_htm_name_lookups_total 7",
 		"casched_htm_index_builds_total 3",
