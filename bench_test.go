@@ -858,7 +858,8 @@ func constGap(dt float64) func(int) float64 { return func(int) float64 { return 
 
 // benchSteadyCore runs the steady decision loop on one core and reports
 // how many candidates the HTM projected per decision, the number
-// pruning moves.
+// pruning moves, and how many traces its clock stepped, the number the
+// per-trace event clocks move.
 func benchSteadyCore(b *testing.B, heuristic string, servers int, gap func(id int) float64, window, warmup int) {
 	names, specs := largeTestbed(servers)
 	s, err := casched.NewScheduler(heuristic)
@@ -878,7 +879,9 @@ func benchSteadyCore(b *testing.B, heuristic string, servers int, gap func(id in
 	runSteady(b, specs, gap, window, warmup, core.Submit, func(jobID int, server string, at float64) {
 		core.Complete(jobID, server, at)
 	}, func() { before = core.EvalStats() })
-	b.ReportMetric(float64(core.EvalStats().Projections-before.Projections)/float64(b.N), "projections/decision")
+	after := core.EvalStats()
+	b.ReportMetric(float64(after.Projections-before.Projections)/float64(b.N), "projections/decision")
+	b.ReportMetric(float64(after.Stepped-before.Stepped)/float64(b.N), "steps/decision")
 }
 
 // BenchmarkAgentSubmitSteadyLight1024 is the regime candidate pruning

@@ -339,6 +339,7 @@ func (cl *Cluster) EvalStats() htm.EvalStats {
 		total.Candidates += st.Candidates
 		total.Projections += st.Projections
 		total.Replicated += st.Replicated
+		total.Stepped += st.Stepped
 		total.NameLookups += st.NameLookups
 		total.IndexBuilds += st.IndexBuilds
 	}

@@ -28,8 +28,9 @@ import (
 	"casched/internal/task"
 )
 
-// timeEps is the tolerance used when comparing simulation times.
-const timeEps = 1e-9
+// TimeEps is the tolerance used when comparing simulation times: an
+// event dated within TimeEps after t is due at t.
+const TimeEps = 1e-9
 
 // State enumerates the lifecycle of a job inside a server simulation.
 type State int
@@ -243,7 +244,7 @@ func (s *Sim) Add(id int, release float64, cost task.Cost, memoryMB float64) err
 		return fmt.Errorf("fluid: server %s: add job %d: server collapsed at %.3f",
 			s.cfg.Name, id, s.collapseTime)
 	}
-	if release < s.now-timeEps {
+	if release < s.now-TimeEps {
 		return fmt.Errorf("fluid: server %s: add job %d: release %.6f precedes now %.6f",
 			s.cfg.Name, id, release, s.now)
 	}
@@ -349,49 +350,53 @@ func (s *Sim) thrashFactor() float64 {
 	return 1 / (1 + alpha*over)
 }
 
-// rate returns the progress rate of job j in its current phase.
-func (s *Sim) rate(j *Job, in, comp, out int) float64 {
-	switch j.State {
-	case StateInput:
-		return 1 / float64(in)
-	case StateCompute:
-		return s.thrashFactor() / float64(comp)
-	case StateOutput:
-		return 1 / float64(out)
+// rates returns the progress rate of a job in each phase: an equal share
+// of the station, the CPU's slowed by memory pressure; zero where no job
+// is in the phase.
+func (s *Sim) rates() (r [task.NumPhases]float64) {
+	in, comp, out := s.counts()
+	if in > 0 {
+		r[task.PhaseInput] = 1 / float64(in)
 	}
-	return 0
+	if comp > 0 {
+		r[task.PhaseCompute] = s.thrashFactor() / float64(comp)
+	}
+	if out > 0 {
+		r[task.PhaseOutput] = 1 / float64(out)
+	}
+	return r
 }
 
 // NextEventTime returns the earliest time at which the simulation state
 // changes (a release or a phase completion), or ok=false if the server
 // is idle (or collapsed).
 func (s *Sim) NextEventTime() (float64, bool) {
+	next, _ := s.Pace()
+	return next, !math.IsInf(next, 1)
+}
+
+// Pace returns the date of the next event (+Inf if the server is idle
+// or collapsed) and the rate at which a job in each phase progresses
+// until then. Rates are constant between events, so a caller that keeps
+// both knows what every job has left at any instant before that date
+// without advancing the simulation.
+func (s *Sim) Pace() (next float64, rates [task.NumPhases]float64) {
+	next = math.Inf(1)
 	if s.collapsed {
-		return 0, false
+		return next, rates
 	}
-	next := math.Inf(1)
-	in, comp, out := s.counts()
+	rates = s.rates()
 	for _, j := range s.live {
-		switch j.State {
-		case StateWaiting:
-			if j.Release < next {
-				next = j.Release
-			}
-		case StateInput, StateCompute, StateOutput:
-			r := s.rate(j, in, comp, out)
-			if r <= 0 {
-				continue
-			}
-			t := s.now + j.Remaining[phaseOf(j.State)]/r
-			if t < next {
-				next = t
-			}
+		t := j.Release
+		if j.State != StateWaiting {
+			p := phaseOf(j.State)
+			t = s.now + j.Remaining[p]/rates[p]
+		}
+		if t < next {
+			next = t
 		}
 	}
-	if math.IsInf(next, 1) {
-		return 0, false
-	}
-	return next, true
+	return next, rates
 }
 
 // phaseOf maps an active state to its phase index.
@@ -416,24 +421,19 @@ func (s *Sim) AdvanceTo(t float64) []Event { return s.advance(t, true) }
 // discard the events (the HTM's trace clock) advance allocation-free.
 func (s *Sim) AdvanceToQuiet(t float64) { s.advance(t, false) }
 
-// advance implements AdvanceTo; with collect=false no event slice is
-// built, which keeps throwaway projections allocation-free.
-func (s *Sim) advance(t float64, collect bool) []Event {
-	if t < s.now-timeEps {
-		panic(fmt.Sprintf("fluid: server %s: AdvanceTo(%.6f) precedes now %.6f", s.cfg.Name, t, s.now))
-	}
-	if len(s.live) == 0 {
-		// Nothing resident: only the clock moves. Most traces of a large
-		// lightly loaded pool take this path on every arrival.
-		if t > s.now {
-			s.now = t
-		}
-		return nil
-	}
+// StepEventsQuiet applies the events due by t, the ones AdvanceTo(t)
+// would apply, and leaves the clock at the last of them instead of
+// moving it on to t: the state is then a function of the jobs added and
+// their dates alone, whatever instants the simulation was stepped at.
+func (s *Sim) StepEventsQuiet(t float64) { s.stepEvents(t, false) }
+
+// stepEvents applies the events dated up to t+TimeEps, each at its own
+// date.
+func (s *Sim) stepEvents(t float64, collect bool) []Event {
 	var events []Event
 	for !s.collapsed {
 		next, ok := s.NextEventTime()
-		if !ok || next > t+timeEps {
+		if !ok || next > t+TimeEps {
 			break
 		}
 		if next < s.now {
@@ -442,6 +442,23 @@ func (s *Sim) advance(t float64, collect bool) []Event {
 		s.progress(next)
 		events = s.transition(next, events, collect)
 	}
+	return events
+}
+
+// advance implements AdvanceTo; with collect=false no event slice is
+// built, which keeps throwaway projections allocation-free.
+func (s *Sim) advance(t float64, collect bool) []Event {
+	if t < s.now-TimeEps {
+		panic(fmt.Sprintf("fluid: server %s: AdvanceTo(%.6f) precedes now %.6f", s.cfg.Name, t, s.now))
+	}
+	if len(s.live) == 0 {
+		// Nothing resident: only the clock moves.
+		if t > s.now {
+			s.now = t
+		}
+		return nil
+	}
+	events := s.stepEvents(t, collect)
 	if !s.collapsed && t > s.now {
 		s.progress(t)
 	}
@@ -458,21 +475,17 @@ func (s *Sim) progress(t float64) {
 		s.now = math.Max(s.now, t)
 		return
 	}
-	in, comp, out := s.counts()
-	if in > 0 {
-		s.busy[task.PhaseInput] += dt
-	}
-	if comp > 0 {
-		s.busy[task.PhaseCompute] += dt
-	}
-	if out > 0 {
-		s.busy[task.PhaseOutput] += dt
+	rates := s.rates()
+	for p, r := range rates {
+		if r > 0 {
+			s.busy[p] += dt
+		}
 	}
 	for _, j := range s.live {
 		switch j.State {
 		case StateInput, StateCompute, StateOutput:
 			p := phaseOf(j.State)
-			j.Remaining[p] -= dt * s.rate(j, in, comp, out)
+			j.Remaining[p] -= dt * rates[p]
 			if j.Remaining[p] < 0 {
 				j.Remaining[p] = 0
 			}
@@ -505,7 +518,7 @@ func (s *Sim) transition(t float64, events []Event, collect bool) []Event {
 		for _, j := range s.live {
 			switch j.State {
 			case StateWaiting:
-				if j.Release <= t+timeEps {
+				if j.Release <= t+TimeEps {
 					j.State = StateInput
 					j.Start[task.PhaseInput] = t
 					if collect {
@@ -520,7 +533,7 @@ func (s *Sim) transition(t float64, events []Event, collect bool) []Event {
 				}
 			case StateInput, StateCompute, StateOutput:
 				p := phaseOf(j.State)
-				if j.Remaining[p] <= timeEps {
+				if j.Remaining[p] <= TimeEps {
 					j.Remaining[p] = 0
 					j.End[p] = t
 					if collect {

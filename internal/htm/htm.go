@@ -25,9 +25,12 @@
 // from scratch for every candidate — is cached and only recomputed when
 // the server's live trace actually changes (a placement, a
 // synchronization re-anchor, a drop). Advancing the trace clock does
-// not invalidate the cache, because projected completion dates are
-// points on the same fluid trajectory regardless of where along it the
-// projection starts. EvaluateFull keeps the original full-replay
+// not invalidate the cache: the clock moves a trace through its own
+// events only, each at its own date (see "Trace clock"), which is the
+// very sequence of operations a projection of the trace performs, so the
+// projected completion dates are not merely points on the same fluid
+// trajectory but the same bits wherever along it the projection starts.
+// EvaluateFull keeps the original full-replay
 // algorithm as a reference: predictions from the two paths agree within
 // floating-point accumulation error (see the equivalence test).
 //
@@ -53,8 +56,9 @@
 //
 // The pass costs O(walked candidates + idle classes), not O(pool). A
 // candidate whose trace is in the clock walk (Manager.busy, see "Trace
-// clock") is bounded from its live jobs, read in place, and projected on
-// its own; of those the one of least bound goes first and the others
+// clock") is bounded from its live jobs, read in place as they stood at
+// the trace's own clock less the work served since, and projected on its
+// own; of those the one of least bound goes first and the others
 // follow in name order, which is the order a saturated pool has always
 // been walked in. The idle candidates are never visited one by one: the
 // candidate index groups a spec's entries into classes by everything
@@ -65,10 +69,10 @@
 // idle member; the prediction is then copied under the name of every
 // other idle member. That is exact without a closed form for the idle
 // completion date: fluid is deterministic, and each member would be
-// handed the same clock (an idle trace is brought to the trace time
-// before it is cloned), the same arrival, cost and footprint, the same
-// memory model and the same empty live set, so it would compute the same
-// bits. Classes are taken in order of idle flow I+w+O and before the
+// handed the same arrival, cost and footprint, the same memory model and
+// the same empty live set (an idle trace's clock trails the trace time,
+// differently for each, but the candidate is released at the arrival and
+// nothing is served before that), so it would compute the same bits. Classes are taken in order of idle flow I+w+O and before the
 // walked candidates: an idle projection is the cheapest there is and
 // lands on its bound, so it makes the tightest incumbent for its price.
 // What stays per candidate: a trace in the walk even if it holds no live
@@ -83,7 +87,9 @@
 // projections run and predictions served by copy (Replicated).
 //
 // The bound. Let the new job cost (I, w, O) on the server and arrive at
-// a, let r_i be the remaining compute of each job computing at a, and
+// a, let r_i be the remaining compute of each job computing at a (what
+// the job had left at the trace's clock c, less (a - c) times its rate
+// since: no event of the trace lies between c and a), and
 //
 //	F = max(I + w + O, w + O + Σ_i min(r_i, w)).
 //
@@ -182,24 +188,70 @@
 //
 // # Trace clock
 //
-// Advancing the trace time walks only the traces that may hold a live
-// job (Manager.busy, kept in server-name order so that the pruned pass,
-// which bounds exactly these, meets them in the order of the pool): a
-// trace joins the walk when a job is placed on it and leaves it at the
-// first advance that finds it drained, not collapsed and not ahead of the
-// trace time, with an empty baseline (see "Pruning"). An idle trace's
-// fluid clock is left behind, which is exact because advancing
-// a fluid.Sim without live jobs moves nothing but its clock; syncLocked
-// brings it to the trace time wherever the sim is about to be read or
-// changed (cloning for a projection or a baseline, Place, Sim), and
-// ForceComplete advances to the re-anchor instant itself. Retention
-// pruning reads no clock, and the ready aggregates (MinProjectedReady,
-// ProjectedReadyAll) answer the trace time for an idle trace without
-// reading it. So an arrival on a large, mostly idle pool pays for the
-// busy traces and the candidates it projects, not for a tick or a bound
-// per server, and every prediction, cached baseline, ready time and
-// Sim().Now() is what the whole-pool walk produced
-// (TestLazyClockMatchesWalk).
+// A server's fluid state changes only at that server's own events (the
+// release of a job placed on it, the end of a phase), so a trace is
+// stepped at its own events and not at every arrival. Each trace that
+// may hold a live job (Manager.busy, kept in server-name order so that
+// the pruned pass, which bounds exactly these, meets them in the order
+// of the pool) carries the date of its next event and the progress rates
+// that hold until then (serverTrace.next and rates, from
+// fluid.Sim.Pace). Advancing the trace time to t compares next with t
+// for every busy trace, about a nanosecond each, and steps only the
+// traces with an event due by fluid's own criterion (next <= t +
+// fluid.TimeEps): through the due events, each applied at its own date,
+// and no further. A stepped trace is left at its last event, not at t,
+// so the instants at which the Manager was asked something leave no mark
+// on it. EvalStats.Stepped counts the traces stepped: a few per decision
+// whatever the pool and its load.
+//
+// What moves a busy trace's sim is therefore: its own due events, a
+// re-anchor (NotifyCompletion's ForceComplete, which moves it to the
+// completion instant), and Sim, the materialising read of end-of-run
+// rendering, which brings the trace it hands out to the trace time. Place
+// adds the job with its release date and moves nothing; each of the four
+// is followed by keyLocked, which records the next event and the rates
+// anew. No other read steps a trace. A projection or a baseline refresh
+// clones the trace as it stands, at its own clock c <= the trace time,
+// and the clone crosses the gap itself: the candidate is added with
+// release date a and the run to idle starts with the step from c to a,
+// at the rates that held all along. The pruning bound reads the live
+// jobs in place and takes (a - c) * rate off what each had left in its
+// current phase. That rule is what makes the clock exact and not
+// approximate: a trace's bits depend on the jobs placed on it and their
+// dates, never on which candidates an earlier decision happened to
+// project or on when anything was read, so the pruned pass still returns
+// bits of the exhaustive one (TestReadsDoNotStepTraces; the fluid side is
+// TestSplitInvariance). Against a Manager that steps every trace to
+// every arrival, as this one did before, the work of a phase is consumed
+// in one piece per event instead of one per arrival, so dates differ in
+// their last bits and no more (TestLazyClockMatchesWalk, 1e-12
+// relative).
+//
+// A trace joins the walk when a job is placed on it and leaves it at the
+// first advance that finds it drained, not collapsed and not ahead of
+// the trace time, with an empty baseline (see "Pruning"). Two kinds of
+// trace stay in the walk without a live job. A collapsed trace has no
+// next event and is never stepped again; it stays so that it is
+// evaluated on its own and raises the error it must. A trace whose last
+// event fell within fluid's time tolerance after the advance that
+// reached it stands ahead of the trace time; like every drained trace it
+// is keyed at its own clock, so the next advance comes by and evicts it
+// once the trace time has passed that clock. An idle trace's fluid clock
+// is left behind for good, which is exact because nothing is served on a
+// trace without live jobs; only Sim brings it up. The ready aggregates
+// (MinProjectedReady, ProjectedReadyAll) answer the trace time for an
+// idle trace without reading it.
+//
+// Retention pruning (WithRetention) reads no clock and visits only the
+// traces that hold the record of a done or failed job
+// (Manager.finished): keyLocked lists a trace when it first holds one,
+// the pruning pass drops it when its last record is gone and DropServer
+// when the server leaves, so the list is bounded by the pool and a pass
+// costs the traces with something to forget, not a call per server
+// (TestRetentionVisitsOnlyFinishedTraces holds it against the whole-pool
+// walk). So an arrival on a large pool pays for the traces with an
+// event due and the candidates it bounds and projects, not for a tick
+// per busy server.
 //
 // The Manager is safe for concurrent use.
 package htm
@@ -320,6 +372,16 @@ type serverTrace struct {
 	pos int32
 	// busy marks membership of Manager.busy, the traces the clock walks.
 	busy bool
+	// next is the date of the sim's next event and rates the progress of
+	// a job in each phase until then (fluid.Sim.Pace), kept by keyLocked
+	// while the trace is in the walk: the clock steps the sim once next is
+	// due, and the pruning bound takes the work served since the sim's own
+	// clock off what its jobs had left there. A drained trace is keyed at
+	// its own clock, so the next advance comes by to evict it.
+	next  float64
+	rates [task.NumPhases]float64
+	// finished marks membership of Manager.finished.
+	finished bool
 }
 
 // memConfig is a fluid.Config without the name: what the fluid model of
@@ -394,18 +456,21 @@ type Manager struct {
 	mu     sync.RWMutex
 	traces map[string]*serverTrace
 	// order holds the tracked server names sorted; ordered holds their
-	// traces at the same indices, so whole-pool walks (the trace clock,
-	// pruning, the ready aggregates) cost no map lookup per server.
+	// traces at the same indices, so whole-pool walks (index builds, the
+	// ready snapshot) cost no map lookup per server.
 	order      []string
 	ordered    []*serverTrace
 	placements map[int]placement
 	now        float64
 	// busy holds, in server-name order, the traces that may have a live
-	// job, the only ones the trace clock walks and the pruned pass bounds
-	// one by one; every other trace is idle, its baseline empty or stale,
-	// and its fluid clock trails m.now until syncLocked brings it up (see
-	// "Trace clock").
+	// job, the only ones the trace clock looks at and the pruned pass
+	// bounds one by one, each standing at its own last event; every other
+	// trace is idle, its baseline empty or stale, its fluid clock left
+	// where it drained (see "Trace clock").
 	busy []*serverTrace
+	// finished holds, in no order, the traces that hold the record of a
+	// done or failed job, the only ones retention pruning visits.
+	finished []*serverTrace
 	// index caches each spec resolved against the current pool (see
 	// "Candidate index"): at most maxIndexedSpecs entries, dropped
 	// wholesale when full and whenever a server joins or leaves.
@@ -430,6 +495,8 @@ type Manager struct {
 	// replicated counts the predictions the pruned pass copied from an
 	// idle class's representative instead of projecting them.
 	replicated atomic.Uint64
+	// stepped counts the traces the clock stepped through due events.
+	stepped atomic.Uint64
 	// nameLookups counts the candidates of those calls that were resolved
 	// by server name instead of through the index; indexBuilds the index
 	// builds.
@@ -537,6 +604,11 @@ type EvalStats struct {
 	// of an idle class's representative (see "Pruning"); they are not in
 	// Projections.
 	Replicated uint64
+	// Stepped counts the traces the trace clock stepped: one for each
+	// advance of the trace time that found an event of the trace due (see
+	// "Trace clock"). A decision steps the traces placed on or finishing
+	// a phase since the last one, not the busy ones.
+	Stepped uint64
 	// NameLookups counts the candidates those passes (and the admission
 	// test) had to resolve by server name: lists other than the one
 	// Manager.Candidates hands out. A deployment whose decisions go
@@ -554,6 +626,7 @@ func (m *Manager) EvalStats() EvalStats {
 		Candidates:  m.considered.Load(),
 		Projections: m.projected.Load(),
 		Replicated:  m.replicated.Load(),
+		Stepped:     m.stepped.Load(),
 		NameLookups: m.nameLookups.Load(),
 		IndexBuilds: m.indexBuilds.Load(),
 	}
@@ -730,57 +803,74 @@ func (m *Manager) AdvanceTo(t float64) {
 	m.advanceLocked(t)
 }
 
-// advanceLocked advances the busy traces and returns the effective
-// time: the trace never moves backwards, so a stale t (behind a
-// concurrent caller's advance) is clamped to the current trace time. A
-// t equal to the trace time is not an advance either: every busy trace
-// already stands there (a job placed at this instant stays waiting and
-// is activated, at the same date, by the next real advance or inside
-// any projection), so the commit that follows an evaluation does not
-// walk them again. The baseline caches stay valid (see the package
-// comment). A trace leaves the walk once it is idle in the sense the
-// rest of the package relies on: no live job, not collapsed, and its
-// fluid clock not ahead of the trace time (the last event of a trace may
-// fall within fluid's time tolerance after t). It leaves with an empty
-// baseline, which is what a refresh would compute from then on, so its
-// ready time is the trace time and nothing has to look at it again until
-// a job is placed on it.
+// advanceLocked moves the trace time to t, steps the busy traces that
+// have an event due by then through those events, and returns the
+// effective time: the trace never moves backwards, so a stale t (behind
+// a concurrent caller's advance) is clamped to the current trace time. A
+// busy trace whose next event lies beyond t is not touched, and a
+// stepped one is left at its last event, not at t (see "Trace clock").
+// A t equal to the trace time is not an advance: a job placed at this
+// instant stays waiting, its release the trace's next event, due at the
+// next real advance and crossed inside any projection. A trace leaves
+// the walk once it is idle in the sense the rest of the package relies
+// on: no live job, not collapsed, and its fluid clock not ahead of the
+// trace time (the last event of a trace may fall within fluid's time
+// tolerance after t). It leaves with an empty baseline, which is what a
+// refresh would compute from then on, so its ready time is the trace
+// time and nothing has to look at it again until a job is placed on it.
 func (m *Manager) advanceLocked(t float64) float64 {
 	if t <= m.now {
 		return m.now
 	}
 	m.now = t
-	busy := m.busy[:0]
-	for _, tr := range m.busy {
-		tr.sim.AdvanceToQuiet(t)
-		if collapsed, _ := tr.sim.Collapsed(); len(tr.sim.Live()) > 0 || collapsed || tr.sim.Now() > t {
-			busy = append(busy, tr)
-		} else {
-			tr.busy = false
-			tr.setBaseline(newBaselineSet(), tr.gen)
+	due := t + fluid.TimeEps
+	kept, stepped := 0, 0
+	for i, tr := range m.busy {
+		if tr.next <= due {
+			stepped++
+			tr.sim.StepEventsQuiet(t)
+			if drained := m.keyLocked(tr); drained && tr.sim.Now() <= t {
+				tr.busy = false
+				tr.setBaseline(newBaselineSet(), tr.gen)
+				continue
+			}
 		}
+		if kept != i {
+			m.busy[kept] = tr
+		}
+		kept++
 	}
-	clear(m.busy[len(busy):])
-	m.busy = busy
+	clear(m.busy[kept:])
+	m.busy = m.busy[:kept]
+	if stepped > 0 {
+		m.stepped.Add(uint64(stepped))
+	}
 	m.pruneLocked()
 	return t
 }
 
-// syncLocked brings an idle trace's fluid clock up to the trace time.
-// Only a trace outside the walk can trail it, and with no live job
-// advancing moves nothing but the clock, so every reader and mutator of
-// a trace's sim calls this first and sees the state the whole-pool walk
-// would have left.
-func (m *Manager) syncLocked(tr *serverTrace) {
-	if tr.sim.Now() < m.now {
-		tr.sim.AdvanceToQuiet(m.now)
+// keyLocked follows everything that moves a trace's sim or adds to it (a
+// step of the clock, Place, a re-anchor, Sim): it records the sim's next
+// event and rates, and lists the trace for retention pruning once it
+// holds a terminal record. It reports whether the trace is drained: no
+// live job and not collapsed.
+func (m *Manager) keyLocked(tr *serverTrace) (drained bool) {
+	tr.next, tr.rates = tr.sim.Pace()
+	if !tr.finished && len(tr.sim.Jobs()) > len(tr.sim.Live()) {
+		tr.finished = true
+		m.finished = append(m.finished, tr)
 	}
+	if collapsed, _ := tr.sim.Collapsed(); collapsed || len(tr.sim.Live()) > 0 {
+		return false
+	}
+	tr.next = tr.sim.Now()
+	return true
 }
 
-// liveCloneLocked returns a pooled live-only clone of the trace as it
-// stands at the trace time.
-func (m *Manager) liveCloneLocked(tr *serverTrace) *fluid.Sim {
-	m.syncLocked(tr)
+// liveClone returns a pooled live-only clone of the trace as it stands,
+// at its own clock: a projection's Add releases the candidate at the
+// arrival and its run crosses the gap, so no read moves the trace.
+func (tr *serverTrace) liveClone() *fluid.Sim {
 	return tr.sim.CloneLiveInto(getSim())
 }
 
@@ -795,12 +885,18 @@ func (m *Manager) pruneLocked() {
 	}
 	m.lastPrune = m.now
 	cutoff := m.now - m.retention
-	for _, tr := range m.ordered {
+	kept := m.finished[:0]
+	for _, tr := range m.finished {
 		m.pruneScratch = tr.sim.PruneCompletedBefore(cutoff, m.pruneScratch[:0])
 		for _, id := range m.pruneScratch {
 			delete(m.placements, id)
 		}
+		if tr.finished = len(tr.sim.Jobs()) > len(tr.sim.Live()); tr.finished {
+			kept = append(kept, tr)
+		}
 	}
+	clear(m.finished[len(kept):])
+	m.finished = kept
 }
 
 // baselineLocked returns the server's cached baseline projection,
@@ -809,7 +905,7 @@ func (m *Manager) baselineLocked(tr *serverTrace) map[int]float64 {
 	if tr.baseline != nil && tr.baselineGen == tr.gen {
 		return tr.baseline.m
 	}
-	clone := m.liveCloneLocked(tr)
+	clone := tr.liveClone()
 	b := newBaselineSet()
 	projectCloneInto(clone, b.m)
 	putSim(clone)
@@ -931,13 +1027,13 @@ func project(j candidateJob, id int, spec *task.Spec, arrival float64, withPerTa
 // baseline.
 func (m *Manager) snapshotLocked(e indexEntry) candidateJob {
 	tr := e.tr
-	j := candidateJob{cost: e.cost, clone: m.liveCloneLocked(tr)}
+	j := candidateJob{cost: e.cost, clone: tr.liveClone()}
 	if tr.baseline != nil && tr.baselineGen == tr.gen {
 		j.baseline = tr.baseline.acquire()
 	} else {
 		// Stale cache: hand the worker its own snapshot to project
 		// outside the lock.
-		j.baseClone = tr.sim.CloneLiveInto(getSim())
+		j.baseClone = tr.liveClone()
 		j.tr = tr
 		j.gen = tr.gen
 	}
@@ -975,7 +1071,6 @@ func (m *Manager) EvaluateFull(id int, spec *task.Spec, arrival float64, server 
 		m.mu.Unlock()
 		return Prediction{}, err
 	}
-	m.syncLocked(e.tr)
 	baseClone := e.tr.sim.CloneLive()
 	j := candidateJob{cost: e.cost, clone: e.tr.sim.Clone()}
 	m.mu.Unlock()
@@ -1147,10 +1242,10 @@ func (m *Manager) Place(id int, spec *task.Spec, arrival float64, server string)
 		return fmt.Errorf("htm: job %d already placed on %q", id, prev.server)
 	}
 	arrival = m.advanceLocked(arrival)
-	m.syncLocked(tr)
 	if err := tr.sim.Add(id, arrival, e.cost, spec.MemoryMB); err != nil {
 		return fmt.Errorf("htm: place on %q: %w", server, err)
 	}
+	m.keyLocked(tr)
 	if !tr.busy {
 		tr.busy = true
 		i, _ := slices.BinarySearchFunc(m.busy, tr.pos, func(b *serverTrace, pos int32) int { return cmp.Compare(b.pos, pos) })
@@ -1215,7 +1310,12 @@ func (m *Manager) NotifyCompletion(id int, t float64) error {
 	// A completion date the trace has already moved past is re-anchored
 	// at the current trace time; the trace cannot rewrite its history.
 	t = m.advanceLocked(t)
-	if err := tr.sim.ForceComplete(id, t); err != nil {
+	// Key before looking at the error: moving the sim to t releases a job
+	// placed at this very instant, which may collapse the server and fail
+	// the job.
+	err := tr.sim.ForceComplete(id, t)
+	m.keyLocked(tr)
+	if err != nil {
 		return err
 	}
 	tr.invalidate()
@@ -1244,6 +1344,9 @@ func (m *Manager) DropServer(name string) {
 	}
 	if i := slices.Index(m.busy, tr); i >= 0 {
 		m.busy = slices.Delete(m.busy, i, i+1)
+	}
+	if i := slices.Index(m.finished, tr); i >= 0 {
+		m.finished = slices.Delete(m.finished, i, i+1)
 	}
 	clear(m.index)
 }
@@ -1342,8 +1445,11 @@ func (m *Manager) ProjectedReadyAll() map[string]float64 {
 	return ready
 }
 
-// Sim exposes the live trace of one server; the Gantt renderer
-// consumes this. The returned Sim is NOT protected by the Manager's
+// Sim exposes the live trace of one server, brought up to the trace
+// time (between reads a trace stands at its own last event, see "Trace
+// clock"); the Gantt renderer consumes this. Moving a busy trace changes
+// the last bits of its later dates, so this is for end-of-run reads, not
+// for decisions. The returned Sim is NOT protected by the Manager's
 // lock: use it only when no concurrent Place/NotifyCompletion can run
 // (end-of-run rendering, single-threaded drivers). Concurrent readers
 // should go through Evaluate/ProjectedReady/PredictedCompletion.
@@ -1354,6 +1460,9 @@ func (m *Manager) Sim(server string) (*fluid.Sim, bool) {
 	if !ok {
 		return nil, false
 	}
-	m.syncLocked(tr)
+	if tr.sim.Now() < m.now {
+		tr.sim.AdvanceToQuiet(m.now)
+		m.keyLocked(tr)
+	}
 	return tr.sim, true
 }

@@ -325,106 +325,3 @@ func TestIndexBuiltPerSpecAndMembership(t *testing.T) {
 		t.Errorf("%d builds for %d fresh specs", got, 3*maxIndexedSpecs)
 	}
 }
-
-// TestLazyClockMatchesWalk is the property behind the busy-only clock
-// walk. Two managers, both re-anchoring (WithSync) and pruning
-// (WithRetention), take the same placements, completions, drops and
-// fine-grained clock steps; on one, every trace is brought to every
-// step (through Sim, the way the whole-pool walk did), on the other
-// idle traces are left to catch up when something reads them. Every
-// Evaluate, ProjectedReadyAll and PredictedCompletion along the way,
-// and every trace's clock at the end, must agree bit for bit.
-func TestLazyClockMatchesWalk(t *testing.T) {
-	universe := churnUniverse()
-	specs := churnSpecs(universe)
-	sameFloat := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	for seed := uint64(1); seed <= 6; seed++ {
-		walked := New(universe[:12], WithSync(), WithRetention(15))
-		lazy := New(universe[:12], WithSync(), WithRetention(15))
-		touchAll := func() {
-			for _, s := range walked.Servers() {
-				walked.Sim(s)
-			}
-		}
-		rng := stats.NewRNG(seed)
-		now := 0.0
-		for id := 0; id < 250; id++ {
-			// Move the clock in steps far smaller than a task.
-			for steps, dt := 1+rng.Intn(12), 8*rng.Float64(); steps > 0; steps-- {
-				now += dt / 12
-				walked.AdvanceTo(now)
-				touchAll()
-				lazy.AdvanceTo(now)
-			}
-			if tracked := walked.Servers(); len(tracked) > 8 && rng.Intn(40) == 0 {
-				name := tracked[rng.Intn(len(tracked))]
-				walked.DropServer(name)
-				lazy.DropServer(name)
-			}
-			spec := specs[rng.Intn(3)]
-			own := lazy.Candidates(spec)
-			server := own[rng.Intn(len(own))]
-			a, errA := walked.Evaluate(id, spec, now, server)
-			b, errB := lazy.Evaluate(id, spec, now, server)
-			if (errA == nil) != (errB == nil) || !samePrediction(a, b) || len(a.PerTask) != len(b.PerTask) {
-				t.Fatalf("seed %d job %d on %s: walked %+v (%v), lazy %+v (%v)", seed, id, server, a, errA, b, errB)
-			}
-			for job, pi := range a.PerTask {
-				if !sameFloat(pi, b.PerTask[job]) {
-					t.Fatalf("seed %d job %d on %s: π_%d walked %v, lazy %v", seed, id, server, job, pi, b.PerTask[job])
-				}
-			}
-			pa, _ := walked.Minimizing(MinSumFlow, pruneTie).EvaluateAll(id, spec, now, walked.Candidates(spec))
-			pb, _ := lazy.Minimizing(MinSumFlow, pruneTie).EvaluateAll(id, spec, now, own)
-			if !samePredictions(pa, pb) {
-				t.Fatalf("seed %d job %d: pruned pass walked %+v, lazy %+v", seed, id, pa, pb)
-			}
-			if errA, errB := walked.Place(id, spec, now, server), lazy.Place(id, spec, now, server); errA != nil || errB != nil {
-				t.Fatal(errA, errB)
-			}
-			if old := id - 1 - rng.Intn(8); old >= 0 && rng.Intn(2) == 0 {
-				errA, errB := walked.NotifyCompletion(old, now), lazy.NotifyCompletion(old, now)
-				if (errA == nil) != (errB == nil) {
-					t.Fatalf("seed %d: re-anchor of %d: walked %v, lazy %v", seed, old, errA, errB)
-				}
-			}
-			ra, rb := walked.ProjectedReadyAll(), lazy.ProjectedReadyAll()
-			if len(ra) != len(rb) {
-				t.Fatalf("seed %d job %d: %d and %d ready times", seed, id, len(ra), len(rb))
-			}
-			for s, r := range ra {
-				if !sameFloat(r, rb[s]) {
-					t.Fatalf("seed %d job %d: %s ready walked %v, lazy %v", seed, id, s, r, rb[s])
-				}
-			}
-			ia, ib := walked.Placements(), lazy.Placements()
-			if !slices.Equal(ia, ib) {
-				t.Fatalf("seed %d job %d: retained jobs walked %v, lazy %v", seed, id, ia, ib)
-			}
-			for _, job := range ia {
-				ca, okA := walked.PredictedCompletion(job)
-				cb, okB := lazy.PredictedCompletion(job)
-				if okA != okB || !sameFloat(ca, cb) {
-					t.Fatalf("seed %d job %d: completion of %d walked %v %v, lazy %v %v", seed, id, job, ca, okA, cb, okB)
-				}
-			}
-		}
-		if len(lazy.Placements()) >= 250 {
-			t.Errorf("seed %d: retention pruned nothing", seed)
-		}
-		idle := 0
-		for _, s := range lazy.Servers() {
-			if tr := lazy.traces[s]; !tr.busy && tr.sim.Now() < lazy.now {
-				idle++
-			}
-			sa, _ := walked.Sim(s)
-			sb, _ := lazy.Sim(s)
-			if !sameFloat(sa.Now(), sb.Now()) || !sameFloat(sa.Now(), now) || !sameFloat(sa.Utilization(), sb.Utilization()) {
-				t.Errorf("seed %d: %s stands at %v (walked) and %v (lazy), trace time %v", seed, s, sa.Now(), sb.Now(), now)
-			}
-		}
-		if idle == 0 {
-			t.Errorf("seed %d: no idle trace trailed the trace time, the walk was never skipped", seed)
-		}
-	}
-}

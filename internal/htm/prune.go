@@ -76,12 +76,20 @@ func (z *Minimizer) EvaluateAllInto(id int, spec *task.Spec, arrival float64, ca
 // reads the live jobs in place and returns -Inf where nothing is
 // proven, which the caller always projects.
 func lowerBound(obj Objective, tr *serverTrace, cost task.Cost, memoryMB, arrival float64) float64 {
-	return boundOver(obj, tr.sim.Live(), tr.mem.ramMB, cost, memoryMB, arrival)
+	// The live jobs stand at the trace's own clock, at or before the
+	// arrival with no event in between, so each has since been served at
+	// the rate cached with the trace's next event.
+	dt := arrival - tr.sim.Now()
+	if dt < 0 {
+		dt = 0
+	}
+	return boundOver(obj, tr.sim.Live(), dt*tr.rates[task.PhaseCompute], dt*tr.rates[task.PhaseOutput], tr.mem.ramMB, cost, memoryMB, arrival)
 }
 
-// boundOver is lowerBound on a live set and a modelled RAM; an idle
-// class is bounded over no live job.
-func boundOver(obj Objective, live []*fluid.Job, ramMB float64, cost task.Cost, memoryMB, arrival float64) float64 {
+// boundOver is lowerBound on a live set, the work each of its jobs has
+// been served in its current phase since the state was taken, and a
+// modelled RAM; an idle class is bounded over no live job.
+func boundOver(obj Objective, live []*fluid.Job, servedCompute, servedOutput, ramMB float64, cost task.Cost, memoryMB, arrival float64) float64 {
 	w := cost.Compute
 	// shared is the CPU work the jobs computing now must receive before
 	// the new job's own w seconds of CPU are through.
@@ -93,13 +101,18 @@ func boundOver(obj Objective, live []*fluid.Job, ramMB float64, cost task.Cost, 
 	outWork, memory := 0.0, memoryMB
 	for _, j := range live {
 		if j.State == fluid.StateCompute {
-			shared += min(j.Remaining[task.PhaseCompute], w)
+			shared += min(j.Remaining[task.PhaseCompute]-servedCompute, w)
 		}
 		if obj == MinSumFlow {
+			// A job receiving its input still has some left: its end is an
+			// event, and none has come due.
 			if j.Remaining[task.PhaseInput] > 0 {
 				inputs++
 			}
 			if o := j.Remaining[task.PhaseOutput]; o > 0 {
+				if j.State == fluid.StateOutput {
+					o -= servedOutput
+				}
 				outputs++
 				outWork += o
 			}
@@ -187,7 +200,7 @@ func (m *Manager) evaluateMinimizing(obj Objective, tie float64, id int, spec *t
 	try := func(e *indexEntry) (Prediction, bool) {
 		projected++
 		m.baselineLocked(e.tr)
-		p, err := project(candidateJob{cost: e.cost, clone: m.liveCloneLocked(e.tr), baseline: e.tr.baseline.acquire()},
+		p, err := project(candidateJob{cost: e.cost, clone: e.tr.liveClone(), baseline: e.tr.baseline.acquire()},
 			id, spec, arrival, false)
 		if err != nil {
 			errs = append(errs, err)
@@ -200,7 +213,7 @@ func (m *Manager) evaluateMinimizing(obj Objective, tie float64, id int, spec *t
 	}
 	for c := range classes {
 		cl := &classes[c]
-		if sc.idle[c] == 0 || boundOver(obj, nil, cl.mem.ramMB, cl.cost, spec.MemoryMB, arrival) > incumbent+tie {
+		if sc.idle[c] == 0 || boundOver(obj, nil, 0, 0, cl.mem.ramMB, cl.cost, spec.MemoryMB, arrival) > incumbent+tie {
 			continue
 		}
 		k := cl.first

@@ -129,6 +129,27 @@ func (c pruneCase) boundsAt(obj Objective) map[string]float64 {
 	return out
 }
 
+// midPhase reports which active states (input, compute, output) the
+// case's evaluation catches a job in strictly between two events of its
+// trace: the trace's clock stands before the arrival, its next event
+// after it, so the bound has to take the work served in between off what
+// the job had left at the clock. Call after boundsAt, which advances the
+// trace time to the arrival.
+func (c pruneCase) midPhase() (states [task.NumPhases]bool) {
+	c.m.mu.Lock()
+	defer c.m.mu.Unlock()
+	for _, tr := range c.m.busy {
+		if tr.sim.Now() < c.m.now-1e-3 && tr.next > c.m.now+1e-3 {
+			for _, j := range tr.sim.Live() {
+				if j.State >= fluid.StateInput && j.State <= fluid.StateOutput {
+					states[j.State-fluid.StateInput] = true
+				}
+			}
+		}
+	}
+	return states
+}
+
 // meetsContract checks a pruned result against the exhaustive
 // predictions of the same candidates: in server-name order, each
 // prediction bit-identical to the exhaustive one, and every candidate
@@ -190,9 +211,12 @@ func samePrediction(a, b Prediction) bool {
 }
 
 // TestPruneBoundProperty runs the property over seeded random byte
-// strings, long enough to fill traces with a dozen live jobs.
+// strings, long enough to fill traces with a dozen live jobs, and
+// requires the cases to have met, with and without the memory model,
+// jobs caught mid-phase in each active state (see midPhase).
 func TestPruneBoundProperty(t *testing.T) {
 	rng := stats.NewRNG(20260928)
+	var caught [2][task.NumPhases]int
 	for i := 0; i < 4000; i++ {
 		data := make([]byte, 24+rng.Intn(360))
 		for k := range data {
@@ -200,9 +224,22 @@ func TestPruneBoundProperty(t *testing.T) {
 		}
 		// Spread the four option combinations evenly.
 		data[0] = byte(i)
-		checkPruneCase(t, buildPruneCase(data))
+		c := buildPruneCase(data)
+		checkPruneCase(t, c)
 		if t.Failed() {
 			t.Fatalf("case %d failed: %x", i, data)
+		}
+		for p, met := range c.midPhase() {
+			if met {
+				caught[data[0]&1][p]++
+			}
+		}
+	}
+	for memory, states := range caught {
+		for p, n := range states {
+			if n < 200 {
+				t.Errorf("memory model %d: %d cases caught a job mid-phase in state %v, want 200 of 2000", memory, n, fluid.StateInput+fluid.State(p))
+			}
 		}
 	}
 }
@@ -283,6 +320,14 @@ func FuzzPruneBound(f *testing.F) {
 	f.Add([]byte{0x40, 2, 0x20, 0, 2, 3, 0, 0, 0, 0, 0, 0, 0x21, 0, 2, 3, 0, 0, 0, 0, 0, 0, 3, 0, 2, 2})
 	f.Add([]byte{0x80, 0, 3, 0, 2, 2})
 	f.Add([]byte{0x83, 3, 0x20, 3, 2, 3, 0, 0, 0, 0, 0, 0, 0x45, 0, 0x21, 3, 2, 3, 0, 0, 0, 0, 0, 0, 0, 3, 2, 2})
+	// An arrival strictly between two events of a busy trace (midPhase),
+	// 9 s after its clock: a job 9 s into 20 s of computation; one 9 s into
+	// 20 s of input, the newcomer with no input of its own so that MSF's
+	// bound is claimed; with the memory model, two jobs sharing the output
+	// link.
+	f.Add([]byte{0, 1, 0x00, 0, 0, 3, 0, 3, 0, 3, 0, 3, 4, 0, 0, 3, 0, 3, 0, 3, 0, 3})
+	f.Add([]byte{0, 1, 0x00, 0, 4, 3, 4, 3, 4, 3, 4, 3, 4, 0, 0, 3, 0, 3, 0, 3, 0, 3})
+	f.Add([]byte{1, 2, 0x00, 2, 20, 0, 20, 0, 20, 0, 20, 0, 0x20, 2, 20, 0, 20, 0, 20, 0, 20, 0, 4, 2, 0, 3, 0, 3, 0, 3, 0, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1024 {
 			t.Skip()
@@ -327,7 +372,7 @@ func (m *Manager) evaluateMinimizingRef(obj Objective, tie float64, id int, spec
 			continue
 		}
 		e := &entries[i]
-		p, err := project(candidateJob{cost: e.cost, clone: m.liveCloneLocked(e.tr), baseline: e.tr.baseline.acquire()},
+		p, err := project(candidateJob{cost: e.cost, clone: e.tr.liveClone(), baseline: e.tr.baseline.acquire()},
 			id, spec, arrival, false)
 		if err != nil {
 			errs = append(errs, err)

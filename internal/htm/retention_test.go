@@ -2,8 +2,10 @@ package htm
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"casched/internal/stats"
 	"casched/internal/task"
 )
 
@@ -119,5 +121,118 @@ func TestRetentionBoundsHistory(t *testing.T) {
 	}
 	if _, ok := pruned.PredictedCompletion(n - 1); !ok {
 		t.Error("live job lost its projection")
+	}
+}
+
+// wholePoolPrune is retention pruning as it stood before the finished
+// list: at most once per quarter-window of trace time, every trace of
+// the pool is asked for the records that ended before the window.
+func wholePoolPrune(m *Manager, window float64, lastPrune *float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.now-*lastPrune < window/4 {
+		return
+	}
+	*lastPrune = m.now
+	for _, tr := range m.ordered {
+		for _, id := range tr.sim.PruneCompletedBefore(m.now-window, nil) {
+			delete(m.placements, id)
+		}
+	}
+}
+
+// TestRetentionVisitsOnlyFinishedTraces holds the pruning pass, which
+// visits only the traces that hold a terminal record, against the
+// whole-pool walk over the churn generator: placements, re-anchors
+// (records that never went through the clock), joins, drops, drops and
+// re-joins, and a memory model under which traces collapse (failed
+// records). After every step the two managers retain the same
+// placements and the same records per trace, and the list is exactly the
+// tracked traces with a record to prune.
+func TestRetentionVisitsOnlyFinishedTraces(t *testing.T) {
+	const window = 12
+	pool := classPools()[3] // repeated+memory
+	start := pool.servers[:len(pool.servers)-4]
+	m := New(start, WithSync(), WithMemoryModel(), WithRetention(window))
+	ref := New(start, WithSync(), WithMemoryModel())
+	specs := classSpecs(pool)[:6]
+	rng := stats.NewRNG(23)
+	now, refPruned := 0.0, 0.0
+	listed, collapsed := 0, 0
+	for id := 0; id < 1500; id++ {
+		now += 0.6 * rng.Float64()
+		both := []*Manager{m, ref}
+		switch tracked := m.Servers(); rng.Intn(16) {
+		case 0:
+			name := pool.servers[rng.Intn(len(pool.servers))]
+			for _, h := range both {
+				h.AddServer(name)
+			}
+		case 1:
+			if len(tracked) > 8 {
+				name := tracked[rng.Intn(len(tracked))]
+				for _, h := range both {
+					h.DropServer(name)
+				}
+			}
+		case 2:
+			name := tracked[rng.Intn(len(tracked))]
+			for _, h := range both {
+				h.DropServer(name)
+				h.AddServer(name)
+			}
+		}
+		spec := specs[rng.Intn(len(specs))]
+		own := m.Candidates(spec)
+		server := own[rng.Intn(len(own))]
+		old, reanchor := id-rng.Intn(12), rng.Intn(2) == 0
+		for _, h := range both {
+			// On a collapsed trace the placement fails, on both alike.
+			_ = h.Place(id, spec, now, server)
+			if reanchor {
+				_ = h.NotifyCompletion(old, now) // not placed, or on a dropped server
+			}
+		}
+		wholePoolPrune(ref, window, &refPruned)
+
+		if got, want := m.Placements(), ref.Placements(); !slices.Equal(got, want) {
+			t.Fatalf("job %d: retained placements %v, the whole-pool walk retains %v", id, got, want)
+		}
+		inList := make(map[*serverTrace]bool, len(m.finished))
+		for _, tr := range m.finished {
+			if inList[tr] {
+				t.Fatalf("job %d: %s listed twice", id, tr.sim.Name())
+			}
+			inList[tr] = true
+		}
+		for _, name := range m.Servers() {
+			tr, refTr := m.traces[name], ref.traces[name]
+			if got, want := tr.sim.SortedIDs(), refTr.sim.SortedIDs(); !slices.Equal(got, want) {
+				t.Fatalf("job %d: %s holds records %v, under the whole-pool walk %v", id, name, got, want)
+			}
+			holds := len(tr.sim.Jobs()) > len(tr.sim.Live())
+			if holds != inList[tr] || holds != tr.finished {
+				t.Fatalf("job %d: %s holds a terminal record: %v; listed: %v, marked: %v", id, name, holds, inList[tr], tr.finished)
+			}
+			delete(inList, tr)
+			if failed, _ := tr.sim.Collapsed(); failed {
+				collapsed++
+			}
+		}
+		if len(inList) != 0 {
+			t.Fatalf("job %d: %d listed traces are not tracked", id, len(inList))
+		}
+		listed += len(m.finished)
+	}
+	// Jobs on dropped servers keep their placement records, pruned or not.
+	if n := len(m.Placements()); n == 0 || n > 1000 {
+		t.Errorf("%d placements retained of 1500", n)
+	}
+	// The point of the list: far fewer visits than the pool has traces.
+	if mean := float64(listed) / 1500; mean < 1 || mean > float64(len(start))/2 {
+		t.Errorf("%.1f traces listed on average, of %d", mean, len(start))
+	}
+	if collapsed == 0 {
+		t.Error("no trace collapsed: failed records were never pruned")
 	}
 }

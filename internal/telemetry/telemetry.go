@@ -232,14 +232,17 @@ func WriteStats(w io.Writer, s agent.Stats) {
 // skipped, by their bound or (the replicated count) by copying the one
 // projection of an idle cost class; the ratio projections/candidates
 // falls toward a few per pool on a lightly loaded deployment and rises
-// to 1 as it saturates. Name
-// lookups and index builds growing with the decision count mean the
-// candidate index is being bypassed or rebuilt per decision.
+// to 1 as it saturates. Trace
+// steps per decision stay at a few whatever the pool holds: a trace is
+// stepped at its own events, not at every arrival. Name lookups and
+// index builds growing with the decision count mean the candidate index
+// is being bypassed or rebuilt per decision.
 func WriteEval(w io.Writer, st htm.EvalStats) {
 	p := &page{w: w}
 	p.sample("casched_htm_candidates_total", "counter", "Solvable candidate servers offered to HTM evaluation passes.", nil, float64(st.Candidates))
 	p.sample("casched_htm_projections_total", "counter", "Candidate servers the HTM projected (the rest were pruned by their bound or served from an idle class).", nil, float64(st.Projections))
 	p.sample("casched_htm_replicated_total", "counter", "Predictions served by copying the projection of an idle server of the same cost class.", nil, float64(st.Replicated))
+	p.sample("casched_htm_trace_steps_total", "counter", "Server traces the HTM's clock stepped through a due event (a release or a phase end).", nil, float64(st.Stepped))
 	p.sample("casched_htm_name_lookups_total", "counter", "Candidates resolved by server name instead of through the candidate index.", nil, float64(st.NameLookups))
 	p.sample("casched_htm_index_builds_total", "counter", "Candidate-index builds (one per task type and pool membership).", nil, float64(st.IndexBuilds))
 }

@@ -23,11 +23,13 @@
 #                             zero-allocation contract's enforcement
 #                             point. Tiny B/op deltas (< 64 B) are
 #                             ignored as runtime noise. The custom
-#                             projections/decision column (the steady
-#                             core rows) is gated at the same percentage
-#                             where both files report it: it is a count
-#                             of the HTM's work that repeats from run to
-#                             run, so it stays a tight gate on hosted
+#                             projections/decision and steps/decision
+#                             columns (the steady core rows) are gated
+#                             at the same percentage where both files
+#                             report them: they are counts of the HTM's
+#                             work (candidates projected, traces the
+#                             clock stepped) that repeat from run to
+#                             run, so they stay a tight gate on hosted
 #                             runners where ns/op is loose.
 #   BENCH_REQUIRE_ALL=1       fail when a baseline benchmark is absent
 #                             from the run (CI full runs; subset runs
@@ -76,7 +78,7 @@ if [[ ! -f benchmarks/baseline.txt ]]; then
 fi
 
 echo "==> comparing against benchmarks/baseline.txt" \
-     "(max regression ${MAX_PCT}% ns/op, ${MAX_ALLOC_PCT}% B/op+allocs/op+projections/decision)"
+     "(max regression ${MAX_PCT}% ns/op, ${MAX_ALLOC_PCT}% B/op+allocs/op+projections/decision+steps/decision)"
 awk -v max="${MAX_PCT}" -v maxAlloc="${MAX_ALLOC_PCT}" \
     -v requireAll="${BENCH_REQUIRE_ALL:-0}" '
     # Collect "BenchmarkName  N  T ns/op [B B/op] [A allocs/op]" lines
@@ -86,15 +88,16 @@ awk -v max="${MAX_PCT}" -v maxAlloc="${MAX_ALLOC_PCT}" \
     /^Benchmark/ && / ns\/op/ {
         name = $1
         sub(/-[0-9]+$/, "", name)
-        ns = ""; bytes = ""; allocs = ""; proj = ""
+        ns = ""; bytes = ""; allocs = ""; proj = ""; steps = ""
         for (i = 2; i <= NF; i++) {
             if ($(i) == "ns/op")     ns = $(i-1)
             if ($(i) == "B/op")      bytes = $(i-1)
             if ($(i) == "allocs/op") allocs = $(i-1)
             if ($(i) == "projections/decision") proj = $(i-1)
+            if ($(i) == "steps/decision") steps = $(i-1)
         }
-        if (file == 1) { base[name] = ns; baseB[name] = bytes; baseA[name] = allocs; baseP[name] = proj }
-        else           { latest[name] = ns; latestB[name] = bytes; latestA[name] = allocs; latestP[name] = proj }
+        if (file == 1) { base[name] = ns; baseB[name] = bytes; baseA[name] = allocs; baseP[name] = proj; baseS[name] = steps }
+        else           { latest[name] = ns; latestB[name] = bytes; latestA[name] = allocs; latestP[name] = proj; latestS[name] = steps }
     }
     # worse(old, new, pct, floor) -> 1 when new regresses past the
     # allowance. A zero baseline admits no headroom at all: any growth
@@ -132,6 +135,10 @@ awk -v max="${MAX_PCT}" -v maxAlloc="${MAX_ALLOC_PCT}" \
             if (baseP[name] != "" && latestP[name] != "") {
                 counts = sprintf("  %s -> %s projections/decision", baseP[name], latestP[name])
                 if (worse(baseP[name], latestP[name], maxAlloc, 0)) { tag = "PROJECT"; status = 1 }
+            }
+            if (baseS[name] != "" && latestS[name] != "") {
+                counts = counts sprintf("  %s -> %s steps/decision", baseS[name], latestS[name])
+                if (worse(baseS[name], latestS[name], maxAlloc, 0)) { tag = "STEP"; status = 1 }
             }
             printf "%-8s %-60s %12.0f -> %12.0f ns/op (%+.1f%%)%s\n", \
                    tag, name, base[name], latest[name], pct, counts
