@@ -858,8 +858,9 @@ func constGap(dt float64) func(int) float64 { return func(int) float64 { return 
 
 // benchSteadyCore runs the steady decision loop on one core and reports
 // how many candidates the HTM projected per decision, the number
-// pruning moves, and how many traces its clock stepped, the number the
-// per-trace event clocks move.
+// pruning moves, how many traces its clock stepped, the number the
+// per-trace event clocks move, and how many busy traces the pruned pass
+// visited, the number its key-order stop moves.
 func benchSteadyCore(b *testing.B, heuristic string, servers int, gap func(id int) float64, window, warmup int) {
 	names, specs := largeTestbed(servers)
 	s, err := casched.NewScheduler(heuristic)
@@ -882,6 +883,7 @@ func benchSteadyCore(b *testing.B, heuristic string, servers int, gap func(id in
 	after := core.EvalStats()
 	b.ReportMetric(float64(after.Projections-before.Projections)/float64(b.N), "projections/decision")
 	b.ReportMetric(float64(after.Stepped-before.Stepped)/float64(b.N), "steps/decision")
+	b.ReportMetric(float64(after.Bounded-before.Bounded)/float64(b.N), "bounds/decision")
 }
 
 // BenchmarkAgentSubmitSteadyLight1024 is the regime candidate pruning

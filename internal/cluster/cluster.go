@@ -340,6 +340,7 @@ func (cl *Cluster) EvalStats() htm.EvalStats {
 		total.Projections += st.Projections
 		total.Replicated += st.Replicated
 		total.Stepped += st.Stepped
+		total.Bounded += st.Bounded
 		total.NameLookups += st.NameLookups
 		total.IndexBuilds += st.IndexBuilds
 	}

@@ -133,6 +133,11 @@ type DispatcherConfig struct {
 	// Now is the time source for summary freshness (default time.Now;
 	// tests and the staleness study inject fakes).
 	Now func() time.Time
+	// spawn starts every goroutine the dispatcher runs member calls on:
+	// summary fetches and probes, the seamed fan-out and sub-batches,
+	// relay pulls and eachLive's per-member calls (default go f()). A
+	// deterministic driver runs each body as a step it orders.
+	spawn func(func())
 }
 
 // Defaults resolves zero values to the documented defaults.
@@ -157,6 +162,9 @@ func (cfg *DispatcherConfig) Defaults() {
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
+	}
+	if cfg.spawn == nil {
+		cfg.spawn = func(f func()) { go f() }
 	}
 }
 
@@ -788,13 +796,13 @@ func (d *Dispatcher) refresh(force bool) {
 		if f.wait {
 			wg.Add(1)
 		}
-		go func() {
+		d.cfg.spawn(func() {
 			s, err := f.m.Summary()
 			d.applyFetch(f.i, f.m, s, err, f.marker)
 			if f.wait {
 				wg.Done()
 			}
-		}()
+		})
 	}
 	wg.Wait()
 }
@@ -1189,7 +1197,7 @@ func (d *Dispatcher) evaluateAllLocked(req agent.Request, live []int, sc *fanScr
 }
 
 // startSeamedLocked starts Evaluate on every listed member behind a
-// seam, each in its own goroutine writing its slot of res, and returns
+// seam, each spawned (DispatcherConfig.spawn) writing its slot of res, and returns
 // the group to wait on. A function of its own so that req and the group
 // move to the heap only when a goroutine is started: the all-inline
 // fan-out stays at 0 allocs. Caller holds d.mu until the wait returns.
@@ -1198,10 +1206,10 @@ func (d *Dispatcher) startSeamedLocked(req agent.Request, live []int, res []eval
 	for k, i := range live {
 		if m := d.members[i]; m.live == nil {
 			wg.Add(1)
-			go func() {
+			d.cfg.spawn(func() {
 				defer wg.Done()
 				res[k].cand, res[k].err = m.m.Evaluate(req)
-			}()
+			})
 		}
 	}
 	return wg
@@ -1394,10 +1402,10 @@ func (d *Dispatcher) SubmitBatch(reqs []agent.Request) ([]agent.Decision, error)
 	for i, positions := range subBatches {
 		if d.members[i].live == nil {
 			wg.Add(1)
-			go func() {
+			d.cfg.spawn(func() {
 				defer wg.Done()
 				run(i, positions)
-			}()
+			})
 		}
 	}
 	for i, ms := range d.members {

@@ -297,10 +297,10 @@ func (d *Dispatcher) eachLive(fn func(m Member)) {
 	var wg sync.WaitGroup
 	for _, m := range live {
 		wg.Add(1)
-		go func() {
+		d.cfg.spawn(func() {
 			defer wg.Done()
 			fn(m)
-		}()
+		})
 	}
 	wg.Wait()
 }

@@ -78,11 +78,11 @@ func (d *Dispatcher) relayPull(force bool) {
 	var wg sync.WaitGroup
 	for _, p := range pulls {
 		wg.Add(1)
-		go func(p pull) {
+		d.cfg.spawn(func() {
 			defer wg.Done()
 			delta, ok, err := p.src.RelaySince(p.since)
 			d.applyRelay(p.i, p.src, delta, ok, err)
-		}(p)
+		})
 	}
 	wg.Wait()
 }

@@ -54,37 +54,49 @@
 // projection and is not part of the contract. Heuristic code, scores,
 // tie-breaks, random draws and placements are therefore unchanged.
 //
-// The pass costs O(walked candidates + idle classes), not O(pool). A
-// candidate whose trace is in the clock walk (Manager.busy, see "Trace
-// clock") is bounded from its live jobs, read in place as they stood at
-// the trace's own clock less the work served since, and projected on its
-// own; of those the one of least bound goes first and the others
-// follow in name order, which is the order a saturated pool has always
-// been walked in. The idle candidates are never visited one by one: the
-// candidate index groups a spec's entries into classes by everything
-// the projection of an empty trace reads beside the arrival and the spec
-// — the cost triple and the trace's memory configuration (RAM, swap,
-// thrash model) — and a class with an idle member is bounded once, over
-// no live job, and if it must be looked at projected once, on its first
-// idle member; the prediction is then copied under the name of every
-// other idle member. That is exact without a closed form for the idle
-// completion date: fluid is deterministic, and each member would be
+// The pass costs O(idle classes + busy traces it visits), not O(pool).
+// The idle candidates are never visited one by one: the candidate index
+// groups a spec's entries into classes by everything the projection of
+// an empty trace reads beside the arrival and the spec — the cost triple
+// and the trace's memory configuration (RAM, swap, thrash model) — and a
+// class with an idle member (it has fewer busy members than members: the
+// index counts them as traces join and leave Manager.busy) is bounded
+// once, over no live job, and if it must be looked at projected once, on
+// its first idle member; the prediction is then copied under the name of
+// every other idle member. That is exact without a closed form for the
+// idle completion date: fluid is deterministic, and each member would be
 // handed the same arrival, cost and footprint, the same memory model and
 // the same empty live set (an idle trace's clock trails the trace time,
 // differently for each, but the candidate is released at the arrival and
-// nothing is served before that), so it would compute the same bits. Classes are taken in order of idle flow I+w+O and before the
-// walked candidates: an idle projection is the cheapest there is and
-// lands on its bound, so it makes the tightest incumbent for its price.
-// What stays per candidate: a trace in the walk even if it holds no live
-// job (emptied by a re-anchor since the last advance, collapsed under
-// the memory model, or with a fluid clock that the last event left
-// within fluid's time tolerance ahead of the trace time — a job added
-// there is released at that clock, not at its arrival), and every
-// candidate of a list resolved by name. On a lightly loaded pool a
-// decision projects a class or two and a few busy candidates whatever
-// the pool size; as load rises the bounds separate less and the pass
-// degrades toward the exhaustive one. EvalStats counts candidates,
-// projections run and predictions served by copy (Replicated).
+// nothing is served before that), so it would compute the same bits.
+// Classes are taken in order of idle flow I+w+O and before the busy
+// traces: an idle projection is the cheapest there is and lands on its
+// bound, so it makes the tightest incumbent for its price.
+//
+// The busy traces (Manager.busy, see "Trace clock") are visited in order
+// of their key, the CPU-free date K (below), and a visited candidate is
+// bounded from its live jobs, read in place as they stood at the trace's
+// own clock less the work served since. Under MinCompletion the visit
+// stops at the first trace whose key alone puts every trace from there on
+// out of reach, and a visited candidate whose key alone puts it out of
+// reach is not read further; under MinSumFlow every busy trace is
+// visited. Of the visited candidates the bound does not rule out, the one
+// of least bound is projected first and the others after it, each unless
+// the incumbent has come within its bound: in name order under
+// MinCompletion (the key order projected 5% more at 4096 servers), and in
+// the order visited under MinSumFlow, which keeps nearly every busy
+// candidate and would pay for sorting them. What is bounded one by
+// one: a busy trace even if it holds no live job (emptied by a re-anchor
+// since the last advance, collapsed under the memory model, or with a
+// fluid clock that the last event left within fluid's time tolerance
+// ahead of the trace time — a job added there is released at that clock,
+// not at its arrival), and every candidate of a list resolved by name. On
+// a lightly loaded pool a MinCompletion decision projects a class or two
+// and a few busy candidates and visits the few busy traces whose CPU
+// frees before the best idle class could finish; as load rises the bounds
+// separate less and the pass degrades toward the exhaustive one.
+// EvalStats counts candidates, projections run, predictions served by copy
+// (Replicated) and candidates read one by one (Bounded).
 //
 // The bound. Let the new job cost (I, w, O) on the server and arrive at
 // a, let r_i be the remaining compute of each job computing at a (what
@@ -133,9 +145,43 @@
 // every bound: fluid ends a phase once under 1e-9 s of work remains,
 // which moves later events by as much, event dates carry rounding, and
 // a sum of n perturbations accumulates O(n²) of either.
-// TestPruneBoundProperty and FuzzPruneBound check bound ≤ objective and
-// the contract on generated traces (all job states, both memory modes,
-// re-anchors, drops).
+// TestPruneBoundProperty and FuzzPruneBound check key bound ≤ bound ≤
+// objective and the contract on generated traces (all job states, both
+// memory modes, re-anchors, drops).
+//
+// The key. A busy trace's key is its CPU-free date K = c + Σ_i r_i(c):
+// its own clock c plus the compute left at c by the jobs computing there
+// (not the waiting ones, nor those still in their input phase: they may
+// reach the CPU after the newcomer's compute is through). It is a date
+// that no spec enters, so one order serves every spec, and keyLocked
+// records it with the next event. Let the newcomer arrive at a, with no
+// event of the trace between c and a; its clock may stand up to
+// fluid.TimeEps after a. The jobs computing at a are those computing at
+// c, and together they were served at most a - c seconds of CPU since:
+// the CPU delivers at most one second of work per second, the premise of
+// the bound. So a + Σ_i r_i(a) ≥ K - TimeEps. With Σ_i min(r_i, w) ≥
+// min(Σ_i r_i, w) that gives
+//
+//	a + F ≥ X = max(a + I + w + O, w + O + min(K - TimeEps, a + w)),
+//
+// and since the bound, a + F less its slack, rises with a + F and falls
+// with n, it is at least X - (n+2)²·(8e-9 + 4e-15·|X|). keyBound takes
+// the slack at n+1 live jobs, which leaves (2n+5)·(8e-9 + 4e-15·|X|) for
+// the rounding of K's own sum. keyBound rises with K and with each of I,
+// w and O, and falls with n. The pass reads it twice per busy trace: at
+// the trace's own cost and live count, and as stopBound, at the index's
+// least cost of each phase and the largest live count of a busy trace
+// (Manager.maxLive, exact after every advance and raised by every re-key
+// in between). If stopBound at a trace's K exceeds incumbent + tie, so
+// does every trace's own keyBound from there on — a larger K, a cost at
+// least the least, no more live jobs — and so does its bound: the visit
+// stops. The slack is the largest live count's and not each trace's own,
+// because the (a + w) branch and the relative term depend on the spec,
+// so no per-trace date could carry them. MinSumFlow's Σπ correction is
+// not a function of K, and its pass visits every busy trace. The key
+// bound is checked against the bound, and the stop against the contract,
+// on generated traces by the same property test and fuzzer, and at 1024
+// servers by TestPrunedPassLargePool.
 //
 // Not pruned, and why: MP and MNI (an idle server has objective 0, so
 // no positive bound separates candidates; their tie-break needs the
@@ -144,14 +190,18 @@
 // and SubmitBatch's cache (it reuses every prediction across the batch).
 // The pruned pass is sequential, since each projection decides whether
 // the next is needed; WithWorkers applies to the exhaustive pass. A
-// stale baseline is refreshed for every walked candidate, projected or
-// not, exactly when the exhaustive pass would refresh it, so cached
-// projections and ready times stay bit-identical too. Idle traces need no
-// refresh, by the baseline-on-drain rule: a trace leaves the clock walk
-// with an empty baseline installed, which is what any later refresh would
-// compute until the next placement, so its ready time is the trace time
-// and PredictedCompletion reads its finished jobs from the trace itself.
-// An evaluation error on a candidate that was pruned is never observed.
+// stale baseline is refreshed only for a candidate the pass projects. A
+// busy trace it skips refreshes later, at its first projection or read,
+// from a later event of its own clock, and gets the same bits: the clock
+// and a projection take the trace through the same events at the same
+// dates (see "Trace clock"), so cached projections and ready times stay
+// bit-identical to a pass that refreshed every busy baseline
+// (TestSkippedBaselinesSameBits). Idle traces need no refresh, by the
+// baseline-on-drain rule: a trace leaves the clock walk with an empty
+// baseline installed, which is what any later refresh would compute
+// until the next placement, so its ready time is the trace time and
+// PredictedCompletion reads its finished jobs from the trace itself. An
+// evaluation error on a candidate that was pruned is never observed.
 //
 // # Candidate index
 //
@@ -191,17 +241,22 @@
 // A server's fluid state changes only at that server's own events (the
 // release of a job placed on it, the end of a phase), so a trace is
 // stepped at its own events and not at every arrival. Each trace that
-// may hold a live job (Manager.busy, kept in server-name order so that
-// the pruned pass, which bounds exactly these, meets them in the order
-// of the pool) carries the date of its next event and the progress rates
-// that hold until then (serverTrace.next and rates, from
-// fluid.Sim.Pace). Advancing the trace time to t compares next with t
-// for every busy trace, about a nanosecond each, and steps only the
-// traces with an event due by fluid's own criterion (next <= t +
-// fluid.TimeEps): through the due events, each applied at its own date,
-// and no further. A stepped trace is left at its last event, not at t,
-// so the instants at which the Manager was asked something leave no mark
-// on it. EvalStats.Stepped counts the traces stepped: a few per decision
+// may hold a live job (Manager.busy) carries the date of its next event
+// and the progress rates that hold until then (serverTrace.next and
+// rates, from fluid.Sim.Pace), and its key: the CPU-free date of
+// "Pruning", with its live count. Manager.busy is kept in key order,
+// ties by pool position, not in name order: the pruned pass visits it
+// from the front and stops at the first key out of reach. Advancing the
+// trace time to t compares next with t for every busy trace, about a
+// nanosecond each, and steps only the traces with an event due by
+// fluid's own criterion (next <= t + fluid.TimeEps): through the due
+// events, each applied at its own date, and no further. A stepped trace
+// is left at its last event, not at t, so the instants at which the
+// Manager was asked something leave no mark on it; the traces not
+// stepped keep their order, and the stepped ones, re-keyed, go back in at
+// their places (a binary search and a move of the pointers behind). Any
+// other re-key (Place, a re-anchor, Sim) moves its trace the same way.
+// EvalStats.Stepped counts the traces stepped: a few per decision
 // whatever the pool and its load.
 //
 // What moves a busy trace's sim is therefore: its own due events, a
@@ -209,8 +264,8 @@
 // completion instant), and Sim, the materialising read of end-of-run
 // rendering, which brings the trace it hands out to the trace time. Place
 // adds the job with its release date and moves nothing; each of the four
-// is followed by keyLocked, which records the next event and the rates
-// anew. No other read steps a trace. A projection or a baseline refresh
+// is followed by keyLocked, which records the next event, the rates and
+// the key anew. No other read steps a trace. A projection or a baseline refresh
 // clones the trace as it stands, at its own clock c <= the trace time,
 // and the clone crosses the gap itself: the candidate is added with
 // release date a and the run to idle starts with the step from c to a,
@@ -380,6 +435,13 @@ type serverTrace struct {
 	// its own clock, so the next advance comes by to evict it.
 	next  float64
 	rates [task.NumPhases]float64
+	// key is the trace's CPU-free date, its own clock plus the compute
+	// left there by the jobs computing, and live the number of its live
+	// jobs, both kept by keyLocked with next: Manager.busy is in key
+	// order, and the pruned pass stops at the first key that cannot win
+	// (see "Pruning").
+	key  float64
+	live int32
 	// finished marks membership of Manager.finished.
 	finished bool
 }
@@ -462,12 +524,17 @@ type Manager struct {
 	ordered    []*serverTrace
 	placements map[int]placement
 	now        float64
-	// busy holds, in server-name order, the traces that may have a live
+	// busy holds, in order of (key, pos), the traces that may have a live
 	// job, the only ones the trace clock looks at and the pruned pass
 	// bounds one by one, each standing at its own last event; every other
 	// trace is idle, its baseline empty or stale, its fluid clock left
-	// where it drained (see "Trace clock").
-	busy []*serverTrace
+	// where it drained (see "Trace clock"). maxLive is at least the live
+	// jobs of every trace in it: exact after each advance, raised by every
+	// re-key in between. restep is advanceLocked's scratch for the traces
+	// it stepped.
+	busy    []*serverTrace
+	maxLive int32
+	restep  []*serverTrace
 	// finished holds, in no order, the traces that hold the record of a
 	// done or failed job, the only ones retention pruning visits.
 	finished []*serverTrace
@@ -495,8 +562,10 @@ type Manager struct {
 	// replicated counts the predictions the pruned pass copied from an
 	// idle class's representative instead of projecting them.
 	replicated atomic.Uint64
-	// stepped counts the traces the clock stepped through due events.
+	// stepped counts the traces the clock stepped through due events;
+	// bounded the busy traces the pruned pass visited.
 	stepped atomic.Uint64
+	bounded atomic.Uint64
 	// nameLookups counts the candidates of those calls that were resolved
 	// by server name instead of through the index; indexBuilds the index
 	// builds.
@@ -609,6 +678,12 @@ type EvalStats struct {
 	// "Trace clock"). A decision steps the traces placed on or finishing
 	// a phase since the last one, not the busy ones.
 	Stepped uint64
+	// Bounded counts the candidates the pruned pass read one by one: the
+	// busy traces it visited in key order before it stopped (every busy
+	// trace under MinSumFlow), or each candidate of a list resolved by
+	// name (see "Pruning"). On a lightly loaded pool a MinCompletion
+	// decision visits a few whatever the pool and its busy share.
+	Bounded uint64
 	// NameLookups counts the candidates those passes (and the admission
 	// test) had to resolve by server name: lists other than the one
 	// Manager.Candidates hands out. A deployment whose decisions go
@@ -627,6 +702,7 @@ func (m *Manager) EvalStats() EvalStats {
 		Projections: m.projected.Load(),
 		Replicated:  m.replicated.Load(),
 		Stepped:     m.stepped.Load(),
+		Bounded:     m.bounded.Load(),
 		NameLookups: m.nameLookups.Load(),
 		IndexBuilds: m.indexBuilds.Load(),
 	}
@@ -646,7 +722,8 @@ type indexEntry struct {
 // specIndex is one spec resolved against the pool: the tracked servers
 // that solve it, in name order, as the names callers see and as the
 // entries the evaluation passes read, and grouped into the classes the
-// pruned pass serves idle candidates from. Immutable once built.
+// pruned pass serves idle candidates from. Immutable once built, but for
+// busy.
 type specIndex struct {
 	names   []string
 	entries []indexEntry
@@ -657,8 +734,15 @@ type specIndex struct {
 	slot    []int32
 	classOf []int32
 	next    []int32
-	// classes is ordered by idle flow, ties by first member.
+	// classes is ordered by idle flow, ties by first member; busy counts,
+	// per class, the members in Manager.busy, kept where a trace joins or
+	// leaves it (countBusyLocked), so a class has an idle member when
+	// busy[c] < size.
 	classes []idleClass
+	busy    []int32
+	// least is the least compute and the least output cost over the
+	// entries, which the pruned pass's stop rule is taken at.
+	least task.Cost
 }
 
 // classKey is everything the projection of an empty trace reads beside
@@ -721,9 +805,18 @@ func (m *Manager) indexLocked(spec *task.Spec) *specIndex {
 	}
 	slices.SortStableFunc(ix.classes, func(a, b idleClass) int { return cmp.Compare(a.cost.Total(), b.cost.Total()) })
 	ix.classOf = make([]int32, len(ix.entries))
+	ix.least = task.Cost{Compute: math.Inf(1), Output: math.Inf(1)}
 	for c, cl := range ix.classes {
+		ix.least.Compute = min(ix.least.Compute, cl.cost.Compute)
+		ix.least.Output = min(ix.least.Output, cl.cost.Output)
 		for k := cl.first; k >= 0; k = ix.next[k] {
 			ix.classOf[k] = int32(c)
+		}
+	}
+	ix.busy = make([]int32, len(ix.classes))
+	for _, tr := range m.busy {
+		if k := ix.slot[tr.pos]; k >= 0 {
+			ix.busy[ix.classOf[k]]++
 		}
 	}
 	m.index[spec] = ix
@@ -824,24 +917,36 @@ func (m *Manager) advanceLocked(t float64) float64 {
 	}
 	m.now = t
 	due := t + fluid.TimeEps
-	kept, stepped := 0, 0
-	for i, tr := range m.busy {
-		if tr.next <= due {
-			stepped++
-			tr.sim.StepEventsQuiet(t)
-			if drained := m.keyLocked(tr); drained && tr.sim.Now() <= t {
-				tr.busy = false
-				tr.setBaseline(newBaselineSet(), tr.gen)
-				continue
-			}
-		}
-		if kept != i {
+	kept, stepped, maxLive := 0, 0, int32(0)
+	restep := m.restep[:0]
+	for _, tr := range m.busy {
+		if tr.next > due {
+			maxLive = max(maxLive, tr.live)
 			m.busy[kept] = tr
+			kept++
+			continue
 		}
-		kept++
+		stepped++
+		tr.sim.StepEventsQuiet(t)
+		if drained := m.keyLocked(tr); drained && tr.sim.Now() <= t {
+			tr.busy = false
+			m.countBusyLocked(tr, -1)
+			tr.setBaseline(newBaselineSet(), tr.gen)
+			continue
+		}
+		restep = append(restep, tr)
 	}
 	clear(m.busy[kept:])
 	m.busy = m.busy[:kept]
+	// The traces kept in place are still in key order; the stepped ones
+	// were re-keyed and go back in at their new places.
+	for _, tr := range restep {
+		maxLive = max(maxLive, tr.live)
+		m.insertBusyLocked(tr)
+	}
+	clear(restep)
+	m.restep = restep[:0]
+	m.maxLive = maxLive
 	if stepped > 0 {
 		m.stepped.Add(uint64(stepped))
 	}
@@ -851,20 +956,81 @@ func (m *Manager) advanceLocked(t float64) float64 {
 
 // keyLocked follows everything that moves a trace's sim or adds to it (a
 // step of the clock, Place, a re-anchor, Sim): it records the sim's next
-// event and rates, and lists the trace for retention pruning once it
-// holds a terminal record. It reports whether the trace is drained: no
-// live job and not collapsed.
+// event and rates, its CPU-free date and live count, and lists the trace
+// for retention pruning once it holds a terminal record. It does not
+// move the trace in Manager.busy; rekeyLocked does. It reports whether
+// the trace is drained: no live job and not collapsed.
 func (m *Manager) keyLocked(tr *serverTrace) (drained bool) {
 	tr.next, tr.rates = tr.sim.Pace()
-	if !tr.finished && len(tr.sim.Jobs()) > len(tr.sim.Live()) {
+	live := tr.sim.Live()
+	compute := 0.0
+	for _, j := range live {
+		if j.State == fluid.StateCompute {
+			compute += j.Remaining[task.PhaseCompute]
+		}
+	}
+	tr.key = tr.sim.Now() + compute
+	tr.live = int32(len(live))
+	m.maxLive = max(m.maxLive, tr.live)
+	if !tr.finished && len(tr.sim.Jobs()) > len(live) {
 		tr.finished = true
 		m.finished = append(m.finished, tr)
 	}
-	if collapsed, _ := tr.sim.Collapsed(); collapsed || len(tr.sim.Live()) > 0 {
+	if collapsed, _ := tr.sim.Collapsed(); collapsed || len(live) > 0 {
 		return false
 	}
 	tr.next = tr.sim.Now()
 	return true
+}
+
+// before reports whether a goes before b in Manager.busy: by CPU-free
+// date, then pool position.
+func (a *serverTrace) before(b *serverTrace) bool {
+	return a.key < b.key || a.key == b.key && a.pos < b.pos
+}
+
+// busyIndexLocked returns the place of the trace's (key, pos) in
+// Manager.busy: the number of traces before it.
+func (m *Manager) busyIndexLocked(tr *serverTrace) int {
+	lo, hi := 0, len(m.busy)
+	for lo < hi {
+		if h := int(uint(lo+hi) >> 1); m.busy[h].before(tr) {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
+}
+
+// insertBusyLocked puts a keyed trace at its place in Manager.busy.
+func (m *Manager) insertBusyLocked(tr *serverTrace) {
+	m.busy = slices.Insert(m.busy, m.busyIndexLocked(tr), tr)
+}
+
+// rekeyLocked is keyLocked outside the clock's own pass: a trace in
+// Manager.busy moves to the place of its new key.
+func (m *Manager) rekeyLocked(tr *serverTrace) {
+	if !tr.busy {
+		m.keyLocked(tr)
+		return
+	}
+	i, key := m.busyIndexLocked(tr), tr.key
+	m.keyLocked(tr)
+	if tr.key != key {
+		m.busy = slices.Delete(m.busy, i, i+1)
+		m.insertBusyLocked(tr)
+	}
+}
+
+// countBusyLocked adds d to the busy count of the trace's class in every
+// cached index, as the trace joins (+1) or leaves (-1) Manager.busy.
+func (m *Manager) countBusyLocked(tr *serverTrace, d int32) {
+	for _, ix := range m.index {
+		if k := ix.slot[tr.pos]; k >= 0 {
+			ix.busy[ix.classOf[k]] += d
+		}
+	}
 }
 
 // liveClone returns a pooled live-only clone of the trace as it stands,
@@ -1103,14 +1269,11 @@ type evalScratch struct {
 	jobs    []candidateJob
 	preds   []Prediction
 	perr    []error
-	// The pruned pass's (prune.go): the bound of every candidate it bounds
-	// one by one, and the idle members of every class.
-	bounds []float64
-	idle   []int32
+	kept    []candidateBound // the pruned pass's candidates to project (prune.go)
 }
 
 // put returns the scratch to the pool, dropping the trace pointers a
-// name-resolved or pruned pass left in it.
+// name-resolved pass left in it.
 func (sc *evalScratch) put() {
 	clear(sc.entries)
 	scratchPool.Put(sc)
@@ -1245,11 +1408,11 @@ func (m *Manager) Place(id int, spec *task.Spec, arrival float64, server string)
 	if err := tr.sim.Add(id, arrival, e.cost, spec.MemoryMB); err != nil {
 		return fmt.Errorf("htm: place on %q: %w", server, err)
 	}
-	m.keyLocked(tr)
+	m.rekeyLocked(tr)
 	if !tr.busy {
 		tr.busy = true
-		i, _ := slices.BinarySearchFunc(m.busy, tr.pos, func(b *serverTrace, pos int32) int { return cmp.Compare(b.pos, pos) })
-		m.busy = slices.Insert(m.busy, i, tr)
+		m.insertBusyLocked(tr)
+		m.countBusyLocked(tr, 1)
 	}
 	tr.invalidate()
 	m.placements[id] = placement{server: server, arrival: arrival}
@@ -1314,7 +1477,7 @@ func (m *Manager) NotifyCompletion(id int, t float64) error {
 	// placed at this very instant, which may collapse the server and fail
 	// the job.
 	err := tr.sim.ForceComplete(id, t)
-	m.keyLocked(tr)
+	m.rekeyLocked(tr)
 	if err != nil {
 		return err
 	}
@@ -1462,7 +1625,7 @@ func (m *Manager) Sim(server string) (*fluid.Sim, bool) {
 	}
 	if tr.sim.Now() < m.now {
 		tr.sim.AdvanceToQuiet(m.now)
-		m.keyLocked(tr)
+		m.rekeyLocked(tr)
 	}
 	return tr.sim, true
 }

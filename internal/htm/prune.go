@@ -1,8 +1,10 @@
 package htm
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 
 	"casched/internal/fluid"
 	"casched/internal/task"
@@ -141,24 +143,32 @@ func boundOver(obj Objective, live []*fluid.Job, servedCompute, servedOutput, ra
 	return bound - n*n*(8e-9+4e-15*(arrival+flow))
 }
 
-// walkedLocked splits the index's candidates for the pruned pass: those
-// whose trace is in the clock walk are returned as entries, in name
-// order (in sc.entries); of the others, sc.idle counts how many each
-// class has.
-func (m *Manager) walkedLocked(ix *specIndex, sc *evalScratch) []indexEntry {
-	sc.idle = sc.idle[:0]
-	for c := range ix.classes {
-		sc.idle = append(sc.idle, ix.classes[c].size)
-	}
-	entries := sc.entries[:0]
-	for _, tr := range m.busy {
-		if k := ix.slot[tr.pos]; k >= 0 {
-			entries = append(entries, ix.entries[k])
-			sc.idle[ix.classOf[k]]--
-		}
-	}
-	sc.entries = entries
-	return entries
+// keyBound is the MinCompletion bound of a trace read from its key alone:
+// no trace with CPU-free date key and at most n live jobs has a
+// lowerBound below it for a job of the given cost arriving at arrival (the
+// package comment has the proof). It rises with key and each phase's cost
+// and falls with n, which is what lets the pruned pass stop.
+func keyBound(key float64, n int32, cost *task.Cost, arrival float64) float64 {
+	w, o := cost.Compute, cost.Output
+	x := max(arrival+cost.Input+w+o, w+o+min(key-fluid.TimeEps, arrival+w))
+	// lowerBound's slack for n+1 live jobs: one more than the trace holds,
+	// whose share covers the rounding of the key's own sum.
+	s := float64(n + 3)
+	return x - s*s*(8e-9+4e-15*math.Abs(x))
+}
+
+// stopBound is the keyBound below which no busy trace at or after this
+// key can fall, for any candidate of the index: taken at the index's least
+// cost of each phase and the busy list's largest live count.
+func (m *Manager) stopBound(ix *specIndex, key, arrival float64) float64 {
+	return keyBound(key, m.maxLive, &ix.least, arrival)
+}
+
+// candidateBound is a candidate the pruned pass bounded one by one and may
+// project: its index in the entries the pass reads, and its bound.
+type candidateBound struct {
+	k     int32
+	bound float64
 }
 
 // evaluateMinimizing is the pruned evaluation pass, under one lock
@@ -171,11 +181,16 @@ func (m *Manager) walkedLocked(ix *specIndex, sc *evalScratch) []indexEntry {
 // member, which would be given the same arrival, cost and empty live set.
 // An idle projection is the cheapest there is and lands on its bound, so
 // it goes ahead of candidates whose bound may be far below their
-// objective. Then the candidates whose trace is in the clock walk (every
-// candidate, for any other list) are bounded one by one, the one of least
-// bound is projected and then the others in name order. Projections run
-// under the lock and one after the other — WithWorkers applies to the
-// exhaustive pass only — since each decides whether the next is needed.
+// objective. Then the busy traces are visited in key order: under
+// MinCompletion the visit stops at the first whose stopBound is out, and
+// skips a candidate whose own keyBound is out before reading its jobs;
+// under MinSumFlow it visits every one. Any other list is visited
+// candidate by candidate. A visited candidate is bounded exactly and kept
+// unless that rules it out; of those kept, the one of least bound is
+// projected first and then the others in candidate order, each unless the
+// incumbent has come within its bound. Projections run under the lock and
+// one after the other — WithWorkers applies to the exhaustive pass only —
+// since each decides whether the next is needed.
 func (m *Manager) evaluateMinimizing(obj Objective, tie float64, id int, spec *task.Spec, arrival float64, candidates []string, out []Prediction) ([]Prediction, error) {
 	sc := scratchPool.Get().(*evalScratch)
 	m.mu.Lock()
@@ -183,20 +198,14 @@ func (m *Manager) evaluateMinimizing(obj Objective, tie float64, id int, spec *t
 	var (
 		entries []indexEntry
 		errs    []error
-		classes []idleClass
-		offered int
 	)
-	ix := m.ownedLocked(spec, candidates)
-	if ix != nil {
-		entries, classes, offered = m.walkedLocked(ix, sc), ix.classes, len(ix.entries)
-	} else {
-		entries, errs = m.resolveLocked(spec, candidates, sc)
-		offered = len(entries)
-	}
 	out = out[:0]
-	incumbent, projected, replicated := math.Inf(1), 0, 0
+	incumbent, offered, projected, replicated, visited := math.Inf(1), 0, 0, 0, 0
 	// try projects one candidate; only a successful projection makes an
-	// incumbent. A trace nothing was ever placed on has no baseline yet.
+	// incumbent. A trace nothing was ever placed on has no baseline yet,
+	// and a stale one is refreshed here, at the first projection since the
+	// trace changed: by the split invariance of "Trace clock" that is the
+	// bits a refresh at any other instant gives.
 	try := func(e *indexEntry) (Prediction, bool) {
 		projected++
 		m.baselineLocked(e.tr)
@@ -211,67 +220,93 @@ func (m *Manager) evaluateMinimizing(obj Objective, tie float64, id int, spec *t
 		}
 		return p, true
 	}
-	for c := range classes {
-		cl := &classes[c]
-		if sc.idle[c] == 0 || boundOver(obj, nil, 0, 0, cl.mem.ramMB, cl.cost, spec.MemoryMB, arrival) > incumbent+tie {
-			continue
+	kept := sc.kept[:0]
+	// exact bounds entry k from its live jobs and keeps it unless the bound
+	// rules it out.
+	exact := func(k int32) {
+		e := &entries[k]
+		if b := lowerBound(obj, e.tr, e.cost, spec.MemoryMB, arrival); b <= incumbent+tie {
+			kept = append(kept, candidateBound{k: k, bound: b})
 		}
-		k := cl.first
-		for ix.entries[k].tr.busy {
-			k = ix.next[k]
+	}
+	ix := m.ownedLocked(spec, candidates)
+	if ix == nil {
+		entries, errs = m.resolveLocked(spec, candidates, sc)
+		offered, visited = len(entries), len(entries)
+		for k := range entries {
+			exact(int32(k))
 		}
-		p, ok := try(&ix.entries[k])
-		if !ok {
-			continue
+	} else {
+		entries, offered = ix.entries, len(ix.entries)
+		for c := range ix.classes {
+			cl := &ix.classes[c]
+			if ix.busy[c] == cl.size || boundOver(obj, nil, 0, 0, cl.mem.ramMB, cl.cost, spec.MemoryMB, arrival) > incumbent+tie {
+				continue
+			}
+			k := cl.first
+			for entries[k].tr.busy {
+				k = ix.next[k]
+			}
+			p, ok := try(&entries[k])
+			if !ok {
+				continue
+			}
+			for ; k >= 0; k = ix.next[k] {
+				if !entries[k].tr.busy {
+					p.Server = ix.names[k]
+					out = append(out, p)
+				}
+			}
+			replicated += int(cl.size-ix.busy[c]) - 1
 		}
-		for ; k >= 0; k = ix.next[k] {
-			if !ix.entries[k].tr.busy {
-				p.Server = ix.names[k]
-				out = append(out, p)
+		for _, tr := range m.busy {
+			visited++
+			k := ix.slot[tr.pos]
+			if obj == MinCompletion {
+				if m.stopBound(ix, tr.key, arrival) > incumbent+tie {
+					break
+				}
+				if k >= 0 && keyBound(tr.key, tr.live, &entries[k].cost, arrival) > incumbent+tie {
+					continue
+				}
+			}
+			if k >= 0 {
+				exact(k)
 			}
 		}
-		replicated += int(sc.idle[c]) - 1
 	}
-	if cap(sc.bounds) < len(entries) {
-		sc.bounds = make([]float64, len(entries))
-	}
-	bounds := sc.bounds[:len(entries)]
-	first := 0
-	for i := range entries {
-		e := &entries[i]
-		// The exhaustive pass refreshes a stale baseline at the first
-		// evaluation after the trace changed; refreshing here at the
-		// same instant, projected or not, keeps the cached projections
-		// (and the drain memo ProjectedReady serves) bit-identical. An
-		// idle trace needs none: advanceLocked left it the baseline a
-		// refresh would compute.
-		m.baselineLocked(e.tr)
-		bounds[i] = lowerBound(obj, e.tr, e.cost, spec.MemoryMB, arrival)
-		if bounds[i] < bounds[first] {
-			first = i
+	if len(kept) > 0 {
+		// The candidate of least bound goes first, the first in candidate
+		// order of those tied. Under MinCompletion the few others follow in
+		// candidate order, which projects no more of them than that order
+		// always did; under MinSumFlow, where nearly every busy candidate is
+		// kept, they follow in the order visited, which projects as few and
+		// saves sorting them. The result is sorted below.
+		first := 0
+		for i, c := range kept {
+			if least := kept[first]; c.bound < least.bound || c.bound == least.bound && c.k < least.k {
+				first = i
+			}
+		}
+		kept[0], kept[first] = kept[first], kept[0]
+		if obj == MinCompletion {
+			slices.SortFunc(kept[1:], func(a, b candidateBound) int { return cmp.Compare(a.k, b.k) })
 		}
 	}
-	for k := range entries {
-		// The candidate of least bound is projected first, the one it
-		// displaces in its place; the result is sorted below.
-		i := k
-		switch k {
-		case 0:
-			i = first
-		case first:
-			i = 0
-		}
-		if bounds[i] > incumbent+tie {
+	for _, c := range kept {
+		if c.bound > incumbent+tie {
 			continue
 		}
-		if p, ok := try(&entries[i]); ok {
+		if p, ok := try(&entries[c.k]); ok {
 			out = append(out, p)
 		}
 	}
+	sc.kept = kept
 	m.mu.Unlock()
 	m.considered.Add(uint64(offered))
 	m.projected.Add(uint64(projected))
 	m.replicated.Add(uint64(replicated))
+	m.bounded.Add(uint64(visited))
 	sortByServer(out)
 	sc.put()
 	return out, errors.Join(errs...)

@@ -116,17 +116,27 @@ func buildPruneCase(data []byte) pruneCase {
 // boundsAt returns the lower bound lowerBound proves for every tracked
 // candidate at the case's arrival, computed the way the pruned pass
 // does: after the trace clock advanced, from the live jobs in place.
-func (c pruneCase) boundsAt(obj Objective) map[string]float64 {
+// Under MinCompletion it also returns, per candidate, the greater of the
+// two bounds the pass reads from the trace's key before that: the
+// candidate's own keyBound and the index's stopBound.
+func (c pruneCase) boundsAt(obj Objective) (bounds, keys map[string]float64) {
 	c.m.mu.Lock()
 	defer c.m.mu.Unlock()
 	arrival := c.m.advanceLocked(c.arrival)
-	out := make(map[string]float64)
+	ix := c.m.indexLocked(c.spec)
+	bounds, keys = make(map[string]float64), make(map[string]float64)
 	for _, s := range c.candidates {
-		if tr, ok := c.m.traces[s]; ok {
-			out[s] = lowerBound(obj, tr, c.spec.CostOn[s], c.spec.MemoryMB, arrival)
+		tr, ok := c.m.traces[s]
+		if !ok {
+			continue
+		}
+		cost := c.spec.CostOn[s]
+		bounds[s] = lowerBound(obj, tr, cost, c.spec.MemoryMB, arrival)
+		if obj == MinCompletion {
+			keys[s] = max(keyBound(tr.key, tr.live, &cost, arrival), c.m.stopBound(ix, tr.key, arrival))
 		}
 	}
-	return out
+	return bounds, keys
 }
 
 // midPhase reports which active states (input, compute, output) the
@@ -180,13 +190,24 @@ func meetsContract(obj Objective, full, pruned []Prediction) error {
 }
 
 // checkPruneCase is the property behind pruning, for both objectives:
-// the bound never exceeds the projected objective, and the pruned pass
-// meets its contract both through the name list and through the index
-// (where idle candidates are served by class).
-func checkPruneCase(t *testing.T, c pruneCase) {
+// the key bounds never exceed the bound, the bound never exceeds the
+// projected objective, and the pruned pass meets its contract both
+// through the name list and through the index (where idle candidates are
+// served by class and the busy traces visited in key order). It reports
+// whether the MinCompletion pass over the index stopped before the end of
+// the busy list.
+func checkPruneCase(t *testing.T, c pruneCase) (stopped bool) {
 	t.Helper()
+	if err := checkBusy(c.m); err != nil {
+		t.Error(err)
+	}
 	for _, obj := range []Objective{MinCompletion, MinSumFlow} {
-		bounds := c.boundsAt(obj)
+		bounds, keys := c.boundsAt(obj)
+		for s, k := range keys {
+			if b := bounds[s]; k > b {
+				t.Errorf("on %s: key bound %.17g exceeds the bound %.17g", s, k, b)
+			}
+		}
 		full, _ := c.m.EvaluateAll(1<<20, c.spec, c.arrival, c.candidates)
 		for _, p := range full {
 			if b, v := bounds[p.Server], obj.value(&p); b > v {
@@ -194,13 +215,73 @@ func checkPruneCase(t *testing.T, c pruneCase) {
 					obj, p.Server, b, v, p)
 			}
 		}
-		for _, list := range [][]string{c.candidates, c.m.Candidates(c.spec)} {
+		for i, list := range [][]string{c.candidates, c.m.Candidates(c.spec)} {
+			before := c.m.EvalStats().Bounded
 			pruned, _ := c.m.Minimizing(obj, pruneTie).EvaluateAll(1<<20, c.spec, c.arrival, list)
 			if err := meetsContract(obj, full, pruned); err != nil {
 				t.Error(err)
 			}
+			if obj == MinCompletion && i == 1 {
+				c.m.mu.Lock()
+				stopped = c.m.EvalStats().Bounded-before < uint64(len(c.m.busy))
+				c.m.mu.Unlock()
+			}
 		}
 	}
+	return stopped
+}
+
+// checkBusy checks what the pruned pass's stop rule relies on: the busy
+// list holds exactly the traces marked busy, in strict (key, pos) order,
+// each keyed as its sim stands now (its clock plus the compute left by
+// the jobs computing there, and its live count), maxLive is at least
+// every live count, and every cached index counts each class's busy
+// members right.
+func checkBusy(m *Manager) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	marked := 0
+	for _, tr := range m.ordered {
+		if tr.busy {
+			marked++
+		}
+	}
+	if marked != len(m.busy) {
+		return fmt.Errorf("%d traces marked busy, %d in the busy list", marked, len(m.busy))
+	}
+	for i, tr := range m.busy {
+		if !tr.busy || m.ordered[tr.pos] != tr {
+			return fmt.Errorf("busy[%d] (%s) is not a tracked busy trace", i, tr.sim.Name())
+		}
+		if i > 0 && !m.busy[i-1].before(tr) {
+			return fmt.Errorf("busy[%d] (%s, key %v) not after busy[%d] (%s, key %v)", i, tr.sim.Name(), tr.key, i-1, m.busy[i-1].sim.Name(), m.busy[i-1].key)
+		}
+		key := tr.sim.Now()
+		compute := 0.0
+		for _, j := range tr.sim.Live() {
+			if j.State == fluid.StateCompute {
+				compute += j.Remaining[task.PhaseCompute]
+			}
+		}
+		if key += compute; math.Float64bits(key) != math.Float64bits(tr.key) || int(tr.live) != len(tr.sim.Live()) {
+			return fmt.Errorf("%s keyed at %v with %d live jobs, stands at %v with %d", tr.sim.Name(), tr.key, tr.live, key, len(tr.sim.Live()))
+		}
+		if tr.live > m.maxLive {
+			return fmt.Errorf("%s holds %d live jobs, maxLive %d", tr.sim.Name(), tr.live, m.maxLive)
+		}
+	}
+	for spec, ix := range m.index {
+		counts := make([]int32, len(ix.classes))
+		for _, tr := range m.busy {
+			if k := ix.slot[tr.pos]; k >= 0 {
+				counts[ix.classOf[k]]++
+			}
+		}
+		if !slices.Equal(counts, ix.busy) {
+			return fmt.Errorf("%s: busy members per class %v, counted %v", spec.Name(), counts, ix.busy)
+		}
+	}
+	return nil
 }
 
 // samePrediction compares two EvaluateAll predictions bit for bit.
@@ -217,6 +298,7 @@ func samePrediction(a, b Prediction) bool {
 func TestPruneBoundProperty(t *testing.T) {
 	rng := stats.NewRNG(20260928)
 	var caught [2][task.NumPhases]int
+	var stops [2]int
 	for i := 0; i < 4000; i++ {
 		data := make([]byte, 24+rng.Intn(360))
 		for k := range data {
@@ -225,7 +307,9 @@ func TestPruneBoundProperty(t *testing.T) {
 		// Spread the four option combinations evenly.
 		data[0] = byte(i)
 		c := buildPruneCase(data)
-		checkPruneCase(t, c)
+		if checkPruneCase(t, c) {
+			stops[data[0]&1]++
+		}
 		if t.Failed() {
 			t.Fatalf("case %d failed: %x", i, data)
 		}
@@ -240,6 +324,11 @@ func TestPruneBoundProperty(t *testing.T) {
 			if n < 200 {
 				t.Errorf("memory model %d: %d cases caught a job mid-phase in state %v, want 200 of 2000", memory, n, fluid.StateInput+fluid.State(p))
 			}
+		}
+		// A pool of four leaves the stop little to skip; TestPrunedPassLargePool
+		// is where it skips most of the busy list.
+		if stops[memory] < 40 {
+			t.Errorf("memory model %d: the pruned pass stopped early in %d cases, want 40 of 2000", memory, stops[memory])
 		}
 	}
 }
@@ -328,6 +417,13 @@ func FuzzPruneBound(f *testing.F) {
 	f.Add([]byte{0, 1, 0x00, 0, 0, 3, 0, 3, 0, 3, 0, 3, 4, 0, 0, 3, 0, 3, 0, 3, 0, 3})
 	f.Add([]byte{0, 1, 0x00, 0, 4, 3, 4, 3, 4, 3, 4, 3, 4, 0, 0, 3, 0, 3, 0, 3, 0, 3})
 	f.Add([]byte{1, 2, 0x00, 2, 20, 0, 20, 0, 20, 0, 20, 0, 0x20, 2, 20, 0, 20, 0, 20, 0, 20, 0, 4, 2, 0, 3, 0, 3, 0, 3, 0, 3})
+	// Cases where the MinCompletion pass over the index stops before the
+	// end of the busy list (checkPruneCase reports it): without and with
+	// WithSync, without and with the memory model.
+	f.Add([]byte{0x38, 0x42, 0xd3, 0x30, 0x64, 0x73, 0xcb, 0xeb, 0x65, 0x69, 0x7d, 0x2, 0x69, 0xd2, 0x0, 0x72, 0x6b, 0x31, 0xfa, 0x28, 0x82, 0x29, 0xc9, 0xa7, 0x2d, 0x3b, 0x78, 0x99, 0x93, 0x5d, 0x72, 0xa8, 0x76, 0xe})
+	f.Add([]byte{0x1a, 0x3, 0x6b, 0xf1, 0xc, 0xce, 0xdf, 0x13, 0x77, 0x69, 0x61, 0x18, 0xde, 0xd6, 0x34, 0x18, 0xbf, 0x58, 0x3b, 0x3c, 0x93, 0xf8, 0xdf, 0x1d, 0x14, 0x68, 0x84, 0xa3, 0xf2, 0x29, 0xc, 0x3d, 0x59, 0xa3})
+	f.Add([]byte{0x3d, 0x82, 0xe1, 0x44, 0xef, 0x97, 0x6a, 0xfc, 0x5, 0xab, 0x68, 0x69, 0x12, 0xbc, 0x16, 0xc6, 0xef, 0xe, 0x8d, 0x20, 0xe3, 0x53, 0x7b, 0xe6, 0x8e, 0x29, 0x95, 0xc, 0x32, 0xba, 0x1c, 0xd3, 0x9d})
+	f.Add([]byte{0x13, 0x23, 0x6a, 0x8b, 0xc6, 0xa4, 0x87, 0xda, 0x93, 0x45, 0x2b, 0xe9, 0x9f, 0x21, 0xbe, 0x71, 0xb8, 0x57, 0x5e, 0x48, 0x6a, 0x1d, 0xf5, 0xef, 0x16, 0xad, 0x60, 0xa5, 0x6f, 0x56, 0xcf, 0x96, 0x97, 0xc7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1024 {
 			t.Skip()
@@ -554,8 +650,8 @@ func TestIdleClassReplication(t *testing.T) {
 						}
 					}
 
-					if !slices.IsSortedFunc(m.busy, func(a, b *serverTrace) int { return cmp.Compare(a.sim.Name(), b.sim.Name()) }) {
-						t.Fatalf("job %d: the clock walk is not in server-name order", id)
+					if err := checkBusy(m); err != nil {
+						t.Fatalf("job %d: %v", id, err)
 					}
 					ready, twinReady := m.ProjectedReadyAll(), twin.ProjectedReadyAll()
 					if len(ready) != len(twinReady) {

@@ -234,7 +234,10 @@ func WriteStats(w io.Writer, s agent.Stats) {
 // falls toward a few per pool on a lightly loaded deployment and rises
 // to 1 as it saturates. Trace
 // steps per decision stay at a few whatever the pool holds: a trace is
-// stepped at its own events, not at every arrival. Name lookups and
+// stepped at its own events, not at every arrival. Busy traces visited
+// per HMCT decision are the few whose CPU frees before the best idle
+// class could finish; near the busy count means the pass no longer
+// stops early (MSF, or a saturated pool). Name lookups and
 // index builds growing with the decision count mean the candidate index
 // is being bypassed or rebuilt per decision.
 func WriteEval(w io.Writer, st htm.EvalStats) {
@@ -243,6 +246,7 @@ func WriteEval(w io.Writer, st htm.EvalStats) {
 	p.sample("casched_htm_projections_total", "counter", "Candidate servers the HTM projected (the rest were pruned by their bound or served from an idle class).", nil, float64(st.Projections))
 	p.sample("casched_htm_replicated_total", "counter", "Predictions served by copying the projection of an idle server of the same cost class.", nil, float64(st.Replicated))
 	p.sample("casched_htm_trace_steps_total", "counter", "Server traces the HTM's clock stepped through a due event (a release or a phase end).", nil, float64(st.Stepped))
+	p.sample("casched_htm_bounded_total", "counter", "Busy server traces the pruned pass visited in CPU-free order before it stopped (every busy trace under MSF).", nil, float64(st.Bounded))
 	p.sample("casched_htm_name_lookups_total", "counter", "Candidates resolved by server name instead of through the candidate index.", nil, float64(st.NameLookups))
 	p.sample("casched_htm_index_builds_total", "counter", "Candidate-index builds (one per task type and pool membership).", nil, float64(st.IndexBuilds))
 }

@@ -133,7 +133,7 @@ func TestWriteHAGauges(t *testing.T) {
 
 func TestWriteEvalCounters(t *testing.T) {
 	var b strings.Builder
-	WriteEval(&b, htm.EvalStats{Candidates: 2048, Projections: 23, Replicated: 41, Stepped: 5, NameLookups: 7, IndexBuilds: 3})
+	WriteEval(&b, htm.EvalStats{Candidates: 2048, Projections: 23, Replicated: 41, Stepped: 5, Bounded: 9, NameLookups: 7, IndexBuilds: 3})
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE casched_htm_candidates_total counter",
@@ -143,6 +143,8 @@ func TestWriteEvalCounters(t *testing.T) {
 		"casched_htm_replicated_total 41",
 		"# TYPE casched_htm_trace_steps_total counter",
 		"casched_htm_trace_steps_total 5",
+		"# TYPE casched_htm_bounded_total counter",
+		"casched_htm_bounded_total 9",
 		"# TYPE casched_htm_name_lookups_total counter",
 		"casched_htm_name_lookups_total 7",
 		"casched_htm_index_builds_total 3",

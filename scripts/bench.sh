@@ -23,14 +23,16 @@
 #                             zero-allocation contract's enforcement
 #                             point. Tiny B/op deltas (< 64 B) are
 #                             ignored as runtime noise. The custom
-#                             projections/decision and steps/decision
-#                             columns (the steady core rows) are gated
-#                             at the same percentage where both files
-#                             report them: they are counts of the HTM's
-#                             work (candidates projected, traces the
-#                             clock stepped) that repeat from run to
-#                             run, so they stay a tight gate on hosted
-#                             runners where ns/op is loose.
+#                             projections/decision, steps/decision and
+#                             bounds/decision columns (the steady core
+#                             rows) are gated at the same percentage
+#                             where both files report them: they are
+#                             counts of the HTM's work (candidates
+#                             projected, traces the clock stepped, busy
+#                             traces the pruned pass visited) that
+#                             repeat from run to run, so they stay a
+#                             tight gate on hosted runners where ns/op
+#                             is loose.
 #   BENCH_REQUIRE_ALL=1       fail when a baseline benchmark is absent
 #                             from the run (CI full runs; subset runs
 #                             via BENCH_PATTERN only warn)
@@ -78,7 +80,7 @@ if [[ ! -f benchmarks/baseline.txt ]]; then
 fi
 
 echo "==> comparing against benchmarks/baseline.txt" \
-     "(max regression ${MAX_PCT}% ns/op, ${MAX_ALLOC_PCT}% B/op+allocs/op+projections/decision+steps/decision)"
+     "(max regression ${MAX_PCT}% ns/op, ${MAX_ALLOC_PCT}% B/op+allocs/op+projections/decision+steps/decision+bounds/decision)"
 awk -v max="${MAX_PCT}" -v maxAlloc="${MAX_ALLOC_PCT}" \
     -v requireAll="${BENCH_REQUIRE_ALL:-0}" '
     # Collect "BenchmarkName  N  T ns/op [B B/op] [A allocs/op]" lines
@@ -88,16 +90,17 @@ awk -v max="${MAX_PCT}" -v maxAlloc="${MAX_ALLOC_PCT}" \
     /^Benchmark/ && / ns\/op/ {
         name = $1
         sub(/-[0-9]+$/, "", name)
-        ns = ""; bytes = ""; allocs = ""; proj = ""; steps = ""
+        ns = ""; bytes = ""; allocs = ""; proj = ""; steps = ""; bounds = ""
         for (i = 2; i <= NF; i++) {
             if ($(i) == "ns/op")     ns = $(i-1)
             if ($(i) == "B/op")      bytes = $(i-1)
             if ($(i) == "allocs/op") allocs = $(i-1)
             if ($(i) == "projections/decision") proj = $(i-1)
             if ($(i) == "steps/decision") steps = $(i-1)
+            if ($(i) == "bounds/decision") bounds = $(i-1)
         }
-        if (file == 1) { base[name] = ns; baseB[name] = bytes; baseA[name] = allocs; baseP[name] = proj; baseS[name] = steps }
-        else           { latest[name] = ns; latestB[name] = bytes; latestA[name] = allocs; latestP[name] = proj; latestS[name] = steps }
+        if (file == 1) { base[name] = ns; baseB[name] = bytes; baseA[name] = allocs; baseP[name] = proj; baseS[name] = steps; baseK[name] = bounds }
+        else           { latest[name] = ns; latestB[name] = bytes; latestA[name] = allocs; latestP[name] = proj; latestS[name] = steps; latestK[name] = bounds }
     }
     # worse(old, new, pct, floor) -> 1 when new regresses past the
     # allowance. A zero baseline admits no headroom at all: any growth
@@ -139,6 +142,10 @@ awk -v max="${MAX_PCT}" -v maxAlloc="${MAX_ALLOC_PCT}" \
             if (baseS[name] != "" && latestS[name] != "") {
                 counts = counts sprintf("  %s -> %s steps/decision", baseS[name], latestS[name])
                 if (worse(baseS[name], latestS[name], maxAlloc, 0)) { tag = "STEP"; status = 1 }
+            }
+            if (baseK[name] != "" && latestK[name] != "") {
+                counts = counts sprintf("  %s -> %s bounds/decision", baseK[name], latestK[name])
+                if (worse(baseK[name], latestK[name], maxAlloc, 0)) { tag = "BOUND"; status = 1 }
             }
             printf "%-8s %-60s %12.0f -> %12.0f ns/op (%+.1f%%)%s\n", \
                    tag, name, base[name], latest[name], pct, counts
