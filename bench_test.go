@@ -859,8 +859,10 @@ func constGap(dt float64) func(int) float64 { return func(int) float64 { return 
 // benchSteadyCore runs the steady decision loop on one core and reports
 // how many candidates the HTM projected per decision, the number
 // pruning moves, how many traces its clock stepped, the number the
-// per-trace event clocks move, and how many busy traces the pruned pass
-// visited, the number its key-order stop moves.
+// per-trace event clocks move, how many busy traces the pruned pass
+// visited, the number its key-order stop moves, and how many baselines it
+// projected, the number installing the winner's projection at commit
+// moves.
 func benchSteadyCore(b *testing.B, heuristic string, servers int, gap func(id int) float64, window, warmup int) {
 	names, specs := largeTestbed(servers)
 	s, err := casched.NewScheduler(heuristic)
@@ -884,6 +886,7 @@ func benchSteadyCore(b *testing.B, heuristic string, servers int, gap func(id in
 	b.ReportMetric(float64(after.Projections-before.Projections)/float64(b.N), "projections/decision")
 	b.ReportMetric(float64(after.Stepped-before.Stepped)/float64(b.N), "steps/decision")
 	b.ReportMetric(float64(after.Bounded-before.Bounded)/float64(b.N), "bounds/decision")
+	b.ReportMetric(float64(after.Refreshes-before.Refreshes)/float64(b.N), "refreshes/decision")
 }
 
 // BenchmarkAgentSubmitSteadyLight1024 is the regime candidate pruning

@@ -343,6 +343,7 @@ func (cl *Cluster) EvalStats() htm.EvalStats {
 		total.Bounded += st.Bounded
 		total.NameLookups += st.NameLookups
 		total.IndexBuilds += st.IndexBuilds
+		total.Refreshes += st.Refreshes
 	}
 	return total
 }

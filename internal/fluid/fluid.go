@@ -13,6 +13,18 @@
 // grid simulator — the two differ only in the costs they are fed
 // (nominal vs. noise-perturbed) and in whether memory is modelled.
 //
+// One loop (Sim.run) moves every simulation, whether it is advanced to an
+// instant, stepped through its due events or run to idle, and it paces
+// each event once: the Pace that dates the next event also gives the
+// rates every job progresses at until then, and those very rates serve
+// the work up to it, and Pace reads the live jobs in one pass. The dates
+// have the bits of a loop that paced an event again at every level that
+// looks at it: Pace and the rates are pure functions of the simulation's
+// state, so a value computed once on a state is the value computed again
+// on it, and the loop applies the same progress and the same transitions
+// at the same arguments in the same order (TestOnePacePerEventSameBits
+// holds it against such loops and a Pace that dates every job).
+//
 // The memory model reproduces §5.1: each job holds its footprint from
 // activation until output completion; when the total demand exceeds the
 // server's RAM the CPU thrashes (rates multiplied by RAM/demand); when
@@ -104,8 +116,8 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one observable transition, reported by AdvanceTo in
-// chronological order.
+// Event is one observable transition, reported by AdvanceTo and
+// RunToIdle in chronological order.
 type Event struct {
 	Kind  EventKind
 	JobID int        // -1 for EventCollapse
@@ -350,19 +362,18 @@ func (s *Sim) thrashFactor() float64 {
 	return 1 / (1 + alpha*over)
 }
 
-// rates returns the progress rate of a job in each phase: an equal share
-// of the station, the CPU's slowed by memory pressure; zero where no job
-// is in the phase.
-func (s *Sim) rates() (r [task.NumPhases]float64) {
-	in, comp, out := s.counts()
-	if in > 0 {
-		r[task.PhaseInput] = 1 / float64(in)
+// rates returns the progress rate of a job in each phase, given the
+// number of jobs in each: an equal share of the station, the CPU's slowed
+// by memory pressure; zero where no job is in the phase.
+func (s *Sim) rates(n [task.NumPhases]int) (r [task.NumPhases]float64) {
+	if n[task.PhaseInput] > 0 {
+		r[task.PhaseInput] = 1 / float64(n[task.PhaseInput])
 	}
-	if comp > 0 {
-		r[task.PhaseCompute] = s.thrashFactor() / float64(comp)
+	if n[task.PhaseCompute] > 0 {
+		r[task.PhaseCompute] = s.thrashFactor() / float64(n[task.PhaseCompute])
 	}
-	if out > 0 {
-		r[task.PhaseOutput] = 1 / float64(out)
+	if n[task.PhaseOutput] > 0 {
+		r[task.PhaseOutput] = 1 / float64(n[task.PhaseOutput])
 	}
 	return r
 }
@@ -380,20 +391,35 @@ func (s *Sim) NextEventTime() (float64, bool) {
 // until then. Rates are constant between events, so a caller that keeps
 // both knows what every job has left at any instant before that date
 // without advancing the simulation.
+//
+// One pass over the live jobs counts the jobs in each phase and finds the
+// least work left in each and the earliest release. The earliest phase
+// end of a phase is the one of its least work: now + w/rate rises with w
+// in floating point as in the reals (division and addition are rounded
+// monotonically), so the date of the least work is the least date, the
+// same bits as a date computed per job.
 func (s *Sim) Pace() (next float64, rates [task.NumPhases]float64) {
 	next = math.Inf(1)
 	if s.collapsed {
 		return next, rates
 	}
-	rates = s.rates()
+	var n [task.NumPhases]int
+	var least [task.NumPhases]float64
 	for _, j := range s.live {
-		t := j.Release
-		if j.State != StateWaiting {
-			p := phaseOf(j.State)
-			t = s.now + j.Remaining[p]/rates[p]
+		if j.State == StateWaiting {
+			next = min(next, j.Release)
+			continue
 		}
-		if t < next {
-			next = t
+		p := phaseOf(j.State)
+		if n[p] == 0 || j.Remaining[p] < least[p] {
+			least[p] = j.Remaining[p]
+		}
+		n[p]++
+	}
+	rates = s.rates(n)
+	for p, k := range n {
+		if k > 0 {
+			next = min(next, s.now+least[p]/rates[p])
 		}
 	}
 	return next, rates
@@ -424,33 +450,18 @@ func (s *Sim) AdvanceToQuiet(t float64) { s.advance(t, false) }
 // StepEventsQuiet applies the events due by t, the ones AdvanceTo(t)
 // would apply, and leaves the clock at the last of them instead of
 // moving it on to t: the state is then a function of the jobs added and
-// their dates alone, whatever instants the simulation was stepped at.
-func (s *Sim) StepEventsQuiet(t float64) { s.stepEvents(t, false) }
-
-// stepEvents applies the events dated up to t+TimeEps, each at its own
-// date.
-func (s *Sim) stepEvents(t float64, collect bool) []Event {
-	var events []Event
-	for !s.collapsed {
-		next, ok := s.NextEventTime()
-		if !ok || next > t+TimeEps {
-			break
-		}
-		if next < s.now {
-			next = s.now
-		}
-		s.progress(next)
-		events = s.transition(next, events, collect)
-	}
-	return events
+// their dates alone, whatever instants the simulation was stepped at. It
+// returns what Pace returns on the state it leaves, the pace it stopped
+// on, so a caller that keeps both need not pace the sim again.
+func (s *Sim) StepEventsQuiet(t float64) (next float64, rates [task.NumPhases]float64) {
+	_, next, rates = s.run(t, t, false)
+	return next, rates
 }
 
 // advance implements AdvanceTo; with collect=false no event slice is
 // built, which keeps throwaway projections allocation-free.
 func (s *Sim) advance(t float64, collect bool) []Event {
-	if t < s.now-TimeEps {
-		panic(fmt.Sprintf("fluid: server %s: AdvanceTo(%.6f) precedes now %.6f", s.cfg.Name, t, s.now))
-	}
+	s.checkNotBefore(t)
 	if len(s.live) == 0 {
 		// Nothing resident: only the clock moves.
 		if t > s.now {
@@ -458,24 +469,75 @@ func (s *Sim) advance(t float64, collect bool) []Event {
 		}
 		return nil
 	}
-	events := s.stepEvents(t, collect)
+	events, _, rates := s.run(t, t, collect)
+	s.finishAt(t, rates)
+	return events
+}
+
+// checkNotBefore panics when t precedes the clock by more than the time
+// tolerance.
+func (s *Sim) checkNotBefore(t float64) {
+	if t < s.now-TimeEps {
+		panic(fmt.Sprintf("fluid: server %s: AdvanceTo(%.6f) precedes now %.6f", s.cfg.Name, t, s.now))
+	}
+}
+
+// finishAt moves the clock on from the last event applied to t, serving
+// the work due until then at rates, those of the pace run stopped on.
+func (s *Sim) finishAt(t float64, rates [task.NumPhases]float64) {
 	if !s.collapsed && t > s.now {
-		s.progress(t)
+		s.progressAt(t, rates)
 	}
 	if t > s.now {
 		s.now = t
 	}
-	return events
 }
 
-// progress consumes work between s.now and t at current constant rates.
-func (s *Sim) progress(t float64) {
+// run is the simulation's one event loop, behind AdvanceTo,
+// StepEventsQuiet and RunToIdle. It applies the due events in date
+// order, each at its own date, and paces each once: one Pace gives the
+// event's date and the rates that held until it, progressAt serves the
+// work at those rates and transition applies the event. An event is due
+// while its date is within TimeEps of until. Past until, the run goes on
+// to the next event as long as that lies within limit, which becomes the
+// new until; past limit as well, until becomes limit. So run(t, t) is
+// the steps of AdvanceTo(t), and run(-Inf, limit) those of RunToIdle:
+// the same events as one AdvanceTo per event date and a last one to the
+// limit, with the same progress and transition calls on the same
+// arguments. Pace and rates are pure functions of the state, so a date
+// paced once has the bits of one paced again on that state. It returns
+// the events and the pace it stopped on: the date of the first event not
+// applied and the rates until then, or +Inf once the sim is idle or
+// collapsed. A finite date means the run stopped past limit.
+func (s *Sim) run(until, limit float64, collect bool) (events []Event, next float64, rates [task.NumPhases]float64) {
+	for !s.collapsed {
+		next, rates = s.Pace()
+		if math.IsInf(next, 1) {
+			return events, next, rates
+		}
+		if next > until+TimeEps {
+			until = min(next, limit)
+			if next > until+TimeEps {
+				return events, next, rates
+			}
+		}
+		if next < s.now {
+			next = s.now
+		}
+		s.progressAt(next, rates)
+		events = s.transition(next, events, collect)
+	}
+	return events, math.Inf(1), [task.NumPhases]float64{}
+}
+
+// progressAt consumes work between s.now and t at the given rates, the
+// ones Pace returned on the current state.
+func (s *Sim) progressAt(t float64, rates [task.NumPhases]float64) {
 	dt := t - s.now
 	if dt <= 0 {
 		s.now = math.Max(s.now, t)
 		return
 	}
-	rates := s.rates()
 	for p, r := range rates {
 		if r > 0 {
 			s.busy[p] += dt
@@ -599,8 +661,9 @@ func (s *Sim) checkCollapse(t float64, collect bool) ([]Event, bool) {
 
 // RunToIdle advances the simulation until no job is active or waiting,
 // or until the time limit (use math.Inf(1) for none). It returns the
-// events emitted. RunToIdle is how the HTM projects the completion date
-// of every resident task.
+// events emitted, those dated within the time tolerance after the limit
+// included, since AdvanceTo(limit) applies them too. RunToIdle is how
+// the HTM projects the completion date of every resident task.
 func (s *Sim) RunToIdle(limit float64) []Event { return s.runToIdle(limit, true) }
 
 // RunToIdleQuiet is RunToIdle without the event log: throwaway
@@ -608,17 +671,12 @@ func (s *Sim) RunToIdle(limit float64) []Event { return s.runToIdle(limit, true)
 func (s *Sim) RunToIdleQuiet(limit float64) { s.runToIdle(limit, false) }
 
 func (s *Sim) runToIdle(limit float64, collect bool) []Event {
-	var events []Event
-	for s.ActiveCount() > 0 && !s.collapsed {
-		next, ok := s.NextEventTime()
-		if !ok {
-			break
-		}
-		if next > limit {
-			s.advance(limit, collect)
-			break
-		}
-		events = append(events, s.advance(next, collect)...)
+	if len(s.live) > 0 && !s.collapsed {
+		s.checkNotBefore(limit)
+	}
+	events, next, rates := s.run(math.Inf(-1), limit, collect)
+	if !math.IsInf(next, 1) {
+		s.finishAt(limit, rates)
 	}
 	return events
 }

@@ -34,6 +34,36 @@
 // algorithm as a reference: predictions from the two paths agree within
 // floating-point accumulation error (see the equivalence test).
 //
+// Nor does a placement refresh its trace's baseline when the last pruned
+// pass projected it. The pass keeps, under the Manager lock, what it
+// projected for each candidate still within tie of its incumbent (the
+// stash): for a busy trace the clone it ran to idle, with the trace and
+// its generation; for an idle class the class key and the new job's
+// completion date. A Minimizer heuristic places on one of those, and
+// Place installs the matching entry as the placed trace's baseline. A
+// busy trace matches its own entry at its current generation; an idle
+// trace matches the entry of its class, since it holds no live job and
+// every idle trace of the class projects the same bits (see "Pruning");
+// and either needs the placement's spec pointer, job id and clamped
+// arrival. The entry is then the projection a refresh after the
+// placement would run: the same live jobs, the candidate added at the
+// same release, the same run to idle. So it installs the same bits, and
+// the commit's PredictedCompletion, the ProjectedReady the relay reports
+// and SubmitBatch's next projection of the placed server read it without
+// projecting again (TestInstalledBaselineSameBits holds every install of
+// churned runs against a refresh). The stash keeps completion dates and
+// never perturbations: once a newcomer more than doubles a date, ρ+π is
+// not ρ' in floating point (TestInstalledBaselineStoresDates). Anything
+// else misses, and the placed trace's baseline is refreshed at its next
+// read: a placement the pass did not
+// project, a trace re-anchored since (which bumps its generation), a
+// later arrival, the exhaustive pass, a SubmitBatch winner served from
+// the batch's cache. The stash is emptied at every pass, Place and
+// DropServer, and by the Sim read that moves a trace, so it holds one
+// pass's tie set at most: bounded by construction, like the candidate
+// index and the retention lists. EvalStats.Refreshes counts the baseline
+// projections run, about none per steady HMCT or MSF decision.
+//
 // # Pruning
 //
 // A heuristic that takes the argmin of one objective over the
@@ -96,7 +126,11 @@
 // frees before the best idle class could finish; as load rises the bounds
 // separate less and the pass degrades toward the exhaustive one.
 // EvalStats counts candidates, projections run, predictions served by copy
-// (Replicated) and candidates read one by one (Bounded).
+// (Replicated) and candidates read one by one (Bounded). The projections
+// of the candidates still within tie of the incumbent when the pass ends
+// are stashed for the Place that follows (see "Evaluation core"): a busy
+// trace's under its generation, an idle class's under its key, which is
+// what makes the copy exact above.
 //
 // The bound. Let the new job cost (I, w, O) on the server and arrive at
 // a, let r_i be the remaining compute of each job computing at a (what
@@ -542,6 +576,10 @@ type Manager struct {
 	// "Candidate index"): at most maxIndexedSpecs entries, dropped
 	// wholesale when full and whenever a server joins or leaves.
 	index map[*task.Spec]*specIndex
+	// stash holds what the last pruned pass projected for the candidates
+	// within tie of its minimum, for the Place that commits one of them
+	// (see "Evaluation core"): emptied at every pass, Place and DropServer.
+	stash passStash
 
 	memoryModel bool
 	sync        bool
@@ -571,6 +609,8 @@ type Manager struct {
 	// builds.
 	nameLookups atomic.Uint64
 	indexBuilds atomic.Uint64
+	// refreshes counts the baseline projections run.
+	refreshes atomic.Uint64
 }
 
 // New constructs a Manager tracking the given servers. Unknown server
@@ -693,6 +733,12 @@ type EvalStats struct {
 	// membership, more only when more specs are in use at once than the
 	// index caches (32) or clients mint a spec per task.
 	IndexBuilds uint64
+	// Refreshes counts the baseline projections run: a trace's ρ_j
+	// recomputed because it changed since its baseline was taken. A
+	// placement the last pruned pass projected installs that projection
+	// as the baseline instead (see "Evaluation core"), so a steady
+	// HMCT or MSF decision refreshes almost none.
+	Refreshes uint64
 }
 
 // EvalStats returns the evaluation counters.
@@ -705,6 +751,7 @@ func (m *Manager) EvalStats() EvalStats {
 		Bounded:     m.bounded.Load(),
 		NameLookups: m.nameLookups.Load(),
 		IndexBuilds: m.indexBuilds.Load(),
+		Refreshes:   m.refreshes.Load(),
 	}
 }
 
@@ -927,7 +974,7 @@ func (m *Manager) advanceLocked(t float64) float64 {
 			continue
 		}
 		stepped++
-		tr.sim.StepEventsQuiet(t)
+		tr.next, tr.rates = tr.sim.StepEventsQuiet(t)
 		if drained := m.keyLocked(tr); drained && tr.sim.Now() <= t {
 			tr.busy = false
 			m.countBusyLocked(tr, -1)
@@ -955,13 +1002,14 @@ func (m *Manager) advanceLocked(t float64) float64 {
 }
 
 // keyLocked follows everything that moves a trace's sim or adds to it (a
-// step of the clock, Place, a re-anchor, Sim): it records the sim's next
-// event and rates, its CPU-free date and live count, and lists the trace
-// for retention pruning once it holds a terminal record. It does not
-// move the trace in Manager.busy; rekeyLocked does. It reports whether
-// the trace is drained: no live job and not collapsed.
+// step of the clock, Place, a re-anchor, Sim), once the caller has set
+// tr.next and tr.rates to the sim's pace: a step of the clock returns the
+// pace it stopped on, rekeyLocked paces the sim. It records the sim's
+// CPU-free date and live count, and lists the trace for retention
+// pruning once it holds a terminal record. It does not move the trace in
+// Manager.busy; rekeyLocked does. It reports whether the trace is
+// drained: no live job and not collapsed.
 func (m *Manager) keyLocked(tr *serverTrace) (drained bool) {
-	tr.next, tr.rates = tr.sim.Pace()
 	live := tr.sim.Live()
 	compute := 0.0
 	for _, j := range live {
@@ -1011,6 +1059,7 @@ func (m *Manager) insertBusyLocked(tr *serverTrace) {
 // rekeyLocked is keyLocked outside the clock's own pass: a trace in
 // Manager.busy moves to the place of its new key.
 func (m *Manager) rekeyLocked(tr *serverTrace) {
+	tr.next, tr.rates = tr.sim.Pace()
 	if !tr.busy {
 		m.keyLocked(tr)
 		return
@@ -1071,6 +1120,7 @@ func (m *Manager) baselineLocked(tr *serverTrace) map[int]float64 {
 	if tr.baseline != nil && tr.baselineGen == tr.gen {
 		return tr.baseline.m
 	}
+	m.refreshes.Add(1)
 	clone := tr.liveClone()
 	b := newBaselineSet()
 	projectCloneInto(clone, b.m)
@@ -1086,6 +1136,12 @@ func (m *Manager) baselineLocked(tr *serverTrace) map[int]float64 {
 // clone is consumed; releasing it back to the pool is the caller's job.
 func projectCloneInto(clone *fluid.Sim, out map[int]float64) {
 	clone.RunToIdleQuiet(math.Inf(1))
+	completionsInto(clone, out)
+}
+
+// completionsInto records into out the completion date of every job of a
+// live-only clone run to idle.
+func completionsInto(clone *fluid.Sim, out map[int]float64) {
 	// A live-only clone's job list is exactly the set that was live when
 	// it was taken; no pre-run copy of Live() is needed.
 	for _, j := range clone.Jobs() {
@@ -1118,6 +1174,7 @@ type candidateJob struct {
 // covers snapshotting. The clones are consumed.
 func (m *Manager) projectCandidate(j candidateJob, id int, spec *task.Spec, arrival float64, withPerTask bool) (Prediction, error) {
 	if j.baseline == nil {
+		m.refreshes.Add(1)
 		b := newBaselineSet()
 		projectCloneInto(j.baseClone, b.m)
 		putSim(j.baseClone)
@@ -1133,10 +1190,16 @@ func (m *Manager) projectCandidate(j candidateJob, id int, spec *task.Spec, arri
 
 // project is the lock-free core of projectCandidate for a snapshot
 // whose baseline is resolved: it touches nothing but the snapshot, so
-// the pruned pass can call it with the Manager lock held.
+// the pruned pass can call it with the Manager lock held. The clone is
+// consumed.
 func project(j candidateJob, id int, spec *task.Spec, arrival float64, withPerTask bool) (Prediction, error) {
-	defer j.baseline.release()
 	defer putSim(j.clone)
+	return projectOnto(j, id, spec, arrival, withPerTask)
+}
+
+// projectOnto is project leaving the clone, run to idle, to the caller.
+func projectOnto(j candidateJob, id int, spec *task.Spec, arrival float64, withPerTask bool) (Prediction, error) {
+	defer j.baseline.release()
 	if err := j.clone.Add(id, arrival, j.cost, spec.MemoryMB); err != nil {
 		return Prediction{}, fmt.Errorf("htm: evaluate on %q: %w", j.clone.Name(), err)
 	}
@@ -1289,6 +1352,7 @@ var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 func (m *Manager) EvaluateAllInto(id int, spec *task.Spec, arrival float64, candidates []string, out []Prediction) ([]Prediction, error) {
 	sc := scratchPool.Get().(*evalScratch)
 	m.mu.Lock()
+	m.stash.reset()
 	arrival = m.advanceLocked(arrival)
 	entries, errs := m.resolveLocked(spec, candidates, sc)
 	jobs := sc.jobs[:0]
@@ -1393,9 +1457,12 @@ func (m *Manager) projectParallel(jobs []candidateJob, id int, spec *task.Spec, 
 
 // Place commits job id to the chosen server's live trace. This is the
 // "Tell the HTM that task is allocated to server" step of Figures 2-4.
+// When the last pruned pass projected this very placement, its
+// projection becomes the trace's baseline (see "Evaluation core").
 func (m *Manager) Place(id int, spec *task.Spec, arrival float64, server string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	defer m.stash.reset()
 	e, err := m.solverLocked(spec, server)
 	if err != nil {
 		return err
@@ -1405,6 +1472,7 @@ func (m *Manager) Place(id int, spec *task.Spec, arrival float64, server string)
 		return fmt.Errorf("htm: job %d already placed on %q", id, prev.server)
 	}
 	arrival = m.advanceLocked(arrival)
+	idle := !tr.busy
 	if err := tr.sim.Add(id, arrival, e.cost, spec.MemoryMB); err != nil {
 		return fmt.Errorf("htm: place on %q: %w", server, err)
 	}
@@ -1414,7 +1482,11 @@ func (m *Manager) Place(id int, spec *task.Spec, arrival float64, server string)
 		m.insertBusyLocked(tr)
 		m.countBusyLocked(tr, 1)
 	}
+	b := m.stash.take(tr, idle, e.cost, spec, id, arrival)
 	tr.invalidate()
+	if b != nil {
+		tr.setBaseline(b, tr.gen)
+	}
 	m.placements[id] = placement{server: server, arrival: arrival}
 	return nil
 }
@@ -1495,6 +1567,7 @@ func (m *Manager) DropServer(name string) {
 	if !ok {
 		return
 	}
+	m.stash.reset()
 	if tr.baseline != nil {
 		tr.baseline.release()
 		tr.baseline = nil
@@ -1624,6 +1697,9 @@ func (m *Manager) Sim(server string) (*fluid.Sim, bool) {
 		return nil, false
 	}
 	if tr.sim.Now() < m.now {
+		// The move changes the last bits of what a projection of the
+		// trace gives, and no generation records it.
+		m.stash.reset()
 		tr.sim.AdvanceToQuiet(m.now)
 		m.rekeyLocked(tr)
 	}

@@ -201,23 +201,29 @@ func (m *Manager) evaluateMinimizing(obj Objective, tie float64, id int, spec *t
 	)
 	out = out[:0]
 	incumbent, offered, projected, replicated, visited := math.Inf(1), 0, 0, 0, 0
+	m.stash.begin(spec, id, arrival)
 	// try projects one candidate; only a successful projection makes an
-	// incumbent. A trace nothing was ever placed on has no baseline yet,
-	// and a stale one is refreshed here, at the first projection since the
-	// trace changed: by the split invariance of "Trace clock" that is the
-	// bits a refresh at any other instant gives.
+	// incumbent, and is stashed while it is within reach of it. A trace
+	// nothing was ever placed on has no baseline yet, and a stale one is
+	// refreshed here, at the first projection since the trace changed: by
+	// the split invariance of "Trace clock" that is the bits a refresh at
+	// any other instant gives.
 	try := func(e *indexEntry) (Prediction, bool) {
 		projected++
 		m.baselineLocked(e.tr)
-		p, err := project(candidateJob{cost: e.cost, clone: e.tr.liveClone(), baseline: e.tr.baseline.acquire()},
+		clone := e.tr.liveClone()
+		p, err := projectOnto(candidateJob{cost: e.cost, clone: clone, baseline: e.tr.baseline.acquire()},
 			id, spec, arrival, false)
 		if err != nil {
+			putSim(clone)
 			errs = append(errs, err)
 			return p, false
 		}
-		if v := obj.value(&p); v < incumbent {
+		v := obj.value(&p)
+		if v < incumbent {
 			incumbent = v
 		}
+		m.stash.keep(e.tr, e.cost, clone, p.Completion, v, incumbent+tie)
 		return p, true
 	}
 	kept := sc.kept[:0]
@@ -310,4 +316,122 @@ func (m *Manager) evaluateMinimizing(obj Objective, tie float64, id int, spec *t
 	sortByServer(out)
 	sc.put()
 	return out, errors.Join(errs...)
+}
+
+// passStash is what the last pruned pass projected for the candidates
+// within tie of its minimum, the only ones a Minimizer heuristic places
+// on, kept under Manager.mu for the Place that commits one of them: the
+// pass's spec, job id and arrival, and one entry per candidate. The pass
+// begins it afresh and keeps a projection only while its objective is
+// within tie of the incumbent, so it never holds more than the tie set of
+// one pass and the projections the incumbent has not yet ruled out.
+type passStash struct {
+	spec    *task.Spec
+	id      int
+	arrival float64
+	entries []stashEntry
+	// reach is the least incumbent plus tie the entries were trimmed to.
+	reach float64
+}
+
+// stashEntry is one candidate the pass projected, with its objective. On
+// a busy trace it is the run clone, taken at the trace's generation gen;
+// on an idle trace (tr nil) it is the class key and the new job's
+// completion date, +Inf if the projection lost it: every idle trace of the
+// class would project those bits (see "Pruning").
+type stashEntry struct {
+	tr         *serverTrace
+	gen        uint64
+	clone      *fluid.Sim
+	class      classKey
+	completion float64
+	value      float64
+}
+
+// begin empties the stash for a pass of job id with the given spec at the
+// given (clamped) arrival.
+func (st *passStash) begin(spec *task.Spec, id int, arrival float64) {
+	st.reset()
+	st.spec, st.id, st.arrival, st.reach = spec, id, arrival, math.Inf(1)
+}
+
+// reset empties the stash and hands its clones back to the pool.
+func (st *passStash) reset() {
+	for i := range st.entries {
+		if c := st.entries[i].clone; c != nil {
+			putSim(c)
+		}
+	}
+	clear(st.entries)
+	st.entries = st.entries[:0]
+	st.spec = nil
+}
+
+// keep stashes what the pass projected on tr, a candidate of the given
+// cost: the clone run to idle and the new job's completion, of objective
+// value. reach is the incumbent plus tie: a projection beyond it is never
+// placed on by a Minimizer heuristic, so it is not kept, and those the
+// incumbent has moved beyond are dropped.
+func (st *passStash) keep(tr *serverTrace, cost task.Cost, clone *fluid.Sim, completion, value, reach float64) {
+	if value > reach {
+		putSim(clone)
+		return
+	}
+	e := stashEntry{value: value}
+	if tr.busy {
+		e.tr, e.gen, e.clone = tr, tr.gen, clone
+	} else {
+		e.class, e.completion = classKey{cost: cost, mem: tr.mem}, completion
+		putSim(clone)
+	}
+	st.entries = append(st.entries, e)
+	if reach < st.reach {
+		st.trim(reach)
+	}
+}
+
+// trim drops the entries whose objective exceeds reach.
+func (st *passStash) trim(reach float64) {
+	st.reach = reach
+	kept := st.entries[:0]
+	for _, e := range st.entries {
+		if e.value <= reach {
+			kept = append(kept, e)
+		} else if e.clone != nil {
+			putSim(e.clone)
+		}
+	}
+	clear(st.entries[len(kept):])
+	st.entries = kept
+}
+
+// take returns, as a fresh baseline, what the pass projected for placing
+// job id with the given spec at the given (clamped) arrival on tr, a
+// candidate of the given cost that was idle before the placement, or nil
+// when the pass did not project exactly that. Called by Place after it
+// added the job and before it bumps the generation. A busy trace matches
+// on its generation: nothing has changed it since. An idle trace matches
+// on its class key, since it held no live job: any idle trace of the class
+// projects the same bits. The completion dates are the projection's own,
+// the bits a refresh of the placed trace computes.
+func (st *passStash) take(tr *serverTrace, idle bool, cost task.Cost, spec *task.Spec, id int, arrival float64) *baselineSet {
+	if st.spec != spec || st.id != id || st.arrival != arrival {
+		return nil
+	}
+	for i := range st.entries {
+		e := &st.entries[i]
+		switch {
+		case e.tr != nil && e.tr == tr && e.gen == tr.gen:
+			b := newBaselineSet()
+			completionsInto(e.clone, b.m)
+			return b
+		case e.tr == nil && idle && e.class == (classKey{cost: cost, mem: tr.mem}):
+			b := newBaselineSet()
+			if !math.IsInf(e.completion, 1) {
+				b.m[id] = e.completion
+			}
+			return b
+		}
+	}
+	return nil
 }

@@ -239,7 +239,9 @@ func WriteStats(w io.Writer, s agent.Stats) {
 // class could finish; near the busy count means the pass no longer
 // stops early (MSF, or a saturated pool). Name lookups and
 // index builds growing with the decision count mean the candidate index
-// is being bypassed or rebuilt per decision.
+// is being bypassed or rebuilt per decision. Baseline refreshes stay near
+// zero per HMCT or MSF decision, whose commit installs the projection the
+// pass made; about one per decision means the commits miss.
 func WriteEval(w io.Writer, st htm.EvalStats) {
 	p := &page{w: w}
 	p.sample("casched_htm_candidates_total", "counter", "Solvable candidate servers offered to HTM evaluation passes.", nil, float64(st.Candidates))
@@ -249,6 +251,7 @@ func WriteEval(w io.Writer, st htm.EvalStats) {
 	p.sample("casched_htm_bounded_total", "counter", "Busy server traces the pruned pass visited in CPU-free order before it stopped (every busy trace under MSF).", nil, float64(st.Bounded))
 	p.sample("casched_htm_name_lookups_total", "counter", "Candidates resolved by server name instead of through the candidate index.", nil, float64(st.NameLookups))
 	p.sample("casched_htm_index_builds_total", "counter", "Candidate-index builds (one per task type and pool membership).", nil, float64(st.IndexBuilds))
+	p.sample("casched_htm_baseline_refreshes_total", "counter", "Baseline projections of a server trace run because it changed since its baseline was taken (a placement the last pruned pass projected installs that projection instead).", nil, float64(st.Refreshes))
 }
 
 // relayNever is the MemberInfo sentinel for "no successful relay pull

@@ -32,7 +32,15 @@
 #                             traces the pruned pass visited) that
 #                             repeat from run to run, so they stay a
 #                             tight gate on hosted runners where ns/op
-#                             is loose.
+#                             is loose. refreshes/decision (the
+#                             baseline projections a decision runs, about
+#                             0 on the steady rows: the commit installs
+#                             the winner's projection) is gated the same
+#                             way above an absolute floor of 0.01, one
+#                             refresh per hundred decisions, since a row
+#                             that reads about 0 reads a stray refresh of
+#                             a trace's first projection as a large
+#                             relative change.
 #   BENCH_REQUIRE_ALL=1       fail when a baseline benchmark is absent
 #                             from the run (CI full runs; subset runs
 #                             via BENCH_PATTERN only warn)
@@ -80,7 +88,7 @@ if [[ ! -f benchmarks/baseline.txt ]]; then
 fi
 
 echo "==> comparing against benchmarks/baseline.txt" \
-     "(max regression ${MAX_PCT}% ns/op, ${MAX_ALLOC_PCT}% B/op+allocs/op+projections/decision+steps/decision+bounds/decision)"
+     "(max regression ${MAX_PCT}% ns/op, ${MAX_ALLOC_PCT}% B/op+allocs/op+projections/decision+steps/decision+bounds/decision+refreshes/decision)"
 awk -v max="${MAX_PCT}" -v maxAlloc="${MAX_ALLOC_PCT}" \
     -v requireAll="${BENCH_REQUIRE_ALL:-0}" '
     # Collect "BenchmarkName  N  T ns/op [B B/op] [A allocs/op]" lines
@@ -90,7 +98,7 @@ awk -v max="${MAX_PCT}" -v maxAlloc="${MAX_ALLOC_PCT}" \
     /^Benchmark/ && / ns\/op/ {
         name = $1
         sub(/-[0-9]+$/, "", name)
-        ns = ""; bytes = ""; allocs = ""; proj = ""; steps = ""; bounds = ""
+        ns = ""; bytes = ""; allocs = ""; proj = ""; steps = ""; bounds = ""; refresh = ""
         for (i = 2; i <= NF; i++) {
             if ($(i) == "ns/op")     ns = $(i-1)
             if ($(i) == "B/op")      bytes = $(i-1)
@@ -98,9 +106,10 @@ awk -v max="${MAX_PCT}" -v maxAlloc="${MAX_ALLOC_PCT}" \
             if ($(i) == "projections/decision") proj = $(i-1)
             if ($(i) == "steps/decision") steps = $(i-1)
             if ($(i) == "bounds/decision") bounds = $(i-1)
+            if ($(i) == "refreshes/decision") refresh = $(i-1)
         }
-        if (file == 1) { base[name] = ns; baseB[name] = bytes; baseA[name] = allocs; baseP[name] = proj; baseS[name] = steps; baseK[name] = bounds }
-        else           { latest[name] = ns; latestB[name] = bytes; latestA[name] = allocs; latestP[name] = proj; latestS[name] = steps; latestK[name] = bounds }
+        if (file == 1) { base[name] = ns; baseB[name] = bytes; baseA[name] = allocs; baseP[name] = proj; baseS[name] = steps; baseK[name] = bounds; baseR[name] = refresh }
+        else           { latest[name] = ns; latestB[name] = bytes; latestA[name] = allocs; latestP[name] = proj; latestS[name] = steps; latestK[name] = bounds; latestR[name] = refresh }
     }
     # worse(old, new, pct, floor) -> 1 when new regresses past the
     # allowance. A zero baseline admits no headroom at all: any growth
@@ -146,6 +155,10 @@ awk -v max="${MAX_PCT}" -v maxAlloc="${MAX_ALLOC_PCT}" \
             if (baseK[name] != "" && latestK[name] != "") {
                 counts = counts sprintf("  %s -> %s bounds/decision", baseK[name], latestK[name])
                 if (worse(baseK[name], latestK[name], maxAlloc, 0)) { tag = "BOUND"; status = 1 }
+            }
+            if (baseR[name] != "" && latestR[name] != "") {
+                counts = counts sprintf("  %s -> %s refreshes/decision", baseR[name], latestR[name])
+                if (worse(baseR[name], latestR[name], maxAlloc, 0.01)) { tag = "REFRESH"; status = 1 }
             }
             printf "%-8s %-60s %12.0f -> %12.0f ns/op (%+.1f%%)%s\n", \
                    tag, name, base[name], latest[name], pct, counts
