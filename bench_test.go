@@ -930,17 +930,25 @@ func BenchmarkAgentSubmitSteadySaturatedMSF128(b *testing.B) {
 // BenchmarkClusterSubmitSteady is the same contract through the
 // sharded dispatch layer: shards=1 degenerates to the single core
 // behind the dispatch bookkeeping, shards=4 adds the fan-out (every
-// shard evaluated in turn in the caller's goroutine, commit on the
-// winner).
-// Both must also read 0 allocs/op.
+// shard evaluated in turn in the caller's goroutine, each after the
+// first below the best score found so far, commit on the winner), under
+// HMCT and under MSF. Every row must read 0 allocs/op, and reports the
+// shards' projections and busy traces bounded per decision, the counts
+// the carried ceiling moves (benchSteadyCore).
 func BenchmarkClusterSubmitSteady(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d/servers=128", shards), func(b *testing.B) {
+	for _, row := range []struct {
+		heuristic string
+		shards    int
+	}{{"HMCT", 1}, {"HMCT", 4}, {"MSF", 4}} {
+		name := fmt.Sprintf("shards=%d/servers=128", row.shards)
+		if row.heuristic != "HMCT" {
+			name = row.heuristic + "/" + name
+		}
+		b.Run(name, func(b *testing.B) {
 			names, specs := largeTestbed(128)
 			cl, err := casched.NewCluster(
-				casched.WithShards(shards),
-				casched.WithHeuristic("HMCT"),
+				casched.WithShards(row.shards),
+				casched.WithHeuristic(row.heuristic),
 				casched.WithSeed(17),
 				casched.WithHTMWorkers(1),
 				casched.WithHTMRetention(steadyRetention),
@@ -952,9 +960,13 @@ func BenchmarkClusterSubmitSteady(b *testing.B) {
 			for _, name := range names {
 				cl.AddServer(name)
 			}
+			var before casched.HTMEvalStats
 			runSteady(b, specs, constGap(steadyDT), steadyWindow, steadyWarmup, cl.Submit, func(jobID int, server string, at float64) {
 				cl.Complete(jobID, server, at)
-			}, func() {})
+			}, func() { before = cl.EvalStats() })
+			after := cl.EvalStats()
+			b.ReportMetric(float64(after.Projections-before.Projections)/float64(b.N), "projections/decision")
+			b.ReportMetric(float64(after.Bounded-before.Bounded)/float64(b.N), "bounds/decision")
 		})
 	}
 }

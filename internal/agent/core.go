@@ -57,6 +57,10 @@ var ErrUnschedulable = errors.New("agent: no candidate server")
 // task's deadline, so accepting it would only add load it cannot repay.
 var ErrDeadlineUnmet = errors.New("agent: predicted completion exceeds deadline on every candidate")
 
+// ErrBeaten is returned, unwrapped, by EvaluateBelow when no candidate
+// of the core's could pass one of the given ceiling (htm.ErrBeaten).
+var ErrBeaten = htm.ErrBeaten
+
 // ErrThrottled is returned when the intake token bucket sheds a task:
 // the deployment's configured intake rate is exhausted.
 var ErrThrottled = errors.New("agent: intake rate limit exceeded")
@@ -281,6 +285,10 @@ type Core struct {
 	// exhaustive manager behind its batchCache, which reuses every
 	// prediction.
 	eval sched.Evaluator
+	// minimizer is eval as the manager's pruning view, and below its copy
+	// under EvaluateBelow's ceiling; minimizer is nil without an HTM.
+	minimizer *htm.Minimizer
+	below     htm.Minimizer
 	// ledger arbitrates multi-tenant batches (nil = fairness off);
 	// bucket gates raw intake (nil = unlimited); tenantLoad counts
 	// in-flight jobs per tenant for fairness-aware dispatch.
@@ -362,7 +370,9 @@ func New(cfg Config) (*Core, error) {
 			opts = append(opts, htm.WithRetention(cfg.HTMRetention))
 		}
 		c.htmMgr = htm.New(nil, opts...)
-		c.eval = sched.EvaluatorFor(cfg.Scheduler, c.htmMgr)
+		ev := sched.EvaluatorFor(cfg.Scheduler, c.htmMgr)
+		c.eval = ev
+		c.minimizer, _ = ev.(*htm.Minimizer)
 	} else {
 		c.candCache = make(map[*task.Spec][]string)
 	}
@@ -768,6 +778,9 @@ func (c *Core) evaluateLocked(req Request, ev sched.Evaluator) (Candidate, error
 	var out Candidate
 	if ss, ok := c.cfg.Scheduler.(sched.ScoredScheduler); ok {
 		choice, err := ss.ChooseScored(ctx)
+		if err == ErrBeaten {
+			return Candidate{}, err
+		}
 		if err != nil {
 			return Candidate{}, fmt.Errorf("agent: scheduling task %d: %w", req.TaskID, err)
 		}

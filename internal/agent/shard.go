@@ -43,6 +43,25 @@ func (c *Core) Evaluate(req Request) (Candidate, error) {
 	return c.evaluateLocked(req, c.eval)
 }
 
+// EvaluateBelow is Evaluate for a dispatcher that already holds a
+// candidate of Score ceiling from another core: the core's pruned pass
+// starts below that ceiling (htm.Minimizer.Below), so its candidates
+// that cannot come within reach of it are not projected. It returns
+// Evaluate's candidate, or ErrBeaten, unwrapped, when the least
+// objective among the core's candidates exceeds ceiling plus the
+// heuristic's tie tolerance: then nothing here can pass the ceiling's
+// candidate (see cluster.BetterCandidate). A heuristic that declares no
+// objective, or a core without an HTM, ignores the ceiling.
+func (c *Core) EvaluateBelow(req Request, ceiling float64) (Candidate, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.minimizer == nil {
+		return c.evaluateLocked(req, c.eval)
+	}
+	c.below = c.minimizer.Below(ceiling)
+	return c.evaluateLocked(req, &c.below)
+}
+
 // Commit commits a previously evaluated placement on this core:
 // HTM commit, prediction tracking, assignment correction, decision
 // event — exactly Submit's commit half. The server must still be

@@ -47,6 +47,38 @@
 //     WithBatchAssignment the routed shard additionally places the
 //     burst as true k-task min-cost waves instead of greedily.
 //
+// Ceiling. Since the shards are evaluated in order, each shard after
+// the first that produced a candidate is evaluated below the Score of
+// the best candidate so far — the one BetterCandidate's chain over the
+// earlier answers holds — by agent.Core.EvaluateBelow: its pruned pass
+// starts with an incumbent of ceiling + tie instead of +Inf
+// (htm.Minimizer.Below), so idle classes and busy traces that cannot
+// come within ceiling + 2·tie are never projected, and a shard whose
+// least objective m exceeds ceiling + tie answers agent.ErrBeaten, which
+// the dispatcher drops as it drops ErrUnschedulable. The winner is the
+// one a fan-out without ceilings picks:
+//
+//   - A shard with m ≤ ceiling + tie still projects every candidate
+//     within tie of m: its incumbent never falls below m, so each such
+//     candidate's bound, at most its objective, is within tie of it.
+//     Its answer is exact.
+//   - A shard with m > ceiling + tie has no candidate that passes the
+//     chain's best (BetterCandidate needs a Score within tie of it, or
+//     below), and a candidate that cannot replace the best leaves the
+//     rest of the chain as it was. So it can be left out.
+//   - One tie of reach would not do: BetterCandidate is not transitive
+//     within tie, and a shard's own answer is the tie-break among the
+//     candidates within tie of m, so a winner may sit up to 2·tie above
+//     the ceiling it was asked below.
+//
+// A commit refused after a shard was beaten re-runs the fan-out over the
+// shards that have not refused, as an epoch change does: the beaten
+// shard's own best was never asked for. Heuristics without an objective
+// (MP, MNI, the baselines, SubmitBatch's cache) ignore the ceiling. So
+// do federation members: a fan-out with any member behind a seam or a
+// wire runs concurrently and carries no ceiling, and agent.Request and
+// the member wire are unchanged.
+//
 // With one shard both paths degenerate exactly to the single core:
 // the parity test pins that a 1-shard Cluster reproduces
 // agent.Core's placement sequence decision for decision.
@@ -344,6 +376,7 @@ func (cl *Cluster) EvalStats() htm.EvalStats {
 		total.NameLookups += st.NameLookups
 		total.IndexBuilds += st.IndexBuilds
 		total.Refreshes += st.Refreshes
+		total.Beaten += st.Beaten
 	}
 	return total
 }

@@ -196,6 +196,8 @@ type memberState struct {
 	// seam): its load signals are read in place, it is evaluated inline
 	// and it is never refreshed, probed or evicted.
 	live liveSignals
+	// below is the member's belowEvaluator capability (nil without it).
+	below belowEvaluator
 
 	// Relay state (Config.Relay; all zero/nil otherwise). view is the
 	// near-fresh fold of the last summary plus relayed events plus
@@ -435,6 +437,7 @@ func (d *Dispatcher) setHandleLocked(ms *memberState, m Member) {
 	}
 	ms.m = m
 	ms.live, _ = m.(liveSignals)
+	ms.below, _ = m.(belowEvaluator)
 	if es, ok := m.(EventSource); ok {
 		ms.unsub = es.Subscribe(d.forward)
 	}
@@ -1045,10 +1048,12 @@ func (d *Dispatcher) submitRotateLocked(req agent.Request, live []int) (agent.De
 // took the dispatch lock while it was released (d.epoch moved): that
 // one may have placed a job the remaining candidates were not
 // evaluated against, so the fan-out is run again over the members that
-// have not refused this request (at most once per member). The member
-// handle is read before the lock is released and compared after, as
-// Report does: a rejoin may have swapped it, and the new process must
-// not inherit the old one's success or failure.
+// have not refused this request (at most once per member). It is run
+// again, too, when a member was beaten under a ceiling
+// (evaluateAllLocked): its own best was never asked for, and may be the
+// next-best. The member handle is read before the lock is released and
+// compared after, as Report does: a rejoin may have swapped it, and the
+// new process must not inherit the old one's success or failure.
 //
 // The error contract mirrors htm.Manager.EvaluateAll: as long as one
 // member produces a winner the decision commits — a member that cannot
@@ -1060,7 +1065,7 @@ func (d *Dispatcher) submitFanoutLocked(req agent.Request, sc *fanScratch) (agen
 	deadlineBlocked := false
 	var refused []int // members whose commit of this request failed
 	for len(live) > 0 {
-		blocked, evalErrs := d.evaluateAllLocked(req, live, sc)
+		blocked, beaten, evalErrs := d.evaluateAllLocked(req, live, sc)
 		results, remaining := sc.results, sc.remaining
 		errs = append(errs, evalErrs...)
 		deadlineBlocked = deadlineBlocked || blocked
@@ -1107,7 +1112,7 @@ func (d *Dispatcher) submitFanoutLocked(req agent.Request, sc *fanScratch) (agen
 			// the next-best candidate is safe.
 			remaining = append(remaining[:best], remaining[best+1:]...)
 			refused = append(refused, i)
-			exact = d.epoch == epoch
+			exact = d.epoch == epoch && !beaten
 		}
 		if exact {
 			break
@@ -1163,16 +1168,35 @@ type evaluated struct {
 // is left out (deadlineBlocked reports the latter: members do not emit
 // on Evaluate, so if all are blocked the dispatcher synthesizes the
 // shed); any other failure is returned and counted toward eviction.
-// Caller holds d.mu.
-func (d *Dispatcher) evaluateAllLocked(req agent.Request, live []int, sc *fanScratch) (deadlineBlocked bool, errs []error) {
+//
+// When every member is evaluated inline, each one after the first that
+// produced a candidate is evaluated below the Score of the best
+// candidate so far, the one BetterCandidate's chain over the earlier
+// answers holds (agent.Core.EvaluateBelow), and a member that answers
+// agent.ErrBeaten is left out too: none of its candidates could replace
+// that best one, so leaving it out leaves the chain's winner as it was
+// (the package doc's "Ceiling" paragraph has the argument). beaten
+// reports that some member was left out this way, so the other
+// candidates are no longer all the runners-up. Caller holds d.mu.
+func (d *Dispatcher) evaluateAllLocked(req agent.Request, live []int, sc *fanScratch) (deadlineBlocked, beaten bool, errs []error) {
 	res := append(sc.results[:0], make([]evaluated, len(live))...)
 	var seamed *sync.WaitGroup
 	if d.seamed.Load() > 0 {
 		seamed = d.startSeamedLocked(req, live, res)
 	}
+	best := -1
 	for k, i := range live {
-		if ms := d.members[i]; ms.live != nil {
+		ms := d.members[i]
+		switch {
+		case ms.live == nil:
+			continue
+		case best >= 0 && seamed == nil && ms.below != nil:
+			res[k].cand, res[k].err = ms.below.EvaluateBelow(req, res[best].cand.Score)
+		default:
 			res[k].cand, res[k].err = ms.m.Evaluate(req)
+		}
+		if res[k].err == nil && (best < 0 || BetterCandidate(res[k].cand, res[best].cand)) {
+			best = k
 		}
 	}
 	if seamed != nil {
@@ -1183,6 +1207,8 @@ func (d *Dispatcher) evaluateAllLocked(req agent.Request, live []int, sc *fanScr
 		switch {
 		case r.err == nil:
 			remaining = append(remaining, k)
+		case r.err == agent.ErrBeaten:
+			beaten = true
 		case errors.Is(r.err, agent.ErrDeadlineUnmet):
 			// A per-member exclusion, like ErrUnschedulable: another
 			// member's partition may still meet the deadline.
@@ -1193,7 +1219,7 @@ func (d *Dispatcher) evaluateAllLocked(req agent.Request, live []int, sc *fanScr
 		}
 	}
 	sc.results, sc.remaining = res, remaining
-	return deadlineBlocked, errs
+	return deadlineBlocked, beaten, errs
 }
 
 // startSeamedLocked starts Evaluate on every listed member behind a

@@ -119,6 +119,15 @@ type liveSignals interface {
 	MinProjectedReady() (float64, bool)
 }
 
+// belowEvaluator is the optional capability of members that can be
+// asked to evaluate below a ceiling: agent.Core.EvaluateBelow, in the
+// dispatcher's address space. The fan-out uses it only when every member
+// is evaluated inline, in order (evaluateAllLocked); a wire carries no
+// ceiling.
+type belowEvaluator interface {
+	EvaluateBelow(req agent.Request, ceiling float64) (agent.Candidate, error)
+}
+
 // shard is the always-fresh member: an InProcess whose signals the
 // dispatcher reads live (liveSignals).
 type shard struct{ *InProcess }
@@ -162,6 +171,13 @@ func (m *InProcess) CanSolve(spec *task.Spec) (bool, error) {
 
 func (m *InProcess) Evaluate(req agent.Request) (agent.Candidate, error) {
 	return m.core.Evaluate(req)
+}
+
+// EvaluateBelow is Evaluate below the score of the best candidate the
+// fan-out already holds (agent.Core.EvaluateBelow): the dispatcher's
+// belowEvaluator capability, which only the in-process member has.
+func (m *InProcess) EvaluateBelow(req agent.Request, ceiling float64) (agent.Candidate, error) {
+	return m.core.EvaluateBelow(req, ceiling)
 }
 
 func (m *InProcess) Commit(req agent.Request, server string) (agent.Decision, error) {

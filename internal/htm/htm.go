@@ -84,6 +84,29 @@
 // projection and is not part of the contract. Heuristic code, scores,
 // tie-breaks, random draws and placements are therefore unchanged.
 //
+// The ceiling. A caller that already holds a candidate of score c from
+// another partition of the pool (a sharded fan-out evaluating its shards
+// in order) asks Minimizer.Below(c): the pass starts with an incumbent of
+// c + tie instead of +Inf, so its reach, incumbent + tie, is at most
+// c + 2·tie from the start, and it answers ErrBeaten, with no
+// prediction, when its least projected objective exceeds c + tie. Let m
+// be the least objective among the candidates. If m ≤ c + tie, the
+// minimiser's bound is within reach, so it is projected, the incumbent
+// never falls below m, and every candidate within tie of m has a bound
+// within tie of every incumbent: the contract above holds, and the
+// answer is the plain pass's. If m > c + tie, every projection exceeds
+// c + tie and the answer is ErrBeaten; no candidate here scores within
+// tie of c, so none can pass the caller's under a tie-tolerant
+// comparison (cluster.BetterCandidate). One tie of reach would not be
+// enough: the heuristic's winner is its tie-break among the candidates
+// within tie of m, so it may sit up to 2·tie above c, and that
+// comparison is not transitive within tie, so such a winner can still
+// pass the caller's candidate. A candidate whose projection failed
+// passes nothing. TestMinimizerBelowContract checks both answers on
+// generated traces, at the heuristics' tie and at one large enough that
+// the bound's slack does not hide the reach. EvalStats.Beaten counts the
+// ErrBeaten answers. A ceiling means nothing to NoObjective.
+//
 // The pass costs O(idle classes + busy traces it visits), not O(pool).
 // The idle candidates are never visited one by one: the candidate index
 // groups a spec's entries into classes by everything the projection of
@@ -609,8 +632,10 @@ type Manager struct {
 	// builds.
 	nameLookups atomic.Uint64
 	indexBuilds atomic.Uint64
-	// refreshes counts the baseline projections run.
+	// refreshes counts the baseline projections run; beaten the pruned
+	// passes that answered ErrBeaten under a ceiling.
 	refreshes atomic.Uint64
+	beaten    atomic.Uint64
 }
 
 // New constructs a Manager tracking the given servers. Unknown server
@@ -739,6 +764,11 @@ type EvalStats struct {
 	// as the baseline instead (see "Evaluation core"), so a steady
 	// HMCT or MSF decision refreshes almost none.
 	Refreshes uint64
+	// Beaten counts the pruned passes run below a ceiling (Minimizer.Below)
+	// that answered ErrBeaten: nothing they could find would pass the
+	// candidate the ceiling came from. A sharded decision asks each shard
+	// after the first below the best score found so far (see "Pruning").
+	Beaten uint64
 }
 
 // EvalStats returns the evaluation counters.
@@ -752,6 +782,7 @@ func (m *Manager) EvalStats() EvalStats {
 		NameLookups: m.nameLookups.Load(),
 		IndexBuilds: m.indexBuilds.Load(),
 		Refreshes:   m.refreshes.Load(),
+		Beaten:      m.beaten.Load(),
 	}
 }
 

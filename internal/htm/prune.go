@@ -43,17 +43,39 @@ func (o Objective) value(p *Prediction) float64 {
 // within Tie of the minimum — all such a heuristic reads — and skips
 // the projection of candidates proven unable to be among them. With
 // NoObjective it is the exhaustive evaluation. Everything else is the
-// embedded Manager's.
+// embedded Manager's. Construct it with Manager.Minimizing.
 type Minimizer struct {
 	*Manager
 	Objective Objective
 	Tie       float64
+	// ceiling is the score of a candidate the caller already holds from
+	// elsewhere, +Inf for none (see Below).
+	ceiling float64
 }
+
+// ErrBeaten is what a Minimizer's EvaluateAll family answers below a
+// ceiling (Minimizer.Below) when the least objective among the
+// candidates exceeds ceiling + Tie. It is returned as is, never wrapped,
+// so that a dispatcher compares it without allocating.
+var ErrBeaten = errors.New("htm: no candidate within tie of the ceiling")
 
 // Minimizing returns the evaluation surface for a heuristic minimising
 // obj with tie tolerance tie.
 func (m *Manager) Minimizing(obj Objective, tie float64) *Minimizer {
-	return &Minimizer{Manager: m, Objective: obj, Tie: tie}
+	return &Minimizer{Manager: m, Objective: obj, Tie: tie, ceiling: math.Inf(1)}
+}
+
+// Below returns z under a ceiling: the score of the best candidate a
+// caller already holds from another partition of the pool. Its pass
+// starts with an incumbent of ceiling + Tie instead of +Inf, so it
+// projects nothing whose bound exceeds ceiling + 2·Tie, and it answers
+// ErrBeaten, with no prediction, when the least objective among the
+// candidates exceeds ceiling + Tie. Otherwise its result is z's (see
+// "Pruning"). With NoObjective the ceiling is ignored.
+func (z *Minimizer) Below(ceiling float64) Minimizer {
+	b := *z
+	b.ceiling = ceiling
+	return b
 }
 
 // EvaluateAll is EvaluateAllInto with a fresh result slice.
@@ -64,12 +86,13 @@ func (z *Minimizer) EvaluateAll(id int, spec *task.Spec, arrival float64, candid
 // EvaluateAllInto is Manager.EvaluateAllInto restricted to the
 // candidates that can still win. The error contract is the Manager's,
 // except that a candidate pruned before it was projected is never
-// evaluated, so its evaluation error, if it had one, is not reported.
+// evaluated, so its evaluation error, if it had one, is not reported,
+// and that below a ceiling the answer may be ErrBeaten.
 func (z *Minimizer) EvaluateAllInto(id int, spec *task.Spec, arrival float64, candidates []string, out []Prediction) ([]Prediction, error) {
 	if z.Objective == NoObjective {
 		return z.Manager.EvaluateAllInto(id, spec, arrival, candidates, out)
 	}
-	return z.Manager.evaluateMinimizing(z.Objective, z.Tie, id, spec, arrival, candidates, out)
+	return z.Manager.evaluateMinimizing(z.Objective, z.Tie, z.ceiling, id, spec, arrival, candidates, out)
 }
 
 // lowerBound returns a value the objective of placing a job of the
@@ -173,8 +196,10 @@ type candidateBound struct {
 
 // evaluateMinimizing is the pruned evaluation pass, under one lock
 // acquisition. The incumbent is the least objective projected so far,
-// +Inf until a projection succeeds, and whatever has a bound strictly
-// above the incumbent plus tie is skipped. When the list is the index's
+// or ceiling + tie if that is less (+Inf without a ceiling), and
+// whatever has a bound strictly above the incumbent plus tie is
+// skipped. A pass whose least projected objective exceeds ceiling + tie
+// answers ErrBeaten. When the list is the index's
 // own, the idle candidates come first, by class in order of idle flow: a
 // class is bounded over no live job and projected once, on its first idle
 // member, and the prediction is copied under the name of each other idle
@@ -191,7 +216,7 @@ type candidateBound struct {
 // incumbent has come within its bound. Projections run under the lock and
 // one after the other — WithWorkers applies to the exhaustive pass only —
 // since each decides whether the next is needed.
-func (m *Manager) evaluateMinimizing(obj Objective, tie float64, id int, spec *task.Spec, arrival float64, candidates []string, out []Prediction) ([]Prediction, error) {
+func (m *Manager) evaluateMinimizing(obj Objective, tie, ceiling float64, id int, spec *task.Spec, arrival float64, candidates []string, out []Prediction) ([]Prediction, error) {
 	sc := scratchPool.Get().(*evalScratch)
 	m.mu.Lock()
 	arrival = m.advanceLocked(arrival)
@@ -200,7 +225,8 @@ func (m *Manager) evaluateMinimizing(obj Objective, tie float64, id int, spec *t
 		errs    []error
 	)
 	out = out[:0]
-	incumbent, offered, projected, replicated, visited := math.Inf(1), 0, 0, 0, 0
+	incumbent, least := ceiling+tie, math.Inf(1)
+	offered, projected, replicated, visited := 0, 0, 0, 0
 	m.stash.begin(spec, id, arrival)
 	// try projects one candidate; only a successful projection makes an
 	// incumbent, and is stashed while it is within reach of it. A trace
@@ -220,6 +246,9 @@ func (m *Manager) evaluateMinimizing(obj Objective, tie float64, id int, spec *t
 			return p, false
 		}
 		v := obj.value(&p)
+		if v < least {
+			least = v
+		}
 		if v < incumbent {
 			incumbent = v
 		}
@@ -313,8 +342,14 @@ func (m *Manager) evaluateMinimizing(obj Objective, tie float64, id int, spec *t
 	m.projected.Add(uint64(projected))
 	m.replicated.Add(uint64(replicated))
 	m.bounded.Add(uint64(visited))
-	sortByServer(out)
 	sc.put()
+	if least > ceiling+tie {
+		// Nothing here passes the candidate the ceiling came from, and a
+		// candidate that failed to project passes nothing.
+		m.beaten.Add(1)
+		return out[:0], ErrBeaten
+	}
+	sortByServer(out)
 	return out, errors.Join(errs...)
 }
 

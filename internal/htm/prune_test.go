@@ -165,6 +165,12 @@ func (c pruneCase) midPhase() (states [task.NumPhases]bool) {
 // prediction bit-identical to the exhaustive one, and every candidate
 // whose objective is within the tie tolerance of the minimum present.
 func meetsContract(obj Objective, full, pruned []Prediction) error {
+	return meetsContractTie(obj, pruneTie, full, pruned)
+}
+
+// meetsContractTie is meetsContract for a pass run with tie tolerance
+// tie.
+func meetsContractTie(obj Objective, tie float64, full, pruned []Prediction) error {
 	best := math.Inf(1)
 	byServer := make(map[string]Prediction, len(full))
 	for _, p := range full {
@@ -182,7 +188,7 @@ func meetsContract(obj Objective, full, pruned []Prediction) error {
 		kept[p.Server] = true
 	}
 	for _, p := range full {
-		if obj.value(&p) <= best+pruneTie && !kept[p.Server] {
+		if obj.value(&p) <= best+tie && !kept[p.Server] {
 			return fmt.Errorf("objective %d: %s is within the tie tolerance of the minimum %.12g but was pruned (%+v)", obj, p.Server, best, p)
 		}
 	}

@@ -304,6 +304,11 @@ func predictAll(ctx *Context) ([]htm.Prediction, error) {
 		preds, err = ctx.HTM.EvaluateAll(ctx.JobID, ctx.Task.Spec, ctx.Now, ctx.Candidates)
 	}
 	if len(preds) == 0 {
+		if err == htm.ErrBeaten {
+			// Below a ceiling (htm.Minimizer.Below) no candidate can win:
+			// returned as is, the caller compares it without allocating.
+			return nil, err
+		}
 		if err != nil {
 			return nil, fmt.Errorf("sched: every candidate evaluation failed: %w", err)
 		}

@@ -25,7 +25,10 @@
 #                             ignored as runtime noise. The custom
 #                             projections/decision, steps/decision and
 #                             bounds/decision columns (the steady core
-#                             rows) are gated at the same percentage
+#                             rows; projections and bounds summed over
+#                             the shards on the steady cluster rows,
+#                             which the carried ceiling moves) are
+#                             gated at the same percentage
 #                             where both files report them: they are
 #                             counts of the HTM's work (candidates
 #                             projected, traces the clock stepped, busy
