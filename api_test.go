@@ -378,7 +378,6 @@ func TestPublicAPIFederation(t *testing.T) {
 		casched.WithFedHeuristic("hmct"),
 		casched.WithFedPolicy(casched.LeastLoadedShardPolicy()),
 		casched.WithFedSeed(3),
-		casched.WithFedHTMWorkers(1),
 	)
 	if err != nil {
 		t.Fatal(err)

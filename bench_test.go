@@ -439,7 +439,7 @@ func largeTestbed(n int) ([]string, []*casched.Spec) {
 // largeTrace returns an HTM whose live trace holds nTasks placed tasks
 // on a testbed of nServers servers, under inhomogeneous-Poisson
 // arrivals, plus the evaluation probe (spec and arrival date).
-func largeTrace(b *testing.B, nServers, nTasks, workers int) (*casched.HTM, []string, *casched.Spec, float64) {
+func largeTrace(b *testing.B, nServers, nTasks int) (*casched.HTM, []string, *casched.Spec, float64) {
 	b.Helper()
 	names, specs := largeTestbed(nServers)
 	sc := casched.PoissonBurstScenario(nTasks, 5, 17)
@@ -448,7 +448,7 @@ func largeTrace(b *testing.B, nServers, nTasks, workers int) (*casched.HTM, []st
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := casched.NewHTM(names, casched.HTMWithWorkers(workers))
+	m := casched.NewHTM(names)
 	for i, t := range mt.Tasks {
 		if err := m.Place(t.ID, t.Spec, t.Arrival, names[i%len(names)]); err != nil {
 			b.Fatal(err)
@@ -462,14 +462,13 @@ func largeTrace(b *testing.B, nServers, nTasks, workers int) (*casched.HTM, []st
 // evaluation paths against each other at large-testbed scale (32
 // servers, 2000 placed tasks): the seed's per-candidate full replay
 // (two projections per server per decision, nothing cached) versus the
-// incremental core (cached baselines, copy-on-write clones, worker
-// fan-out). The ns/op ratio between the sub-benchmarks is the
-// per-decision speedup.
+// incremental core (cached baselines, copy-on-write clones). The ns/op
+// ratio between the sub-benchmarks is the per-decision speedup.
 func BenchmarkEvaluateAllLargeTestbed(b *testing.B) {
 	const nServers, nTasks = 32, 2000
 	const probeID = 9_999_999
 	b.Run("full-replay-sequential", func(b *testing.B) {
-		m, names, spec, at := largeTrace(b, nServers, nTasks, 1)
+		m, names, spec, at := largeTrace(b, nServers, nTasks)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, s := range names {
@@ -480,16 +479,7 @@ func BenchmarkEvaluateAllLargeTestbed(b *testing.B) {
 		}
 	})
 	b.Run("incremental", func(b *testing.B) {
-		m, names, spec, at := largeTrace(b, nServers, nTasks, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.EvaluateAll(probeID, spec, at, names); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("incremental-concurrent", func(b *testing.B) {
-		m, names, spec, at := largeTrace(b, nServers, nTasks, 0)
+		m, names, spec, at := largeTrace(b, nServers, nTasks)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := m.EvaluateAll(probeID, spec, at, names); err != nil {
@@ -734,6 +724,7 @@ func newMatchedBenchCore(b *testing.B, names []string) *casched.AgentCore {
 // (the quality side is benchmarks/batch-comparison.txt).
 func BenchmarkAgentSubmitBatchMatched(b *testing.B) {
 	names, batches := agentBenchBatches(b, agentBenchTasks, 16)
+	var work casched.HTMEvalStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -744,8 +735,10 @@ func BenchmarkAgentSubmitBatchMatched(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		addEvalStats(&work, core.EvalStats())
 	}
 	b.ReportMetric(float64(agentBenchTasks)*float64(b.N)/b.Elapsed().Seconds(), "decisions/s")
+	reportBatchWork(b, work)
 }
 
 // BenchmarkAssignSolve measures the bare min-cost assignment solver on
@@ -996,6 +989,7 @@ func newBenchCluster(b *testing.B, names []string, shards int) *casched.Cluster 
 // BenchmarkClusterSubmitBatch scaling curves are measured against.
 func BenchmarkAgentSubmitBatch128(b *testing.B) {
 	names, batches := benchBatches(b, 128, agentBenchTasks, 16)
+	var work casched.HTMEvalStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -1006,24 +1000,48 @@ func BenchmarkAgentSubmitBatch128(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		addEvalStats(&work, core.EvalStats())
 	}
 	b.ReportMetric(float64(agentBenchTasks)*float64(b.N)/b.Elapsed().Seconds(), "decisions/s")
+	reportBatchWork(b, work)
+}
+
+// addEvalStats adds the counts reportBatchWork reads from one
+// deployment's HTM counters to a running total.
+func addEvalStats(total *casched.HTMEvalStats, st casched.HTMEvalStats) {
+	total.Projections += st.Projections
+	total.Reused += st.Reused
+	total.Refreshes += st.Refreshes
+}
+
+// reportBatchWork reports, per decision of a batch benchmark's runs, the
+// candidates the HTM projected, those its memo served instead (a burst's
+// later members, whose candidates nothing changed) and the baselines it
+// refreshed (a winner the memo served has no projection to install).
+func reportBatchWork(b *testing.B, work casched.HTMEvalStats) {
+	decisions := float64(agentBenchTasks) * float64(b.N)
+	b.ReportMetric(float64(work.Projections)/decisions, "projections/decision")
+	b.ReportMetric(float64(work.Reused)/decisions, "reused/decision")
+	b.ReportMetric(float64(work.Refreshes)/decisions, "refreshes/decision")
 }
 
 // BenchmarkClusterSubmitBatch measures the sharded dispatch layer's
 // throughput path across shard counts and testbed sizes: every burst
 // routes to the least-loaded eligible shard and pipelines through that
-// shard's batch prediction cache, so per-burst evaluation cost scales
-// with the shard's candidate set instead of the whole pool. shards=1
-// is the dispatch layer degenerated to the single core (its overhead
-// floor); the decisions/s ratio to BenchmarkAgentSubmitBatch128 (or
-// the 32-server BenchmarkAgentSubmitBatch) is the sharding speedup.
+// shard's pruned pass, whose memo serves a burst's later members the
+// servers the placements before them left unchanged. shards=1 is the
+// dispatch layer degenerated to the single core (its overhead floor);
+// the decisions/s ratio to BenchmarkAgentSubmitBatch128 (or the
+// 32-server BenchmarkAgentSubmitBatch) is the sharding speedup. Each row
+// reports the HTM work per decision, summed over the shards
+// (reportBatchWork).
 func BenchmarkClusterSubmitBatch(b *testing.B) {
 	for _, nServers := range []int{32, 128} {
 		for _, shards := range []int{1, 2, 4, 8} {
 			nServers, shards := nServers, shards
 			b.Run(fmt.Sprintf("shards=%d/servers=%d", shards, nServers), func(b *testing.B) {
 				names, batches := benchBatches(b, nServers, agentBenchTasks, 16)
+				var work casched.HTMEvalStats
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
@@ -1034,8 +1052,10 @@ func BenchmarkClusterSubmitBatch(b *testing.B) {
 							b.Fatal(err)
 						}
 					}
+					addEvalStats(&work, cl.EvalStats())
 				}
 				b.ReportMetric(float64(agentBenchTasks)*float64(b.N)/b.Elapsed().Seconds(), "decisions/s")
+				reportBatchWork(b, work)
 			})
 		}
 	}
@@ -1147,8 +1167,8 @@ func BenchmarkFedSubmitRelay(b *testing.B) {
 
 // BenchmarkFedSubmitBatch measures the federated hierarchical batch
 // path: bursts routed by power-of-two-choices over summary-backed
-// backlog scores to one member's batch prediction cache — the
-// cluster's throughput path behind the transport seam.
+// backlog scores to one member's core — the cluster's throughput path
+// behind the transport seam.
 func BenchmarkFedSubmitBatch(b *testing.B) {
 	names, batches := benchBatches(b, 32, agentBenchTasks, 16)
 	b.ResetTimer()

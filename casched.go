@@ -186,7 +186,7 @@ var ErrThrottled = agent.ErrThrottled
 // observability.
 //
 // The configuration struct may be refined with the same functional
-// options NewCluster takes (WithHeuristic, WithSeed, WithHTMWorkers,
+// options NewCluster takes (WithHeuristic, WithSeed, WithHTMRetention,
 // ...); cluster-only options (WithShards above 1, WithShardPolicy)
 // are rejected.
 func NewAgentCore(cfg AgentCoreConfig, opts ...ClusterOption) (*AgentCore, error) {
@@ -243,9 +243,10 @@ func WithHeuristic(name string) ClusterOption { return cluster.WithHeuristic(nam
 // WithSeed seeds decision randomness (tie-breaking, Random).
 func WithSeed(seed uint64) ClusterOption { return cluster.WithSeed(seed) }
 
-// WithHTMWorkers bounds each shard's HTM candidate-evaluation worker
-// pool (0 = GOMAXPROCS).
-func WithHTMWorkers(n int) ClusterOption { return cluster.WithHTMWorkers(n) }
+// WithHTMWorkers is ignored: each shard's HTM evaluates candidates one
+// after the other under its lock. It remains so that existing callers
+// compile.
+func WithHTMWorkers(int) ClusterOption { return func(*cluster.Config) {} }
 
 // WithHTMRetention bounds each shard's HTM trace history to the given
 // number of experiment seconds; zero keeps the unbounded paper
@@ -427,9 +428,6 @@ func WithFedPolicy(p ShardPolicy) FederationOption { return fed.WithPolicy(p) }
 
 // WithFedSeed seeds member decision randomness and routing sampling.
 func WithFedSeed(seed uint64) FederationOption { return fed.WithSeed(seed) }
-
-// WithFedHTMWorkers bounds each member core's HTM worker pool.
-func WithFedHTMWorkers(n int) FederationOption { return fed.WithHTMWorkers(n) }
 
 // WithFedHTMSync enables HTM↔execution synchronization on members.
 func WithFedHTMSync(on bool) FederationOption { return fed.WithHTMSync(on) }
@@ -741,10 +739,6 @@ func HTMWithSync() htm.Option { return htm.WithSync() }
 
 // HTMWithMemoryModel makes the HTM model server memory.
 func HTMWithMemoryModel() htm.Option { return htm.WithMemoryModel() }
-
-// HTMWithWorkers bounds the HTM's candidate-evaluation worker pool
-// (0 = GOMAXPROCS).
-func HTMWithWorkers(n int) htm.Option { return htm.WithWorkers(n) }
 
 // HTMWithRetention bounds the HTM's completed-record history to a
 // sliding window (seconds of trace time): months-long deployments keep

@@ -4,8 +4,7 @@
 // The example builds a pool of three hardware classes, partitions it
 // across 4 shards with the class-affinity policy, streams bursty
 // arrivals through SubmitBatch (hierarchical routing: each burst goes
-// to the least-loaded shard and pipelines through its batch prediction
-// cache), feeds completions back at their predicted dates, exercises
+// to the least-loaded shard and pipelines through its core), feeds completions back at their predicted dates, exercises
 // live membership with rebalancing, and reads everything off a
 // StatsCollector subscribed to the merged stream.
 package main

@@ -2,105 +2,12 @@ package agent
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
-	"casched/internal/htm"
 	"casched/internal/sched"
 	"casched/internal/task"
 )
-
-// flakyEvaluator wraps a real HTM evaluation surface and fails every
-// candidate whose name is in failing — simulating a transient
-// per-server evaluation error (collapsed trace, racing membership).
-type flakyEvaluator struct {
-	m       *htm.Manager
-	failing map[string]bool
-	calls   map[string]int
-}
-
-func (f *flakyEvaluator) EvaluateAll(id int, spec *task.Spec, arrival float64, candidates []string) ([]htm.Prediction, error) {
-	var healthy []string
-	var errs []error
-	for _, s := range candidates {
-		f.calls[s]++
-		if f.failing[s] {
-			errs = append(errs, fmt.Errorf("flaky: %s unavailable", s))
-			continue
-		}
-		healthy = append(healthy, s)
-	}
-	var preds []htm.Prediction
-	if len(healthy) > 0 {
-		var err error
-		preds, err = f.m.EvaluateAll(id, spec, arrival, healthy)
-		if err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return preds, errors.Join(errs...)
-}
-
-func (f *flakyEvaluator) ProjectedReady(server string) (float64, bool) {
-	return f.m.ProjectedReady(server)
-}
-
-// TestBatchCacheTransientErrorNotPoisoned is the regression test for
-// the error-poisoning bug: when EvaluateAll fails for some candidates,
-// those candidates must NOT be cached as "known insolvable" — a later
-// batch member has to re-probe them once they recover.
-func TestBatchCacheTransientErrorNotPoisoned(t *testing.T) {
-	m := htm.New([]string{"s1", "s2"})
-	f := &flakyEvaluator{m: m, failing: map[string]bool{"s1": true}, calls: map[string]int{}}
-	bc := newBatchCache(f)
-	spec := twoServerSpec(10, 100)
-
-	// First pass: s1 fails transiently, s2 evaluates. The partial
-	// result suppresses the error (mirroring htm.Manager.EvaluateAll).
-	preds, err := bc.EvaluateAll(1, spec, 0, []string{"s1", "s2"})
-	if err != nil || len(preds) != 1 || preds[0].Server != "s2" {
-		t.Fatalf("first pass: preds %v, err %v", preds, err)
-	}
-
-	// s1 recovers; the next batch member must see it again. Before the
-	// fix the nil marker recorded on the failed pass hid s1 forever.
-	f.failing["s1"] = false
-	preds, err = bc.EvaluateAll(2, spec, 0, []string{"s1", "s2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(preds) != 2 {
-		t.Fatalf("after recovery preds = %v, want both servers (s1 poisoned as insolvable?)", preds)
-	}
-	// s2 was served from the cache: exactly one underlying probe.
-	if f.calls["s2"] != 1 {
-		t.Errorf("s2 probed %d times, want 1 (cache)", f.calls["s2"])
-	}
-	if f.calls["s1"] != 2 {
-		t.Errorf("s1 probed %d times, want 2 (retry after transient failure)", f.calls["s1"])
-	}
-}
-
-// TestBatchCacheInsolvableStillCached pins the flip side: on a fully
-// successful pass, genuinely insolvable servers ARE remembered and not
-// re-probed for later batch members.
-func TestBatchCacheInsolvableStillCached(t *testing.T) {
-	m := htm.New([]string{"s1", "s2", "s3"})
-	f := &flakyEvaluator{m: m, failing: map[string]bool{}, calls: map[string]int{}}
-	bc := newBatchCache(f)
-	spec := twoServerSpec(10, 100) // s3 cannot solve it
-
-	for pass := 0; pass < 3; pass++ {
-		preds, err := bc.EvaluateAll(pass, spec, 0, []string{"s1", "s2", "s3"})
-		if err != nil || len(preds) != 2 {
-			t.Fatalf("pass %d: preds %v, err %v", pass, preds, err)
-		}
-	}
-	if f.calls["s3"] != 1 {
-		t.Errorf("insolvable s3 probed %d times, want 1", f.calls["s3"])
-	}
-}
 
 // TestSubmitBatchMatchedSpreadsContendedBurst pins the tentpole
 // end-to-end: under matched assignment a simultaneous burst spreads

@@ -80,8 +80,8 @@ type Config struct {
 	HTMSync bool
 	// HTMMemory makes the HTM model server memory (§7 extension).
 	HTMMemory bool
-	// HTMWorkers bounds the HTM's candidate-evaluation worker pool
-	// (0 = GOMAXPROCS).
+	// HTMWorkers is ignored: the HTM evaluates candidates one after the
+	// other under its lock. It remains so that existing callers compile.
 	HTMWorkers int
 	// HTMRetention bounds the HTM trace history (htm.WithRetention):
 	// completed-job records older than this many experiment seconds are
@@ -279,11 +279,11 @@ type Core struct {
 	jobs        map[int]jobMeta // jobID -> task/attempt; evicted on completion
 	subs        map[int]func(Event)
 	nextSub     int
-	// eval is the HTM surface single decisions hand the heuristic: the
-	// manager's pruning view for the objective the heuristic declares
-	// (sched.EvaluatorFor); nil without an HTM. SubmitBatch keeps the
-	// exhaustive manager behind its batchCache, which reuses every
-	// prediction.
+	// eval is the HTM surface Submit and the greedy and fair batch paths
+	// hand the heuristic: the manager's pruning view for the objective the
+	// heuristic declares (sched.EvaluatorFor); nil without an HTM. A burst's
+	// later members are served from the HTM's memo where their candidates
+	// are unchanged; the matched batch path reads the exhaustive manager.
 	eval sched.Evaluator
 	// minimizer is eval as the manager's pruning view, and below its copy
 	// under EvaluateBelow's ceiling; minimizer is nil without an HTM.
@@ -359,7 +359,7 @@ func New(cfg Config) (*Core, error) {
 		}
 	}
 	if c.useHTM {
-		opts := []htm.Option{htm.WithWorkers(cfg.HTMWorkers)}
+		var opts []htm.Option
 		if cfg.HTMSync {
 			opts = append(opts, htm.WithSync())
 		}
@@ -498,7 +498,7 @@ func (c *Core) Submit(req Request) (Decision, error) {
 		c.shedLocked(req, ShedThrottled)
 		return Decision{}, fmt.Errorf("agent: job %d: %w", req.JobID, ErrThrottled)
 	}
-	d, err := c.submitLocked(req, c.eval)
+	d, err := c.submitLocked(req)
 	if errors.Is(err, ErrDeadlineUnmet) {
 		c.shedLocked(req, ShedDeadline)
 	}
@@ -506,10 +506,11 @@ func (c *Core) Submit(req Request) (Decision, error) {
 }
 
 // SubmitBatch pipelines k simultaneous arrivals through one lock
-// acquisition and one HTM evaluation pass: candidate predictions are
-// evaluated once per distinct (spec, arrival) and reused across the
-// batch, re-evaluating only the server that received the previous
-// placement — its trace is the only one that changed.
+// acquisition. Each member goes through the pass Submit uses, and the
+// HTM serves a candidate from its memo when the candidate's trace has not
+// changed since its last projection at the same arrival, so a burst's
+// later members project little more than the server the previous
+// placement changed.
 //
 // By default decisions are identical to submitting the requests one by
 // one (the reuse is exact: a server's prediction depends only on its
@@ -533,22 +534,16 @@ func (c *Core) Submit(req Request) (Decision, error) {
 func (c *Core) SubmitBatch(reqs []Request) ([]Decision, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var ev sched.Evaluator
-	var cache *batchCache
-	if c.htmMgr != nil {
-		cache = newBatchCache(c.htmMgr)
-		ev = cache
-	}
 	live, keep, shedErrs := IntakeGate(c.bucket, reqs, c.shedLocked, "agent")
 	var decs []Decision
 	var err error
 	switch {
 	case c.ledger != nil && multiTenant(live):
-		decs, err = c.submitBatchFairLocked(live, ev, cache)
+		decs, err = c.submitBatchFairLocked(live)
 	case c.batch != nil:
-		decs, err = c.submitBatchMatchedLocked(live, ev, cache)
+		decs, err = c.submitBatchMatchedLocked(live)
 	default:
-		decs, err = c.submitBatchGreedyLocked(live, ev, cache)
+		decs, err = c.submitBatchGreedyLocked(live)
 	}
 	if keep == nil {
 		return decs, err
@@ -560,14 +555,13 @@ func (c *Core) SubmitBatch(reqs []Request) ([]Decision, error) {
 }
 
 // submitBatchGreedyLocked is the historical batch path: requests are
-// placed one by one in submission order, reusing cached predictions
-// and re-evaluating only the server mutated by each placement. Caller
-// holds c.mu.
-func (c *Core) submitBatchGreedyLocked(reqs []Request, ev sched.Evaluator, cache *batchCache) ([]Decision, error) {
+// placed one by one in submission order, each decided as Submit decides
+// it. Caller holds c.mu.
+func (c *Core) submitBatchGreedyLocked(reqs []Request) ([]Decision, error) {
 	out := make([]Decision, len(reqs))
 	var errs []error
 	for i, req := range reqs {
-		d, err := c.submitLocked(req, ev)
+		d, err := c.submitLocked(req)
 		if err != nil {
 			if errors.Is(err, ErrDeadlineUnmet) {
 				c.shedLocked(req, ShedDeadline)
@@ -576,22 +570,18 @@ func (c *Core) submitBatchGreedyLocked(reqs []Request, ev sched.Evaluator, cache
 			continue
 		}
 		out[i] = d
-		if cache != nil {
-			// The placement mutated exactly one trace; drop only that
-			// server's cached predictions.
-			cache.invalidate(d.Server)
-		}
 	}
 	return out, errors.Join(errs...)
 }
 
 // submitBatchMatchedLocked is the k-task assignment path of
 // SubmitBatch: the batch scheduler proposes one wave (at most one new
-// task per server), the core commits it, the prediction cache drops
-// the mutated servers, and the deferred items go into the next wave
-// against re-projected predictions — until the batch drains or a wave
-// makes no progress. Caller holds c.mu.
-func (c *Core) submitBatchMatchedLocked(reqs []Request, ev sched.Evaluator, cache *batchCache) ([]Decision, error) {
+// task per server) over the exhaustive predictions, the core commits it,
+// and the deferred items go into the next wave against re-projected
+// predictions (the HTM's memo serves the servers the wave left
+// unchanged) — until the batch drains or a wave makes no progress.
+// Caller holds c.mu.
+func (c *Core) submitBatchMatchedLocked(reqs []Request) ([]Decision, error) {
 	out := make([]Decision, len(reqs))
 	var errs []error
 	fail := func(pos int, err error) {
@@ -621,6 +611,11 @@ func (c *Core) submitBatchMatchedLocked(reqs []Request, ev sched.Evaluator, cach
 		pending = append(pending, i)
 	}
 
+	// The assignment reads every candidate's prediction.
+	var ev sched.Evaluator
+	if c.htmMgr != nil {
+		ev = c.htmMgr
+	}
 	ctx := &sched.Context{HTM: ev, Info: coreLoadInfo{c}, RNG: c.rng}
 	for len(pending) > 0 {
 		wave := make([]sched.BatchItem, len(pending))
@@ -670,9 +665,6 @@ func (c *Core) submitBatchMatchedLocked(reqs []Request, ev sched.Evaluator, cach
 			}
 			out[pos] = d
 			committed++
-			if cache != nil {
-				cache.invalidate(choice.Server)
-			}
 		}
 		// Termination: every wave either commits placements, consumes
 		// failed attempts (their items leave pending via fail), or —
@@ -692,10 +684,9 @@ func (c *Core) submitBatchMatchedLocked(reqs []Request, ev sched.Evaluator, cach
 }
 
 // submitLocked is the decision engine: one evaluation followed by one
-// commit under the same lock acquisition. Caller holds c.mu; ev is the
-// HTM surface handed to the heuristic (nil for monitor heuristics).
-func (c *Core) submitLocked(req Request, ev sched.Evaluator) (Decision, error) {
-	cand, err := c.evaluateLocked(req, ev)
+// commit under the same lock acquisition. Caller holds c.mu.
+func (c *Core) submitLocked(req Request) (Decision, error) {
+	cand, err := c.evaluateLocked(req, c.eval)
 	if err != nil {
 		return Decision{}, err
 	}

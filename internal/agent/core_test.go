@@ -165,10 +165,11 @@ func TestSubmitBatchMatchesSequential(t *testing.T) {
 	servers := []string{"s1", "s2"}
 	for _, name := range []string{"HMCT", "MP", "MSF", "MNI", "MCT", "KPB"} {
 		mkReqs := func() []Request {
-			// Three simultaneous-arrival waves to exercise cache reuse,
+			// Three simultaneous-arrival waves to exercise memo reuse,
 			// with spec variety within each wave. The last wave's arrival
-			// regresses (a resubmission racing a burst): the batch cache
-			// must flush rather than serve entries from the earlier wave.
+			// regresses (a resubmission racing a burst): the HTM clamps it
+			// to the trace time, and the memo must serve only what a
+			// projection there computes.
 			waves := []float64{0, 30, 10}
 			reqs := make([]Request, 12)
 			for i := range reqs {
@@ -308,10 +309,11 @@ func TestResubmissionBookkeeping(t *testing.T) {
 	}
 }
 
-// TestSubmitPrunesBatchDoesNot: single decisions of a heuristic with a
-// declared objective go through the HTM's pruning view; SubmitBatch
-// keeps the exhaustive pass behind its prediction cache.
-func TestSubmitPrunesBatchDoesNot(t *testing.T) {
+// TestSubmitBatchPrunes: single decisions and batches of a heuristic
+// with a declared objective go through the HTM's pruning view, and a
+// burst's later members are served from the memo wherever the previous
+// placements left a candidate's trace unchanged.
+func TestSubmitBatchPrunes(t *testing.T) {
 	servers := []string{"s1", "s2", "s3", "s4", "s5", "s6"}
 	costs := make(map[string]task.Cost, len(servers))
 	for i, s := range servers {
@@ -341,12 +343,23 @@ func TestSubmitPrunesBatchDoesNot(t *testing.T) {
 	if got := after.Projections - before.Projections; got != 1 {
 		t.Errorf("%d projections, want 1 (the idle server)", got)
 	}
+	// A burst of eight onto the busy pool: each member after the first
+	// finds the traces the placements before it left unchanged in the memo.
+	burst := make([]Request, 8)
+	for i := range burst {
+		burst[i] = Request{JobID: 6 + i, TaskID: 6 + i, Spec: spec, Arrival: 6}
+	}
 	before = after
-	if _, err := c.SubmitBatch([]Request{{JobID: 6, TaskID: 6, Spec: spec, Arrival: 6}}); err != nil {
+	if _, err := c.SubmitBatch(burst); err != nil {
 		t.Fatal(err)
 	}
 	after = c.EvalStats()
-	if got := after.Projections - before.Projections; got != 6 {
-		t.Errorf("SubmitBatch projected %d candidates, want all 6", got)
+	offered, projected, reused := after.Candidates-before.Candidates, after.Projections-before.Projections, after.Reused-before.Reused
+	if offered != 6*uint64(len(burst)) || projected+reused >= offered {
+		t.Errorf("the burst was offered %d candidates, projected %d and reused %d: want fewer than offered", offered, projected, reused)
+	}
+	t.Logf("burst: %d offered, %d projected, %d reused", offered, projected, reused)
+	if reused == 0 {
+		t.Errorf("the burst's later members reused no prediction (projected %d of %d)", projected, offered)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"casched/internal/fair"
-	"casched/internal/sched"
 )
 
 // This file is the Core's multi-tenant intake path: the token-bucket
@@ -131,7 +130,7 @@ func (c *Core) admitDeadlineLocked(req Request, candidates []string) error {
 // commitLocked as each placement lands, so every pick sees the service
 // the previous one consumed. Failed requests drop out of their queue
 // without advancing their tenant's clock. Caller holds c.mu.
-func (c *Core) submitBatchFairLocked(reqs []Request, ev sched.Evaluator, cache *batchCache) ([]Decision, error) {
+func (c *Core) submitBatchFairLocked(reqs []Request) ([]Decision, error) {
 	out := make([]Decision, len(reqs))
 	var errs []error
 	queues := make(map[string][]int)
@@ -158,7 +157,7 @@ func (c *Core) submitBatchFairLocked(reqs []Request, ev sched.Evaluator, cache *
 		pos := queues[p][0]
 		queues[p] = queues[p][1:]
 		req := reqs[pos]
-		d, err := c.submitLocked(req, ev)
+		d, err := c.submitLocked(req)
 		if err != nil {
 			if errors.Is(err, ErrDeadlineUnmet) {
 				c.shedLocked(req, ShedDeadline)
@@ -167,9 +166,6 @@ func (c *Core) submitBatchFairLocked(reqs []Request, ev sched.Evaluator, cache *
 			continue
 		}
 		out[pos] = d
-		if cache != nil {
-			cache.invalidate(d.Server)
-		}
 	}
 	return out, errors.Join(errs...)
 }

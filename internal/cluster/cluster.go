@@ -13,8 +13,7 @@
 // client-agent-server model: every decision consults every server's
 // trace under one lock. Sharding partitions the pool (a pluggable
 // ShardPolicy: hash, least-loaded, name-class affinity), so a shard's
-// batch prediction cache, heuristic state and HTM lock cover its
-// partition only. The dispatch layer routes work two ways:
+// HTM and its memo, heuristic state and lock cover its partition only. The dispatch layer routes work two ways:
 //
 //   - Submit fans the request out: every shard evaluates it against
 //     its own partition (agent.Core.Evaluate — no commit), the
@@ -38,7 +37,8 @@
 //     on their projected backlog at the burst's arrival (min
 //     ProjectedReady over the partition, read from cached drain
 //     memos) and the burst goes to the winner, which pipelines it
-//     through its shard-local batch prediction cache.
+//     through its shard's pruned pass, the later members reading the
+//     HTM's memo.
 //     Decision cost per burst is one candidate pass over one shard
 //     rather than the whole pool — the throughput path, trading the
 //     centralized greedy order across bursts for shard-local
@@ -174,10 +174,6 @@ func WithSchedulerFactory(f func() (sched.Scheduler, error)) Option {
 
 // WithSeed seeds each shard's decision randomness.
 func WithSeed(seed uint64) Option { return func(c *Config) { c.Core.Seed = seed } }
-
-// WithHTMWorkers bounds each shard's HTM evaluation worker pool
-// (0 = GOMAXPROCS).
-func WithHTMWorkers(n int) Option { return func(c *Config) { c.Core.HTMWorkers = n } }
 
 // WithHTMRetention bounds each shard's HTM trace history to the given
 // number of experiment seconds (see agent.Config.HTMRetention); zero
@@ -377,6 +373,7 @@ func (cl *Cluster) EvalStats() htm.EvalStats {
 		total.IndexBuilds += st.IndexBuilds
 		total.Refreshes += st.Refreshes
 		total.Beaten += st.Beaten
+		total.Reused += st.Reused
 	}
 	return total
 }

@@ -66,9 +66,8 @@ type DispatcherConfig struct {
 	// Seed drives each member's decision randomness and the
 	// dispatcher's routing sample.
 	Seed uint64
-	// HTMWorkers, HTMSync and BatchAssignment configure in-process
-	// member cores (as the cluster options do per shard).
-	HTMWorkers      int
+	// HTMSync and BatchAssignment configure in-process member cores
+	// (as the cluster options do per shard).
 	HTMSync         bool
 	BatchAssignment bool
 	// TenantShares and Admission configure in-process member cores'
@@ -1305,7 +1304,7 @@ func (d *Dispatcher) submitDegradedLocked(req agent.Request, live []int) (agent.
 // always-fresh member's O(1) drain memos and from the last summary or
 // relay view otherwise — fresh summaries make the two identical, stale
 // ones approximate). The burst goes to the winner, which pipelines it
-// through one lock acquisition and its own batch prediction cache;
+// through one lock acquisition of its own (agent.Core.SubmitBatch);
 // requests the winner cannot solve fall to the next eligible member of
 // the ranking, so a mixed burst fans out only as far as eligibility
 // forces it. Failed requests yield zero Decisions with their errors

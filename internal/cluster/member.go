@@ -38,8 +38,8 @@ type Member interface {
 	// Submit delegates one whole decision to the member — the
 	// degraded-mode and unscored-rotation path.
 	Submit(req agent.Request) (agent.Decision, error)
-	// SubmitBatch pipelines a burst through the member's shard-local
-	// batch prediction cache.
+	// SubmitBatch pipelines a burst through the member's core under one
+	// lock acquisition (agent.Core.SubmitBatch).
 	SubmitBatch(reqs []agent.Request) ([]agent.Decision, error)
 	// Complete and Report feed execution feedback to the member that
 	// placed the job / owns the server.

@@ -158,9 +158,6 @@ func WithHeuristic(name string) Option { return func(c *Config) { c.Heuristic = 
 // WithSeed seeds member decision randomness and routing sampling.
 func WithSeed(seed uint64) Option { return func(c *Config) { c.Seed = seed } }
 
-// WithHTMWorkers bounds each member core's HTM worker pool.
-func WithHTMWorkers(n int) Option { return func(c *Config) { c.HTMWorkers = n } }
-
 // WithHTMSync enables HTM↔execution synchronization on every member.
 func WithHTMSync(on bool) Option { return func(c *Config) { c.HTMSync = on } }
 
@@ -247,7 +244,6 @@ func New(opts ...Option) (*Dispatcher, error) {
 		core, err := agent.New(agent.Config{
 			Scheduler:       s,
 			Seed:            cfg.Seed,
-			HTMWorkers:      cfg.HTMWorkers,
 			HTMSync:         cfg.HTMSync,
 			BatchAssignment: cfg.BatchAssignment,
 			TenantShares:    cfg.TenantShares,

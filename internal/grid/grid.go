@@ -90,11 +90,6 @@ type Config struct {
 	HTMSync bool
 	// HTMMemory makes the HTM model memory too (the §7 extension).
 	HTMMemory bool
-	// HTMWorkers bounds the worker pool the HTM fans candidate
-	// evaluations out to (default 0 = GOMAXPROCS). The simulation
-	// itself stays deterministic: predictions are independent per
-	// candidate and merged in server order.
-	HTMWorkers int
 	// Log, when non-nil, receives execution events.
 	Log *trace.Log
 	// Failures injects server crashes at fixed dates, independently of
@@ -266,12 +261,11 @@ func Run(cfg Config, mt *task.Metatask) (*Result, error) {
 	s.noise = root.Split()
 
 	core, err := agent.New(agent.Config{
-		Scheduler:  cfg.Scheduler,
-		RNG:        decisionRNG,
-		HTMSync:    cfg.HTMSync,
-		HTMMemory:  cfg.HTMMemory,
-		HTMWorkers: cfg.HTMWorkers,
-		Log:        cfg.Log,
+		Scheduler: cfg.Scheduler,
+		RNG:       decisionRNG,
+		HTMSync:   cfg.HTMSync,
+		HTMMemory: cfg.HTMMemory,
+		Log:       cfg.Log,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("grid: %w", err)

@@ -18,9 +18,9 @@
 // # Evaluation core
 //
 // Candidate evaluation is the scheduler's hot path: every arriving task
-// triggers one projection per candidate server. The Manager therefore
-// runs EvaluateAll concurrently (the candidate projections operate on
-// independent copy-on-write clones) and incrementally: the baseline
+// triggers one projection per candidate server, each on a copy-on-write
+// clone of the server's live trace, run under the Manager lock one after
+// the other. The Manager evaluates incrementally: the baseline
 // projection ρ_j of each server — which full replay would recompute
 // from scratch for every candidate — is cached and only recomputed when
 // the server's live trace actually changes (a placement, a
@@ -49,7 +49,7 @@
 // placement would run: the same live jobs, the candidate added at the
 // same release, the same run to idle. So it installs the same bits, and
 // the commit's PredictedCompletion, the ProjectedReady the relay reports
-// and SubmitBatch's next projection of the placed server read it without
+// and the next projection of the placed server read it without
 // projecting again (TestInstalledBaselineSameBits holds every install of
 // churned runs against a refresh). The stash keeps completion dates and
 // never perturbations: once a newcomer more than doubles a date, ρ+π is
@@ -57,12 +57,41 @@
 // else misses, and the placed trace's baseline is refreshed at its next
 // read: a placement the pass did not
 // project, a trace re-anchored since (which bumps its generation), a
-// later arrival, the exhaustive pass, a SubmitBatch winner served from
-// the batch's cache. The stash is emptied at every pass, Place and
-// DropServer, and by the Sim read that moves a trace, so it holds one
-// pass's tie set at most: bounded by construction, like the candidate
-// index and the retention lists. EvalStats.Refreshes counts the baseline
-// projections run, about none per steady HMCT or MSF decision.
+// later arrival, the exhaustive pass, a busy winner the memo served
+// (below: a memo slot holds no clone). The stash is emptied at every
+// pass, Place and DropServer, and by the Sim read that moves a trace, so
+// it holds one pass's tie set at most: bounded by construction, like the
+// candidate index and the retention lists. EvalStats.Refreshes counts the
+// baseline projections run, about none per steady HMCT or MSF decision.
+//
+// The memo. A burst of arrivals at one date (SubmitBatch, or a caller
+// that evaluates before it submits) asks for the same projections again
+// and again: between two members only the trace the first was placed on
+// has changed. So each entry of the candidate index keeps its last
+// successful projection with the Manager epoch, trace generation and
+// clamped arrival it was taken at (memoSlot), and both passes, the
+// pruned one and the exhaustive one, return it instead of projecting
+// when all three still match; EvalStats.Reused counts them. That is
+// exact: a projection is a deterministic function of the trace's live
+// state, the cost and footprint of the spec on the server, the memory
+// model and the clamped arrival, and not of the new job's id nor of any
+// other trace. The spec is the index's, the generation moves with every
+// placement and re-anchor on the trace, and the arrival must be equal.
+// What moves a trace without a generation bumps the epoch, which voids
+// every slot at once: Sim, when it brings a trace up, and a re-anchor
+// that fails, since moving the trace to the completion date may have
+// collapsed it. A DropServer or AddServer drops every index and every
+// slot with it. The id enters in one way, an error: adding an id that is
+// live on the trace fails, so a pass for a job already placed reads no
+// memo. A failed projection is never memoised. A pass reads the memo only
+// if a slot was written at its arrival (specIndex.memoAt), so a decision
+// dated apart from the last pays a store per projection and no read. A
+// candidate list resolved by name reads the same slots, found by pool
+// position, so the k-task assignment's per-pair probes (sched.MinCostBatch)
+// read what its first pass of the wave projected. The memo is bounded by
+// the index: one slot per spec and solvable server, a few words each, no
+// clone. TestMemoSameBits and FuzzMemoSameBits hold every prediction of
+// churned runs of bursts against a fresh projection.
 //
 // # Pruning
 //
@@ -244,9 +273,9 @@
 // no positive bound separates candidates; their tie-break needs the
 // completion of every zero-perturbation server), the baselines (they
 // read ready times or a subset), Evaluate/EvaluateFull (one candidate),
-// and SubmitBatch's cache (it reuses every prediction across the batch).
-// The pruned pass is sequential, since each projection decides whether
-// the next is needed; WithWorkers applies to the exhaustive pass. A
+// and SubmitBatch's k-task assignment (it reads every prediction of the
+// wave). The pruned pass is sequential, since each projection decides
+// whether the next is needed. A
 // stale baseline is refreshed only for a candidate the pass projects. A
 // busy trace it skips refreshes later, at its first projection or read,
 // from a later event of its own clock, and gets the same bits: the clock
@@ -373,7 +402,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -405,12 +433,6 @@ func WithMemoryModel() Option {
 // synchronization between the HTM and the execution" extension.
 func WithSync() Option {
 	return func(m *Manager) { m.sync = true }
-}
-
-// WithWorkers bounds the number of goroutines EvaluateAll fans
-// candidate projections out to. Zero or negative selects GOMAXPROCS.
-func WithWorkers(n int) Option {
-	return func(m *Manager) { m.workers = n }
 }
 
 // WithRetention bounds the trace history: records of jobs that
@@ -510,34 +532,23 @@ type memConfig struct {
 	thrash                     bool
 }
 
-// baselineSet is a refcounted, pooled baseline projection. The trace
-// cache holds one reference; every evaluation snapshot that escapes the
-// Manager lock holds its own, so a concurrent recompute can replace the
-// cache without yanking the map out from under in-flight projections.
-// The map is recycled (cleared, buckets kept) when the last reference
-// drops, which is what keeps steady-state baseline refreshes from
-// allocating.
+// baselineSet is a pooled baseline projection, owned by the trace cache
+// and read under the Manager lock. The map is recycled (cleared, buckets
+// kept) when the cache replaces it, which is what keeps steady-state
+// baseline refreshes from allocating.
 type baselineSet struct {
-	m    map[int]float64
-	refs atomic.Int32
+	m map[int]float64
 }
 
 var baselinePool = sync.Pool{New: func() any { return &baselineSet{m: make(map[int]float64)} }}
 
-// newBaselineSet returns an empty set holding one reference.
-func newBaselineSet() *baselineSet {
-	b := baselinePool.Get().(*baselineSet)
-	b.refs.Store(1)
-	return b
-}
+// newBaselineSet returns an empty set from the pool.
+func newBaselineSet() *baselineSet { return baselinePool.Get().(*baselineSet) }
 
-func (b *baselineSet) acquire() *baselineSet { b.refs.Add(1); return b }
-
+// release hands the set back to the pool.
 func (b *baselineSet) release() {
-	if b.refs.Add(-1) == 0 {
-		clear(b.m)
-		baselinePool.Put(b)
-	}
+	clear(b.m)
+	baselinePool.Put(b)
 }
 
 // simPool recycles projection clones across decisions; a pooled clone
@@ -549,8 +560,7 @@ func getSim() *fluid.Sim  { return simPool.Get().(*fluid.Sim) }
 func putSim(s *fluid.Sim) { simPool.Put(s) }
 
 // setBaseline installs a freshly computed baseline projection and its
-// drain memo, taking ownership of one reference and dropping the
-// previous cache's.
+// drain memo, taking ownership of it and releasing the previous one.
 func (tr *serverTrace) setBaseline(baseline *baselineSet, gen uint64) {
 	if tr.baseline != nil {
 		tr.baseline.release()
@@ -604,9 +614,14 @@ type Manager struct {
 	// (see "Evaluation core"): emptied at every pass, Place and DropServer.
 	stash passStash
 
+	// epoch is what a memo slot must have been taken at to be read (see
+	// "Evaluation core"): Sim, when it moves a trace, and a re-anchor that
+	// fails bump it, since no generation records the move. It starts at 1,
+	// so a zero slot is empty.
+	epoch uint64
+
 	memoryModel bool
 	sync        bool
-	workers     int
 
 	// retention is the completed-record window (WithRetention);
 	// lastPrune is the trace time of the last pruning pass, and
@@ -636,6 +651,8 @@ type Manager struct {
 	// passes that answered ErrBeaten under a ceiling.
 	refreshes atomic.Uint64
 	beaten    atomic.Uint64
+	// reused counts the predictions served from a memo slot.
+	reused atomic.Uint64
 }
 
 // New constructs a Manager tracking the given servers. Unknown server
@@ -648,6 +665,7 @@ func New(servers []string, opts ...Option) *Manager {
 		traces:     make(map[string]*serverTrace, len(servers)),
 		placements: make(map[int]placement),
 		index:      make(map[*task.Spec]*specIndex),
+		epoch:      1,
 	}
 	for _, o := range opts {
 		o(m)
@@ -769,6 +787,13 @@ type EvalStats struct {
 	// candidate the ceiling came from. A sharded decision asks each shard
 	// after the first below the best score found so far (see "Pruning").
 	Beaten uint64
+	// Reused counts the predictions served from the memo instead of
+	// projected: a candidate whose trace has not changed since its last
+	// projection for the same spec at the same arrival, the later members
+	// of a same-date burst (see "Evaluation core"). They are not in
+	// Projections. About none per decision when every arrival is dated
+	// apart.
+	Reused uint64
 }
 
 // EvalStats returns the evaluation counters.
@@ -783,6 +808,7 @@ func (m *Manager) EvalStats() EvalStats {
 		IndexBuilds: m.indexBuilds.Load(),
 		Refreshes:   m.refreshes.Load(),
 		Beaten:      m.beaten.Load(),
+		Reused:      m.reused.Load(),
 	}
 }
 
@@ -821,6 +847,22 @@ type specIndex struct {
 	// least is the least compute and the least output cost over the
 	// entries, which the pruned pass's stop rule is taken at.
 	least task.Cost
+	// memo holds, at the entries' positions, each entry's last successful
+	// projection (see "Evaluation core"), and memoAt the clamped arrival
+	// of the last one written.
+	memo   []memoSlot
+	memoAt float64
+}
+
+// memoSlot is an entry's last successful projection: the Manager epoch,
+// trace generation and clamped arrival it was taken at, and what it
+// predicted. The name is the entry's, and the flow the completion less
+// the arrival, as a projection computes it.
+type memoSlot struct {
+	epoch, gen               uint64
+	arrival                  float64
+	completion, perturbation float64
+	interfered               int
 }
 
 // classKey is everything the projection of an empty trace reads beside
@@ -892,6 +934,7 @@ func (m *Manager) indexLocked(spec *task.Spec) *specIndex {
 		}
 	}
 	ix.busy = make([]int32, len(ix.classes))
+	ix.memo = make([]memoSlot, len(ix.entries))
 	for _, tr := range m.busy {
 		if k := ix.slot[tr.pos]; k >= 0 {
 			ix.busy[ix.classOf[k]]++
@@ -1182,55 +1225,26 @@ func completionsInto(clone *fluid.Sim, out map[int]float64) {
 	}
 }
 
-// candidateJob is one projection EvaluateAll hands to a worker; the
-// clone carries the server's name.
+// candidateJob is one projection: the candidate's cost, a live-only
+// clone of its trace (which carries the server's name) and the baseline
+// it is measured against.
 type candidateJob struct {
-	cost  task.Cost
-	clone *fluid.Sim
-	// baseline is an acquired reference to the server's cached
-	// projection; nil when the cache was stale, in which case the
-	// worker computes it from baseClone and offers it back to the
-	// cache (tr at generation gen).
-	baseline  *baselineSet
-	baseClone *fluid.Sim
-	tr        *serverTrace
-	gen       uint64
+	cost     task.Cost
+	clone    *fluid.Sim
+	baseline *baselineSet
 }
 
-// projectCandidate adds the candidate task to the clone, runs the
-// perturbed projection and derives the prediction against the baseline.
-// A stale baseline (j.baseline == nil) is computed here, outside the
-// Manager lock, and offered back to the server's cache — so the
-// expensive projections all run in the workers and the lock only
-// covers snapshotting. The clones are consumed.
-func (m *Manager) projectCandidate(j candidateJob, id int, spec *task.Spec, arrival float64, withPerTask bool) (Prediction, error) {
-	if j.baseline == nil {
-		m.refreshes.Add(1)
-		b := newBaselineSet()
-		projectCloneInto(j.baseClone, b.m)
-		putSim(j.baseClone)
-		m.mu.Lock()
-		if j.tr.gen == j.gen && (j.tr.baseline == nil || j.tr.baselineGen != j.gen) {
-			j.tr.setBaseline(b.acquire(), j.gen)
-		}
-		m.mu.Unlock()
-		j.baseline = b
-	}
-	return project(j, id, spec, arrival, withPerTask)
-}
-
-// project is the lock-free core of projectCandidate for a snapshot
-// whose baseline is resolved: it touches nothing but the snapshot, so
-// the pruned pass can call it with the Manager lock held. The clone is
-// consumed.
+// project is projectOnto consuming the clone.
 func project(j candidateJob, id int, spec *task.Spec, arrival float64, withPerTask bool) (Prediction, error) {
 	defer putSim(j.clone)
 	return projectOnto(j, id, spec, arrival, withPerTask)
 }
 
-// projectOnto is project leaving the clone, run to idle, to the caller.
+// projectOnto adds the candidate task to the clone, runs the perturbed
+// projection and derives the prediction against the baseline. The clone,
+// run to idle, is left to the caller. It touches nothing but the job, so
+// it runs under the Manager lock or on a snapshot taken outside it.
 func projectOnto(j candidateJob, id int, spec *task.Spec, arrival float64, withPerTask bool) (Prediction, error) {
-	defer j.baseline.release()
 	if err := j.clone.Add(id, arrival, j.cost, spec.MemoryMB); err != nil {
 		return Prediction{}, fmt.Errorf("htm: evaluate on %q: %w", j.clone.Name(), err)
 	}
@@ -1282,22 +1296,62 @@ func projectOnto(j candidateJob, id int, spec *task.Spec, arrival float64, withP
 	return p, nil
 }
 
-// snapshotLocked prepares one resolved candidate's projection under the
-// lock: a copy-on-write clone of the live trace and the (cached)
-// baseline.
-func (m *Manager) snapshotLocked(e indexEntry) candidateJob {
-	tr := e.tr
-	j := candidateJob{cost: e.cost, clone: tr.liveClone()}
-	if tr.baseline != nil && tr.baselineGen == tr.gen {
-		j.baseline = tr.baseline.acquire()
-	} else {
-		// Stale cache: hand the worker its own snapshot to project
-		// outside the lock.
-		j.baseClone = tr.liveClone()
-		j.tr = tr
-		j.gen = tr.gen
+// projectLocked projects one resolved candidate under the lock: a
+// live-only clone of its trace against the trace's baseline, refreshed
+// first if stale. It returns the clone run to idle, nil on an error.
+func (m *Manager) projectLocked(e *indexEntry, id int, spec *task.Spec, arrival float64, withPerTask bool) (Prediction, *fluid.Sim, error) {
+	m.baselineLocked(e.tr)
+	clone := e.tr.liveClone()
+	p, err := projectOnto(candidateJob{cost: e.cost, clone: clone, baseline: e.tr.baseline},
+		id, spec, arrival, withPerTask)
+	if err != nil {
+		putSim(clone)
+		return p, nil, err
 	}
-	return j
+	return p, clone, nil
+}
+
+// memoFor returns the spec's cached index, whose memo a pass for job id
+// at the (clamped) arrival writes, and whether the pass may read it. The
+// memo serves any candidate list, the index's own or one resolved by name:
+// an entry finds its slot by pool position. A pass reads only when a slot
+// was written at this very arrival, since the trace time never goes back
+// and no other slot can match, and never for a job already placed: a
+// projection does not depend on the job id, but adding an id live on the
+// trace fails, and the memo would hide that error.
+func (m *Manager) memoFor(spec *task.Spec, id int, arrival float64) (ix *specIndex, read bool) {
+	if ix = m.index[spec]; ix == nil || ix.memoAt != arrival {
+		return ix, false
+	}
+	_, placed := m.placements[id]
+	return ix, !placed
+}
+
+// predictLocked returns the prediction for a resolved candidate. With ix
+// and read from memoFor, it serves the candidate's memo slot when the slot
+// was taken at the arrival, at the trace's current generation and in the
+// current epoch, which makes it the bits a projection would compute
+// (reused); otherwise it projects, and memoises a projection that
+// succeeds. clone is the projection's, run to idle, for the caller to
+// stash or pool; nil when the memo served or the projection failed.
+func (m *Manager) predictLocked(ix *specIndex, read bool, e *indexEntry, id int, spec *task.Spec, arrival float64) (p Prediction, clone *fluid.Sim, reused bool, err error) {
+	k := int32(-1)
+	if ix != nil {
+		k = ix.slot[e.tr.pos]
+	}
+	if read && k >= 0 {
+		if s := &ix.memo[k]; s.epoch == m.epoch && s.gen == e.tr.gen && s.arrival == arrival {
+			return Prediction{Server: ix.names[k], Completion: s.completion, Flow: s.completion - arrival,
+				Perturbation: s.perturbation, Interfered: s.interfered}, nil, true, nil
+		}
+	}
+	p, clone, err = m.projectLocked(e, id, spec, arrival, false)
+	if err == nil && k >= 0 {
+		ix.memo[k] = memoSlot{epoch: m.epoch, gen: e.tr.gen, arrival: arrival,
+			completion: p.Completion, perturbation: p.Perturbation, interfered: p.Interfered}
+		ix.memoAt = arrival
+	}
+	return p, clone, false, err
 }
 
 // Evaluate simulates placing job id (a new task with the given spec and
@@ -1308,15 +1362,17 @@ func (m *Manager) snapshotLocked(e indexEntry) candidateJob {
 // race placements) is treated as arriving now.
 func (m *Manager) Evaluate(id int, spec *task.Spec, arrival float64, server string) (Prediction, error) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	arrival = m.advanceLocked(arrival)
 	e, err := m.solverLocked(spec, server)
 	if err != nil {
-		m.mu.Unlock()
 		return Prediction{}, err
 	}
-	j := m.snapshotLocked(e)
-	m.mu.Unlock()
-	return m.projectCandidate(j, id, spec, arrival, true)
+	p, clone, err := m.projectLocked(&e, id, spec, arrival, true)
+	if clone != nil {
+		putSim(clone)
+	}
+	return p, err
 }
 
 // EvaluateFull is the full-replay reference implementation of Evaluate:
@@ -1332,16 +1388,16 @@ func (m *Manager) EvaluateFull(id int, spec *task.Spec, arrival float64, server 
 		return Prediction{}, err
 	}
 	baseClone := e.tr.sim.CloneLive()
-	j := candidateJob{cost: e.cost, clone: e.tr.sim.Clone()}
+	j := candidateJob{cost: e.cost, clone: e.tr.sim.Clone(), baseline: newBaselineSet()}
 	m.mu.Unlock()
 
-	j.baseline = newBaselineSet()
+	defer j.baseline.release()
 	projectCloneInto(baseClone, j.baseline.m)
-	return m.projectCandidate(j, id, spec, arrival, true)
+	return project(j, id, spec, arrival, true)
 }
 
-// EvaluateAll evaluates every candidate server concurrently and returns
-// the predictions sorted by server name. Servers that cannot solve the
+// EvaluateAll evaluates every candidate server and returns the
+// predictions sorted by server name. Servers that cannot solve the
 // task are skipped — that is the normal "no implementation" condition.
 // Failures to evaluate a solvable candidate (unknown server, collapsed
 // trace) are joined into the returned error; predictions for the
@@ -1355,14 +1411,11 @@ func (m *Manager) EvaluateAll(id int, spec *task.Spec, arrival float64, candidat
 	return m.EvaluateAllInto(id, spec, arrival, candidates, nil)
 }
 
-// evalScratch is the per-call working set of EvaluateAllInto, pooled so
-// a steady stream of decisions reuses the same snapshot and result
-// buffers instead of allocating them per call.
+// evalScratch is the per-call working set of the evaluation passes,
+// pooled so a steady stream of decisions reuses the same buffers instead
+// of allocating them per call.
 type evalScratch struct {
-	entries []indexEntry // candidates resolved by name (resolveLocked)
-	jobs    []candidateJob
-	preds   []Prediction
-	perr    []error
+	entries []indexEntry     // candidates resolved by name (resolveLocked)
 	kept    []candidateBound // the pruned pass's candidates to project (prune.go)
 }
 
@@ -1379,65 +1432,38 @@ var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 // which is truncated and grown as needed — a caller that threads the
 // returned slice back in across decisions amortizes the result buffer
 // to zero steady-state allocations. Passing nil behaves like
-// EvaluateAll.
+// EvaluateAll. The candidates are projected one after the other under
+// the lock, each served from the memo where it can be (see "Evaluation
+// core").
 func (m *Manager) EvaluateAllInto(id int, spec *task.Spec, arrival float64, candidates []string, out []Prediction) ([]Prediction, error) {
 	sc := scratchPool.Get().(*evalScratch)
 	m.mu.Lock()
 	m.stash.reset()
 	arrival = m.advanceLocked(arrival)
+	memo, read := m.memoFor(spec, id, arrival)
 	entries, errs := m.resolveLocked(spec, candidates, sc)
-	jobs := sc.jobs[:0]
-	for _, e := range entries {
-		jobs = append(jobs, m.snapshotLocked(e))
-	}
-	workers := m.workers
-	m.mu.Unlock()
-	m.considered.Add(uint64(len(jobs)))
-	m.projected.Add(uint64(len(jobs)))
-
 	out = out[:0]
-	if len(jobs) == 0 {
-		sc.jobs = jobs
-		sc.put()
-		return out, errors.Join(errs...)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
-	if cap(sc.preds) < len(jobs) {
-		sc.preds = make([]Prediction, len(jobs))
-		sc.perr = make([]error, len(jobs))
-	}
-	preds := sc.preds[:len(jobs)]
-	perr := sc.perr[:len(jobs)]
-	if workers <= 1 {
-		for i, j := range jobs {
-			preds[i], perr[i] = m.projectCandidate(j, id, spec, arrival, false)
+	reused := 0
+	for k := range entries {
+		p, clone, hit, err := m.predictLocked(memo, read, &entries[k], id, spec, arrival)
+		if hit {
+			reused++
 		}
-	} else {
-		m.projectParallel(jobs, id, spec, arrival, workers, preds, perr)
-	}
-
-	for i := range jobs {
-		if perr[i] != nil {
-			errs = append(errs, perr[i])
-			perr[i] = nil
+		if clone != nil {
+			putSim(clone)
+		}
+		if err != nil {
+			errs = append(errs, err)
 			continue
 		}
-		out = append(out, preds[i])
+		out = append(out, p)
 	}
-	sortByServer(out)
-	// Drop the snapshot references before pooling the scratch so pooled
-	// clones and baselines are not pinned by the next caller.
-	for i := range jobs {
-		jobs[i] = candidateJob{}
-	}
-	sc.jobs = jobs
+	m.mu.Unlock()
+	m.considered.Add(uint64(len(entries)))
+	m.projected.Add(uint64(len(entries) - reused))
+	m.reused.Add(uint64(reused))
 	sc.put()
+	sortByServer(out)
 	return out, errors.Join(errs...)
 }
 
@@ -1460,30 +1486,6 @@ func sortByServer(out []Prediction) {
 			out[k], out[k-1] = out[k-1], out[k]
 		}
 	}
-}
-
-// projectParallel fans the candidate projections out over a bounded
-// worker pool. It lives outside EvaluateAllInto so the goroutine
-// closure captures this frame, not the caller's — otherwise the
-// capture forces the caller's locals to the heap even on the
-// sequential (workers<=1) path, which must stay allocation-free.
-func (m *Manager) projectParallel(jobs []candidateJob, id int, spec *task.Spec, arrival float64, workers int, preds []Prediction, perr []error) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				preds[i], perr[i] = m.projectCandidate(jobs[i], id, spec, arrival, false)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // Place commits job id to the chosen server's live trace. This is the
@@ -1582,6 +1584,9 @@ func (m *Manager) NotifyCompletion(id int, t float64) error {
 	err := tr.sim.ForceComplete(id, t)
 	m.rekeyLocked(tr)
 	if err != nil {
+		// The move may have collapsed the trace, and no generation records
+		// it: the memo goes, as at a Sim read.
+		m.epoch++
 		return err
 	}
 	tr.invalidate()
@@ -1731,6 +1736,7 @@ func (m *Manager) Sim(server string) (*fluid.Sim, bool) {
 		// The move changes the last bits of what a projection of the
 		// trace gives, and no generation records it.
 		m.stash.reset()
+		m.epoch++
 		tr.sim.AdvanceToQuiet(m.now)
 		m.rekeyLocked(tr)
 	}

@@ -77,7 +77,7 @@ func TestEvaluateAllConcurrentWithPlace(t *testing.T) {
 		"s3": {Input: 2, Compute: 60, Output: 1},
 		"s4": {Input: 2, Compute: 70, Output: 1},
 	}}
-	m := New(servers, WithSync(), WithWorkers(4))
+	m := New(servers, WithSync())
 
 	const (
 		placers    = 2
@@ -144,37 +144,5 @@ func TestEvaluateAllConcurrentWithPlace(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
-	}
-}
-
-// TestEvaluateAllMatchesSequentialWorkers pins that the worker count
-// does not affect results: the same trace evaluated with 1 and many
-// workers yields bit-identical predictions.
-func TestEvaluateAllMatchesSequentialWorkers(t *testing.T) {
-	mt := workload.MustGenerate(workload.Set2(40, 10, 3))
-	one := New(table1Servers, WithWorkers(1))
-	many := New(table1Servers, WithWorkers(8))
-	for _, tk := range mt.Tasks {
-		a, errA := one.EvaluateAll(tk.ID, tk.Spec, tk.Arrival, table1Servers)
-		b, errB := many.EvaluateAll(tk.ID, tk.Spec, tk.Arrival, table1Servers)
-		if errA != nil || errB != nil {
-			t.Fatal(errA, errB)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("prediction counts differ: %d vs %d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i].Server != b[i].Server || a[i].Completion != b[i].Completion ||
-				a[i].Perturbation != b[i].Perturbation || a[i].Interfered != b[i].Interfered {
-				t.Fatalf("task %d: worker-count-dependent prediction: %+v vs %+v",
-					tk.ID, a[i], b[i])
-			}
-		}
-		if err := one.Place(tk.ID, tk.Spec, tk.Arrival, a[0].Server); err != nil {
-			t.Fatal(err)
-		}
-		if err := many.Place(tk.ID, tk.Spec, tk.Arrival, b[0].Server); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

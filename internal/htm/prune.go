@@ -214,8 +214,8 @@ type candidateBound struct {
 // unless that rules it out; of those kept, the one of least bound is
 // projected first and then the others in candidate order, each unless the
 // incumbent has come within its bound. Projections run under the lock and
-// one after the other — WithWorkers applies to the exhaustive pass only —
-// since each decides whether the next is needed.
+// one after the other, since each decides whether the next is needed; a
+// candidate the memo holds is served from it (see "Evaluation core").
 func (m *Manager) evaluateMinimizing(obj Objective, tie, ceiling float64, id int, spec *task.Spec, arrival float64, candidates []string, out []Prediction) ([]Prediction, error) {
 	sc := scratchPool.Get().(*evalScratch)
 	m.mu.Lock()
@@ -226,22 +226,25 @@ func (m *Manager) evaluateMinimizing(obj Objective, tie, ceiling float64, id int
 	)
 	out = out[:0]
 	incumbent, least := ceiling+tie, math.Inf(1)
-	offered, projected, replicated, visited := 0, 0, 0, 0
+	offered, projected, reused, replicated, visited := 0, 0, 0, 0, 0
 	m.stash.begin(spec, id, arrival)
-	// try projects one candidate; only a successful projection makes an
+	ix := m.ownedLocked(spec, candidates)
+	memo, read := m.memoFor(spec, id, arrival)
+	// try predicts entry k; only a successful prediction makes an
 	// incumbent, and is stashed while it is within reach of it. A trace
 	// nothing was ever placed on has no baseline yet, and a stale one is
 	// refreshed here, at the first projection since the trace changed: by
 	// the split invariance of "Trace clock" that is the bits a refresh at
 	// any other instant gives.
-	try := func(e *indexEntry) (Prediction, bool) {
-		projected++
-		m.baselineLocked(e.tr)
-		clone := e.tr.liveClone()
-		p, err := projectOnto(candidateJob{cost: e.cost, clone: clone, baseline: e.tr.baseline.acquire()},
-			id, spec, arrival, false)
+	try := func(k int32) (Prediction, bool) {
+		e := &entries[k]
+		p, clone, hit, err := m.predictLocked(memo, read, e, id, spec, arrival)
+		if hit {
+			reused++
+		} else {
+			projected++
+		}
 		if err != nil {
-			putSim(clone)
 			errs = append(errs, err)
 			return p, false
 		}
@@ -264,7 +267,6 @@ func (m *Manager) evaluateMinimizing(obj Objective, tie, ceiling float64, id int
 			kept = append(kept, candidateBound{k: k, bound: b})
 		}
 	}
-	ix := m.ownedLocked(spec, candidates)
 	if ix == nil {
 		entries, errs = m.resolveLocked(spec, candidates, sc)
 		offered, visited = len(entries), len(entries)
@@ -282,7 +284,7 @@ func (m *Manager) evaluateMinimizing(obj Objective, tie, ceiling float64, id int
 			for entries[k].tr.busy {
 				k = ix.next[k]
 			}
-			p, ok := try(&entries[k])
+			p, ok := try(k)
 			if !ok {
 				continue
 			}
@@ -332,7 +334,7 @@ func (m *Manager) evaluateMinimizing(obj Objective, tie, ceiling float64, id int
 		if c.bound > incumbent+tie {
 			continue
 		}
-		if p, ok := try(&entries[c.k]); ok {
+		if p, ok := try(c.k); ok {
 			out = append(out, p)
 		}
 	}
@@ -340,6 +342,7 @@ func (m *Manager) evaluateMinimizing(obj Objective, tie, ceiling float64, id int
 	m.mu.Unlock()
 	m.considered.Add(uint64(offered))
 	m.projected.Add(uint64(projected))
+	m.reused.Add(uint64(reused))
 	m.replicated.Add(uint64(replicated))
 	m.bounded.Add(uint64(visited))
 	sc.put()
@@ -402,26 +405,27 @@ func (st *passStash) reset() {
 	st.spec = nil
 }
 
-// keep stashes what the pass projected on tr, a candidate of the given
-// cost: the clone run to idle and the new job's completion, of objective
-// value. reach is the incumbent plus tie: a projection beyond it is never
-// placed on by a Minimizer heuristic, so it is not kept, and those the
-// incumbent has moved beyond are dropped.
+// keep stashes what the pass predicted on tr, a candidate of the given
+// cost: the clone run to idle (nil when the memo served it) and the new
+// job's completion, of objective value. reach is the incumbent plus tie: a
+// projection beyond it is never placed on by a Minimizer heuristic, so it
+// is not kept, and those the incumbent has moved beyond are dropped. A
+// busy trace the memo served has no clone to install, so it is not kept
+// either: the trace refreshes its baseline at its next read.
 func (st *passStash) keep(tr *serverTrace, cost task.Cost, clone *fluid.Sim, completion, value, reach float64) {
-	if value > reach {
-		putSim(clone)
-		return
-	}
-	e := stashEntry{value: value}
-	if tr.busy {
-		e.tr, e.gen, e.clone = tr, tr.gen, clone
-	} else {
-		e.class, e.completion = classKey{cost: cost, mem: tr.mem}, completion
-		putSim(clone)
-	}
-	st.entries = append(st.entries, e)
 	if reach < st.reach {
 		st.trim(reach)
+	}
+	switch {
+	case value > reach:
+	case !tr.busy:
+		st.entries = append(st.entries, stashEntry{value: value, class: classKey{cost: cost, mem: tr.mem}, completion: completion})
+	case clone != nil:
+		st.entries = append(st.entries, stashEntry{value: value, tr: tr, gen: tr.gen, clone: clone})
+		return // the entry owns the clone
+	}
+	if clone != nil {
+		putSim(clone)
 	}
 }
 

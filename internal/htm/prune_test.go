@@ -474,7 +474,7 @@ func (m *Manager) evaluateMinimizingRef(obj Objective, tie float64, id int, spec
 			continue
 		}
 		e := &entries[i]
-		p, err := project(candidateJob{cost: e.cost, clone: e.tr.liveClone(), baseline: e.tr.baseline.acquire()},
+		p, err := project(candidateJob{cost: e.cost, clone: e.tr.liveClone(), baseline: e.tr.baseline},
 			id, spec, arrival, false)
 		if err != nil {
 			errs = append(errs, err)

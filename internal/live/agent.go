@@ -28,9 +28,6 @@ type AgentConfig struct {
 	Log *trace.Log
 	// HTMSync enables trace re-anchoring on completion messages.
 	HTMSync bool
-	// HTMWorkers bounds the HTM's candidate-evaluation worker pool
-	// (default 0 = GOMAXPROCS).
-	HTMWorkers int
 	// Shards partitions the server pool across that many agent cores
 	// behind the cluster dispatch layer (0 or 1 = the single shared
 	// core).
@@ -128,7 +125,6 @@ func StartAgent(cfg AgentConfig) (*Agent, error) {
 		Scheduler:    cfg.Scheduler,
 		Seed:         cfg.Seed,
 		HTMSync:      cfg.HTMSync,
-		HTMWorkers:   cfg.HTMWorkers,
 		Log:          cfg.Log,
 		TenantShares: cfg.TenantShares,
 		Admission:    cfg.Admission,

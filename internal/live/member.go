@@ -99,8 +99,8 @@ func (h *frameHandler) submit() error {
 	return nil
 }
 
-// submitBatch pipelines the burst h.batch through the member's batch
-// prediction cache. Per-request failures leave zero decisions; their
+// submitBatch pipelines the burst h.batch through the member's core
+// (agent.Core.SubmitBatch). Per-request failures leave zero decisions; their
 // joined errors travel flattened in the reply rather than failing the
 // call.
 func (h *frameHandler) submitBatch() error {

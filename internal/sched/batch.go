@@ -131,12 +131,12 @@ func (m *MinCostBatch) ChooseBatch(ctx *Context, items []BatchItem) ([]Choice, e
 	// The matrix has one real column per server plus one private defer
 	// column per item (column len(cols)+i, feasible only for item i).
 	// Probe items grouped by decision instant, in first-appearance
-	// order: the agent's batch cache flushes whenever the evaluation
-	// arrival changes, so interleaving distinct arrivals would discard
+	// order: the HTM's memo serves a prediction only at the arrival it
+	// was taken at, so interleaving distinct arrivals would discard
 	// primed entries. Within each group, one full-candidate
-	// EvaluateAll per distinct spec primes the cache across the HTM
-	// worker pool, turning the per-pair probes into cache hits instead
-	// of k×n sequential single-candidate projections.
+	// EvaluateAll per distinct spec primes the memo, turning the
+	// per-pair probes into memo reads instead of k×n single-candidate
+	// projections.
 	var nows []float64
 	byNow := make(map[float64][]int, 1)
 	for i, it := range items {

@@ -244,7 +244,10 @@ func WriteStats(w io.Writer, s agent.Stats) {
 // pass made; about one per decision means the commits miss. Ceiling-beaten
 // evaluations count the shards of a sharded HMCT or MSF decision that
 // could not pass the best score the shards before them had found, and so
-// projected only what came within reach of it.
+// projected only what came within reach of it. Memo-reused predictions
+// are those a burst's later members read instead of projecting: a
+// candidate whose trace nothing changed since its last projection at the
+// same arrival.
 func WriteEval(w io.Writer, st htm.EvalStats) {
 	p := &page{w: w}
 	p.sample("casched_htm_candidates_total", "counter", "Solvable candidate servers offered to HTM evaluation passes.", nil, float64(st.Candidates))
@@ -255,6 +258,7 @@ func WriteEval(w io.Writer, st htm.EvalStats) {
 	p.sample("casched_htm_name_lookups_total", "counter", "Candidates resolved by server name instead of through the candidate index.", nil, float64(st.NameLookups))
 	p.sample("casched_htm_index_builds_total", "counter", "Candidate-index builds (one per task type and pool membership).", nil, float64(st.IndexBuilds))
 	p.sample("casched_htm_ceiling_beaten_total", "counter", "Shard evaluations that could not win below the best score a sharded decision had already found, and so projected only what came within reach of it.", nil, float64(st.Beaten))
+	p.sample("casched_htm_memo_reused_total", "counter", "Predictions served from the HTM's memo instead of projected: the candidate's trace had not changed since its last projection for the task type at the same arrival (a burst of same-date arrivals).", nil, float64(st.Reused))
 	p.sample("casched_htm_baseline_refreshes_total", "counter", "Baseline projections of a server trace run because it changed since its baseline was taken (a placement the last pruned pass projected installs that projection instead).", nil, float64(st.Refreshes))
 }
 

@@ -133,7 +133,7 @@ func TestWriteHAGauges(t *testing.T) {
 
 func TestWriteEvalCounters(t *testing.T) {
 	var b strings.Builder
-	WriteEval(&b, htm.EvalStats{Candidates: 2048, Projections: 23, Replicated: 41, Stepped: 5, Bounded: 9, NameLookups: 7, IndexBuilds: 3, Refreshes: 4, Beaten: 6})
+	WriteEval(&b, htm.EvalStats{Candidates: 2048, Projections: 23, Replicated: 41, Stepped: 5, Bounded: 9, NameLookups: 7, IndexBuilds: 3, Refreshes: 4, Beaten: 6, Reused: 8})
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE casched_htm_candidates_total counter",
@@ -152,6 +152,8 @@ func TestWriteEvalCounters(t *testing.T) {
 		"casched_htm_baseline_refreshes_total 4",
 		"# TYPE casched_htm_ceiling_beaten_total counter",
 		"casched_htm_ceiling_beaten_total 6",
+		"# TYPE casched_htm_memo_reused_total counter",
+		"casched_htm_memo_reused_total 8",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)

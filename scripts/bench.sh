@@ -27,7 +27,10 @@
 #                             bounds/decision columns (the steady core
 #                             rows; projections and bounds summed over
 #                             the shards on the steady cluster rows,
-#                             which the carried ceiling moves) are
+#                             which the carried ceiling moves;
+#                             projections on the batch rows, which also
+#                             report, ungated, the predictions the HTM's
+#                             memo served as reused/decision) are
 #                             gated at the same percentage
 #                             where both files report them: they are
 #                             counts of the HTM's work (candidates
@@ -38,7 +41,9 @@
 #                             is loose. refreshes/decision (the
 #                             baseline projections a decision runs, about
 #                             0 on the steady rows: the commit installs
-#                             the winner's projection) is gated the same
+#                             the winner's projection; about 0.5 on the
+#                             batch rows, whose busy winners the memo
+#                             served have none to install) is gated the same
 #                             way above an absolute floor of 0.01, one
 #                             refresh per hundred decisions, since a row
 #                             that reads about 0 reads a stray refresh of
