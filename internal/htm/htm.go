@@ -105,13 +105,16 @@
 // before the first). Only projected candidates are snapshotted. The
 // contract is that the result holds, in server-name order and
 // bit-identical to the exhaustive predictions, every candidate whose
-// objective is within tie of the minimum: the true minimiser is never
-// pruned (its bound is at most its objective, which is at most any
-// incumbent), so the minimum over the result is the true minimum, and a
-// candidate within tie of it has a bound within tie of every incumbent.
-// Which candidates beyond those are returned depends on the order of
-// projection and is not part of the contract. Heuristic code, scores,
-// tie-breaks, random draws and placements are therefore unchanged.
+// objective is within tie of the minimum, or an earlier-named candidate
+// whose prediction has the same bits: the true minimiser is never pruned
+// (its bound is at most its objective, which is at most any incumbent),
+// so the minimum over the result is the true minimum, and a candidate
+// within tie of it has a bound within tie of every incumbent. Which
+// candidates beyond those are returned depends on the order of projection
+// and is not part of the contract. The heuristics that declare an
+// objective (HMCT, MSF) take the first in name order among equal values,
+// so a later-named candidate of the same bits is never their choice, and
+// their scores, tie-breaks and placements are therefore unchanged.
 //
 // The ceiling. A caller that already holds a candidate of score c from
 // another partition of the pool (a sharded fan-out evaluating its shards
@@ -141,11 +144,12 @@
 // groups a spec's entries into classes by everything the projection of
 // an empty trace reads beside the arrival and the spec — the cost triple
 // and the trace's memory configuration (RAM, swap, thrash model) — and a
-// class with an idle member (it has fewer busy members than members: the
-// index counts them as traces join and leave Manager.busy) is bounded
+// class with an idle member (the index keeps, per class, its first member
+// by name not in Manager.busy, as traces join and leave it) is bounded
 // once, over no live job, and if it must be looked at projected once, on
-// its first idle member; the prediction is then copied under the name of
-// every other idle member. That is exact without a closed form for the
+// that member, whose prediction answers for the class: every other idle
+// member is later-named and would project the same bits, which is all the
+// contract asks. That is exact without a closed form for the
 // idle completion date: fluid is deterministic, and each member would be
 // handed the same arrival, cost and footprint, the same memory model and
 // the same empty live set (an idle trace's clock trails the trace time,
@@ -177,12 +181,13 @@
 // and a few busy candidates and visits the few busy traces whose CPU
 // frees before the best idle class could finish; as load rises the bounds
 // separate less and the pass degrades toward the exhaustive one.
-// EvalStats counts candidates, projections run, predictions served by copy
-// (Replicated) and candidates read one by one (Bounded). The projections
-// of the candidates still within tie of the incumbent when the pass ends
-// are stashed for the Place that follows (see "Evaluation core"): a busy
-// trace's under its generation, an idle class's under its key, which is
-// what makes the copy exact above.
+// EvalStats counts candidates, projections run, idle candidates answered
+// for by their class's representative (Replicated) and candidates read one
+// by one (Bounded). The projections of the candidates still within tie of
+// the incumbent when the pass ends are stashed for the Place that follows
+// (see "Evaluation core"): a busy trace's under its generation, an idle
+// class's under its key, which is what lets any idle member of the class
+// install it.
 //
 // The bound. Let the new job cost (I, w, O) on the server and arrive at
 // a, let r_i be the remaining compute of each job computing at a (what
@@ -314,7 +319,8 @@
 // The cache is keyed by spec pointer, which the registry, the workload
 // generators and the wire decoding share per task type, and is bounded
 // by construction: at most maxIndexedSpecs indexes, each a few words per
-// solvable server (entry, pool slot, class, class member), all dropped
+// solvable server (entry, pool slot, class, class member, memo slot) and
+// per class (its busy count and first idle member), all dropped
 // when a further spec arrives and whenever AddServer or DropServer
 // changes the pool. It is state per task type, never per task; a client that mints
 // a spec per task only pays a rebuild per decision (about what the
@@ -635,8 +641,8 @@ type Manager struct {
 	// projected; their ratio is the share pruning skipped (EvalStats).
 	considered atomic.Uint64
 	projected  atomic.Uint64
-	// replicated counts the predictions the pruned pass copied from an
-	// idle class's representative instead of projecting them.
+	// replicated counts the idle candidates the pruned pass let their
+	// class's representative answer for instead of projecting them.
 	replicated atomic.Uint64
 	// stepped counts the traces the clock stepped through due events;
 	// bounded the busy traces the pruned pass visited.
@@ -752,9 +758,10 @@ type EvalStats struct {
 	// EvaluateAll family; Projections those that were projected. The
 	// difference is what pruning skipped or served from an idle class.
 	Candidates, Projections uint64
-	// Replicated counts the predictions served by copying the projection
-	// of an idle class's representative (see "Pruning"); they are not in
-	// Projections.
+	// Replicated counts the idle candidates answered for by their class's
+	// representative, the first idle member by name, whose one prediction
+	// stands for them all (see "Pruning"); they are neither in Projections
+	// nor in the result.
 	Replicated uint64
 	// Stepped counts the traces the trace clock stepped: one for each
 	// advance of the trace time that found an event of the trace due (see
@@ -839,11 +846,13 @@ type specIndex struct {
 	classOf []int32
 	next    []int32
 	// classes is ordered by idle flow, ties by first member; busy counts,
-	// per class, the members in Manager.busy, kept where a trace joins or
-	// leaves it (countBusyLocked), so a class has an idle member when
-	// busy[c] < size.
+	// per class, the members in Manager.busy, and idle is its first member
+	// not in it, -1 when busy[c] == size: the one the pruned pass projects.
+	// Both are kept where a trace joins or leaves Manager.busy
+	// (countBusyLocked).
 	classes []idleClass
 	busy    []int32
+	idle    []int32
 	// least is the least compute and the least output cost over the
 	// entries, which the pruned pass's stop rule is taken at.
 	least task.Cost
@@ -933,12 +942,16 @@ func (m *Manager) indexLocked(spec *task.Spec) *specIndex {
 			ix.classOf[k] = int32(c)
 		}
 	}
-	ix.busy = make([]int32, len(ix.classes))
+	counts := make([]int32, 2*len(ix.classes))
+	ix.busy, ix.idle = counts[:len(ix.classes):len(ix.classes)], counts[len(ix.classes):]
 	ix.memo = make([]memoSlot, len(ix.entries))
 	for _, tr := range m.busy {
 		if k := ix.slot[tr.pos]; k >= 0 {
 			ix.busy[ix.classOf[k]]++
 		}
+	}
+	for c, cl := range ix.classes {
+		ix.idle[c] = ix.idleFrom(cl.first)
 	}
 	m.index[spec] = ix
 	m.indexBuilds.Add(1)
@@ -1147,13 +1160,33 @@ func (m *Manager) rekeyLocked(tr *serverTrace) {
 }
 
 // countBusyLocked adds d to the busy count of the trace's class in every
-// cached index, as the trace joins (+1) or leaves (-1) Manager.busy.
+// cached index, as the trace joins (+1) or leaves (-1) Manager.busy, once
+// tr.busy says so, and keeps the class's first idle member: a member named
+// before it that leaves Manager.busy takes its place, and when that member
+// joins, the next member not in Manager.busy does.
 func (m *Manager) countBusyLocked(tr *serverTrace, d int32) {
 	for _, ix := range m.index {
-		if k := ix.slot[tr.pos]; k >= 0 {
-			ix.busy[ix.classOf[k]] += d
+		k := ix.slot[tr.pos]
+		if k < 0 {
+			continue
+		}
+		c := ix.classOf[k]
+		ix.busy[c] += d
+		if first := ix.idle[c]; d < 0 && (first < 0 || k < first) {
+			ix.idle[c] = k
+		} else if d > 0 && first == k {
+			ix.idle[c] = ix.idleFrom(k)
 		}
 	}
+}
+
+// idleFrom returns the first member of k's class, from k on in name
+// order, whose trace is not in Manager.busy, -1 if none is.
+func (ix *specIndex) idleFrom(k int32) int32 {
+	for k >= 0 && ix.entries[k].tr.busy {
+		k = ix.next[k]
+	}
+	return k
 }
 
 // liveClone returns a pooled live-only clone of the trace as it stands,
@@ -1468,13 +1501,14 @@ func (m *Manager) EvaluateAllInto(id int, spec *task.Spec, arrival float64, cand
 }
 
 // sortByServer orders predictions by server name. The exhaustive pass
-// hands it a sorted list and the pruned pass a near-sorted one (a
-// replicated class, then the few walked candidates that were projected),
-// which an insertion sort puts right in about as many moves as there are
-// predictions. Several replicated classes are sorted runs that interleave;
-// once the moves exceed a few per prediction pdqsort finishes the job.
-// Neither allocates (the comparison captures nothing), and with unique
-// server names any sort gives the same result.
+// hands it a sorted list, the pruned pass a short one (a prediction per
+// idle class it projected, in class order, then the few busy candidates
+// projected), and a name-resolved subset whatever order its caller chose
+// (KPB's, by execution time). An insertion sort puts a near-sorted list
+// right in about as many moves as there are predictions; once the moves
+// exceed a few per prediction pdqsort finishes the job. Neither allocates
+// (the comparison captures nothing), and with unique server names any sort
+// gives the same result.
 func sortByServer(out []Prediction) {
 	budget := 4 * len(out)
 	for i := 1; i < len(out); i++ {

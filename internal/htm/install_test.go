@@ -214,7 +214,7 @@ func TestInstallMatchRule(t *testing.T) {
 			t.Fatalf("job %d on %s at %v: installed %v, want %v", job, server, at, got, want)
 		}
 	}
-	// An idle replica: a1 was served by copy of a0's projection.
+	// An idle replica: a0's projection answered for a1.
 	pass(0)
 	place(spec, id, 0, "a1", true)
 	// The same class key but for memory: valette was idle too.

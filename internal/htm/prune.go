@@ -40,8 +40,10 @@ func (o Objective) value(p *Prediction) float64 {
 // minimises Objective and breaks ties within Tie of the minimum: its
 // EvaluateAll family returns, in server-name order, a subset of the
 // exhaustive predictions that holds every candidate whose objective is
-// within Tie of the minimum — all such a heuristic reads — and skips
-// the projection of candidates proven unable to be among them. With
+// within Tie of the minimum, or an earlier-named candidate whose
+// prediction has the same bits — all such a heuristic reads, since it
+// takes the first in name order among equal values — and skips the
+// projection of candidates proven unable to be among them. With
 // NoObjective it is the exhaustive evaluation. Everything else is the
 // embedded Manager's. Construct it with Manager.Minimizing.
 type Minimizer struct {
@@ -202,8 +204,8 @@ type candidateBound struct {
 // answers ErrBeaten. When the list is the index's
 // own, the idle candidates come first, by class in order of idle flow: a
 // class is bounded over no live job and projected once, on its first idle
-// member, and the prediction is copied under the name of each other idle
-// member, which would be given the same arrival, cost and empty live set.
+// member by name, whose prediction answers for each later idle member,
+// which would be given the same arrival, cost and empty live set.
 // An idle projection is the cheapest there is and lands on its bound, so
 // it goes ahead of candidates whose bound may be far below their
 // objective. Then the busy traces are visited in key order: under
@@ -277,24 +279,14 @@ func (m *Manager) evaluateMinimizing(obj Objective, tie, ceiling float64, id int
 		entries, offered = ix.entries, len(ix.entries)
 		for c := range ix.classes {
 			cl := &ix.classes[c]
-			if ix.busy[c] == cl.size || boundOver(obj, nil, 0, 0, cl.mem.ramMB, cl.cost, spec.MemoryMB, arrival) > incumbent+tie {
+			k := ix.idle[c]
+			if k < 0 || boundOver(obj, nil, 0, 0, cl.mem.ramMB, cl.cost, spec.MemoryMB, arrival) > incumbent+tie {
 				continue
 			}
-			k := cl.first
-			for entries[k].tr.busy {
-				k = ix.next[k]
+			if p, ok := try(k); ok {
+				out = append(out, p)
+				replicated += int(cl.size-ix.busy[c]) - 1
 			}
-			p, ok := try(k)
-			if !ok {
-				continue
-			}
-			for ; k >= 0; k = ix.next[k] {
-				if !entries[k].tr.busy {
-					p.Server = ix.names[k]
-					out = append(out, p)
-				}
-			}
-			replicated += int(cl.size-ix.busy[c]) - 1
 		}
 		for _, tr := range m.busy {
 			visited++

@@ -10,19 +10,28 @@ import (
 
 // TestMSFSumFlowClaim pins the paper's sum-flow claim for MSF against
 // HMCT on the Set2 workload over the scaled testbed: 8 servers at mean
-// inter-arrival 6 s and 2 s, and 128 servers at the same load per
-// server (0.375 s and 0.125 s), seeds 11–13. In every cell MSF's
-// HTM-simulated sum-flow (sumFlowOf) is below HMCT's, on one core and on
-// a 4-shard cluster, and the cluster's sum-flow equals the core's bit
-// for bit: the sharded fan-out, which evaluates each shard below the
-// best score already found, places exactly as the core does. MCT's leg
-// of the claim cannot be read this way: a heuristic without an HTM has
-// no final projections.
+// inter-arrival 6 s and 2 s, 128 servers at the same load per server
+// (0.375 s and 0.125 s), and 1024 servers at 0.047 s and 0.0156 s, the
+// light regime where most candidates are idle, seeds 11–13. In every cell
+// but those listed in ties MSF's HTM-simulated sum-flow (sumFlowOf) is
+// below HMCT's, on one core and on a 4-shard cluster. The ties depart
+// from the claim: at 1024 servers and D = 0.0156 every task lands on an
+// idle server under both heuristics, and their sum-flows are equal to the
+// bit. The cluster's sum-flow equals the core's bit for bit in every
+// cell: the sharded fan-out, which evaluates each shard below the best
+// score already found, places exactly as the core does. MCT's leg of the
+// claim cannot be read this way: a heuristic without an HTM has no final
+// projections.
 func TestMSFSumFlowClaim(t *testing.T) {
+	ties := map[string]bool{
+		"1024 servers, D=0.0156, seed 11": true,
+		"1024 servers, D=0.0156, seed 12": true,
+		"1024 servers, D=0.0156, seed 13": true,
+	}
 	for _, cell := range []struct {
 		servers int
 		d       float64
-	}{{8, 6}, {8, 2}, {128, 0.375}, {128, 0.125}} {
+	}{{8, 6}, {8, 2}, {128, 0.375}, {128, 0.125}, {1024, 0.047}, {1024, 0.0156}} {
 		names, rewrite := testbed(cell.servers / 4)
 		for seed := uint64(11); seed <= 13; seed++ {
 			mt := workload.MustGenerate(workload.Set2(300, cell.d, seed))
@@ -46,7 +55,11 @@ func TestMSFSumFlowClaim(t *testing.T) {
 			}
 			name := fmt.Sprintf("%d servers, D=%g, seed %d", cell.servers, cell.d, seed)
 			for _, shape := range []Shape{ShapeCore, ShapeCluster} {
-				if msf, hmct := flow["MSF"][shape], flow["HMCT"][shape]; !(msf < hmct) {
+				msf, hmct := flow["MSF"][shape], flow["HMCT"][shape]
+				if ties[name] && math.Float64bits(msf) != math.Float64bits(hmct) {
+					t.Errorf("%s, %s: MSF sum-flow %.17g, HMCT's %.17g: recorded as a tie", name, shape, msf, hmct)
+				}
+				if !ties[name] && !(msf < hmct) {
 					t.Errorf("%s, %s: MSF sum-flow %.6g is not below HMCT's %.6g", name, shape, msf, hmct)
 				}
 			}
@@ -56,7 +69,7 @@ func TestMSFSumFlowClaim(t *testing.T) {
 					t.Errorf("%s, %s: cluster sum-flow %.17g, core %.17g", name, h, cl, core)
 				}
 			}
-			t.Logf("%s: MSF/HMCT sum-flow %.4f (core %.6g / %.6g)", name,
+			t.Logf("%s: MSF/HMCT sum-flow %.6f (core %.6g / %.6g)", name,
 				flow["MSF"][ShapeCore]/flow["HMCT"][ShapeCore], flow["MSF"][ShapeCore], flow["HMCT"][ShapeCore])
 		}
 	}

@@ -71,7 +71,9 @@ func (*HMCT) usesHTM() bool { return true }
 
 // objective declares what ChooseScored minimises, which lets the HTM
 // prune (EvaluatorFor): argminScan reads only the predictions within
-// tieEps of the least completion date.
+// tieEps of the least completion date and takes the first in name order
+// among them, so a later-named prediction of the same bits, which the
+// pass leaves out, could never be its choice.
 func (*HMCT) objective() htm.Objective { return htm.MinCompletion }
 
 // Choose implements Scheduler.
@@ -176,7 +178,8 @@ func (*MSF) Name() string { return "MSF" }
 func (*MSF) usesHTM() bool { return true }
 
 // objective: argminTieBreak reads only the predictions within tieEps of
-// the least sum-flow increase (see HMCT.objective).
+// the least sum-flow increase and takes the first in name order among
+// equal completion dates (see HMCT.objective).
 func (*MSF) objective() htm.Objective { return htm.MinSumFlow }
 
 // Choose implements Scheduler.

@@ -151,7 +151,12 @@ func UsesHTM(s Scheduler) bool {
 // objective the scheduler declares it minimises (htm.NoObjective, and
 // with it exhaustive evaluation, for one that declares none), with the
 // heuristics' tie tolerance. A heuristic declares its objective the way
-// it declares usesHTM, so wrappers that embed it inherit both.
+// it declares usesHTM, so wrappers that embed it inherit both. Declaring
+// one commits the heuristic to read only the predictions within tieEps of
+// the least objective and to take the first in name order among equal
+// values: the pruned pass answers for a class of idle servers once, under
+// its first idle member by name, and drops the later-named predictions of
+// the same bits (TestObjectiveHeuristicsPickFirstByName).
 func EvaluatorFor(s Scheduler, m *htm.Manager) BufferedEvaluator {
 	return m.Minimizing(objectiveOf(s), tieEps)
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -145,5 +146,73 @@ func TestEvaluatorForDeclaredObjective(t *testing.T) {
 		if !ok || z.Manager != m || z.Objective != c.want || z.Tie != tieEps {
 			t.Errorf("%s: evaluator %+v, want objective %d over the manager with tie %g", c.s.Name(), z, c.want, tieEps)
 		}
+	}
+}
+
+// fixedEvaluator answers every EvaluateAll with a copy of its list.
+type fixedEvaluator []htm.Prediction
+
+func (f fixedEvaluator) EvaluateAll(int, *task.Spec, float64, []string) ([]htm.Prediction, error) {
+	return append([]htm.Prediction(nil), f...), nil
+}
+
+func (f fixedEvaluator) ProjectedReady(string) (float64, bool) { return 0, false }
+
+// TestObjectiveHeuristicsPickFirstByName guards the premise of the HTM's
+// pruned pass answering once per idle class: a heuristic that declares an
+// objective takes the first in name order among equal values, so a
+// later-named prediction with the same bits as an earlier one can never
+// be its choice, and dropping it changes nothing. For every registry
+// heuristic that declares one, over seeded lists in name order whose
+// values tie exactly and within tieEps, in both objectives and the
+// completion date, the Choice is the same with the later-named copies in
+// the list and without them.
+func TestObjectiveHeuristicsPickFirstByName(t *testing.T) {
+	var heuristics []ScoredScheduler
+	for _, s := range All() {
+		if objectiveOf(s) != htm.NoObjective {
+			heuristics = append(heuristics, s.(ScoredScheduler))
+		}
+	}
+	if len(heuristics) < 2 {
+		t.Fatalf("%d heuristics declare an objective, want HMCT and MSF at least", len(heuristics))
+	}
+	rng := stats.NewRNG(34)
+	// Values a hair apart, so that ties are exact and within tieEps.
+	level := func() float64 { return 100 + float64(rng.Intn(3)) + float64(rng.Intn(3))*0.4*tieEps }
+	copies := 0
+	for trial := 0; trial < 2000; trial++ {
+		var with, without []htm.Prediction
+		for i := 0; i < 2+rng.Intn(12); i++ {
+			name := fmt.Sprintf("s%02d", i)
+			if len(without) > 0 && rng.Intn(2) == 0 {
+				p := without[rng.Intn(len(without))]
+				p.Server = name
+				with = append(with, p)
+				copies++
+				continue
+			}
+			completion := level()
+			p := htm.Prediction{Server: name, Completion: completion, Flow: completion - 90,
+				Perturbation: level() - 100, Interfered: rng.Intn(2)}
+			with, without = append(with, p), append(without, p)
+		}
+		for _, s := range heuristics {
+			choose := func(preds []htm.Prediction) Choice {
+				ctx := &Context{Now: 90, Task: &task.Task{Spec: &task.Spec{Problem: "p"}, Arrival: 90},
+					HTM: fixedEvaluator(preds), RNG: stats.NewRNG(1)}
+				c, err := s.ChooseScored(ctx)
+				if err != nil {
+					t.Fatalf("%s: %v", s.Name(), err)
+				}
+				return c
+			}
+			if a, b := choose(with), choose(without); a != b {
+				t.Fatalf("trial %d, %s: %+v with the copies, %+v without\n with    %+v\n without %+v", trial, s.Name(), a, b, with, without)
+			}
+		}
+	}
+	if copies == 0 {
+		t.Fatal("no list held a copy")
 	}
 }

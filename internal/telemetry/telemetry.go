@@ -229,8 +229,9 @@ func WriteStats(w io.Writer, s agent.Stats) {
 
 // WriteEval renders the HTM evaluation counters. Candidates minus
 // projections is the number of candidate projections the pruned pass
-// skipped, by their bound or (the replicated count) by copying the one
-// projection of an idle cost class; the ratio projections/candidates
+// skipped, by their bound or (the replicated count) by letting the one
+// projection of an idle cost class answer for its other idle members;
+// the ratio projections/candidates
 // falls toward a few per pool on a lightly loaded deployment and rises
 // to 1 as it saturates. Trace
 // steps per decision stay at a few whatever the pool holds: a trace is
@@ -252,7 +253,7 @@ func WriteEval(w io.Writer, st htm.EvalStats) {
 	p := &page{w: w}
 	p.sample("casched_htm_candidates_total", "counter", "Solvable candidate servers offered to HTM evaluation passes.", nil, float64(st.Candidates))
 	p.sample("casched_htm_projections_total", "counter", "Candidate servers the HTM projected (the rest were pruned by their bound or served from an idle class).", nil, float64(st.Projections))
-	p.sample("casched_htm_replicated_total", "counter", "Predictions served by copying the projection of an idle server of the same cost class.", nil, float64(st.Replicated))
+	p.sample("casched_htm_replicated_total", "counter", "Idle candidates answered for by the one projection of their cost class's first idle server.", nil, float64(st.Replicated))
 	p.sample("casched_htm_trace_steps_total", "counter", "Server traces the HTM's clock stepped through a due event (a release or a phase end).", nil, float64(st.Stepped))
 	p.sample("casched_htm_bounded_total", "counter", "Busy server traces the pruned pass visited in CPU-free order before it stopped (every busy trace under MSF).", nil, float64(st.Bounded))
 	p.sample("casched_htm_name_lookups_total", "counter", "Candidates resolved by server name instead of through the candidate index.", nil, float64(st.NameLookups))
