@@ -166,12 +166,14 @@
 // stops at the first trace whose key alone puts every trace from there on
 // out of reach, and a visited candidate whose key alone puts it out of
 // reach is not read further; under MinSumFlow every busy trace is
-// visited. Of the visited candidates the bound does not rule out, the one
+// visited, and one with no memory model and at most one live job whose
+// key alone puts it out of reach is not read further. Of the visited
+// candidates the bound does not rule out, the one
 // of least bound is projected first and the others after it, each unless
 // the incumbent has come within its bound: in name order under
 // MinCompletion (the key order projected 5% more at 4096 servers), and in
-// the order visited under MinSumFlow, which keeps nearly every busy
-// candidate and would pay for sorting them. What is bounded one by
+// the order visited under MinSumFlow, which keeps many busy candidates
+// under load and would pay for sorting them. What is bounded one by
 // one: a busy trace even if it holds no live job (emptied by a re-anchor
 // since the last advance, collapsed under the memory model, or with a
 // fluid clock that the last event left within fluid's time tolerance
@@ -232,6 +234,38 @@
 //     small beside compute costs, the usual case, the correction is
 //     small.
 //
+// One live job. Under MinSumFlow a trace whose one live job j leaves
+// the newcomer no third party has a tighter bound, claimed when the RAM
+// holds both footprints (or memory is not modelled): the newcomer's
+// nominal flow plus twice the delay d that the two impose on each other
+// where they meet. With i', r' and o' what j has left at a of its input,
+// compute and output, and r its full compute:
+//
+//	computing:        d = min((r' - I)⁺, w)
+//	sending output:   d = min((o' - I - w)⁺, O)
+//	receiving input:  d = i' + min((r - I + i')⁺, w)   if i' ≤ I
+//	                  d = I + min((w - i' + I)⁺, r)    otherwise
+//	waiting:          d = 0
+//
+//	flow + π_j ≥ I + w + O + 2d.
+//
+// With one competitor and a thrash factor of 1, each job's rate at each
+// station is at most its rate alone, so no phase of either job ends
+// earlier than it would alone, which is j's baseline. Up to the first
+// station they share the two use different stations at full rate, so
+// each reaches it on its solo schedule; let m be the lesser of what the
+// earlier has left there when the later arrives and the later's own work
+// there (a min term above). Processor sharing then serves both at the
+// same rate until one leaves, after 2m seconds, so each ends that phase
+// at least m later than alone, and every later phase no earlier than
+// alone plus m. A job receiving its input meets the newcomer on the link
+// (m = min(i', I)) and again on the CPU, at dates those delays set, and
+// d sums the two. So the newcomer's flow is at least I + w + O + d and
+// π_j ≥ d. The bound is never below F's: where j computes,
+// I + 2·min((r' - I)⁺, w) ≥ min(r', w), and elsewhere F = I + w + O;
+// lowerBound takes the greater of the two, each less its slack at one
+// live job. TestSoloSumFlowBoundTight pins each case where it is exact.
+//
 // A slack of (n+2)²·(8e-9 + 4e-15·(a+F)), n the live jobs, is taken off
 // every bound: fluid ends a phase once under 1e-9 s of work remains,
 // which moves later events by as much, event dates carry rounding, and
@@ -268,11 +302,31 @@
 // least the least, no more live jobs — and so does its bound: the visit
 // stops. The slack is the largest live count's and not each trace's own,
 // because the (a + w) branch and the relative term depend on the spec,
-// so no per-trace date could carry them. MinSumFlow's Σπ correction is
-// not a function of K, and its pass visits every busy trace. The key
-// bound is checked against the bound, and the stop against the contract,
-// on generated traces by the same property test and fuzzer, and at 1024
-// servers by TestPrunedPassLargePool.
+// so no per-trace date could carry them. The key bound is checked against
+// the bound, and the stop against the contract, on generated traces by
+// the same property test and fuzzer, and at 1024 servers by
+// TestPrunedPassLargePool.
+//
+// MinSumFlow's Σπ correction is not a function of K, so its pass visits
+// every busy trace and cannot stop. But a trace with no memory model and
+// at most one live job is not read further when
+//
+//	X_Σ = I + w + O + 2·min((K - TimeEps - a - I)⁺, w),
+//
+// less the slack at s = 4 (sumFlowKeyBound), exceeds incumbent + tie. A
+// lone job computing at a has r' ≥ K - TimeEps - a, as above, and the
+// one-job bound rises with r'; any other such trace (one job not
+// computing, or none) has K = c ≤ a + TimeEps, so the key term is 0 and
+// X_Σ = I + w + O, which its bound is not below. The slack leaves
+// 7·(8e-9 + 4e-15·(a + X_Σ)) for the rounding of K's sum. The key bound
+// holds under thrash too: the newcomer's input still ends at a + I, and
+// while the two compute each is served at most half of what it gets alone,
+// so each still ends at least min((r' - I)⁺, w) later than alone. The
+// pass keeps the memory guard all the same, so that what it skips is
+// what the bound it would read rules out (that bound claims nothing under
+// memory pressure); checkPruneCase holds sumFlowKeyBound against
+// lowerBound without a memory model and against the projected objective
+// with one.
 //
 // Not pruned, and why: MP and MNI (an idle server has objective 0, so
 // no positive bound separates candidates; their tie-break needs the

@@ -110,7 +110,42 @@ func lowerBound(obj Objective, tr *serverTrace, cost task.Cost, memoryMB, arriva
 	if dt < 0 {
 		dt = 0
 	}
-	return boundOver(obj, tr.sim.Live(), dt*tr.rates[task.PhaseCompute], dt*tr.rates[task.PhaseOutput], tr.mem.ramMB, cost, memoryMB, arrival)
+	live := tr.sim.Live()
+	b := boundOver(obj, live, dt*tr.rates[task.PhaseCompute], dt*tr.rates[task.PhaseOutput], tr.mem.ramMB, cost, memoryMB, arrival)
+	if obj == MinSumFlow && len(live) == 1 {
+		b = max(b, soloSumFlowBound(live[0], dt, &tr.rates, tr.mem.ramMB, cost, memoryMB, arrival))
+	}
+	return b
+}
+
+// soloSumFlowBound is the MinSumFlow bound on a trace whose one live job
+// is j, served for dt at the given rates since the trace's clock: the
+// newcomer's nominal flow plus twice the delay d that it and j
+// impose on each other at the first station they share (the package
+// comment has the proof). It is -Inf under memory pressure: a modelled RAM
+// that cannot hold both footprints.
+func soloSumFlowBound(j *fluid.Job, dt float64, rates *[task.NumPhases]float64, ramMB float64, cost task.Cost, memoryMB, arrival float64) float64 {
+	if ramMB > 0 && j.MemoryMB+memoryMB > ramMB {
+		return math.Inf(-1)
+	}
+	in, w := cost.Input, cost.Compute
+	d := 0.0
+	switch j.State {
+	case fluid.StateInput:
+		i, r := j.Remaining[task.PhaseInput]-dt*rates[task.PhaseInput], j.Remaining[task.PhaseCompute]
+		if i <= in {
+			d = i + min(max(r-in+i, 0), w)
+		} else {
+			d = in + min(max(w-i+in, 0), r)
+		}
+	case fluid.StateCompute:
+		d = min(max(j.Remaining[task.PhaseCompute]-dt*rates[task.PhaseCompute]-in, 0), w)
+	case fluid.StateOutput:
+		d = min(max(j.Remaining[task.PhaseOutput]-dt*rates[task.PhaseOutput]-in-w, 0), cost.Output)
+	}
+	flow := in + w + cost.Output + 2*d
+	// boundOver's slack at one live job.
+	return flow - 9*(8e-9+4e-15*(arrival+flow))
 }
 
 // boundOver is lowerBound on a live set, the work each of its jobs has
@@ -182,6 +217,17 @@ func keyBound(key float64, n int32, cost *task.Cost, arrival float64) float64 {
 	return x - s*s*(8e-9+4e-15*math.Abs(x))
 }
 
+// sumFlowKeyBound is the MinSumFlow bound of a trace with no memory model
+// and at most one live job, read from its key alone: no such trace with
+// CPU-free date key has a lowerBound below it for a job of the given cost
+// arriving at arrival (the package comment has the proof).
+func sumFlowKeyBound(key float64, cost *task.Cost, arrival float64) float64 {
+	in, w := cost.Input, cost.Compute
+	x := in + w + cost.Output + 2*min(max(key-fluid.TimeEps-arrival-in, 0), w)
+	// keyBound's slack at one live job.
+	return x - 16*(8e-9+4e-15*(arrival+x))
+}
+
 // stopBound is the keyBound below which no busy trace at or after this
 // key can fall, for any candidate of the index: taken at the index's least
 // cost of each phase and the busy list's largest live count.
@@ -211,7 +257,9 @@ type candidateBound struct {
 // objective. Then the busy traces are visited in key order: under
 // MinCompletion the visit stops at the first whose stopBound is out, and
 // skips a candidate whose own keyBound is out before reading its jobs;
-// under MinSumFlow it visits every one. Any other list is visited
+// under MinSumFlow it visits every one, and skips a trace with no memory
+// model and at most one live job whose sumFlowKeyBound is out before
+// reading its jobs. Any other list is visited
 // candidate by candidate. A visited candidate is bounded exactly and kept
 // unless that rules it out; of those kept, the one of least bound is
 // projected first and then the others in candidate order, each unless the
@@ -288,19 +336,28 @@ func (m *Manager) evaluateMinimizing(obj Objective, tie, ceiling float64, id int
 				replicated += int(cl.size-ix.busy[c]) - 1
 			}
 		}
-		for _, tr := range m.busy {
-			visited++
-			k := ix.slot[tr.pos]
-			if obj == MinCompletion {
+		if obj == MinSumFlow {
+			for _, tr := range m.busy {
+				visited++
+				k := ix.slot[tr.pos]
+				if k < 0 || tr.live <= 1 && tr.mem.ramMB == 0 && sumFlowKeyBound(tr.key, &entries[k].cost, arrival) > incumbent+tie {
+					continue
+				}
+				exact(k)
+			}
+		} else {
+			for _, tr := range m.busy {
+				visited++
+				k := ix.slot[tr.pos]
 				if m.stopBound(ix, tr.key, arrival) > incumbent+tie {
 					break
 				}
 				if k >= 0 && keyBound(tr.key, tr.live, &entries[k].cost, arrival) > incumbent+tie {
 					continue
 				}
-			}
-			if k >= 0 {
-				exact(k)
+				if k >= 0 {
+					exact(k)
+				}
 			}
 		}
 	}
@@ -308,9 +365,9 @@ func (m *Manager) evaluateMinimizing(obj Objective, tie, ceiling float64, id int
 		// The candidate of least bound goes first, the first in candidate
 		// order of those tied. Under MinCompletion the few others follow in
 		// candidate order, which projects no more of them than that order
-		// always did; under MinSumFlow, where nearly every busy candidate is
-		// kept, they follow in the order visited, which projects as few and
-		// saves sorting them. The result is sorted below.
+		// always did; under MinSumFlow, which keeps many busy candidates
+		// under load, they follow in the order visited, which projects as
+		// few and saves sorting them. The result is sorted below.
 		first := 0
 		for i, c := range kept {
 			if least := kept[first]; c.bound < least.bound || c.bound == least.bound && c.k < least.k {

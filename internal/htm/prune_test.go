@@ -116,15 +116,18 @@ func buildPruneCase(data []byte) pruneCase {
 // boundsAt returns the lower bound lowerBound proves for every tracked
 // candidate at the case's arrival, computed the way the pruned pass
 // does: after the trace clock advanced, from the live jobs in place.
-// Under MinCompletion it also returns, per candidate, the greater of the
-// two bounds the pass reads from the trace's key before that: the
-// candidate's own keyBound and the index's stopBound.
-func (c pruneCase) boundsAt(obj Objective) (bounds, keys map[string]float64) {
+// It also returns, per candidate, what the pass may read from the trace's
+// key before that. Under MinCompletion: the greater of the candidate's
+// own keyBound and the index's stopBound. Under MinSumFlow:
+// sumFlowKeyBound, for every busy trace of at most one live job; those
+// with a memory model, which the pass never skips by their key, in
+// thrashKeys instead of keys.
+func (c pruneCase) boundsAt(obj Objective) (bounds, keys, thrashKeys map[string]float64) {
 	c.m.mu.Lock()
 	defer c.m.mu.Unlock()
 	arrival := c.m.advanceLocked(c.arrival)
 	ix := c.m.indexLocked(c.spec)
-	bounds, keys = make(map[string]float64), make(map[string]float64)
+	bounds, keys, thrashKeys = make(map[string]float64), make(map[string]float64), make(map[string]float64)
 	for _, s := range c.candidates {
 		tr, ok := c.m.traces[s]
 		if !ok {
@@ -132,11 +135,16 @@ func (c pruneCase) boundsAt(obj Objective) (bounds, keys map[string]float64) {
 		}
 		cost := c.spec.CostOn[s]
 		bounds[s] = lowerBound(obj, tr, cost, c.spec.MemoryMB, arrival)
-		if obj == MinCompletion {
+		switch {
+		case obj == MinCompletion:
 			keys[s] = max(keyBound(tr.key, tr.live, &cost, arrival), c.m.stopBound(ix, tr.key, arrival))
+		case tr.busy && tr.live <= 1 && tr.mem.ramMB == 0:
+			keys[s] = sumFlowKeyBound(tr.key, &cost, arrival)
+		case tr.busy && tr.live <= 1:
+			thrashKeys[s] = sumFlowKeyBound(tr.key, &cost, arrival)
 		}
 	}
-	return bounds, keys
+	return bounds, keys, thrashKeys
 }
 
 // midPhase reports which active states (input, compute, output) the
@@ -220,10 +228,10 @@ func checkPruneCase(t *testing.T, c pruneCase) (stopped bool) {
 		t.Error(err)
 	}
 	for _, obj := range []Objective{MinCompletion, MinSumFlow} {
-		bounds, keys := c.boundsAt(obj)
+		bounds, keys, thrashKeys := c.boundsAt(obj)
 		for s, k := range keys {
 			if b := bounds[s]; k > b {
-				t.Errorf("on %s: key bound %.17g exceeds the bound %.17g", s, k, b)
+				t.Errorf("objective %d on %s: key bound %.17g exceeds the bound %.17g", obj, s, k, b)
 			}
 		}
 		full, _ := c.m.EvaluateAll(1<<20, c.spec, c.arrival, c.candidates)
@@ -231,6 +239,12 @@ func checkPruneCase(t *testing.T, c pruneCase) (stopped bool) {
 			if b, v := bounds[p.Server], obj.value(&p); b > v {
 				t.Errorf("objective %d on %s: bound %.12g exceeds the projected objective %.12g (%+v)",
 					obj, p.Server, b, v, p)
+			}
+			// The key bound holds under thrash too (see "The key"), though
+			// the pass reads it only without a memory model.
+			if k, ok := thrashKeys[p.Server]; ok && k > obj.value(&p) {
+				t.Errorf("objective %d on %s under the memory model: key bound %.17g exceeds the projected objective %.17g (%+v)",
+					obj, p.Server, k, obj.value(&p), p)
 			}
 		}
 		for i, list := range [][]string{c.candidates, c.m.Candidates(c.spec)} {
@@ -391,6 +405,67 @@ func TestPruneBoundOutputLink(t *testing.T) {
 	checkPruneCase(t, c)
 }
 
+// TestSoloSumFlowBoundTight pins the MinSumFlow bound of a trace with one
+// live job j in each case of the delay d that j and the newcomer N impose
+// on each other at the first station they share: on these traces no
+// other station is shared, so the projected objective is N's nominal flow
+// plus 2d, and the bound is that less its slack. Where j computes, the
+// bound read from the trace's key is the same less its own slack.
+func TestSoloSumFlowBoundTight(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		job            task.Cost
+		placed, arrive float64
+		newcomer       task.Cost
+		d              float64
+	}{
+		// r' = 8 left at 2; N computes from 3, when j has 7 left.
+		{"compute r'>I", task.Cost{Compute: 10}, 0, 2, task.Cost{Input: 1, Compute: 4, Output: 0.5}, 4},
+		{"compute r'<=I", task.Cost{Compute: 10}, 0, 9, task.Cost{Input: 2, Compute: 3}, 0},
+		// o' = 9 left at 1; N reaches the link at 4, when j has 6 left.
+		{"output o'>I+w", task.Cost{Output: 10}, 0, 1, task.Cost{Input: 1, Compute: 2, Output: 3}, 3},
+		// i' = 3 left at 1: j leaves the link at 7, N at 9, when j has 8 of
+		// its 10 s of compute left.
+		{"input i'<=I", task.Cost{Input: 4, Compute: 10}, 0, 1, task.Cost{Input: 5, Compute: 6, Output: 1}, 9},
+		// i' = 8 left at 2: N leaves the link at 8, j at 13, when N has 5
+		// of its 10 s of compute left.
+		{"input i'>I", task.Cost{Input: 10, Compute: 5}, 0, 2, task.Cost{Input: 3, Compute: 10, Output: 1}, 8},
+		// N computes from 2; j joins at 10, when N has 2 s left.
+		{"input I=0", task.Cost{Input: 10, Compute: 5}, 0, 2, task.Cost{Compute: 10, Output: 1}, 2},
+		// j is placed at the arrival and waits for its release.
+		{"waiting", task.Cost{Input: 5}, 3, 3, task.Cost{Compute: 2}, 0},
+	} {
+		on := func(c task.Cost) *task.Spec {
+			return &task.Spec{Problem: "p", CostOn: map[string]task.Cost{"s": c}}
+		}
+		m := New([]string{"s"})
+		if err := m.Place(1, on(tc.job), tc.placed, "s"); err != nil {
+			t.Fatal(err)
+		}
+		c := pruneCase{m: m, spec: on(tc.newcomer), arrival: tc.arrive, candidates: []string{"s"}}
+		bounds, keys, _ := c.boundsAt(MinSumFlow)
+		p, err := m.Evaluate(2, c.spec, c.arrival, "s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := tc.newcomer
+		v, want := p.SumFlowObjective(), n.Input+n.Compute+n.Output+2*tc.d
+		if math.Abs(v-want) > 1e-12 {
+			t.Errorf("%s: projected objective %.17g, want %g", tc.name, v, want)
+		}
+		bound := v - 9*(8e-9+4e-15*(tc.arrive+v))
+		if b := bounds["s"]; math.Abs(b-bound) > 1e-12 {
+			t.Errorf("%s: bound %.17g, want the objective less its slack, %.17g", tc.name, b, bound)
+		}
+		if tc.job.Compute > 0 && tc.job.Input == 0 {
+			if k, key := keys["s"], v-16*(8e-9+4e-15*(tc.arrive+v)); math.Abs(k-key) > 1e-12 {
+				t.Errorf("%s: key bound %.17g, want the objective less its slack, %.17g", tc.name, k, key)
+			}
+		}
+		checkPruneCase(t, c)
+	}
+}
+
 // TestPrunedPassSkipsProjections: on a pool where one server is idle
 // and the rest are busy with long jobs, the pruned pass projects a
 // handful of candidates, and the counters say so.
@@ -455,6 +530,16 @@ func FuzzPruneBound(f *testing.F) {
 	f.Add([]byte{0x1a, 0x3, 0x6b, 0xf1, 0xc, 0xce, 0xdf, 0x13, 0x77, 0x69, 0x61, 0x18, 0xde, 0xd6, 0x34, 0x18, 0xbf, 0x58, 0x3b, 0x3c, 0x93, 0xf8, 0xdf, 0x1d, 0x14, 0x68, 0x84, 0xa3, 0xf2, 0x29, 0xc, 0x3d, 0x59, 0xa3})
 	f.Add([]byte{0x3d, 0x82, 0xe1, 0x44, 0xef, 0x97, 0x6a, 0xfc, 0x5, 0xab, 0x68, 0x69, 0x12, 0xbc, 0x16, 0xc6, 0xef, 0xe, 0x8d, 0x20, 0xe3, 0x53, 0x7b, 0xe6, 0x8e, 0x29, 0x95, 0xc, 0x32, 0xba, 0x1c, 0xd3, 0x9d})
 	f.Add([]byte{0x13, 0x23, 0x6a, 0x8b, 0xc6, 0xa4, 0x87, 0xda, 0x93, 0x45, 0x2b, 0xe9, 0x9f, 0x21, 0xbe, 0x71, 0xb8, 0x57, 0x5e, 0x48, 0x6a, 0x1d, 0xf5, 0xef, 0x16, 0xad, 0x60, 0xa5, 0x6f, 0x56, 0xcf, 0x96, 0x97, 0xc7})
+	// A busy trace with one live job and no memory model in each case of
+	// the delay of soloSumFlowBound: receiving its input with i' <= I, with
+	// i' > I and against I = 0; computing with r' > I and with r' <= I;
+	// sending its output with o' > I+w.
+	f.Add([]byte{0xb8, 0xc1, 0x1a, 0x31, 0x5e, 0x8, 0xad, 0xd8, 0x68, 0x83, 0xb8, 0xaa, 0xb7, 0x3d, 0xe, 0x1d})
+	f.Add([]byte{0xd6, 0xc2, 0xff, 0x74, 0xe2, 0x77, 0x1d, 0xb3, 0x83, 0x4, 0xec, 0xba, 0xea, 0xa0, 0x4f, 0x62, 0xd6})
+	f.Add([]byte{0xaa, 0x81, 0xe3, 0x5c, 0x8, 0x77, 0xb2, 0x70, 0x85, 0x64, 0x68, 0x5b, 0xd5, 0x1c, 0x64, 0xdf})
+	f.Add([]byte{0xb4, 0x45, 0xc1, 0xfa, 0x9c, 0xae, 0x25, 0x8b, 0x40, 0xe4, 0x5, 0x9f, 0x28})
+	f.Add([]byte{0x56, 0x1, 0x70, 0xa7, 0x1f, 0x53, 0x87, 0x15, 0x50, 0x2c, 0xc0, 0xc8, 0x9a, 0x43, 0xd1})
+	f.Add([]byte{0xb6, 0x81, 0x29, 0xbd, 0xf7, 0xc4, 0x7f, 0x77, 0xa6, 0xfe, 0x44, 0xf8, 0xc3, 0x35, 0x75})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1024 {
 			t.Skip()

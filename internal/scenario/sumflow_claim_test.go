@@ -14,12 +14,14 @@ import (
 // (0.375 s and 0.125 s), and 1024 servers at 0.047 s and 0.0156 s, the
 // light regime where most candidates are idle, seeds 11–13. In every cell
 // but those listed in ties MSF's HTM-simulated sum-flow (sumFlowOf) is
-// below HMCT's, on one core and on a 4-shard cluster. The ties depart
-// from the claim: at 1024 servers and D = 0.0156 every task lands on an
-// idle server under both heuristics, and their sum-flows are equal to the
-// bit. The cluster's sum-flow equals the core's bit for bit in every
-// cell: the sharded fan-out, which evaluates each shard below the best
-// score already found, places exactly as the core does. MCT's leg of the
+// below HMCT's, on one core, on a 4-shard cluster and on an in-process
+// federation of 4 members with fresh routing. The ties depart from the
+// claim: at 1024 servers and D = 0.0156 every task lands on an idle
+// server under both heuristics, and their sum-flows are equal to the bit.
+// The cluster's and the federation's sum-flows equal the core's bit for
+// bit in every cell: the sharded fan-out, which evaluates each shard
+// below the best score already found, and the federation's fan-out, which
+// evaluates every member plainly, place exactly as the core does. MCT's leg of the
 // claim cannot be read this way: a heuristic without an HTM has no final
 // projections.
 func TestMSFSumFlowClaim(t *testing.T) {
@@ -28,6 +30,7 @@ func TestMSFSumFlowClaim(t *testing.T) {
 		"1024 servers, D=0.0156, seed 12": true,
 		"1024 servers, D=0.0156, seed 13": true,
 	}
+	shapes := []Shape{ShapeCore, ShapeCluster, ShapeFederation}
 	for _, cell := range []struct {
 		servers int
 		d       float64
@@ -42,7 +45,7 @@ func TestMSFSumFlowClaim(t *testing.T) {
 			flow := map[string]map[Shape]float64{}
 			for _, h := range []string{"HMCT", "MSF"} {
 				flow[h] = map[Shape]float64{}
-				for _, shape := range []Shape{ShapeCore, ShapeCluster} {
+				for _, shape := range shapes {
 					eng, err := newEngine(shape, engineConfig{heuristic: h, seed: seed, width: 4}, names)
 					if err != nil {
 						t.Fatal(err)
@@ -54,7 +57,7 @@ func TestMSFSumFlowClaim(t *testing.T) {
 				}
 			}
 			name := fmt.Sprintf("%d servers, D=%g, seed %d", cell.servers, cell.d, seed)
-			for _, shape := range []Shape{ShapeCore, ShapeCluster} {
+			for _, shape := range shapes {
 				msf, hmct := flow["MSF"][shape], flow["HMCT"][shape]
 				if ties[name] && math.Float64bits(msf) != math.Float64bits(hmct) {
 					t.Errorf("%s, %s: MSF sum-flow %.17g, HMCT's %.17g: recorded as a tie", name, shape, msf, hmct)
@@ -64,9 +67,10 @@ func TestMSFSumFlowClaim(t *testing.T) {
 				}
 			}
 			for _, h := range []string{"HMCT", "MSF"} {
-				core, cl := flow[h][ShapeCore], flow[h][ShapeCluster]
-				if math.Float64bits(core) != math.Float64bits(cl) {
-					t.Errorf("%s, %s: cluster sum-flow %.17g, core %.17g", name, h, cl, core)
+				for _, shape := range shapes[1:] {
+					if core, sf := flow[h][ShapeCore], flow[h][shape]; math.Float64bits(core) != math.Float64bits(sf) {
+						t.Errorf("%s, %s: %s sum-flow %.17g, core %.17g", name, h, shape, sf, core)
+					}
 				}
 			}
 			t.Logf("%s: MSF/HMCT sum-flow %.6f (core %.6g / %.6g)", name,

@@ -255,7 +255,7 @@ func WriteEval(w io.Writer, st htm.EvalStats) {
 	p.sample("casched_htm_projections_total", "counter", "Candidate servers the HTM projected (the rest were pruned by their bound or served from an idle class).", nil, float64(st.Projections))
 	p.sample("casched_htm_replicated_total", "counter", "Idle candidates answered for by the one projection of their cost class's first idle server.", nil, float64(st.Replicated))
 	p.sample("casched_htm_trace_steps_total", "counter", "Server traces the HTM's clock stepped through a due event (a release or a phase end).", nil, float64(st.Stepped))
-	p.sample("casched_htm_bounded_total", "counter", "Busy server traces the pruned pass visited in CPU-free order before it stopped (every busy trace under MSF).", nil, float64(st.Bounded))
+	p.sample("casched_htm_bounded_total", "counter", "Busy server traces the pruned pass visited in CPU-free order before it stopped (every busy trace under MSF, which reads the jobs only of those its CPU-free date cannot rule out).", nil, float64(st.Bounded))
 	p.sample("casched_htm_name_lookups_total", "counter", "Candidates resolved by server name instead of through the candidate index.", nil, float64(st.NameLookups))
 	p.sample("casched_htm_index_builds_total", "counter", "Candidate-index builds (one per task type and pool membership).", nil, float64(st.IndexBuilds))
 	p.sample("casched_htm_ceiling_beaten_total", "counter", "Shard evaluations that could not win below the best score a sharded decision had already found, and so projected only what came within reach of it.", nil, float64(st.Beaten))
