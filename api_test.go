@@ -374,10 +374,10 @@ func TestPublicAPICluster(t *testing.T) {
 // member diagnostics.
 func TestPublicAPIFederation(t *testing.T) {
 	f, err := casched.NewFederation(
-		casched.WithFedMembers(2),
-		casched.WithFedHeuristic("hmct"),
-		casched.WithFedPolicy(casched.LeastLoadedShardPolicy()),
-		casched.WithFedSeed(3),
+		casched.WithShards(2),
+		casched.WithHeuristic("hmct"),
+		casched.WithShardPolicy(casched.LeastLoadedShardPolicy()),
+		casched.WithSeed(3),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -457,6 +457,15 @@ func TestPublicAPIAgentCoreOptions(t *testing.T) {
 	if _, err := casched.NewAgentCore(casched.AgentCoreConfig{},
 		casched.WithHeuristic("MSF"), casched.WithShardPolicy(casched.HashShardPolicy())); err == nil {
 		t.Error("NewAgentCore accepted WithShardPolicy")
+	}
+	for _, opt := range []casched.ClusterOption{casched.WithStaleAfter(time.Second),
+		casched.WithSummaryInterval(time.Second), casched.WithRelayInterval(time.Second)} {
+		if _, err := casched.NewAgentCore(casched.AgentCoreConfig{}, casched.WithHeuristic("MSF"), opt); err == nil {
+			t.Error("NewAgentCore accepted a federation-only option")
+		}
+		if _, err := casched.NewCluster(casched.WithHeuristic("MSF"), opt); err == nil {
+			t.Error("NewCluster accepted a federation-only option")
+		}
 	}
 }
 

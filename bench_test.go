@@ -1065,12 +1065,12 @@ func BenchmarkClusterSubmitBatch(b *testing.B) {
 
 // newBenchFederation builds a fresh in-process HMCT federation over
 // the testbed. opts tweak the staleness machinery.
-func newBenchFederation(b *testing.B, names []string, members int, opts ...casched.FederationOption) *casched.Federation {
+func newBenchFederation(b *testing.B, names []string, members int, opts ...casched.ClusterOption) *casched.Federation {
 	b.Helper()
-	all := append([]casched.FederationOption{
-		casched.WithFedMembers(members),
-		casched.WithFedHeuristic("HMCT"),
-		casched.WithFedSeed(17),
+	all := append([]casched.ClusterOption{
+		casched.WithShards(members),
+		casched.WithHeuristic("HMCT"),
+		casched.WithSeed(17),
 	}, opts...)
 	f, err := casched.NewFederation(all...)
 	if err != nil {
@@ -1120,8 +1120,8 @@ func BenchmarkFedSubmitDegraded(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		f := newBenchFederation(b, names, 4,
-			casched.WithFedStaleAfter(time.Nanosecond),
-			casched.WithFedSummaryInterval(time.Hour))
+			casched.WithStaleAfter(time.Nanosecond),
+			casched.WithSummaryInterval(time.Hour))
 		f.RefreshSummaries()
 		b.StartTimer()
 		for _, batch := range batches {
@@ -1148,10 +1148,10 @@ func BenchmarkFedSubmitRelay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		f := newBenchFederation(b, names, 4,
-			casched.WithFedStaleAfter(time.Nanosecond),
-			casched.WithFedSummaryInterval(time.Hour),
-			casched.WithFedRelay(true),
-			casched.WithFedRelayInterval(0))
+			casched.WithStaleAfter(time.Nanosecond),
+			casched.WithSummaryInterval(time.Hour),
+			casched.WithRelay(true),
+			casched.WithRelayInterval(0))
 		f.RefreshSummaries()
 		b.StartTimer()
 		for _, batch := range batches {
@@ -1196,10 +1196,10 @@ func BenchmarkFedSubmitBatchRelay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		f := newBenchFederation(b, names, 4,
-			casched.WithFedStaleAfter(time.Nanosecond),
-			casched.WithFedSummaryInterval(time.Hour),
-			casched.WithFedRelay(true),
-			casched.WithFedRelayInterval(0))
+			casched.WithStaleAfter(time.Nanosecond),
+			casched.WithSummaryInterval(time.Hour),
+			casched.WithRelay(true),
+			casched.WithRelayInterval(0))
 		f.RefreshSummaries()
 		b.StartTimer()
 		for _, batch := range batches {

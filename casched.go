@@ -186,9 +186,11 @@ var ErrThrottled = agent.ErrThrottled
 // observability.
 //
 // The configuration struct may be refined with the same functional
-// options NewCluster takes (WithHeuristic, WithSeed, WithHTMRetention,
-// ...); cluster-only options (WithShards above 1, WithShardPolicy)
-// are rejected.
+// options NewCluster and NewFederation take (WithHeuristic, WithSeed,
+// WithHTMRetention, ...). Options that need a dispatch layer are
+// rejected: WithShards above 1, WithShardPolicy and WithPlacedWindow,
+// and the federation's WithStaleAfter, WithSummaryInterval and
+// WithRelayInterval. WithIntakeLimit becomes the core's own bucket.
 func NewAgentCore(cfg AgentCoreConfig, opts ...ClusterOption) (*AgentCore, error) {
 	if len(opts) > 0 {
 		resolved, err := cluster.CoreConfig(cfg, opts...)
@@ -210,7 +212,8 @@ type (
 	// shard it reproduces NewAgentCore's exact placement sequence.
 	Cluster = cluster.Cluster
 	// ClusterOption is the functional construction idiom shared by
-	// NewCluster and NewAgentCore.
+	// NewCluster, NewFederation and NewAgentCore; each rejects the
+	// options it cannot use.
 	ClusterOption = cluster.Option
 	// ClusterConfig is the explicit form behind the options.
 	ClusterConfig = cluster.Config
@@ -230,17 +233,20 @@ type (
 // Complete/Report, Subscribe.
 func NewCluster(opts ...ClusterOption) (*Cluster, error) { return cluster.New(opts...) }
 
-// WithShards sets the number of agent-core shards.
+// WithShards sets the number of agent cores: a Cluster's shards or a
+// Federation's members.
 func WithShards(n int) ClusterOption { return cluster.WithShards(n) }
 
-// WithShardPolicy sets the server-to-shard assignment policy.
+// WithShardPolicy sets the server-to-shard (or member) assignment
+// policy.
 func WithShardPolicy(p ShardPolicy) ClusterOption { return cluster.WithPolicy(p) }
 
 // WithHeuristic selects the scheduling heuristic by name (MCT, HMCT,
 // MP, MSF, ...), case-insensitive, one instance per shard.
 func WithHeuristic(name string) ClusterOption { return cluster.WithHeuristic(name) }
 
-// WithSeed seeds decision randomness (tie-breaking, Random).
+// WithSeed seeds decision randomness (tie-breaking, Random) and a
+// dispatcher's routing sample.
 func WithSeed(seed uint64) ClusterOption { return cluster.WithSeed(seed) }
 
 // WithHTMWorkers is ignored: each shard's HTM evaluates candidates one
@@ -267,8 +273,8 @@ func WithHTMSync(on bool) ClusterOption { return cluster.WithHTMSync(on) }
 // RoundRobin); the defer estimate is denominated in seconds, so the
 // stacking-vs-spreading trade engages for time-valued objectives
 // (HMCT, MCT, MSF), while count-valued ones (MP, MNI) always spread —
-// see sched.MinCostBatch. Applies to NewAgentCore and to every shard
-// of a NewCluster.
+// see sched.MinCostBatch. Applies to NewAgentCore and to every core of
+// a NewCluster or NewFederation.
 func WithBatchAssignment(on bool) ClusterOption { return cluster.WithBatchAssignment(on) }
 
 // WithTenantShares turns on weighted fair-share arbitration of
@@ -280,7 +286,7 @@ func WithBatchAssignment(on bool) ClusterOption { return cluster.WithBatchAssign
 // weight 1. A non-nil empty map enables arbitration with equal
 // shares. Single-tenant traffic is arbitration-free and reproduces
 // the unarbitrated placement sequence bit for bit. Applies to
-// NewAgentCore and to every shard of a NewCluster.
+// NewAgentCore and to every core of a NewCluster or NewFederation.
 func WithTenantShares(shares map[string]float64) ClusterOption {
 	return cluster.WithTenantShares(shares)
 }
@@ -296,24 +302,23 @@ func WithAdmission(on bool) ClusterOption { return cluster.WithAdmission(on) }
 // placements and completions are appended to a bounded
 // sequence-numbered ledger (relay wire) a federation dispatcher can
 // stream to keep near-fresh member views while degraded. Inert unless
-// a dispatcher pulls it.
+// a dispatcher pulls it; a NewFederation's does, every RelayInterval.
 func WithRelay(on bool) ClusterOption { return cluster.WithRelay(on) }
 
 // WithIntakeLimit bounds raw intake with a token bucket of rate tasks
 // per experiment second and burst capacity burst (burst <= 0 defaults
 // to max(rate, 1)); refused requests are shed with ErrThrottled. On
-// NewAgentCore the bucket lives in the core; on NewCluster it sits in
-// front of the dispatch layer — exactly one limiter per deployment
-// either way.
+// NewAgentCore the bucket lives in the core; on NewCluster and
+// NewFederation it sits in front of the dispatch layer — exactly one
+// limiter per deployment either way.
 func WithIntakeLimit(rate, burst float64) ClusterOption {
 	return cluster.WithIntakeLimit(rate, burst)
 }
 
 // ParseTenantShares parses a command-line share map of the form
 // "gold=4,silver=2,bronze=1" (tenant paths mapped to positive
-// weights) into the map WithTenantShares and WithFedTenantShares
-// accept. An empty string yields a nil map (fair-share arbitration
-// off).
+// weights) into the map WithTenantShares accepts. An empty string
+// yields a nil map (fair-share arbitration off).
 func ParseTenantShares(s string) (map[string]float64, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -338,15 +343,29 @@ func ParseTenantShares(s string) (map[string]float64, error) {
 	return shares, nil
 }
 
-// WithPlacedWindow bounds the cluster dispatcher's job→shard
+// WithPlacedWindow bounds the dispatcher's job→shard (or job→member)
 // placement records to a trailing experiment-time window (seconds):
 // long deployments whose completion messages occasionally go missing
 // hold dispatch memory proportional to the window, not the run.
 // Completions for swept jobs fall back to the server's current shard.
-// Cluster-only; NewAgentCore rejects it.
+// NewAgentCore rejects it.
 func WithPlacedWindow(seconds float64) ClusterOption {
 	return cluster.WithPlacedWindow(seconds)
 }
+
+// WithStaleAfter sets the summary age beyond which a federation
+// member no longer counts as fresh (default 2s); any member gone stale
+// degrades Submit routing from exact fan-out to power-of-two-choices.
+// Federation only: NewCluster and NewAgentCore reject it.
+func WithStaleAfter(d time.Duration) ClusterOption { return cluster.WithStaleAfter(d) }
+
+// WithSummaryInterval sets a federation's inline summary refresh
+// period (0 = refresh on every submission). Federation only.
+func WithSummaryInterval(d time.Duration) ClusterOption { return cluster.WithSummaryInterval(d) }
+
+// WithRelayInterval paces a federation's relay pulls (0 = pull inline
+// on every submission). Federation only.
+func WithRelayInterval(d time.Duration) ClusterOption { return cluster.WithRelayInterval(d) }
 
 // HashShardPolicy spreads servers by name hash (the default policy).
 func HashShardPolicy() ShardPolicy { return cluster.Hash() }
@@ -373,10 +392,8 @@ type (
 	// Federation is the federated dispatcher. Drive it like a Cluster:
 	// AddServer, Submit/SubmitBatch, Complete/Report, Subscribe.
 	Federation = fed.Dispatcher
-	// FederationOption is the functional construction idiom of
-	// NewFederation, mirroring ClusterOption.
-	FederationOption = fed.Option
-	// FederationConfig is the explicit form behind the options.
+	// FederationConfig configures a dispatcher over caller-supplied
+	// members (NewFederationWithMembers).
 	FederationConfig = fed.Config
 	// FedMember is the dispatcher's transport-agnostic member handle.
 	FedMember = fed.Member
@@ -402,100 +419,36 @@ type (
 )
 
 // NewFederation constructs a federated dispatcher over in-process
-// member agents:
+// member agents, from the options NewCluster takes:
 //
 //	f, err := casched.NewFederation(
-//		casched.WithFedMembers(4),
-//		casched.WithFedHeuristic("HMCT"),
+//		casched.WithShards(4),
+//		casched.WithHeuristic("HMCT"),
 //	)
 //
 // With fresh summaries (the in-process default) its placement
-// sequences are identical to the equivalent NewCluster; under stale
-// summaries it degrades to power-of-two-choices routing. See
-// internal/fed for the full model.
-func NewFederation(opts ...FederationOption) (*Federation, error) { return fed.New(opts...) }
-
-// WithFedMembers sets the number of in-process member agents.
-func WithFedMembers(n int) FederationOption { return fed.WithMembers(n) }
-
-// WithFedHeuristic selects the heuristic every member runs, by
-// registry name (case-insensitive).
-func WithFedHeuristic(name string) FederationOption { return fed.WithHeuristic(name) }
-
-// WithFedPolicy sets the server-to-member assignment policy (the
-// cluster's ShardPolicy seam).
-func WithFedPolicy(p ShardPolicy) FederationOption { return fed.WithPolicy(p) }
-
-// WithFedSeed seeds member decision randomness and routing sampling.
-func WithFedSeed(seed uint64) FederationOption { return fed.WithSeed(seed) }
-
-// WithFedHTMSync enables HTM↔execution synchronization on members.
-func WithFedHTMSync(on bool) FederationOption { return fed.WithHTMSync(on) }
-
-// WithFedBatchAssignment opts member SubmitBatch into k-task min-cost
-// assignment waves.
-func WithFedBatchAssignment(on bool) FederationOption { return fed.WithBatchAssignment(on) }
-
-// WithFedStaleAfter sets the summary age beyond which a member no
-// longer counts as fresh (degrading Submit to power-of-two-choices
-// routing).
-func WithFedStaleAfter(d time.Duration) FederationOption { return fed.WithStaleAfter(d) }
-
-// WithFedSummaryInterval sets the inline summary refresh period
-// (0 = refresh on every submission, the exact in-process mode).
-func WithFedSummaryInterval(d time.Duration) FederationOption { return fed.WithSummaryInterval(d) }
-
-// WithFedMaxFailures sets the consecutive-failure eviction threshold.
-func WithFedMaxFailures(n int) FederationOption { return fed.WithMaxFailures(n) }
-
-// WithFedRelay turns on the live event relay: the dispatcher streams
-// each member's decision/completion ledger (see WithRelay) into a
-// per-member optimistic view and prices degraded-mode routing against
-// near-fresh projected drains instead of frozen summaries. Members
-// that do not speak relay fall back individually; with the relay off
-// routing is bit-identical to the summary-only dispatcher.
-func WithFedRelay(on bool) FederationOption { return fed.WithRelay(on) }
-
-// WithFedRelayInterval paces relay pulls (0 = pull inline on every
-// submission, the exact in-process mode).
-func WithFedRelayInterval(d time.Duration) FederationOption { return fed.WithRelayInterval(d) }
-
-// WithFedRelayMaxConsecutive bounds consecutive delegations to one
-// member between relay view advances (default 8).
-func WithFedRelayMaxConsecutive(n int) FederationOption { return fed.WithRelayMaxConsecutive(n) }
-
-// WithFedTenantShares turns on weighted fair-share arbitration on
-// every in-process member core (see WithTenantShares). Remote members
-// carry their own configuration (casagent -tenant-shares).
-func WithFedTenantShares(shares map[string]float64) FederationOption {
-	return fed.WithTenantShares(shares)
+// sequences are identical to NewCluster's from the same options; under
+// stale summaries (WithStaleAfter, WithSummaryInterval) it degrades to
+// power-of-two-choices routing, or to relay pricing with WithRelay.
+// See internal/fed for the full model.
+func NewFederation(opts ...ClusterOption) (*Federation, error) {
+	return cluster.NewFederation(opts...)
 }
 
-// WithFedAdmission turns deadline-aware admission on every in-process
-// member core (see WithAdmission).
-func WithFedAdmission(on bool) FederationOption { return fed.WithAdmission(on) }
+// WithFedMembers is WithShards.
+//
+// Deprecated: use WithShards.
+func WithFedMembers(n int) ClusterOption { return WithShards(n) }
 
-// WithFedIntakeLimit bounds the federation's raw intake with one
-// dispatch-level token bucket (see WithIntakeLimit).
-func WithFedIntakeLimit(rate, burst float64) FederationOption {
-	return fed.WithIntakeLimit(rate, burst)
-}
+// WithFedHeuristic is WithHeuristic.
+//
+// Deprecated: use WithHeuristic.
+func WithFedHeuristic(name string) ClusterOption { return WithHeuristic(name) }
 
-// WithFedPlacedWindow bounds the federation dispatcher's job→member
-// placement records to a trailing experiment-time window (see
-// WithPlacedWindow).
-func WithFedPlacedWindow(seconds float64) FederationOption {
-	return fed.WithPlacedWindow(seconds)
-}
-
-// WithFedReassignAfter turns on self-healing re-partitioning: servers
-// homed on a member whose eviction outlasts d are reassigned among the
-// survivors (0, the default, keeps the pre-HA behavior — a dead
-// member's partition waits for its return). Graceful departures always
-// reassign immediately.
-func WithFedReassignAfter(d time.Duration) FederationOption {
-	return fed.WithReassignAfter(d)
-}
+// WithFedSeed is WithSeed.
+//
+// Deprecated: use WithSeed.
+func WithFedSeed(seed uint64) ClusterOption { return WithSeed(seed) }
 
 // NewFederationWithMembers constructs a dispatcher over caller-supplied
 // member handles (custom transports).
@@ -596,12 +549,6 @@ func WithElectionHeartbeat(d time.Duration) FedServerOption {
 		}
 		cfg.HA.Heartbeat = d
 	}
-}
-
-// WithReassignAfter turns on the dispatcher runtime's self-healing
-// re-partitioning (see WithFedReassignAfter).
-func WithReassignAfter(d time.Duration) FedServerOption {
-	return func(cfg *FedServerConfig) { cfg.ReassignAfter = d }
 }
 
 // StartFedServer launches the federation dispatcher TCP runtime:

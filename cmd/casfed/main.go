@@ -63,8 +63,6 @@ func main() {
 		interval  = flag.Duration("summary-interval", 500*time.Millisecond, "gossip refresh period")
 		timeout   = flag.Duration("timeout", 2*time.Second, "per-member RPC budget")
 		study     = flag.Bool("study", false, "run the stale-summary routing study and exit")
-		shares    = flag.String("tenant-shares", "", `fair-share weights for in-process members, e.g. "gold=4,silver=2"; remote members (casagent -join) set their own`)
-		admission = flag.Bool("admission", false, "deadline admission for in-process members; remote members set their own")
 		rate      = flag.Float64("intake-rate", 0, "dispatch-level intake token-bucket rate in tasks per virtual second (0 = unlimited)")
 		burst     = flag.Float64("intake-burst", 0, "intake token-bucket burst capacity (0 = max(rate, 1))")
 		relay     = flag.Bool("relay", false, "stream member decision ledgers for near-fresh degraded routing")
@@ -97,11 +95,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "casfed: unknown policy %q\n", *policy)
 		os.Exit(1)
 	}
-	tenantShares, err := casched.ParseTenantShares(*shares)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "casfed:", err)
-		os.Exit(1)
-	}
 	var opts []casched.FedServerOption
 	if *haID != "" {
 		peers, err := parsePeers(*haPeers)
@@ -123,9 +116,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "casfed: -standby and -ha-peers need -ha-id")
 		os.Exit(1)
 	}
-	if *reassign > 0 {
-		opts = append(opts, casched.WithReassignAfter(*reassign))
-	}
 	srv, err := casched.StartFedServer(casched.FedServerConfig{
 		Addr:                *addr,
 		Heuristic:           *heuristic,
@@ -135,13 +125,12 @@ func main() {
 		StaleAfter:          *stale,
 		SummaryInterval:     *interval,
 		Timeout:             *timeout,
-		TenantShares:        tenantShares,
-		Admission:           *admission,
 		IntakeRate:          *rate,
 		IntakeBurst:         *burst,
 		Relay:               *relay,
 		RelayInterval:       *relayIntv,
 		RelayMaxConsecutive: *relayMax,
+		ReassignAfter:       *reassign,
 	}, opts...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "casfed:", err)

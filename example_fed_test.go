@@ -14,9 +14,9 @@ import (
 // NewCluster makes.
 func ExampleNewFederation() {
 	f, err := casched.NewFederation(
-		casched.WithFedMembers(2),
-		casched.WithFedHeuristic("HMCT"),
-		casched.WithFedSeed(1),
+		casched.WithShards(2),
+		casched.WithHeuristic("HMCT"),
+		casched.WithSeed(1),
 	)
 	if err != nil {
 		log.Fatal(err)

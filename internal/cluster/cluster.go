@@ -101,6 +101,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"time"
 
 	"casched/internal/agent"
 	"casched/internal/htm"
@@ -110,82 +111,75 @@ import (
 // tieEps mirrors sched's tie tolerance for cross-shard comparisons.
 const tieEps = 1e-9
 
-// Config parameterizes a Cluster. Most callers use New with options.
+// Config parameterizes every in-process shape built over agent cores:
+// a Cluster (New, NewFromConfig), a federation of in-process members
+// (NewFederation) and, through CoreConfig, a single core. Most callers
+// use the options.
 type Config struct {
-	// Shards is the number of agent cores (default 1).
+	// Shards is the number of agent cores (default 1): a Cluster's
+	// shards or a federation's members.
 	Shards int
-	// Policy assigns servers to shards (default Hash()).
-	Policy ShardPolicy
-	// Core is the per-shard core template: seed, HTM options, log.
+	// Core is the per-core template: seed, HTM options, log, tenancy.
 	// Its Scheduler field is used as the shared heuristic instance for
-	// a single shard; multi-shard clusters need per-shard instances
-	// (see NewScheduler).
+	// a single core; several cores need per-core instances (see
+	// NewScheduler).
 	Core agent.Config
-	// NewScheduler constructs one heuristic instance per shard
-	// (stateful heuristics must not be shared across shard locks).
+	// NewScheduler constructs one heuristic instance per core
+	// (stateful heuristics must not be shared across core locks).
 	// Nil derives a factory from Core.Scheduler's registry name.
 	NewScheduler func() (sched.Scheduler, error)
-	// IntakeRate, when positive, bounds the cluster's raw intake with
-	// one dispatch-level token bucket of IntakeRate tasks per
-	// experiment second and burst capacity IntakeBurst (default
-	// max(IntakeRate, 1)): exactly one limiter per deployment, however
-	// many shards. Refused requests are shed with agent.ErrThrottled
-	// and an agent.EventShed on the merged stream.
-	IntakeRate  float64
-	IntakeBurst float64
-	// PlacedWindow, when positive, bounds the dispatcher's job→shard
-	// placement records to a trailing window of experiment seconds:
-	// records older than the window are swept, so a long-lived
-	// deployment whose completion messages occasionally go missing
-	// holds dispatch memory proportional to the window, not the run.
-	// Completions for swept jobs fall back to the server's current
-	// shard. Zero keeps records until their completion arrives.
-	PlacedWindow float64
+	// Dispatch configures the dispatch layer in front of the cores.
+	// Its Seed (and a federation's Relay) are taken from Core.
+	Dispatch DispatcherConfig
 }
 
-// Option configures a Cluster (and, through CoreConfig, a single
-// agent core) — the one construction idiom of the public facade.
+// Option configures a Cluster, a federation (NewFederation) or,
+// through CoreConfig, a single agent core — the one construction idiom
+// of the public facade. Each constructor rejects the settings it
+// cannot use.
 type Option func(*Config)
 
-// WithShards sets the number of agent-core shards.
+// WithShards sets the number of agent cores: a Cluster's shards or a
+// federation's members.
 func WithShards(n int) Option { return func(c *Config) { c.Shards = n } }
 
-// WithPolicy sets the server-to-shard assignment policy.
-func WithPolicy(p ShardPolicy) Option { return func(c *Config) { c.Policy = p } }
+// WithPolicy sets the server-to-shard (or member) assignment policy.
+func WithPolicy(p ShardPolicy) Option { return func(c *Config) { c.Dispatch.Policy = p } }
 
 // WithHeuristic selects the scheduling heuristic by registry name
 // (case-insensitive: MCT, HMCT, MP, MSF, ...), constructing one
-// instance per shard.
+// instance per core.
 func WithHeuristic(name string) Option {
 	return func(c *Config) {
 		c.NewScheduler = func() (sched.Scheduler, error) { return sched.ByName(name) }
 	}
 }
 
-// WithScheduler pins a heuristic instance (single-shard, or as the
-// name source for per-shard reconstruction).
+// WithScheduler pins a heuristic instance (single-core, or as the
+// name source for per-core reconstruction).
 func WithScheduler(s sched.Scheduler) Option { return func(c *Config) { c.Core.Scheduler = s } }
 
-// WithSchedulerFactory sets an explicit per-shard heuristic factory,
+// WithSchedulerFactory sets an explicit per-core heuristic factory,
 // for heuristics outside the registry.
 func WithSchedulerFactory(f func() (sched.Scheduler, error)) Option {
 	return func(c *Config) { c.NewScheduler = f }
 }
 
-// WithSeed seeds each shard's decision randomness.
+// WithSeed seeds each core's decision randomness and the dispatcher's
+// routing sample.
 func WithSeed(seed uint64) Option { return func(c *Config) { c.Core.Seed = seed } }
 
-// WithHTMRetention bounds each shard's HTM trace history to the given
+// WithHTMRetention bounds each core's HTM trace history to the given
 // number of experiment seconds (see agent.Config.HTMRetention); zero
 // keeps the unbounded paper behavior.
 func WithHTMRetention(seconds float64) Option {
 	return func(c *Config) { c.Core.HTMRetention = seconds }
 }
 
-// WithHTMSync enables HTM↔execution synchronization on every shard.
+// WithHTMSync enables HTM↔execution synchronization on every core.
 func WithHTMSync(on bool) Option { return func(c *Config) { c.Core.HTMSync = on } }
 
-// WithBatchAssignment opts every shard's SubmitBatch into true k-task
+// WithBatchAssignment opts every core's SubmitBatch into true k-task
 // scheduling: batches are placed wave by wave through a min-cost
 // assignment over the shared prediction matrix instead of greedily
 // task by task (agent.Config.BatchAssignment). Requires a heuristic
@@ -193,7 +187,7 @@ func WithHTMSync(on bool) Option { return func(c *Config) { c.Core.HTMSync = on 
 func WithBatchAssignment(on bool) Option { return func(c *Config) { c.Core.BatchAssignment = on } }
 
 // WithTenantShares turns on weighted fair-share arbitration of
-// multi-tenant batches (agent.Config.TenantShares): each shard's
+// multi-tenant batches (agent.Config.TenantShares): each core's
 // intake arbiter offers tasks to the heuristic in fair-clock order
 // across tenants. Keys are tenant paths ("gold", "gold/alice"),
 // values share weights; a non-nil empty map enables arbitration with
@@ -210,27 +204,67 @@ func WithAdmission(on bool) Option { return func(c *Config) { c.Core.Admission =
 // WithRelay turns the federation event relay ledger on or off on each
 // core (agent.Config.Relay): placements and completions are appended
 // to a bounded sequence-numbered ledger a federation dispatcher can
-// stream to keep near-fresh member views while degraded.
+// stream to keep near-fresh member views while degraded; a
+// NewFederation's dispatcher pulls it (DispatcherConfig.Relay).
 func WithRelay(on bool) Option { return func(c *Config) { c.Core.Relay = on } }
 
 // WithIntakeLimit bounds raw intake with one dispatch-level token
 // bucket of rate tasks per experiment second and burst capacity burst
 // (burst <= 0 defaults to max(rate, 1)). Applied to NewAgentCore it
-// becomes the core's own bucket; on a cluster it sits in front of the
-// dispatch layer, so a deployment has exactly one limiter regardless
-// of shard count.
+// becomes the core's own bucket; on a cluster or a federation it sits
+// in front of the dispatch layer, so a deployment has exactly one
+// limiter regardless of its number of cores.
 func WithIntakeLimit(rate, burst float64) Option {
-	return func(c *Config) { c.IntakeRate, c.IntakeBurst = rate, burst }
+	return func(c *Config) { c.Dispatch.IntakeRate, c.Dispatch.IntakeBurst = rate, burst }
 }
 
 // WithPlacedWindow bounds the dispatcher's job→shard (or, on a
 // federation, job→member) placement records to a trailing
-// experiment-time window; see Config.PlacedWindow.
+// experiment-time window; see DispatcherConfig.PlacedWindow.
 func WithPlacedWindow(seconds float64) Option {
-	return func(c *Config) { c.PlacedWindow = seconds }
+	return func(c *Config) { c.Dispatch.PlacedWindow = seconds }
 }
 
-// schedulerFor resolves one shard's heuristic instance.
+// The settings below only a federation reads (see DispatcherConfig);
+// NewFromConfig and CoreConfig reject them.
+
+// WithStaleAfter sets a federation's summary freshness horizon.
+func WithStaleAfter(d time.Duration) Option { return func(c *Config) { c.Dispatch.StaleAfter = d } }
+
+// WithSummaryInterval sets a federation's inline summary refresh period.
+func WithSummaryInterval(d time.Duration) Option {
+	return func(c *Config) { c.Dispatch.SummaryInterval = d }
+}
+
+// WithRelayInterval sets a federation's inline relay pull period.
+func WithRelayInterval(d time.Duration) Option {
+	return func(c *Config) { c.Dispatch.RelayInterval = d }
+}
+
+// WithNow injects a federation's freshness time source (tests,
+// staleness studies).
+func WithNow(now func() time.Time) Option { return func(c *Config) { c.Dispatch.Now = now } }
+
+// federationOnly names the first setting only a federation reads, or
+// returns "" when none is set.
+func (d *DispatcherConfig) federationOnly() string {
+	switch {
+	case d.StaleAfter != 0:
+		return "WithStaleAfter"
+	case d.SummaryInterval != 0:
+		return "WithSummaryInterval"
+	case d.RelayInterval != 0:
+		return "WithRelayInterval"
+	case d.Now != nil:
+		return "WithNow"
+	case d.Heuristic != "" || d.Relay || d.RelayMaxConsecutive != 0 || d.MaxFailures != 0 ||
+		d.ProbeInterval != 0 || d.ReassignAfter != 0:
+		return "a federation-only DispatcherConfig field"
+	}
+	return ""
+}
+
+// schedulerFor resolves one core's heuristic instance.
 func (cfg *Config) schedulerFor() (sched.Scheduler, error) {
 	if cfg.NewScheduler != nil {
 		return cfg.NewScheduler()
@@ -241,12 +275,12 @@ func (cfg *Config) schedulerFor() (sched.Scheduler, error) {
 	if cfg.Shards <= 1 {
 		return cfg.Core.Scheduler, nil
 	}
-	// Multi-shard: heuristics can carry per-instance state (RoundRobin,
-	// SA) and each shard runs under its own lock, so each needs its own
-	// instance; the registry reconstructs by name — but only when the
-	// caller's instance IS a registry default, otherwise reconstruction
-	// would silently drop its configuration (KPB{K: 20}, MP{Tie:
-	// TieRandom}, ...).
+	// Several cores: heuristics can carry per-instance state
+	// (RoundRobin, SA) and each core runs under its own lock, so each
+	// needs its own instance; the registry reconstructs by name — but
+	// only when the caller's instance IS a registry default, otherwise
+	// reconstruction would silently drop its configuration (KPB{K: 20},
+	// MP{Tie: TieRandom}, ...).
 	s, err := sched.ByName(cfg.Core.Scheduler.Name())
 	if err != nil {
 		return nil, fmt.Errorf("cluster: cannot build per-shard instances of %q: %w "+
@@ -259,10 +293,33 @@ func (cfg *Config) schedulerFor() (sched.Scheduler, error) {
 	return s, nil
 }
 
+// cores builds the configured agent cores in index order — the nth
+// NewScheduler call serves core n — and reports whether their
+// heuristic has a comparable objective (fan-out) or not (rotation).
+func (cfg *Config) cores() ([]*agent.Core, bool, error) {
+	if cfg.Shards < 1 {
+		return nil, false, fmt.Errorf("cluster: needs at least 1 shard, got %d", cfg.Shards)
+	}
+	cores := make([]*agent.Core, cfg.Shards)
+	for i := range cores {
+		s, err := cfg.schedulerFor()
+		if err != nil {
+			return nil, false, err
+		}
+		coreCfg := cfg.Core
+		coreCfg.Scheduler = s
+		if cores[i], err = agent.New(coreCfg); err != nil {
+			return nil, false, fmt.Errorf("cluster: shard %d: %w", i, err)
+		}
+	}
+	_, scored := cores[0].Scheduler().(sched.ScoredScheduler)
+	return cores, scored, nil
+}
+
 // CoreConfig applies cluster options to a single-core configuration —
 // how the facade's NewAgentCore shares the option idiom. Options that
-// only make sense on a cluster (WithShards>1, WithPolicy) are
-// rejected.
+// need a dispatch layer (WithShards above 1, WithPolicy,
+// WithPlacedWindow, the federation's) are rejected.
 func CoreConfig(base agent.Config, opts ...Option) (agent.Config, error) {
 	cfg := Config{Shards: 1, Core: base}
 	for _, o := range opts {
@@ -271,16 +328,19 @@ func CoreConfig(base agent.Config, opts ...Option) (agent.Config, error) {
 	if cfg.Shards != 1 {
 		return agent.Config{}, fmt.Errorf("agent: a core is single-shard; use NewCluster(WithShards(%d))", cfg.Shards)
 	}
-	if cfg.Policy != nil {
-		return agent.Config{}, errors.New("agent: WithShardPolicy applies to NewCluster, not NewAgentCore")
+	name := cfg.Dispatch.federationOnly()
+	if cfg.Dispatch.Policy != nil {
+		name = "WithShardPolicy"
+	} else if cfg.Dispatch.PlacedWindow != 0 {
+		name = "WithPlacedWindow"
 	}
-	if cfg.PlacedWindow != 0 {
-		return agent.Config{}, errors.New("agent: WithPlacedWindow applies to dispatch layers, not NewAgentCore")
+	if name != "" {
+		return agent.Config{}, fmt.Errorf("agent: %s needs a dispatch layer (NewCluster, NewFederation), not NewAgentCore", name)
 	}
 	// The dispatch-level intake limit becomes the single core's own
 	// bucket: one limiter per deployment either way.
-	if cfg.IntakeRate > 0 {
-		cfg.Core.IntakeRate, cfg.Core.IntakeBurst = cfg.IntakeRate, cfg.IntakeBurst
+	if cfg.Dispatch.IntakeRate > 0 {
+		cfg.Core.IntakeRate, cfg.Core.IntakeBurst = cfg.Dispatch.IntakeRate, cfg.Dispatch.IntakeBurst
 	}
 	s, err := cfg.schedulerFor()
 	if err != nil {
@@ -314,38 +374,49 @@ func New(opts ...Option) (*Cluster, error) {
 
 // NewFromConfig constructs a Cluster from an explicit Config. Shards
 // are built in index order: the nth NewScheduler call serves shard n.
+// Dispatch settings only a federation reads are rejected.
 func NewFromConfig(cfg Config) (*Cluster, error) {
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("cluster: needs at least 1 shard, got %d", cfg.Shards)
+	if name := cfg.Dispatch.federationOnly(); name != "" {
+		return nil, fmt.Errorf("cluster: %s applies to NewFederation, not a Cluster", name)
 	}
-	if cfg.Policy == nil {
-		cfg.Policy = Hash()
+	cores, scored, err := cfg.cores()
+	if err != nil {
+		return nil, err
 	}
-	cl := &Cluster{shards: make([]*agent.Core, cfg.Shards)}
-	members := make([]Member, cfg.Shards)
-	for i := range cl.shards {
-		s, err := cfg.schedulerFor()
-		if err != nil {
-			return nil, err
-		}
-		coreCfg := cfg.Core
-		coreCfg.Scheduler = s
-		core, err := agent.New(coreCfg)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
-		}
-		cl.shards[i] = core
+	members := make([]Member, len(cores))
+	for i, core := range cores {
 		members[i] = shard{NewInProcess(fmt.Sprintf("shard-%d", i), core)}
 	}
-	_, scored := cl.shards[0].Scheduler().(sched.ScoredScheduler)
-	cl.Dispatcher = newDispatcher(DispatcherConfig{
-		Policy:       cfg.Policy,
-		Seed:         cfg.Core.Seed,
-		IntakeRate:   cfg.IntakeRate,
-		IntakeBurst:  cfg.IntakeBurst,
-		PlacedWindow: cfg.PlacedWindow,
-	}, scored, "cluster", members)
-	return cl, nil
+	dc := cfg.Dispatch
+	dc.Seed = cfg.Core.Seed
+	return &Cluster{
+		Dispatcher: newDispatcher(dc, scored, "cluster", members),
+		shards:     cores,
+	}, nil
+}
+
+// NewFederation constructs a federation dispatcher over Shards fresh
+// in-process member cores (member-0, member-1, ...) behind the summary
+// seam — the federated twin of New, from the same options plus the
+// federation-only ones. With fresh summaries (the default) it places
+// exactly like a Cluster of as many shards.
+func NewFederation(opts ...Option) (*Dispatcher, error) {
+	cfg := Config{Shards: 1}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	cores, scored, err := cfg.cores()
+	if err != nil {
+		return nil, err
+	}
+	members := make([]Member, len(cores))
+	for i, core := range cores {
+		members[i] = NewInProcess(fmt.Sprintf("member-%d", i), core)
+	}
+	dc := cfg.Dispatch
+	dc.Heuristic = cores[0].Scheduler().Name()
+	dc.Seed, dc.Relay = cfg.Core.Seed, cfg.Core.Relay
+	return newDispatcher(dc, scored, "fed", members), nil
 }
 
 // NumShards returns the number of agent-core shards.
@@ -411,7 +482,7 @@ func (cl *Cluster) LoadEstimate(server string) float64 {
 // InFlight returns the number of placed-but-uncompleted jobs across
 // all shards — the members' own live counts, exact where the
 // Dispatcher's placement records are only a trailing window
-// (Config.PlacedWindow).
+// (DispatcherConfig.PlacedWindow).
 func (cl *Cluster) InFlight() int {
 	n := 0
 	for _, core := range cl.shards {

@@ -530,3 +530,60 @@ func TestClusterBatchAssignmentOption(t *testing.T) {
 		t.Errorf("matched cluster decisions = %+v, want one per server", mdecs)
 	}
 }
+
+// TestOneOptionSet pins the one option set: a federation accepts every
+// option a Cluster accepts, and a Cluster and a single core refuse the
+// settings only a federation reads — through the options and through
+// an explicit DispatcherConfig alike.
+func TestOneOptionSet(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		opt     Option
+		fedOnly bool
+	}{
+		{"WithShards", WithShards(2), false},
+		{"WithPolicy", WithPolicy(LeastLoaded()), false},
+		{"WithHeuristic", WithHeuristic("MSF"), false},
+		{"WithScheduler", WithScheduler(sched.NewHMCT()), false},
+		{"WithSchedulerFactory", WithSchedulerFactory(func() (sched.Scheduler, error) { return sched.NewMCT(), nil }), false},
+		{"WithSeed", WithSeed(3), false},
+		{"WithHTMRetention", WithHTMRetention(60), false},
+		{"WithHTMSync", WithHTMSync(true), false},
+		{"WithBatchAssignment", WithBatchAssignment(true), false},
+		{"WithTenantShares", WithTenantShares(map[string]float64{"gold": 2}), false},
+		{"WithAdmission", WithAdmission(true), false},
+		{"WithRelay", WithRelay(true), false},
+		{"WithIntakeLimit", WithIntakeLimit(10, 5), false},
+		{"WithPlacedWindow", WithPlacedWindow(100), false},
+		{"WithStaleAfter", WithStaleAfter(time.Second), true},
+		{"WithSummaryInterval", WithSummaryInterval(time.Second), true},
+		{"WithRelayInterval", WithRelayInterval(time.Second), true},
+		{"WithNow", WithNow(time.Now), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := []Option{WithHeuristic("HMCT"), tc.opt}
+			f, err := NewFederation(opts...)
+			if err != nil {
+				t.Fatalf("NewFederation: %v", err)
+			}
+			f.Close()
+			cl, err := New(opts...)
+			if tc.fedOnly != (err != nil) {
+				t.Fatalf("New: err = %v, federation only: %v", err, tc.fedOnly)
+			}
+			if err == nil {
+				cl.Close()
+			}
+			if !tc.fedOnly {
+				return
+			}
+			if _, err := CoreConfig(agent.Config{}, opts...); err == nil {
+				t.Fatal("CoreConfig accepted a federation-only option")
+			}
+		})
+	}
+	if _, err := NewFromConfig(Config{Shards: 1, Core: agent.Config{Scheduler: sched.NewHMCT()},
+		Dispatch: DispatcherConfig{MaxFailures: 3}}); err == nil {
+		t.Error("NewFromConfig accepted DispatcherConfig.MaxFailures")
+	}
+}

@@ -50,41 +50,34 @@ var ErrUnreachable = errors.New("fed: member unreachable")
 // eviction.
 var ErrUncertain = fmt.Errorf("fed: delivery uncertain: %w", ErrUnreachable)
 
-// DispatcherConfig parameterizes a Dispatcher (fed.Config; the
-// federation's options set its fields).
+// DispatcherConfig parameterizes a Dispatcher (fed.Config). The
+// in-process shapes take it as Config.Dispatch, set by the options;
+// a dispatcher over remote members takes it whole (NewDispatcher).
 type DispatcherConfig struct {
-	// Members is the number of in-process members fed.New constructs
-	// (default 1). Ignored by NewDispatcher.
-	Members int
 	// Policy assigns servers to members (default Hash()).
 	Policy ShardPolicy
 	// Heuristic is the registry name of the heuristic every member
-	// runs (required). The dispatcher needs it to know whether scored
-	// fan-out applies; members started out of process must be
-	// configured with the same heuristic.
+	// runs (required by NewDispatcher). The dispatcher needs it to
+	// know whether scored fan-out applies; members started out of
+	// process must be configured with the same heuristic.
 	Heuristic string
-	// Seed drives each member's decision randomness and the
-	// dispatcher's routing sample.
+	// Seed drives the dispatcher's routing sample only; each member
+	// core carries its own seed (agent.Config.Seed, which New and
+	// NewFederation copy here).
 	Seed uint64
-	// HTMSync and BatchAssignment configure in-process member cores
-	// (as the cluster options do per shard).
-	HTMSync         bool
-	BatchAssignment bool
-	// TenantShares and Admission configure in-process member cores'
-	// fair-share arbitration and deadline admission (agent.Config).
-	// Remote members carry their own configuration (casagent flags);
-	// the dispatcher only threads tenant and deadline over the wire.
-	TenantShares map[string]float64
-	Admission    bool
-	// IntakeRate/IntakeBurst and PlacedWindow are the dispatch-level
-	// intake bucket and the placement-record window, as documented on
-	// Config: one limiter per deployment before any member is consulted,
-	// and swept jobs completing through the server's owning member.
-	IntakeRate   float64
-	IntakeBurst  float64
+	// IntakeRate, when positive, is one dispatch-level token bucket of
+	// IntakeRate tasks per experiment second, burst IntakeBurst
+	// (default max(IntakeRate, 1)), before any member is consulted:
+	// refused requests are shed with agent.ErrThrottled.
+	IntakeRate  float64
+	IntakeBurst float64
+	// PlacedWindow, when positive, sweeps job→member placement records
+	// older than this many experiment seconds, so lost completion
+	// messages cost memory bounded by the window; a swept job completes
+	// through its server's current member. Zero keeps every record
+	// until its completion arrives.
 	PlacedWindow float64
-	// Relay turns on the live event relay: in-process member cores run
-	// with relay ledgers (agent.Config.Relay), and the dispatcher polls
+	// Relay turns on the live event relay: the dispatcher polls
 	// each relay-capable member's decision/completion deltas, folding
 	// them — plus optimistic local accounting for its own delegations —
 	// onto the member's last gossiped summary (internal/relay.View).
@@ -141,9 +134,6 @@ type DispatcherConfig struct {
 
 // Defaults resolves zero values to the documented defaults.
 func (cfg *DispatcherConfig) Defaults() {
-	if cfg.Members == 0 {
-		cfg.Members = 1
-	}
 	if cfg.Policy == nil {
 		cfg.Policy = Hash()
 	}
@@ -244,8 +234,8 @@ type MemberInfo struct {
 }
 
 // Dispatcher is the dispatch layer over partition-owning members.
-// Construct with NewDispatcher (fed.New, fed.NewWithMembers) or, over
-// in-process shards, as the core of a Cluster (New); drive with
+// Construct with NewDispatcher (fed.NewWithMembers), NewFederation or,
+// over in-process shards, as the core of a Cluster (New); drive with
 // AddServer, Submit/SubmitBatch, Complete/Report.
 type Dispatcher struct {
 	cfg    DispatcherConfig

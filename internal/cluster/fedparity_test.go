@@ -8,8 +8,9 @@ package cluster_test
 // cluster-vs-core parity of parity_test.go one level up: core ≡
 // 1-shard cluster ≡ fresh federation.
 //
-// The file lives in package cluster_test (not cluster) because fed
-// imports cluster for the ShardPolicy seam.
+// Both shapes are built from one option slice through the exported
+// constructors (New, NewFederation), as a caller builds them, so the
+// file lives in package cluster_test.
 
 import (
 	"math"
@@ -17,7 +18,6 @@ import (
 
 	"casched/internal/agent"
 	"casched/internal/cluster"
-	"casched/internal/fed"
 	"casched/internal/workload"
 )
 
@@ -68,8 +68,9 @@ func TestFederationMatchesClusterSubmit(t *testing.T) {
 			t.Run(testName(members, name), func(t *testing.T) {
 				reqs := fedParityStream(60)
 
-				cl, err := cluster.New(cluster.WithShards(members),
-					cluster.WithHeuristic(name), cluster.WithSeed(11))
+				opts := []cluster.Option{cluster.WithShards(members),
+					cluster.WithHeuristic(name), cluster.WithSeed(11)}
+				cl, err := cluster.New(opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,8 +80,7 @@ func TestFederationMatchesClusterSubmit(t *testing.T) {
 				want := driveFedSequential(t, cl.Submit,
 					func(id int, srv string, at float64) { cl.Complete(id, srv, at) }, reqs)
 
-				f, err := fed.New(fed.WithMembers(members),
-					fed.WithHeuristic(name), fed.WithSeed(11))
+				f, err := cluster.NewFederation(opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -141,13 +141,13 @@ func TestFederationMatchesClusterSubmitBatch(t *testing.T) {
 				return out
 			}
 
-			cl, err := cluster.New(cluster.WithShards(members),
-				cluster.WithHeuristic(heuristic), cluster.WithSeed(11))
+			opts := []cluster.Option{cluster.WithShards(members),
+				cluster.WithHeuristic(heuristic), cluster.WithSeed(11)}
+			cl, err := cluster.New(opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			f, err := fed.New(fed.WithMembers(members),
-				fed.WithHeuristic(heuristic), fed.WithSeed(11))
+			f, err := cluster.NewFederation(opts...)
 			if err != nil {
 				t.Fatal(err)
 			}

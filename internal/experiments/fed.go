@@ -13,7 +13,6 @@ import (
 
 	"casched/internal/agent"
 	"casched/internal/cluster"
-	"casched/internal/fed"
 	"casched/internal/workload"
 )
 
@@ -128,14 +127,18 @@ func FederationStudy(cfg FederationStudyConfig) (*FederationStudyResult, error) 
 
 	res := &FederationStudyResult{Config: cfg}
 
-	// Centralized reference: the sharded cluster, exact fan-out per
-	// task.
-	cl, err := cluster.New(
+	// Every shape is built from one option set, so the cluster and the
+	// federations differ only in their dispatch settings.
+	shape := []cluster.Option{
 		cluster.WithShards(cfg.Members),
 		cluster.WithHeuristic(cfg.Heuristic),
 		cluster.WithSeed(cfg.Seed),
 		cluster.WithPolicy(cluster.LeastLoaded()),
-	)
+	}
+
+	// Centralized reference: the sharded cluster, exact fan-out per
+	// task.
+	cl, err := cluster.New(shape...)
 	if err != nil {
 		return nil, err
 	}
@@ -151,12 +154,7 @@ func FederationStudy(cfg FederationStudyConfig) (*FederationStudyResult, error) 
 
 	// Fresh federation: inline refresh, fan-out routing — decision
 	// parity with the cluster.
-	freshFed, err := fed.New(
-		fed.WithMembers(cfg.Members),
-		fed.WithHeuristic(cfg.Heuristic),
-		fed.WithSeed(cfg.Seed),
-		fed.WithPolicy(cluster.LeastLoaded()),
-	)
+	freshFed, err := cluster.NewFederation(shape...)
 	if err != nil {
 		return nil, err
 	}
@@ -172,41 +170,46 @@ func FederationStudy(cfg FederationStudyConfig) (*FederationStudyResult, error) 
 	}
 	res.FreshSumFlow, _ = sumFlowOf(freshFed, mt)
 
-	// Stale levels: a fake clock keeps every summary past StaleAfter
-	// (forcing degraded power-of-two-choices routing), and the
-	// dispatcher's summaries are refreshed only every RefreshEvery
-	// submissions — routing always works from load data that lags
-	// reality by up to that many decisions.
-	for _, every := range cfg.RefreshEvery {
-		base := time.Unix(0, 0)
-		now := base
-		staleFed, err := fed.New(
-			fed.WithMembers(cfg.Members),
-			fed.WithHeuristic(cfg.Heuristic),
-			fed.WithSeed(cfg.Seed),
-			fed.WithPolicy(cluster.LeastLoaded()),
-			fed.WithStaleAfter(time.Nanosecond),
-			fed.WithSummaryInterval(time.Hour), // inline refresh never fires
-			fed.WithNow(func() time.Time { return now }),
+	// degraded drives the stream through a federation whose fake clock
+	// keeps every summary past StaleAfter (forcing degraded routing)
+	// and whose summaries are refreshed only every `every` submissions —
+	// routing always works from load data that lags reality by up to
+	// that many decisions.
+	degraded := func(label string, every int, extra ...cluster.Option) (*cluster.Dispatcher, error) {
+		now := time.Unix(0, 0)
+		opts := append(append([]cluster.Option{}, shape...),
+			cluster.WithStaleAfter(time.Nanosecond),
+			cluster.WithSummaryInterval(time.Hour), // inline refresh never fires
+			cluster.WithNow(func() time.Time { return now }),
 		)
+		d, err := cluster.NewFederation(append(opts, extra...)...)
 		if err != nil {
 			return nil, err
 		}
 		for _, n := range names {
-			if err := staleFed.AddServer(n); err != nil {
+			if err := d.AddServer(n); err != nil {
 				return nil, err
 			}
 		}
 		for i, req := range reqs {
 			if i%every == 0 {
-				staleFed.RefreshSummaries()
+				d.RefreshSummaries()
 			}
 			// Advance the fake clock so even a just-refreshed summary
 			// ages past StaleAfter before the next routing decision.
 			now = now.Add(time.Second)
-			if _, err := staleFed.Submit(req); err != nil {
-				return nil, fmt.Errorf("experiments: stale fed submit (every=%d): %w", every, err)
+			if _, err := d.Submit(req); err != nil {
+				return nil, fmt.Errorf("experiments: %s fed submit (every=%d): %w", label, every, err)
 			}
+		}
+		return d, nil
+	}
+
+	// Stale levels: power-of-two-choices over the lagging summaries.
+	for _, every := range cfg.RefreshEvery {
+		staleFed, err := degraded("stale", every)
+		if err != nil {
+			return nil, err
 		}
 		sum, _ := sumFlowOf(staleFed, mt)
 		res.Stale = append(res.Stale, FederationStaleLevel{RefreshEvery: every, SumFlow: sum})
@@ -218,35 +221,12 @@ func FederationStudy(cfg FederationStudyConfig) (*FederationStudyResult, error) 
 	// its freshest setting) and prices degraded routing on the
 	// near-fresh per-server drains instead of frozen summaries.
 	for _, every := range cfg.RefreshEvery {
-		base := time.Unix(0, 0)
-		now := base
-		relayFed, err := fed.New(
-			fed.WithMembers(cfg.Members),
-			fed.WithHeuristic(cfg.Heuristic),
-			fed.WithSeed(cfg.Seed),
-			fed.WithPolicy(cluster.LeastLoaded()),
-			fed.WithStaleAfter(time.Nanosecond),
-			fed.WithSummaryInterval(time.Hour), // inline refresh never fires
-			fed.WithNow(func() time.Time { return now }),
-			fed.WithRelay(true),
-			fed.WithRelayInterval(0), // pull inline on every submission
+		relayFed, err := degraded("relay", every,
+			cluster.WithRelay(true),
+			cluster.WithRelayInterval(0), // pull inline on every submission
 		)
 		if err != nil {
 			return nil, err
-		}
-		for _, n := range names {
-			if err := relayFed.AddServer(n); err != nil {
-				return nil, err
-			}
-		}
-		for i, req := range reqs {
-			if i%every == 0 {
-				relayFed.RefreshSummaries()
-			}
-			now = now.Add(time.Second)
-			if _, err := relayFed.Submit(req); err != nil {
-				return nil, fmt.Errorf("experiments: relay fed submit (every=%d): %w", every, err)
-			}
 		}
 		sum, _ := sumFlowOf(relayFed, mt)
 		rs := relayFed.RelayStats()

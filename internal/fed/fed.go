@@ -39,6 +39,13 @@
 // member stay accounted to it until their completion message arrives
 // or the completion routing gives up.
 //
+// # Construction
+//
+// cluster.NewFederation builds a federation of in-process members from
+// the options a cluster.Cluster takes. NewWithMembers builds one over
+// caller-supplied handles (Remote, Chaos, test fakes), and StartServer
+// runs one behind TCP for members that join over the wire.
+//
 // # Ordering
 //
 // The Dispatcher is safe for concurrent use. The dispatch lock (d.mu)
@@ -92,12 +99,8 @@
 package fed
 
 import (
-	"fmt"
-	"time"
-
 	"casched/internal/agent"
 	"casched/internal/cluster"
-	"casched/internal/sched"
 )
 
 // The dispatch core lives in internal/cluster (live imports cluster and
@@ -141,122 +144,6 @@ func NewInProcess(name string, core *agent.Core) *InProcess {
 
 // startCommit is cluster.StartCommit, for member wrappers.
 var startCommit = cluster.StartCommit
-
-// Option configures a Dispatcher.
-type Option func(*Config)
-
-// WithMembers sets the number of in-process members New constructs.
-func WithMembers(n int) Option { return func(c *Config) { c.Members = n } }
-
-// WithPolicy sets the server-to-member assignment policy.
-func WithPolicy(p cluster.ShardPolicy) Option { return func(c *Config) { c.Policy = p } }
-
-// WithHeuristic selects the heuristic by registry name
-// (case-insensitive), one instance per member.
-func WithHeuristic(name string) Option { return func(c *Config) { c.Heuristic = name } }
-
-// WithSeed seeds member decision randomness and routing sampling.
-func WithSeed(seed uint64) Option { return func(c *Config) { c.Seed = seed } }
-
-// WithHTMSync enables HTM↔execution synchronization on every member.
-func WithHTMSync(on bool) Option { return func(c *Config) { c.HTMSync = on } }
-
-// WithBatchAssignment opts every member's SubmitBatch into k-task
-// min-cost assignment waves.
-func WithBatchAssignment(on bool) Option { return func(c *Config) { c.BatchAssignment = on } }
-
-// WithRelay turns the live event relay on (see Config.Relay).
-func WithRelay(on bool) Option { return func(c *Config) { c.Relay = on } }
-
-// WithRelayInterval sets the inline relay pull period (0 = every
-// submission).
-func WithRelayInterval(d time.Duration) Option { return func(c *Config) { c.RelayInterval = d } }
-
-// WithRelayMaxConsecutive bounds consecutive delegations to one member
-// between relay view advances.
-func WithRelayMaxConsecutive(n int) Option {
-	return func(c *Config) { c.RelayMaxConsecutive = n }
-}
-
-// WithStaleAfter sets the summary freshness horizon.
-func WithStaleAfter(d time.Duration) Option { return func(c *Config) { c.StaleAfter = d } }
-
-// WithSummaryInterval sets the inline summary refresh period
-// (0 = every submission).
-func WithSummaryInterval(d time.Duration) Option { return func(c *Config) { c.SummaryInterval = d } }
-
-// WithMaxFailures sets the consecutive-failure eviction threshold.
-func WithMaxFailures(n int) Option { return func(c *Config) { c.MaxFailures = n } }
-
-// WithNow injects the freshness time source (tests, staleness
-// studies).
-func WithNow(now func() time.Time) Option { return func(c *Config) { c.Now = now } }
-
-// WithTenantShares turns on weighted fair-share arbitration on every
-// in-process member core (see agent.Config.TenantShares).
-func WithTenantShares(shares map[string]float64) Option {
-	return func(c *Config) { c.TenantShares = shares }
-}
-
-// WithAdmission turns deadline-aware admission on every in-process
-// member core (see agent.Config.Admission).
-func WithAdmission(on bool) Option { return func(c *Config) { c.Admission = on } }
-
-// WithIntakeLimit bounds the federation's raw intake with one
-// dispatch-level token bucket (see Config.IntakeRate).
-func WithIntakeLimit(rate, burst float64) Option {
-	return func(c *Config) { c.IntakeRate, c.IntakeBurst = rate, burst }
-}
-
-// WithPlacedWindow bounds the dispatcher's job→member placement
-// records to a trailing experiment-time window (see
-// Config.PlacedWindow).
-func WithPlacedWindow(seconds float64) Option {
-	return func(c *Config) { c.PlacedWindow = seconds }
-}
-
-// WithReassignAfter re-partitions a dead member's servers among the
-// survivors once its eviction has lasted the given duration (see
-// Config.ReassignAfter).
-func WithReassignAfter(d time.Duration) Option {
-	return func(c *Config) { c.ReassignAfter = d }
-}
-
-// New constructs a Dispatcher over Config.Members fresh in-process
-// member cores, each running its own instance of the configured
-// heuristic over its server partition — the federated twin of
-// cluster.New.
-func New(opts ...Option) (*Dispatcher, error) {
-	var cfg Config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	cfg.Defaults()
-	if cfg.Members < 1 {
-		return nil, fmt.Errorf("fed: needs at least 1 member, got %d", cfg.Members)
-	}
-	members := make([]Member, cfg.Members)
-	for i := range members {
-		s, err := sched.ByName(cfg.Heuristic)
-		if err != nil {
-			return nil, fmt.Errorf("fed: %w", err)
-		}
-		core, err := agent.New(agent.Config{
-			Scheduler:       s,
-			Seed:            cfg.Seed,
-			HTMSync:         cfg.HTMSync,
-			BatchAssignment: cfg.BatchAssignment,
-			TenantShares:    cfg.TenantShares,
-			Admission:       cfg.Admission,
-			Relay:           cfg.Relay,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fed: member %d: %w", i, err)
-		}
-		members[i] = NewInProcess(fmt.Sprintf("member-%d", i), core)
-	}
-	return NewWithMembers(cfg, members)
-}
 
 // NewWithMembers constructs a Dispatcher over caller-supplied member
 // handles (remote transports, test fakes). The configured heuristic

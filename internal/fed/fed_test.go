@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"casched/internal/agent"
+	"casched/internal/cluster"
 	"casched/internal/live"
 	"casched/internal/sched"
 	"casched/internal/task"
@@ -15,7 +16,7 @@ import (
 // servers.
 func newTestFed(t *testing.T, members int, heuristic string, nServers int) (*Dispatcher, []string) {
 	t.Helper()
-	d, err := New(WithMembers(members), WithHeuristic(heuristic), WithSeed(7))
+	d, err := cluster.NewFederation(cluster.WithShards(members), cluster.WithHeuristic(heuristic), cluster.WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestRemoteRejectsNonRegistrySpec(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	var cfg Config
 	cfg.Defaults()
-	if cfg.Members != 1 || cfg.Policy == nil || cfg.StaleAfter != 2*time.Second ||
+	if cfg.Policy == nil || cfg.StaleAfter != 2*time.Second ||
 		cfg.MaxFailures != 3 || cfg.ProbeInterval != cfg.StaleAfter || cfg.Now == nil {
 		t.Errorf("unexpected defaults: %+v", cfg)
 	}

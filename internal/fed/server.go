@@ -45,11 +45,6 @@ type ServerConfig struct {
 	// virtual second, burst IntakeBurst).
 	IntakeRate  float64
 	IntakeBurst float64
-	// TenantShares and Admission are recorded for in-process members
-	// (see Config); members joining over the wire (casagent -join)
-	// carry their own fair-share and admission configuration.
-	TenantShares map[string]float64
-	Admission    bool
 	// Relay turns on the live event relay (see Config.Relay): the
 	// runtime pulls each relay-capable member's decision/completion
 	// deltas on a background RelayInterval tick (default 100ms) and
@@ -157,8 +152,6 @@ func StartServer(cfg ServerConfig) (*Server, error) {
 		MaxFailures:         cfg.MaxFailures,
 		IntakeRate:          cfg.IntakeRate,
 		IntakeBurst:         cfg.IntakeBurst,
-		TenantShares:        cfg.TenantShares,
-		Admission:           cfg.Admission,
 		Relay:               cfg.Relay,
 		RelayInterval:       cfg.RelayInterval,
 		RelayMaxConsecutive: cfg.RelayMaxConsecutive,

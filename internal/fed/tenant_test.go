@@ -7,14 +7,15 @@ import (
 	"testing"
 
 	"casched/internal/agent"
+	"casched/internal/cluster"
 	"casched/internal/task"
 )
 
 // tenantFed builds an in-process federation with extra options.
-func tenantFed(t *testing.T, members, nServers int, opts ...Option) (*Dispatcher, []string) {
+func tenantFed(t *testing.T, members, nServers int, opts ...cluster.Option) (*Dispatcher, []string) {
 	t.Helper()
-	opts = append([]Option{WithMembers(members), WithHeuristic("HMCT"), WithSeed(7)}, opts...)
-	d, err := New(opts...)
+	opts = append([]cluster.Option{cluster.WithShards(members), cluster.WithHeuristic("HMCT"), cluster.WithSeed(7)}, opts...)
+	d, err := cluster.NewFederation(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func tenantFed(t *testing.T, members, nServers int, opts ...Option) (*Dispatcher
 // submission paths, including the single-member shortcut.
 func TestFedIntakeThrottle(t *testing.T) {
 	for _, members := range []int{1, 2} {
-		d, servers := tenantFed(t, members, 4, WithIntakeLimit(1, 1))
+		d, servers := tenantFed(t, members, 4, cluster.WithIntakeLimit(1, 1))
 		defer d.Close()
 		var sheds []agent.Event
 		d.Subscribe(func(ev agent.Event) {
@@ -73,7 +74,7 @@ func TestFedIntakeThrottle(t *testing.T) {
 // member can meet sheds once at the dispatch layer (members evaluate
 // but never emit), a feasible one places.
 func TestFedDeadlineFanoutShed(t *testing.T) {
-	d, servers := tenantFed(t, 2, 4, WithAdmission(true))
+	d, servers := tenantFed(t, 2, 4, cluster.WithAdmission(true))
 	defer d.Close()
 	var sheds []agent.Event
 	d.Subscribe(func(ev agent.Event) {
@@ -98,7 +99,7 @@ func TestFedDeadlineFanoutShed(t *testing.T) {
 // TestFedPlacedWindowMemoryFlat is the federation half of the
 // bounded-retention satellite.
 func TestFedPlacedWindowMemoryFlat(t *testing.T) {
-	d, err := New(WithMembers(2), WithHeuristic("MCT"), WithSeed(7), WithPlacedWindow(100))
+	d, err := cluster.NewFederation(cluster.WithShards(2), cluster.WithHeuristic("MCT"), cluster.WithSeed(7), cluster.WithPlacedWindow(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +131,8 @@ func TestFedTenantConfigParity(t *testing.T) {
 	plain, servers := tenantFed(t, 2, 4)
 	defer plain.Close()
 	fancy, _ := tenantFed(t, 2, 4,
-		WithTenantShares(map[string]float64{"gold": 4, "silver": 1}),
-		WithAdmission(true))
+		cluster.WithTenantShares(map[string]float64{"gold": 4, "silver": 1}),
+		cluster.WithAdmission(true))
 	defer fancy.Close()
 	spec := evenSpec(servers)
 	for i := 0; i < 40; i++ {
@@ -151,8 +152,8 @@ func TestFedTenantConfigParity(t *testing.T) {
 // multi-tenant submissions through the federation under -race.
 func TestFedConcurrentMultiTenantSubmit(t *testing.T) {
 	d, servers := tenantFed(t, 2, 4,
-		WithTenantShares(map[string]float64{"gold": 4, "silver": 1}),
-		WithAdmission(true))
+		cluster.WithTenantShares(map[string]float64{"gold": 4, "silver": 1}),
+		cluster.WithAdmission(true))
 	defer d.Close()
 	spec := evenSpec(servers)
 	var wg sync.WaitGroup

@@ -135,11 +135,13 @@ func StartAgent(cfg AgentConfig) (*Agent, error) {
 		// The intake bucket sits in front of the dispatch layer, not in
 		// the shard cores — one limiter per deployment.
 		cl, err := cluster.NewFromConfig(cluster.Config{
-			Shards:      cfg.Shards,
-			Policy:      cfg.ShardPolicy,
-			Core:        coreCfg,
-			IntakeRate:  cfg.IntakeRate,
-			IntakeBurst: cfg.IntakeBurst,
+			Shards: cfg.Shards,
+			Core:   coreCfg,
+			Dispatch: cluster.DispatcherConfig{
+				Policy:      cfg.ShardPolicy,
+				IntakeRate:  cfg.IntakeRate,
+				IntakeBurst: cfg.IntakeBurst,
+			},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("live: %w", err)

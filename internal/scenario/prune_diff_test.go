@@ -235,7 +235,7 @@ func newDiffDeployment(shape Shape, h diffHeuristic, mk func() sched.Scheduler, 
 			members[i] = fed.NewInProcess(fmt.Sprintf("m%d", i), core)
 		}
 		disp, err := fed.NewWithMembers(fed.Config{Heuristic: h.base, Seed: seed,
-			Policy: cluster.LeastLoaded(), Admission: true}, members)
+			Policy: cluster.LeastLoaded()}, members)
 		if err != nil {
 			return nil, err
 		}

@@ -17,8 +17,6 @@ import (
 
 	"casched/internal/agent"
 	"casched/internal/cluster"
-	"casched/internal/fed"
-	"casched/internal/sched"
 	"casched/internal/task"
 )
 
@@ -161,20 +159,22 @@ type engineConfig struct {
 	tenantShares map[string]float64
 }
 
-// coreEngine adapts agent.Core's error-free AddServer to the engine
-// builder; cluster and fed already satisfy engine directly.
+// newEngine builds one in-process shape from one option set: the
+// width and the policy are the only settings the core lacks.
 func newEngine(shape Shape, cfg engineConfig, servers []string) (engine, error) {
+	opts := []cluster.Option{
+		cluster.WithHeuristic(cfg.heuristic),
+		cluster.WithSeed(cfg.seed),
+		cluster.WithTenantShares(cfg.tenantShares),
+	}
+	wide := []cluster.Option{cluster.WithShards(cfg.width), cluster.WithPolicy(cluster.LeastLoaded())}
 	switch shape {
 	case ShapeCore:
-		s, err := sched.ByName(cfg.heuristic)
+		coreCfg, err := cluster.CoreConfig(agent.Config{}, opts...)
 		if err != nil {
 			return nil, err
 		}
-		core, err := agent.New(agent.Config{
-			Scheduler:    s,
-			Seed:         cfg.seed,
-			TenantShares: cfg.tenantShares,
-		})
+		core, err := agent.New(coreCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -183,16 +183,7 @@ func newEngine(shape Shape, cfg engineConfig, servers []string) (engine, error) 
 		}
 		return core, nil
 	case ShapeCluster:
-		opts := []cluster.Option{
-			cluster.WithShards(cfg.width),
-			cluster.WithHeuristic(cfg.heuristic),
-			cluster.WithSeed(cfg.seed),
-			cluster.WithPolicy(cluster.LeastLoaded()),
-		}
-		if cfg.tenantShares != nil {
-			opts = append(opts, cluster.WithTenantShares(cfg.tenantShares))
-		}
-		cl, err := cluster.New(opts...)
+		cl, err := cluster.New(append(opts, wide...)...)
 		if err != nil {
 			return nil, err
 		}
@@ -201,16 +192,7 @@ func newEngine(shape Shape, cfg engineConfig, servers []string) (engine, error) 
 		}
 		return cl, nil
 	case ShapeFederation:
-		opts := []fed.Option{
-			fed.WithMembers(cfg.width),
-			fed.WithHeuristic(cfg.heuristic),
-			fed.WithSeed(cfg.seed),
-			fed.WithPolicy(cluster.LeastLoaded()),
-		}
-		if cfg.tenantShares != nil {
-			opts = append(opts, fed.WithTenantShares(cfg.tenantShares))
-		}
-		d, err := fed.New(opts...)
+		d, err := cluster.NewFederation(append(opts, wide...)...)
 		if err != nil {
 			return nil, err
 		}

@@ -23,7 +23,7 @@ import (
 // below the best score already found, and the federation's fan-out, which
 // evaluates every member plainly, place exactly as the core does. MCT's leg of the
 // claim cannot be read this way: a heuristic without an HTM has no final
-// projections.
+// projections. TestExecutedSumFlowClaim reads it on executed completions.
 func TestMSFSumFlowClaim(t *testing.T) {
 	ties := map[string]bool{
 		"1024 servers, D=0.0156, seed 11": true,

@@ -137,13 +137,13 @@ func TestPublicAPIClusterTenantOptions(t *testing.T) {
 // through the facade.
 func TestPublicAPIFederationTenantOptions(t *testing.T) {
 	f, err := casched.NewFederation(
-		casched.WithFedMembers(2),
-		casched.WithFedHeuristic("HMCT"),
-		casched.WithFedSeed(7),
-		casched.WithFedTenantShares(map[string]float64{"gold": 4}),
-		casched.WithFedAdmission(true),
-		casched.WithFedIntakeLimit(100, 100),
-		casched.WithFedPlacedWindow(1000),
+		casched.WithShards(2),
+		casched.WithHeuristic("HMCT"),
+		casched.WithSeed(7),
+		casched.WithTenantShares(map[string]float64{"gold": 4}),
+		casched.WithAdmission(true),
+		casched.WithIntakeLimit(100, 100),
+		casched.WithPlacedWindow(1000),
 	)
 	if err != nil {
 		t.Fatal(err)
