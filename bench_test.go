@@ -1274,8 +1274,10 @@ func newWireFederation(b *testing.B, names []string) *casched.Federation {
 // Those rows drive one caller, which a dispatch lock never makes wait.
 // The callers=2 row plays the same stream from two goroutines (each
 // takes every second task): what it gains over the one-caller row is
-// what the dispatcher lets two decisions overlap — with the lock held
-// across all five round trips, nothing.
+// what the dispatcher lets two decisions overlap. The dispatch lock is
+// held across the four Evaluate round trips and released once the
+// Commit frame is written (internal/fed's "Ordering"), so one caller's
+// fan-out overlaps the other's commit round trip and reply.
 func BenchmarkFedSubmitWire(b *testing.B) {
 	for _, c := range []struct {
 		nServers int

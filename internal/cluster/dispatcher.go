@@ -187,6 +187,8 @@ type memberState struct {
 	live liveSignals
 	// below is the member's belowEvaluator capability (nil without it).
 	below belowEvaluator
+	// fan is the member's seat in the seamed fan-out (startSeamedLocked).
+	fan fanSlot
 
 	// Relay state (Config.Relay; all zero/nil otherwise). view is the
 	// near-fresh fold of the last summary plus relayed events plus
@@ -231,6 +233,9 @@ type MemberInfo struct {
 	RelaySeq     uint64
 	RelayAge     time.Duration
 	RelayPending int
+	// Wire is the member wire's traffic per decision-path call (members
+	// behind a counting wire, fed.Remote; zero otherwise).
+	Wire WireStats
 }
 
 // Dispatcher is the dispatch layer over partition-owning members.
@@ -262,10 +267,16 @@ type Dispatcher struct {
 	// At zero a submission does no freshness work at all: no summary or
 	// relay pull, no clock read, every member fresh by construction.
 	seamed atomic.Int32
-	// scratch is the submissions' reusable working set: taken on entry,
-	// put back on return, nil while a submission that released the lock
-	// to await its commit still holds it (the next one allocates).
-	scratch *fanScratch
+	// scratch holds the submissions' reusable working sets: one is taken
+	// on entry and put back on return. A submission that released the
+	// lock to await its commit still holds its own, so the next one takes
+	// another; the list keeps up to maxScratch of them.
+	scratch []*fanScratch
+	// fanWG and fanReq are the seamed fan-out's group and its copy of the
+	// request, read by the members' fan slots. One fan-out runs at a
+	// time: it starts and waits under the dispatch lock.
+	fanWG  sync.WaitGroup
+	fanReq agent.Request
 	// bucket is the dispatch-level intake limiter (nil = unlimited);
 	// placedSwept is when the placed map was last swept (PlacedWindow).
 	bucket      *fair.TokenBucket
@@ -408,6 +419,8 @@ func (d *Dispatcher) AddMember(m Member) error {
 // the constructor).
 func (d *Dispatcher) addMemberLocked(m Member) {
 	ms := &memberState{}
+	ms.fan.d = d
+	ms.fan.run = ms.fan.evaluate
 	if d.cfg.Relay {
 		ms.view = relay.NewView()
 	}
@@ -514,6 +527,9 @@ func (d *Dispatcher) Members() []MemberInfo {
 			if !ms.relayFetched.IsZero() {
 				info.RelayAge = now.Sub(ms.relayFetched)
 			}
+		}
+		if wc, ok := ms.m.(WireCounter); ok {
+			info.Wire = wc.WireStats()
 		}
 		out[i] = info
 	}
@@ -782,6 +798,9 @@ func (d *Dispatcher) refresh(force bool) {
 		fetches = append(fetches, fetch{i, ms.m, ms.delegSeq, force || !ms.evicted})
 	}
 	d.mu.Unlock()
+	if len(fetches) == 0 {
+		return
+	}
 
 	var wg sync.WaitGroup
 	for _, f := range fetches {
@@ -859,19 +878,30 @@ type fanScratch struct {
 	remaining []int
 }
 
-// takeScratchLocked hands the calling submission the dispatcher's
-// scratch (put back with putScratchLocked), or a new one while another
-// submission holds it. Caller holds d.mu.
+// maxScratch bounds the working sets the dispatcher keeps for reuse:
+// one per submission that can hold one at a time, the one deciding
+// under the lock and those awaiting their commits.
+const maxScratch = 8
+
+// takeScratchLocked hands the calling submission a working set from the
+// dispatcher's list (put back with putScratchLocked), or a new one when
+// every kept one is held. Caller holds d.mu.
 func (d *Dispatcher) takeScratchLocked() *fanScratch {
-	sc := d.scratch
-	d.scratch = nil
-	if sc == nil {
-		sc = new(fanScratch)
+	n := len(d.scratch)
+	if n == 0 {
+		return new(fanScratch)
 	}
+	sc := d.scratch[n-1]
+	d.scratch[n-1] = nil
+	d.scratch = d.scratch[:n-1]
 	return sc
 }
 
-func (d *Dispatcher) putScratchLocked(sc *fanScratch) { d.scratch = sc }
+func (d *Dispatcher) putScratchLocked(sc *fanScratch) {
+	if len(d.scratch) < maxScratch {
+		d.scratch = append(d.scratch, sc)
+	}
+}
 
 // allFreshLocked reports whether every listed member is fresh. Caller
 // holds d.mu.
@@ -1133,9 +1163,9 @@ func (d *Dispatcher) commitLocked(m Member, req agent.Request, server string) (a
 	if !ok {
 		return m.Commit(req, server)
 	}
-	wait := cs.StartCommit(req, server)
+	p := cs.StartCommit(req, server)
 	d.mu.Unlock()
-	dec, err := wait()
+	dec, err := p.Wait()
 	d.mu.Lock()
 	return dec, err
 }
@@ -1169,9 +1199,9 @@ type evaluated struct {
 // candidates are no longer all the runners-up. Caller holds d.mu.
 func (d *Dispatcher) evaluateAllLocked(req agent.Request, live []int, sc *fanScratch) (deadlineBlocked, beaten bool, errs []error) {
 	res := append(sc.results[:0], make([]evaluated, len(live))...)
-	var seamed *sync.WaitGroup
-	if d.seamed.Load() > 0 {
-		seamed = d.startSeamedLocked(req, live, res)
+	seamed := d.seamed.Load() > 0
+	if seamed {
+		d.startSeamedLocked(req, live, res)
 	}
 	best := -1
 	for k, i := range live {
@@ -1179,7 +1209,7 @@ func (d *Dispatcher) evaluateAllLocked(req agent.Request, live []int, sc *fanScr
 		switch {
 		case ms.live == nil:
 			continue
-		case best >= 0 && seamed == nil && ms.below != nil:
+		case best >= 0 && !seamed && ms.below != nil:
 			res[k].cand, res[k].err = ms.below.EvaluateBelow(req, res[best].cand.Score)
 		default:
 			res[k].cand, res[k].err = ms.m.Evaluate(req)
@@ -1188,8 +1218,8 @@ func (d *Dispatcher) evaluateAllLocked(req agent.Request, live []int, sc *fanScr
 			best = k
 		}
 	}
-	if seamed != nil {
-		seamed.Wait()
+	if seamed {
+		d.fanWG.Wait()
 	}
 	remaining := sc.remaining[:0]
 	for k, r := range res {
@@ -1212,22 +1242,36 @@ func (d *Dispatcher) evaluateAllLocked(req agent.Request, live []int, sc *fanScr
 }
 
 // startSeamedLocked starts Evaluate on every listed member behind a
-// seam, each spawned (DispatcherConfig.spawn) writing its slot of res, and returns
-// the group to wait on. A function of its own so that req and the group
-// move to the heap only when a goroutine is started: the all-inline
-// fan-out stays at 0 allocs. Caller holds d.mu until the wait returns.
-func (d *Dispatcher) startSeamedLocked(req agent.Request, live []int, res []evaluated) *sync.WaitGroup {
-	wg := new(sync.WaitGroup)
+// seam: each member's fan slot is pointed at its entry of res and its
+// bound run spawned (DispatcherConfig.spawn), all reading the request
+// from d.fanReq and joining d.fanWG. Nothing is allocated per decision:
+// the slots, their bound bodies and the group live as long as the
+// dispatcher. Caller holds d.mu until d.fanWG.Wait returns, so no second
+// fan-out can repoint a slot or overwrite the request while a body runs.
+func (d *Dispatcher) startSeamedLocked(req agent.Request, live []int, res []evaluated) {
+	d.fanReq = req
 	for k, i := range live {
-		if m := d.members[i]; m.live == nil {
-			wg.Add(1)
-			d.cfg.spawn(func() {
-				defer wg.Done()
-				res[k].cand, res[k].err = m.m.Evaluate(req)
-			})
+		if ms := d.members[i]; ms.live == nil {
+			ms.fan.m, ms.fan.out = ms.m, &res[k]
+			d.fanWG.Add(1)
+			d.cfg.spawn(ms.fan.run)
 		}
 	}
-	return wg
+}
+
+// fanSlot is one member's seat in the seamed fan-out: the handle to
+// evaluate on and the result entry to fill, set by startSeamedLocked,
+// and run, the slot's evaluate bound once when the member slot is made.
+type fanSlot struct {
+	d   *Dispatcher
+	m   Member
+	out *evaluated
+	run func()
+}
+
+func (s *fanSlot) evaluate() {
+	defer s.d.fanWG.Done()
+	s.out.cand, s.out.err = s.m.Evaluate(s.d.fanReq)
 }
 
 // submitDegradedLocked is the stale-mode path: members ordered by

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"time"
+
 	"casched/internal/agent"
 	"casched/internal/relay"
 	"casched/internal/task"
@@ -78,28 +80,91 @@ type RelaySource interface {
 // CommitStarter is the optional capability of members whose transport
 // serves one handle's calls in the order they were issued. StartCommit
 // issues Member.Commit and returns once the commit is ordered before
-// any later call to this member — not once it is answered; wait
-// collects the answer (exactly what Commit would have returned) and is
-// called exactly once. The dispatcher's fan-out releases the dispatch
-// lock between the two (package doc, "Ordering"). A member without the
+// any later call to this member — not once it is answered; the
+// returned handle's Wait collects the answer (exactly what Commit would
+// have returned). The dispatcher's fan-out releases the dispatch lock
+// between the two (package doc, "Ordering"). A member without the
 // capability — InProcess, whose commit is a function call; a wrapper
 // that embeds Member — has its Commit run inside the start step
 // instead, under the lock: see StartCommit.
 type CommitStarter interface {
-	StartCommit(req agent.Request, server string) (wait func() (agent.Decision, error))
+	StartCommit(req agent.Request, server string) PendingCommit
+}
+
+// PendingCommit is a started commit. Wait blocks for its answer and is
+// called exactly once; the handle is not touched after it, so a
+// transport may pool its handles and a started commit costs no
+// allocation.
+type PendingCommit interface {
+	Wait() (agent.Decision, error)
 }
 
 // StartCommit starts a commit on m through its CommitStarter
 // capability or, without one, runs the whole Commit now and hands its
-// stored result to wait — how a wrapper that adds the capability to any
+// stored result to Wait — how a wrapper that adds the capability to any
 // member forwards it (the dispatcher itself skips the stored result:
 // commitLocked).
-func StartCommit(m Member, req agent.Request, server string) (wait func() (agent.Decision, error)) {
+func StartCommit(m Member, req agent.Request, server string) PendingCommit {
 	if cs, ok := m.(CommitStarter); ok {
 		return cs.StartCommit(req, server)
 	}
-	dec, err := m.Commit(req, server)
-	return func() (agent.Decision, error) { return dec, err }
+	return CommitDone(m.Commit(req, server))
+}
+
+// CommitDone is a PendingCommit whose answer is already known: a commit
+// that ran whole, or one that failed before anything was issued.
+func CommitDone(dec agent.Decision, err error) PendingCommit {
+	return &doneCommit{dec, err}
+}
+
+type doneCommit struct {
+	dec agent.Decision
+	err error
+}
+
+func (c *doneCommit) Wait() (agent.Decision, error) { return c.dec, c.err }
+
+// WireCounter is the optional capability of members behind a wire that
+// counts its traffic (fed.Remote): Dispatcher.Members reports it.
+type WireCounter interface {
+	WireStats() WireStats
+}
+
+// WireOp is one kind of member call's traffic over a member wire.
+type WireOp struct {
+	// Frames counts the request frames written; each is answered by one
+	// reply frame or fails.
+	Frames uint64
+	// BytesOut and BytesIn count payload bytes, request and reply, not
+	// the 13-byte frame headers.
+	BytesOut, BytesIn uint64
+	// RTT sums the time from each request's write to its reply or its
+	// failure; RTT/Frames is the mean round trip.
+	RTT time.Duration
+}
+
+// Add returns the two counts summed.
+func (o WireOp) Add(p WireOp) WireOp {
+	return WireOp{o.Frames + p.Frames, o.BytesOut + p.BytesOut, o.BytesIn + p.BytesIn, o.RTT + p.RTT}
+}
+
+// WireStats is a member wire's traffic for the calls a federated
+// decision and its upkeep make: the fan-out Evaluate, the Commit on the
+// winner, the Complete that retires it, and the summary and relay pulls.
+// The other calls (registration, reports, promotion) are not counted.
+type WireStats struct {
+	Evaluate, Commit, Complete, Summary, Relay WireOp
+}
+
+// Add returns the two counts summed, op by op.
+func (s WireStats) Add(t WireStats) WireStats {
+	return WireStats{
+		Evaluate: s.Evaluate.Add(t.Evaluate),
+		Commit:   s.Commit.Add(t.Commit),
+		Complete: s.Complete.Add(t.Complete),
+		Summary:  s.Summary.Add(t.Summary),
+		Relay:    s.Relay.Add(t.Relay),
+	}
 }
 
 // liveSignals is the optional capability of always-fresh members: the

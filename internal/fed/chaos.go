@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"casched/internal/agent"
+	"casched/internal/cluster"
 	"casched/internal/relay"
 	"casched/internal/task"
 )
@@ -103,11 +104,11 @@ func (c *chaosMember) Commit(req agent.Request, server string) (agent.Decision, 
 // injected OpCommit fault fails the commit before anything is issued.
 // Over a member without the capability it commits synchronously, as
 // the dispatcher itself would.
-func (c *chaosMember) StartCommit(req agent.Request, server string) (wait func() (agent.Decision, error)) {
+func (c *chaosMember) StartCommit(req agent.Request, server string) cluster.PendingCommit {
 	if err := c.inj.Intercept(c.m.Name(), OpCommit); err != nil {
-		return func() (agent.Decision, error) { return agent.Decision{}, err }
+		return cluster.CommitDone(agent.Decision{}, err)
 	}
-	return startCommit(c.m, req, server)
+	return cluster.StartCommit(c.m, req, server)
 }
 
 func (c *chaosMember) Submit(req agent.Request) (agent.Decision, error) {

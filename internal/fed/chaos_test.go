@@ -76,11 +76,11 @@ func TestChaosForwardsCapabilities(t *testing.T) {
 	if !ok {
 		t.Fatal("chaos wrapper lost the commitStarter capability")
 	}
-	if dec, err := cs.StartCommit(req(2, spec, 1), "sv00")(); err != nil || dec.Server != "sv00" {
+	if dec, err := cs.StartCommit(req(2, spec, 1), "sv00").Wait(); err != nil || dec.Server != "sv00" {
 		t.Fatalf("StartCommit through quiet chaos = %+v, %v", dec, err)
 	}
 	inj.Sever("m0", OpCommit)
-	if _, err := cs.StartCommit(req(3, spec, 2), "sv00")(); !errors.Is(err, ErrUnreachable) {
+	if _, err := cs.StartCommit(req(3, spec, 2), "sv00").Wait(); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("severed StartCommit: %v, want ErrUnreachable", err)
 	}
 	if got := inner.Core().InFlight(); got != 2 {

@@ -117,6 +117,10 @@ type (
 	Summary = cluster.Summary
 	// MemberInfo is a diagnostic snapshot of one member's routing state.
 	MemberInfo = cluster.MemberInfo
+	// WireStats is a member wire's traffic per decision-path call.
+	WireStats = cluster.WireStats
+	// WireOp is one kind of member call's traffic over a member wire.
+	WireOp = cluster.WireOp
 	// RelayStats aggregates the dispatcher's relay accounting.
 	RelayStats = cluster.RelayStats
 	// InProcess is the in-process Member behind the summary seam.
@@ -141,9 +145,6 @@ var (
 func NewInProcess(name string, core *agent.Core) *InProcess {
 	return cluster.NewInProcess(name, core)
 }
-
-// startCommit is cluster.StartCommit, for member wrappers.
-var startCommit = cluster.StartCommit
 
 // NewWithMembers constructs a Dispatcher over caller-supplied member
 // handles (remote transports, test fakes). The configured heuristic

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"casched/internal/agent"
+	"casched/internal/cluster"
 	"casched/internal/live"
 	"casched/internal/sched"
 	"casched/internal/stats"
@@ -50,17 +51,22 @@ func (p *orderProbe) Evaluate(req agent.Request) (agent.Candidate, error) {
 	return p.Member.Evaluate(req)
 }
 
-func (p *orderProbe) StartCommit(req agent.Request, server string) func() (agent.Decision, error) {
+func (p *orderProbe) StartCommit(req agent.Request, server string) cluster.PendingCommit {
 	p.shared.mu.Lock()
 	p.shared.order = append(p.shared.order, req.JobID)
 	p.shared.mu.Unlock()
 	p.shared.awaiting.Add(1)
-	wait := startCommit(p.Member, req, server)
-	return func() (agent.Decision, error) {
+	pending := cluster.StartCommit(p.Member, req, server)
+	return waitFunc(func() (agent.Decision, error) {
 		defer p.shared.awaiting.Add(-1)
-		return wait()
-	}
+		return pending.Wait()
+	})
 }
+
+// waitFunc is a test member's started commit: the function Wait calls.
+type waitFunc func() (agent.Decision, error)
+
+func (f waitFunc) Wait() (agent.Decision, error) { return f() }
 
 // servedLog is what one member's core saw, in the order it served it.
 type servedLog struct {
@@ -368,7 +374,7 @@ func TestCommitServedBeforeLaterEvaluate(t *testing.T) {
 		if err := <-removed; err != nil {
 			t.Errorf("RemoveServer: %v", err)
 		}
-		if dec, err := wait(); err != nil || dec.Server != "sv00" {
+		if dec, err := wait.Wait(); err != nil || dec.Server != "sv00" {
 			t.Errorf("the commit written before RemoveServer(sv00): %+v, %v; want it placed on sv00", dec, err)
 		}
 	})
@@ -426,7 +432,7 @@ func (h *heldMember) evaluations() int {
 	return h.evals
 }
 
-func (h *heldMember) StartCommit(req agent.Request, server string) func() (agent.Decision, error) {
+func (h *heldMember) StartCommit(req agent.Request, server string) cluster.PendingCommit {
 	h.mu.Lock()
 	gate, err := h.gate, h.fault
 	h.mu.Unlock()
@@ -435,16 +441,16 @@ func (h *heldMember) StartCommit(req agent.Request, server string) func() (agent
 		dec, err = h.InProcess.Commit(req, server)
 	}
 	h.started <- req.JobID
-	return func() (agent.Decision, error) {
+	return waitFunc(func() (agent.Decision, error) {
 		if gate != nil {
 			<-gate
 		}
 		return dec, err
-	}
+	})
 }
 
 func (h *heldMember) Commit(req agent.Request, server string) (agent.Decision, error) {
-	return h.StartCommit(req, server)()
+	return h.StartCommit(req, server).Wait()
 }
 
 func (h *heldMember) Complete(jobID int, server string, at float64) error {

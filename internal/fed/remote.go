@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"casched/internal/agent"
+	"casched/internal/cluster"
 	"casched/internal/live"
 	"casched/internal/relay"
 	"casched/internal/task"
@@ -41,6 +42,9 @@ type Remote struct {
 
 	mu   sync.Mutex
 	wire *live.FrameClient // nil until the first call, and after a transport failure
+	// retired is the wire traffic of the connections dropped so far, so
+	// WireStats counts across redials.
+	retired cluster.WireStats
 	// relayUnsupported caches the member's Disabled answer to a relay
 	// pull, so the dispatcher asks at most once per handle. A rejoin
 	// creates a fresh Remote, re-probing.
@@ -119,9 +123,21 @@ func (r *Remote) resetWire(w *live.FrameClient) {
 	r.mu.Lock()
 	if r.wire == w {
 		r.wire = nil
+		r.retired = r.retired.Add(w.WireStats())
 	}
 	r.mu.Unlock()
 	w.Close()
+}
+
+// WireStats is the WireCounter capability: the member wire's traffic
+// per decision-path call, over every connection this handle has used.
+func (r *Remote) WireStats() cluster.WireStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.wire == nil {
+		return r.retired
+	}
+	return r.retired.Add(r.wire.WireStats())
 }
 
 // wireErr classifies the failure of a call whose frame was handed to
@@ -240,33 +256,54 @@ func (r *Remote) Evaluate(req agent.Request) (agent.Candidate, error) {
 }
 
 func (r *Remote) Commit(req agent.Request, server string) (agent.Decision, error) {
-	return r.StartCommit(req, server)()
+	return r.StartCommit(req, server).Wait()
 }
 
 // StartCommit is the commitStarter capability. It returns as soon as
 // the Commit frame is written: the connection is FIFO and the member
 // serves it sequentially, so the commit is ordered before every later
-// call of this handle, and wait only collects the answer.
-func (r *Remote) StartCommit(req agent.Request, server string) (wait func() (agent.Decision, error)) {
+// call of this handle, and Wait only collects the answer. The handle
+// comes from a pool and goes back to it in Wait.
+func (r *Remote) StartCommit(req agent.Request, server string) cluster.PendingCommit {
+	rc := remoteCommits.Get().(*remoteCommit)
+	rc.r, rc.job = r, req.JobID
 	args, err := wireTask(req)
-	var w *live.FrameClient
 	if err == nil {
-		w, err = r.wireClient()
+		rc.w, err = r.wireClient()
 	}
 	if err != nil {
-		return func() (agent.Decision, error) { return agent.Decision{}, err }
+		rc.err = err
+		return rc
 	}
 	args.Term = r.term()
-	await := w.StartCommit(&live.MemberCommitArgs{Task: args, Server: server})
-	job := req.JobID
-	return func() (agent.Decision, error) {
-		reply, err := await()
-		if err != nil {
-			return agent.Decision{}, r.wireErr(w, "Member.Commit", err)
-		}
-		return agent.Decision{JobID: job, Server: reply.Server,
-			Predicted: reply.Predicted, HasPrediction: reply.HasPrediction}, nil
+	rc.call = rc.w.StartCommit(&live.MemberCommitArgs{Task: args, Server: server})
+	return rc
+}
+
+// remoteCommit is a Remote's started commit (cluster.PendingCommit).
+type remoteCommit struct {
+	r    *Remote
+	w    *live.FrameClient
+	call live.CommitCall
+	job  int
+	err  error // the start failed before a frame was written
+}
+
+var remoteCommits = sync.Pool{New: func() any { return new(remoteCommit) }}
+
+func (rc *remoteCommit) Wait() (agent.Decision, error) {
+	r, w, call, job, err := rc.r, rc.w, rc.call, rc.job, rc.err
+	*rc = remoteCommit{}
+	remoteCommits.Put(rc)
+	if err != nil {
+		return agent.Decision{}, err
 	}
+	reply, err := call.Wait()
+	if err != nil {
+		return agent.Decision{}, r.wireErr(w, "Member.Commit", err)
+	}
+	return agent.Decision{JobID: job, Server: reply.Server,
+		Predicted: reply.Predicted, HasPrediction: reply.HasPrediction}, nil
 }
 
 func (r *Remote) Submit(req agent.Request) (agent.Decision, error) {
@@ -418,6 +455,7 @@ func (r *Remote) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.wire != nil {
+		r.retired = r.retired.Add(r.wire.WireStats())
 		r.wire.Close()
 		r.wire = nil
 	}

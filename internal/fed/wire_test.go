@@ -295,7 +295,7 @@ func TestRemoteUnreachableBeforeFirstFrame(t *testing.T) {
 	closed := lis.Addr().String()
 	lis.Close()
 	r := NewRemote("gone", closed, time.Second)
-	_, err = r.StartCommit(req(1, task.WasteCPU(200), 0), "artimon")()
+	_, err = r.StartCommit(req(1, task.WasteCPU(200), 0), "artimon").Wait()
 	if !errors.Is(err, ErrUnreachable) || errors.Is(err, ErrUncertain) {
 		t.Fatalf("commit on a refused dial: %v, want plain ErrUnreachable", err)
 	}
@@ -329,5 +329,63 @@ func TestRemoteUnreachableBeforeFirstFrame(t *testing.T) {
 		if !errors.Is(err, ErrUnreachable) || errors.Is(err, ErrUncertain) || !strings.Contains(err.Error(), want) {
 			t.Fatalf("call on a member of another frame version: %v, want plain ErrUnreachable naming %q", err, want)
 		}
+	}
+}
+
+// TestRemoteWireStats pins the member wire's per-call counters: a frame
+// per call, the payload bytes each way and a round trip each, reported
+// through Dispatcher.Members and kept across a redial.
+func TestRemoteWireStats(t *testing.T) {
+	m := startMember(t)
+	r := NewRemote("m", m.Addr(), 5*time.Second)
+	d, err := NewWithMembers(Config{Heuristic: "HMCT", Seed: 7, StaleAfter: time.Hour, SummaryInterval: time.Hour}, []Member{r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	spec := task.Synthetic(0, 4)
+	for i := 0; i < 4; i++ {
+		if err := d.AddServer(fmt.Sprintf("sv%02d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.RefreshSummaries()
+	const n = 5
+	for i := 0; i < n; i++ {
+		dec, err := d.Submit(req(i, spec, float64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Complete(i, dec.Server, float64(i)+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := d.Members()[0].Wire
+	for _, c := range []struct {
+		op     string
+		got    WireOp
+		frames uint64
+	}{{"Evaluate", w.Evaluate, n}, {"Commit", w.Commit, n}, {"Complete", w.Complete, n}, {"Summary", w.Summary, 1}} {
+		if c.got.Frames != c.frames || c.got.RTT <= 0 || c.got.BytesOut%c.frames != 0 {
+			t.Errorf("%s: %+v, want %d frames of one size and a round trip", c.op, c.got, c.frames)
+		}
+	}
+	if w.Relay != (WireOp{}) {
+		t.Errorf("Relay: %+v, want no traffic with the relay off", w.Relay)
+	}
+	// A commit names its server on top of the task an evaluation carries;
+	// a completion is answered by an empty reply.
+	if w.Commit.BytesOut <= w.Evaluate.BytesOut || w.Evaluate.BytesIn == 0 || w.Complete.BytesIn != 0 {
+		t.Errorf("payload bytes: evaluate %+v, commit %+v, complete %+v", w.Evaluate, w.Commit, w.Complete)
+	}
+	r.Close()
+	if got := r.WireStats(); got != w {
+		t.Errorf("after the connection closed: %+v, want %+v", got, w)
+	}
+	if _, err := r.Evaluate(req(n, spec, n)); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.WireStats().Evaluate.Frames; got != n+1 {
+		t.Errorf("%d Evaluate frames after a redial, want %d", got, n+1)
 	}
 }

@@ -75,6 +75,9 @@ const (
 	maxFrameLen = 16 << 20
 	// frameMinLen is msgType+corrID, the smallest legal frame body.
 	frameMinLen = 9
+	// frameHeaderLen is a frame's bytes before its payload: the length
+	// prefix, msgType and corrID.
+	frameHeaderLen = 4 + frameMinLen
 	// frameReadBuf sizes the buffered reader either end puts on a framed
 	// connection: decision frames are ~100 bytes, so a full 64-frame
 	// window fits one read; larger frames (summaries, batches) bypass the
@@ -128,14 +131,19 @@ type WireError string
 func (e WireError) Error() string { return string(e) }
 
 // readFrame reads one frame from r, reusing *buf as scratch across
-// calls. The returned payload aliases *buf and is valid only until the
-// next readFrame with the same buffer.
+// calls: the length prefix is read into it too, since a local array
+// handed to an io.Reader would be moved to the heap on every frame. The
+// returned payload aliases *buf and is valid only until the next
+// readFrame with the same buffer.
 func readFrame(r io.Reader, buf *[]byte) (typ byte, corr uint64, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+	if cap(*buf) < frameMinLen {
+		*buf = make([]byte, frameMinLen)
+	}
+	hdr := (*buf)[:4]
+	if _, err = io.ReadFull(r, hdr); err != nil {
 		return 0, 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n < frameMinLen || n > maxFrameLen {
 		return 0, 0, nil, fmt.Errorf("live: frame length %d out of range [%d, %d]", n, frameMinLen, maxFrameLen)
 	}

@@ -6,6 +6,17 @@ package live
 // calls share one TCP stream instead of paying a round trip each, so
 // a dispatcher driving hundreds of servers per member amortizes the
 // wire latency across the window.
+//
+// A steady call allocates nothing. Each call borrows a pooled slot
+// (frameCall) that carries its timer, its completion channel, its copy
+// of the reply payload and the reader the reply is decoded with; the
+// request is encoded into the connection's write buffer and the reply
+// header read into the reader loop's frame scratch. Strings in replies
+// (server names, tenants) are interned per connection, as the member
+// interns those of requests. A commit started ahead of its answer is a
+// value (CommitCall) holding its slot, not a closure. Each of the calls
+// a decision makes counts its frames, payload bytes and round-trip time
+// in a fixed slot of atomics (WireStats).
 
 import (
 	"bufio"
@@ -14,7 +25,10 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"casched/internal/cluster"
 )
 
 // ErrWireTimeout marks a framed call that exceeded its budget; the
@@ -37,6 +51,24 @@ type frameCall struct {
 	typ     byte
 	payload []byte
 	err     error
+	r       wireReader // decodes payload (finish)
+	op      *wireSlot  // the call's traffic counters, nil for an uncounted call
+	sent    time.Time  // when the request was written
+}
+
+// wireSlot counts one call's traffic (cluster.WireOp) with atomics, so
+// the calls of concurrent callers count without a lock or a map.
+type wireSlot struct {
+	frames, bytesOut, bytesIn, rttNanos atomic.Uint64
+}
+
+func (s *wireSlot) load() cluster.WireOp {
+	return cluster.WireOp{
+		Frames:   s.frames.Load(),
+		BytesOut: s.bytesOut.Load(),
+		BytesIn:  s.bytesIn.Load(),
+		RTT:      time.Duration(s.rttNanos.Load()),
+	}
 }
 
 // FrameClient speaks the framed member wire over one connection.
@@ -55,6 +87,43 @@ type FrameClient struct {
 
 	window chan struct{}
 	calls  sync.Pool
+
+	// names interns the strings of replies. Replies are decoded on the
+	// callers' goroutines, so decoding holds nmu.
+	nmu   sync.Mutex
+	names intern
+
+	evaluate, commit, complete, summary, relay wireSlot
+}
+
+// slot returns the traffic counters of a request type, nil for the
+// calls that are not counted.
+func (c *FrameClient) slot(typ byte) *wireSlot {
+	switch typ {
+	case msgEvaluate:
+		return &c.evaluate
+	case msgCommit:
+		return &c.commit
+	case msgComplete:
+		return &c.complete
+	case msgSummary:
+		return &c.summary
+	case msgRelay:
+		return &c.relay
+	}
+	return nil
+}
+
+// WireStats returns the connection's traffic so far for the calls a
+// decision and its upkeep make.
+func (c *FrameClient) WireStats() cluster.WireStats {
+	return cluster.WireStats{
+		Evaluate: c.evaluate.load(),
+		Commit:   c.commit.load(),
+		Complete: c.complete.load(),
+		Summary:  c.summary.load(),
+		Relay:    c.relay.load(),
+	}
 }
 
 // NewFrameClient performs the framed handshake on conn and starts the
@@ -88,6 +157,7 @@ func NewFrameClient(conn net.Conn, timeout time.Duration) (*FrameClient, error) 
 		timeout: timeout,
 		pending: make(map[uint64]*frameCall),
 		window:  make(chan struct{}, frameWindow),
+		names:   make(intern),
 	}
 	go c.readLoop()
 	return c, nil
@@ -178,6 +248,7 @@ func (c *FrameClient) putCall(call *frameCall) {
 		}
 	}
 	call.payload = trimScratch(call.payload)
+	call.r, call.op = wireReader{}, nil
 	c.calls.Put(call)
 }
 
@@ -212,7 +283,8 @@ func (c *FrameClient) start(typ byte, enc func([]byte) []byte) (*frameCall, erro
 	b := beginFrame(c.wbuf[:0], typ, call.id)
 	b = enc(b)
 	b = endFrame(b, 0)
-	c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
+	call.sent = time.Now()
+	c.conn.SetWriteDeadline(call.sent.Add(c.timeout))
 	_, werr := c.conn.Write(b)
 	c.wbuf = trimScratch(b)
 	c.wmu.Unlock()
@@ -224,17 +296,21 @@ func (c *FrameClient) start(typ byte, enc func([]byte) []byte) (*frameCall, erro
 		<-c.window
 		return nil, werr
 	}
+	if call.op = c.slot(typ); call.op != nil {
+		call.op.frames.Add(1)
+		call.op.bytesOut.Add(uint64(len(b) - frameHeaderLen))
+	}
 	return call, nil
 }
 
 // await is the second half: it waits for the reply of a started call or
 // for the call's timeout and releases the window slot. On success the
 // call holds the reply frame; the caller must release it with putCall.
-func (c *FrameClient) await(call *frameCall) error {
+func (c *FrameClient) await(call *frameCall) (err error) {
 	defer func() { <-c.window }()
 	select {
 	case <-call.done:
-		return call.err
+		err = call.err
 	case <-call.timer.C:
 		c.mu.Lock()
 		if _, ok := c.pending[call.id]; ok {
@@ -242,12 +318,28 @@ func (c *FrameClient) await(call *frameCall) error {
 			c.mu.Unlock()
 			// Nobody will complete the slot now (the reader discards the
 			// late reply), and it is not pooled again.
+			countRoundTrip(call, false)
 			return ErrWireTimeout
 		}
 		c.mu.Unlock()
 		// The reply (or a transport failure) raced the timer: take it.
 		<-call.done
-		return call.err
+		err = call.err
+	}
+	countRoundTrip(call, err == nil)
+	return err
+}
+
+// countRoundTrip books the round trip of a counted call that was
+// written and has now been answered (replied: its payload is the
+// reply's), failed or timed out.
+func countRoundTrip(call *frameCall, replied bool) {
+	if call.op == nil {
+		return
+	}
+	call.op.rttNanos.Add(uint64(time.Since(call.sent)))
+	if replied {
+		call.op.bytesIn.Add(uint64(len(call.payload)))
 	}
 }
 
@@ -265,6 +357,7 @@ func (c *FrameClient) roundTrip(typ byte, enc func([]byte) []byte) (*frameCall, 
 
 // finish decodes a reply frame into dec, translating msgError frames
 // into WireError and protocol violations into a torn-down connection.
+// The reader is the call's own, so handing it to dec costs nothing.
 func (c *FrameClient) finish(call *frameCall, want byte, dec func(*wireReader)) error {
 	defer c.putCall(call)
 	if call.typ == msgError {
@@ -275,9 +368,11 @@ func (c *FrameClient) finish(call *frameCall, want byte, dec func(*wireReader)) 
 		c.fail(err)
 		return err
 	}
-	r := wireReader{buf: call.payload}
-	dec(&r)
-	if !r.done() {
+	call.r = wireReader{buf: call.payload, in: c.names}
+	c.nmu.Lock()
+	dec(&call.r)
+	c.nmu.Unlock()
+	if !call.r.done() {
 		err := errors.New("live: malformed framed reply")
 		c.fail(err)
 		return err
@@ -298,25 +393,38 @@ func (c *FrameClient) Evaluate(args *MemberTaskArgs) (MemberEvalReply, error) {
 
 // Commit runs Member.Commit over the framed wire.
 func (c *FrameClient) Commit(args *MemberCommitArgs) (MemberDecisionReply, error) {
-	return c.StartCommit(args)()
+	return c.StartCommit(args).Wait()
 }
 
 // StartCommit writes the Member.Commit request and returns without
 // waiting for the answer: from then on the member serves the commit
-// before any frame written to this connection later. wait blocks for
-// the reply and must be called exactly once.
-func (c *FrameClient) StartCommit(args *MemberCommitArgs) (wait func() (MemberDecisionReply, error)) {
+// before any frame written to this connection later. The returned
+// call's Wait blocks for the reply and must be called exactly once.
+func (c *FrameClient) StartCommit(args *MemberCommitArgs) CommitCall {
 	call, err := c.start(msgCommit, func(b []byte) []byte { return appendMemberCommitArgs(b, args) })
-	return func() (MemberDecisionReply, error) {
-		var reply MemberDecisionReply
-		if err == nil {
-			err = c.await(call)
-		}
-		if err == nil {
-			err = c.finish(call, msgCommit, func(r *wireReader) { r.memberDecisionReply(&reply) })
-		}
-		return reply, err
+	return CommitCall{c: c, call: call, err: err}
+}
+
+// CommitCall is a Member.Commit whose request is written and whose
+// reply is not yet collected (FrameClient.StartCommit). It is a value
+// over the call's pooled slot: starting a commit allocates nothing.
+type CommitCall struct {
+	c    *FrameClient
+	call *frameCall
+	err  error // the start failed; nothing to wait for
+}
+
+// Wait blocks for the commit's reply. Call it exactly once.
+func (cc CommitCall) Wait() (MemberDecisionReply, error) {
+	var reply MemberDecisionReply
+	err := cc.err
+	if err == nil {
+		err = cc.c.await(cc.call)
 	}
+	if err == nil {
+		err = cc.c.finish(cc.call, msgCommit, func(r *wireReader) { r.memberDecisionReply(&reply) })
+	}
+	return reply, err
 }
 
 // Submit runs Member.Submit over the framed wire.

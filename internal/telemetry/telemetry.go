@@ -294,6 +294,35 @@ func WriteMembers(w io.Writer, members []fed.MemberInfo) {
 			p.sample("casched_fed_member_relay_age_seconds", "gauge", "Time since the last successful relay pull (+Inf = never).", l, age.Seconds())
 		}
 	}
+	// The wire counters: one family at a time, by member and call.
+	for _, fam := range []struct {
+		name, help string
+		value      func(fed.WireOp) float64
+	}{
+		{"casched_fed_member_wire_frames_total", "Request frames written to the member, by call.",
+			func(o fed.WireOp) float64 { return float64(o.Frames) }},
+		{"casched_fed_member_wire_sent_bytes_total", "Request payload bytes written to the member, by call.",
+			func(o fed.WireOp) float64 { return float64(o.BytesOut) }},
+		{"casched_fed_member_wire_received_bytes_total", "Reply payload bytes read from the member, by call.",
+			func(o fed.WireOp) float64 { return float64(o.BytesIn) }},
+		{"casched_fed_member_wire_rtt_seconds_total", "Summed time from each request's write to its reply or failure, by call.",
+			func(o fed.WireOp) float64 { return o.RTT.Seconds() }},
+	} {
+		for _, m := range sorted {
+			for _, op := range []struct {
+				name string
+				w    fed.WireOp
+			}{
+				{"evaluate", m.Wire.Evaluate},
+				{"commit", m.Wire.Commit},
+				{"complete", m.Wire.Complete},
+				{"summary", m.Wire.Summary},
+				{"relay", m.Wire.Relay},
+			} {
+				p.sample(fam.name, "counter", fam.help, [][2]string{{"member", m.Name}, {"op", op.name}}, fam.value(op.w))
+			}
+		}
+	}
 }
 
 // WriteRelay renders the dispatcher-level relay counters.

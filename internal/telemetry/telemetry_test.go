@@ -103,6 +103,32 @@ func TestWriteMembersRelayGauges(t *testing.T) {
 	}
 }
 
+func TestWriteMembersWireCounters(t *testing.T) {
+	var b strings.Builder
+	WriteMembers(&b, []fed.MemberInfo{
+		{Name: "m", Wire: fed.WireStats{
+			Evaluate: fed.WireOp{Frames: 3, BytesOut: 243, BytesIn: 90, RTT: 1500 * time.Microsecond},
+			Commit:   fed.WireOp{Frames: 1},
+		}},
+	})
+	out := b.String()
+	for _, want := range []string{
+		`casched_fed_member_wire_frames_total{member="m",op="evaluate"} 3`,
+		`casched_fed_member_wire_frames_total{member="m",op="commit"} 1`,
+		`casched_fed_member_wire_frames_total{member="m",op="relay"} 0`,
+		`casched_fed_member_wire_sent_bytes_total{member="m",op="evaluate"} 243`,
+		`casched_fed_member_wire_received_bytes_total{member="m",op="evaluate"} 90`,
+		`casched_fed_member_wire_rtt_seconds_total{member="m",op="evaluate"} 0.0015`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "# TYPE casched_fed_member_wire_frames_total counter"); n != 1 {
+		t.Errorf("%d TYPE lines for the frames family, want 1:\n%s", n, out)
+	}
+}
+
 func TestWriteHAGauges(t *testing.T) {
 	var b strings.Builder
 	WriteHA(&b, ha.Status{
